@@ -26,8 +26,7 @@ from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
 from .modulation import fo_sequence
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
 from .probe import NoiseModel
-from .reconstruct import (DEFAULT_TAU, ProtocolContext, fidelity,
-                          scan_optimal_time)
+from .reconstruct import DEFAULT_TAU, ProtocolContext, fidelity
 from .seeding import derive_seed
 from .spectra import CompositeSignal, SpectralDensity
 from .tracking import track_fo, track_ocf
@@ -494,31 +493,29 @@ def _run_gamma_scan(cfg, out_dir, workers):
     seed = cfg["run"]["seed"]
     gammas = pro["gamma_values"]
     cols = {"gamma": np.asarray(gammas)}
-    best_T = {"fo": [], "as": []}
-    best_mean = {"fo": [], "as": []}
-    best_se = {"fo": [], "as": []}
-    for gi, gamma in enumerate(gammas):
-        for pi, (protocol, cands) in enumerate(
-                (("fo", pro["fo_candidates"]), ("as", pro["as_candidates"]))):
-            res = scan_optimal_time(protocol, spectrum, gamma, cands, reps,
-                                    derive_seed(seed, gi, pi),
-                                    dp_max=noise["dp_max"], shots=noise["shots"],
-                                    K=pro["K"], omega_c=pro["omega_c"],
-                                    eig_keep=pro["eig_keep"])
-            ix = int(np.argmax(res.fidelity_mean))
-            best_T[protocol].append(res.times[ix])
-            best_mean[protocol].append(res.fidelity_mean[ix])
-            best_se[protocol].append(res.fidelity_se[ix])
-    for protocol in ("fo", "as"):
-        cols[f"{protocol}_best_T"] = np.asarray(best_T[protocol])
-        cols[f"{protocol}_fidelity"] = np.asarray(best_mean[protocol])
-        cols[f"{protocol}_fidelity_se"] = np.asarray(best_se[protocol])
+    for pi, protocol in enumerate(("fo", "as")):
+        cands = pro[f"{protocol}_candidates"]
+        omega_max = 1.15 * pro["omega_c"] if protocol == "fo" else pro["omega_c"]
+        # contexts do not depend on gamma: build each (protocol, T) cell once
+        contexts = [ProtocolContext(protocol, spectrum, T, K=pro["K"], omega_c=pro["omega_c"],
+                                    omega_max=omega_max, grid=_grid_from(cfg, omega_max))
+                    for T in cands]
+        best = []  # (T, mean, se) of the best candidate per gamma
+        for gi, gamma in enumerate(gammas):
+            stats = [_mean_se(run_repetitions(ctx, noise["dp_max"], gamma, noise["shots"],
+                                              pro["eig_keep"], reps,
+                                              derive_seed(seed, gi, pi, ti), workers))
+                     for ti, ctx in enumerate(contexts)]
+            ix = int(np.argmax([mean for mean, _ in stats]))
+            best.append((cands[ix], *stats[ix]))
+        for name, col in zip(("best_T", "fidelity", "fidelity_se"), zip(*best)):
+            cols[f"{protocol}_{name}"] = np.asarray(col)
     write_csv(os.path.join(out_dir, "fidelity_vs_gamma.csv"),
               {"dp_max": noise["dp_max"], "K": pro["K"], "repetitions": reps,
                "seed": seed, "version": __version__}, cols)
     return {"gamma_values": len(gammas),
-            "fo_min_fidelity": float(min(best_mean["fo"])),
-            "as_min_fidelity": float(min(best_mean["as"]))}
+            "fo_min_fidelity": float(min(cols["fo_fidelity"])),
+            "as_min_fidelity": float(min(cols["as_fidelity"]))}
 
 
 def _run_nqubit_scan(cfg, out_dir, workers):

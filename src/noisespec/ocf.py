@@ -18,8 +18,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import UndefinedObjectiveError
-from .filterfn import (FilterFunction, FrequencyGrid, filter_function,
-                       fourier_piecewise, transform_continuous)
+from .filterfn import FilterFunction, FrequencyGrid, filter_function, filter_values
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          repair_switch_times, staircase_split)
 from .seeding import derive_seed, make_rng
@@ -111,27 +110,26 @@ class _Objective:
         return xi - self.penalty_weight * self.s_rms * out, xi
 
 
-def _filter_values(modulation, grid: FrequencyGrid) -> np.ndarray:
-    if isinstance(modulation, ContinuousModulation):
-        Y, Z = transform_continuous(modulation, grid.omegas)
-        return (4.0 / math.pi) * (np.abs(Y) ** 2 + np.abs(Z) ** 2)
-    Y = fourier_piecewise(modulation, grid.omegas)
-    return (4.0 / math.pi) * np.abs(Y) ** 2
-
-
-def xi_objective(modulation_or_filter, spectrum, omega_c: float,
-                 penalty_weight: float = 0.0,
-                 grid: FrequencyGrid | None = None) -> float:
-    """Penalized overlap objective for a modulation or a prebuilt filter."""
+def _xi(modulation_or_filter, spectrum, omega_c: float, penalty_weight: float,
+        grid: FrequencyGrid | None):
+    """The objective on the filter's grid (``grid`` or ``ocf_grid`` for a
+    modulation) and its (penalized objective, raw xi)."""
     if isinstance(modulation_or_filter, FilterFunction):
         grid = modulation_or_filter.grid
         f_vals = modulation_or_filter.values
     else:
         if grid is None:
             grid = ocf_grid(omega_c)
-        f_vals = _filter_values(modulation_or_filter, grid)
+        f_vals = filter_values(modulation_or_filter, grid)
     obj = _Objective(spectrum, grid, omega_c, penalty_weight)
-    return obj.from_values(f_vals)[0]
+    return obj, obj.from_values(f_vals)
+
+
+def xi_objective(modulation_or_filter, spectrum, omega_c: float,
+                 penalty_weight: float = 0.0,
+                 grid: FrequencyGrid | None = None) -> float:
+    """Penalized overlap objective for a modulation or a prebuilt filter."""
+    return _xi(modulation_or_filter, spectrum, omega_c, penalty_weight, grid)[1][0]
 
 
 def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
@@ -142,15 +140,8 @@ def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
     The numerator integrates the full grid.  A spectrum sampled on the grid
     meets the premise only if it is zero at every node ``>= omega_c``.
     """
-    if isinstance(modulation_or_filter, FilterFunction):
-        grid = modulation_or_filter.grid
-        f_vals = modulation_or_filter.values
-    else:
-        if grid is None:
-            grid = ocf_grid(omega_c)
-        f_vals = _filter_values(modulation_or_filter, grid)
-    obj = _Objective(spectrum, grid, omega_c, 0.0)
-    return obj.from_values(f_vals)[1] / obj.s_norm
+    obj, (_, xi) = _xi(modulation_or_filter, spectrum, omega_c, 0.0, grid)
+    return xi / obj.s_norm
 
 
 def _simplex(dim: int, step: float) -> np.ndarray:
@@ -174,7 +165,7 @@ def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
     objective = _Objective(problem.spectrum, problem.grid, problem.omega_c,
                            problem.penalty_weight)
     state = initial
-    best_vals = _filter_values(state, problem.grid)
+    best_vals = filter_values(state, problem.grid)
     best_obj, _ = objective.from_values(best_vals)
     trace = [best_obj]
     dim = 2 * problem.basis_size
@@ -186,7 +177,7 @@ def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
         def neg_obj(x, _s=s, _freqs=freqs, _state=state):
             try:
                 cand = candidate_from(_state, _s, _freqs, x)
-                val, _ = objective.from_values(_filter_values(cand, problem.grid))
+                val, _ = objective.from_values(filter_values(cand, problem.grid))
             except UndefinedObjectiveError:
                 return math.inf
             return -val
@@ -194,7 +185,7 @@ def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
         x_best = _inner_search(neg_obj, dim, step=0.6, max_evals=problem.inner_evals)
         cand = candidate_from(state, s, freqs, x_best)
         try:
-            cand_obj, _ = objective.from_values(_filter_values(cand, problem.grid))
+            cand_obj, _ = objective.from_values(filter_values(cand, problem.grid))
         except UndefinedObjectiveError:
             cand_obj = -math.inf
         if cand_obj > best_obj:
@@ -202,7 +193,7 @@ def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
             state = cand
         trace.append(best_obj)
 
-    best_vals = _filter_values(state, problem.grid)
+    best_vals = filter_values(state, problem.grid)
     _, xi = objective.from_values(best_vals)
     return OcfSolution(modulation=state, xi=xi,
                        normalized_fidelity=xi / objective.s_norm,

@@ -72,15 +72,12 @@ class MeasurementRecord:
     shots: int | None
     stream_seed: int
 
-    def csv_row(self) -> str:
-        return (f"{self.filter_index},{self.c_true!r},{self.p_measured!r},"
-                f"{self.c_estimate!r},{int(self.saturated)},{self.stream_seed}")
-
 
 def survival_probability(c: float, gamma: float, operation_time: float) -> float:
-    """Probability ``(1 - exp(-c - gamma*T)) / 2`` of surviving readout."""
-    if c < 0 or gamma < 0 or operation_time < 0:
-        raise ValueError("c, gamma and T must be >= 0")
+    """Probability ``(1 - exp(-c - gamma*T)) / 2`` of surviving readout;
+    ``c = inf`` saturates, and NaN fails every check."""
+    if not (c >= 0 and 0 <= gamma < math.inf and 0 <= operation_time < math.inf):
+        raise ValueError(f"need c >= 0, finite gamma, T >= 0: {c}, {gamma}, {operation_time}")
     return 0.5 * (1.0 - math.exp(-c - gamma * operation_time))
 
 
@@ -132,13 +129,6 @@ def relative_error_factor(c: float, gamma: float, operation_time: float) -> floa
     if c <= 0:
         raise ValueError(f"relative error undefined for c <= 0, got {c}")
     return math.exp(c + gamma * operation_time) / c
-
-
-def records_to_csv(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# columns: k,c_true,p_measured,c_estimate,saturated,stream_seed\n")
-        for rec in records:
-            fh.write(rec.csv_row() + "\n")
 
 
 # ---------------------------------------------------------------------------

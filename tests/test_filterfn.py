@@ -8,7 +8,7 @@ from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError,
                        continuous_norm, default_grid, filter_function,
                        fo_sequence, fourier_piecewise, overlap_matrix,
                        signal_overlap, staircase_split, transform_continuous)
-from noisespec.filterfn import FilterFunction
+from noisespec.filterfn import FilterFunction, _gauss_plan, filter_values
 
 
 def box_filter(grid, lo, hi, height=1.0):
@@ -89,6 +89,59 @@ class TestFilterFunction:
                 im, _ = quad(lambda t: part(mod.phase(t)) * math.sin(omega * t),
                              0, 3.0, limit=300)
                 assert target == pytest.approx(complex(re, im), abs=1e-9)
+
+
+# grid sizes that are not multiples of the 64-node block, plus the
+# protocol grid of the fo filters
+KERNEL_GRIDS = [FrequencyGrid(3.0, 2), FrequencyGrid(7.0, 65),
+                FrequencyGrid(30.0, 3001), default_grid(11.5)]
+
+
+def _kernel_generators():
+    gens = {}
+    for T in (1.0, 5.0, 25.0):
+        gens[f"fo-T{T:g}"] = fo_sequence(7, 20, 11.5, T)
+        gens[f"as-T{T:g}"] = as_sequence(13, 20, 10.0, T)
+        for n_q in (1, 2, 6):
+            gens[f"staircase{n_q}-T{T:g}"] = staircase_split(4.6, n_q, T)
+    gens["continuous"] = ContinuousModulation(
+        duration=5.0, linear_rate=2.0, terms=((1.7, 0.4, -0.3), (5.1, -0.2, 0.6)))
+    return gens
+
+
+KERNEL_GENERATORS = _kernel_generators()
+
+
+class TestGridKernel:
+    """The block-factored grid path against the direct path on the same
+    frequencies."""
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"n{g.size}")
+    @pytest.mark.parametrize("gen", list(KERNEL_GENERATORS.values()),
+                             ids=list(KERNEL_GENERATORS))
+    def test_agrees_with_direct_form(self, gen, grid):
+        on_grid = filter_values(gen, grid)
+        direct = filter_values(gen, grid.omegas)
+        assert on_grid.shape == (grid.size,)
+        assert np.max(np.abs(on_grid - direct)) <= 1e-12 * np.max(direct)
+
+    @pytest.mark.parametrize("T", [1.0, 5.0, 25.0])
+    def test_zero_node_is_free_evolution_peak(self, T):
+        filt = filter_function(PulseSequence(np.array([]), T), default_grid(11.5))
+        assert filt.values[0] == pytest.approx((4 / math.pi) * T ** 2, rel=1e-15)
+
+    def test_plans_keyed_by_grid_values(self):
+        mod = ContinuousModulation(duration=5.0, linear_rate=2.0)
+        _gauss_plan.cache_clear()
+        # equal size, different span: same panel count, distinct plans
+        for grid in (FrequencyGrid(30.0, 3001), FrequencyGrid(29.0, 3001)):
+            on_grid = filter_values(mod, grid)
+            direct = filter_values(mod, grid.omegas)
+            assert np.max(np.abs(on_grid - direct)) <= 1e-12 * np.max(direct)
+        assert _gauss_plan.cache_info().currsize == 2
+        # an equal grid built anew reuses its plan
+        filter_values(mod, FrequencyGrid(29.0, 3001))
+        assert _gauss_plan.cache_info().hits == 1
 
 
 class TestParseval:

@@ -34,6 +34,24 @@ class TestSurvivalProbability:
         assert survival_probability(c + extra, 0.0, 1.0) > survival_probability(c, 0.0, 1.0)
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("c, gamma, T", [
+        (math.nan, 0.1, 5.0), (-math.inf, 0.1, 5.0), (1.0, math.nan, 5.0),
+        (1.0, math.inf, 5.0), (1.0, 0.1, math.nan), (1.0, 0.1, math.inf)])
+    def test_survival_rejects(self, c, gamma, T):
+        with pytest.raises(ValueError):
+            survival_probability(c, gamma, T)
+
+    def test_nan_coefficient_rejected_by_measure(self):
+        with pytest.raises(ValueError):
+            measure(math.nan, NoiseModel(gamma=0.1, seed=1), 5.0)
+
+    def test_infinite_coefficient_saturates(self):
+        assert survival_probability(math.inf, 0.1, 5.0) == 0.5
+        rec = measure(math.inf, NoiseModel(gamma=0.1, seed=1), 5.0)
+        assert rec.saturated and rec.c_estimate == math.inf
+
+
 class TestInversion:
     @given(c=st.floats(0.0, 5.0))
     @settings(max_examples=80, deadline=None)
