@@ -20,7 +20,7 @@ from .probe import (MeasurementRecord, NoiseModel, autocorrelation,
                     relative_error_factor, survival_probability)
 from .reconstruct import (FOBasis, ProtocolContext, ReconstructionResult,
                           ScanResult, as_reconstruct, fidelity,
-                          fo_reconstruct, scan_optimal_time)
+                          fo_reconstruct, run_repetitions, scan_optimal_time)
 from .fisher import (FisherOperator, build_fio, cramer_rao,
                      directional_fisher, fio_rank, ml_deviation_estimate)
 from .ocf import (OcfProblem, OcfSolution, optimize_continuous,

@@ -10,23 +10,21 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NoiseSpecError
-from .filterfn import (FrequencyGrid, continuous_norm, default_grid,
-                       filter_function, signal_overlap)
+from .filterfn import continuous_norm, default_grid, filter_function, signal_overlap
 from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
 from .modulation import fo_sequence
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
-from .probe import NoiseModel
-from .reconstruct import DEFAULT_TAU, ProtocolContext, fidelity
+from .probe import NoiseModel, survival_probability
+from .reconstruct import (DEFAULT_TAU, ProtocolContext, fidelity, mean_se,
+                          run_repetitions, scan_optimal_time)
 from .seeding import derive_seed
 from .spectra import CompositeSignal, SpectralDensity
 from .tracking import track_fo, track_ocf
@@ -277,6 +275,14 @@ def validate_config(raw: dict) -> dict:
     if cfg["spectrum"]["components"] is None and cfg["spectrum"]["csv"] is None:
         raise ConfigError("need either components or csv",
                           location="spectrum.components")
+    if cfg["run"]["repetitions"] < 1:
+        raise ConfigError(f"must be >= 1, got {cfg['run']['repetitions']}",
+                          location="run.repetitions")
+    if "noise" in cfg:
+        try:
+            NoiseModel(**cfg["noise"])
+        except ValueError as exc:
+            raise ConfigError(str(exc), location="noise") from exc
     return cfg
 
 
@@ -355,94 +361,48 @@ def write_summary(path, entries: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# repetition engine (optionally parallel, byte-deterministic)
-# ---------------------------------------------------------------------------
-
-_POOL_STATE: dict = {}
-
-
-def _rep_worker(args):
-    rep, seed = args
-    ctx = _POOL_STATE["ctx"]
-    noise = NoiseModel(dp_max=_POOL_STATE["dp_max"], gamma=_POOL_STATE["gamma"],
-                       shots=_POOL_STATE["shots"], seed=seed)
-    fid, _ = ctx.run_once(noise, eig_keep=_POOL_STATE["eig_keep"],
-                          as_delta=_POOL_STATE["as_delta"])
-    return rep, fid
-
-
-def run_repetitions(ctx: ProtocolContext, dp_max: float, gamma: float,
-                    shots, eig_keep, repetitions: int, seed_base: int,
-                    workers: int = 1, as_delta: bool = False) -> np.ndarray:
-    """Fidelities over seeded repetitions; identical output for any worker
-    count (per-repetition seeds are derived, results ordered by index)."""
-    jobs = [(rep, derive_seed(seed_base, rep)) for rep in range(repetitions)]
-    fids = np.zeros(repetitions)
-    if workers <= 1:
-        for rep, seed in jobs:
-            noise = NoiseModel(dp_max=dp_max, gamma=gamma, shots=shots, seed=seed)
-            fids[rep], _ = ctx.run_once(noise, eig_keep=eig_keep, as_delta=as_delta)
-        return fids
-    _POOL_STATE.update(ctx=ctx, dp_max=dp_max, gamma=gamma, shots=shots,
-                       eig_keep=eig_keep, as_delta=as_delta)
-    try:
-        import multiprocessing as mp
-        mp_ctx = mp.get_context("fork")
-        with mp_ctx.Pool(processes=workers) as pool:
-            for rep, fid in pool.map(_rep_worker, jobs, chunksize=8):
-                fids[rep] = fid
-    except (ValueError, OSError):
-        for rep, seed in jobs:
-            noise = NoiseModel(dp_max=dp_max, gamma=gamma, shots=shots, seed=seed)
-            fids[rep], _ = ctx.run_once(noise, eig_keep=eig_keep, as_delta=as_delta)
-    finally:
-        _POOL_STATE.clear()
-    return fids
-
-
-def _mean_se(values: np.ndarray):
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
-    return mean, se
-
-
-# ---------------------------------------------------------------------------
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _grid_from(cfg, omega_max):
-    return default_grid(omega_max, span_factor=cfg["grid"]["span_factor"],
-                        spacing=cfg["grid"]["spacing"])
+def _context_args(cfg, protocol, omega_c):
+    """Band and grid of a protocol run: omega_max is 1.15 omega_c for fo and
+    omega_c for as, on the grid that ``[grid]`` sets."""
+    omega_max = 1.15 * omega_c if protocol == "fo" else omega_c
+    return {"omega_c": omega_c, "omega_max": omega_max,
+            "grid": default_grid(omega_max, span_factor=cfg["grid"]["span_factor"],
+                                 spacing=cfg["grid"]["spacing"])}
+
+
+def _noise(cfg, seed, **changes) -> NoiseModel:
+    """The ``[noise]`` model at ``seed``, with per-cell changes."""
+    return NoiseModel(**{**cfg["noise"], **changes}, seed=seed)
 
 
 def _run_reconstruction(cfg, out_dir, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
     noise = cfg["noise"]
-    reps = cfg["run"]["repetitions"]
     seed = cfg["run"]["seed"]
-    summary = {}
+    cells = []
     for pi, protocol in enumerate(pro["protocols"]):
         if protocol not in ("fo", "as"):
             raise ConfigError(f"unknown protocol {protocol!r}",
                               location="protocol.protocols")
         T = pro["T_fo"] if protocol == "fo" else pro["T_as"]
-        omega_max = 1.15 * pro["omega_c"] if protocol == "fo" else pro["omega_c"]
         ctx = ProtocolContext(protocol, spectrum, T, K=pro["K"],
-                              omega_c=pro["omega_c"], omega_max=omega_max,
                               n_qubits=pro["n_qubits"] if protocol == "fo" else 1,
-                              grid=_grid_from(cfg, omega_max))
+                              **_context_args(cfg, protocol, pro["omega_c"]))
         as_delta = pro["as_delta_approx"] and protocol == "as"
-        fids = run_repetitions(ctx, noise["dp_max"], noise["gamma"], noise["shots"],
-                               pro["eig_keep"], reps, derive_seed(seed, pi), workers,
-                               as_delta=as_delta)
-        mean, se = _mean_se(fids)
-        first_noise = NoiseModel(dp_max=noise["dp_max"], gamma=noise["gamma"],
-                                 shots=noise["shots"], seed=derive_seed(seed, pi, 0))
-        _, result = ctx.run_once(first_noise, eig_keep=pro["eig_keep"],
-                                 want_result=True, as_delta=as_delta)
+        cells.append((ctx, _noise(cfg, derive_seed(seed, pi)), pro["eig_keep"], as_delta))
+    summary = {}
+    for (ctx, cell_noise, eig_keep, as_delta), fids in zip(
+            cells, run_repetitions(cells, cfg["run"]["repetitions"], workers)):
+        mean, se = mean_se(fids)
+        _, result = ctx.run_once(_noise(cfg, derive_seed(cell_noise.seed, 0)),
+                                 eig_keep=eig_keep, want_result=True, as_delta=as_delta)
+        protocol, T = ctx.protocol, ctx.operation_time
         meta = {"protocol": protocol, "K": pro["K"], "T": T,
-                "omega_c": pro["omega_c"], "omega_max": omega_max,
+                "omega_c": pro["omega_c"], "omega_max": ctx.omega_max,
                 "gamma": noise["gamma"], "dp_max": noise["dp_max"],
                 "seed": seed, "fidelity_mean": mean, "fidelity_se": se,
                 "version": __version__}
@@ -459,59 +419,52 @@ def _run_reconstruction(cfg, out_dir, workers):
 
 
 def _run_time_scan(cfg, out_dir, workers):
-    spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
     noise = cfg["noise"]
     reps = cfg["run"]["repetitions"]
     seed = cfg["run"]["seed"]
-    kind = pro["kind"]
-    omega_max = 1.15 * pro["omega_c"] if kind == "fo" else pro["omega_c"]
-    times = pro["T_candidates"]
-    means = np.zeros(len(times))
-    ses = np.zeros(len(times))
-    for ti, T in enumerate(times):
-        ctx = ProtocolContext(kind, spectrum, T, K=pro["K"], omega_c=pro["omega_c"],
-                              omega_max=omega_max, n_qubits=pro["n_qubits"],
-                              grid=_grid_from(cfg, omega_max))
-        fids = run_repetitions(ctx, noise["dp_max"], noise["gamma"], noise["shots"],
-                               pro["eig_keep"], reps, derive_seed(seed, ti), workers)
-        means[ti], ses[ti] = _mean_se(fids)
-    best = times[int(np.argmax(means))]
+    scan = scan_optimal_time(pro["kind"], _spectrum_from(cfg["spectrum"]), noise["gamma"],
+                             pro["T_candidates"], reps, seed, dp_max=noise["dp_max"],
+                             shots=noise["shots"], K=pro["K"], n_qubits=pro["n_qubits"],
+                             eig_keep=pro["eig_keep"], workers=workers,
+                             **_context_args(cfg, pro["kind"], pro["omega_c"]))
     write_csv(os.path.join(out_dir, "fidelity_vs_time.csv"),
-              {"protocol": kind, "gamma": noise["gamma"], "dp_max": noise["dp_max"],
+              {"protocol": pro["kind"], "gamma": noise["gamma"], "dp_max": noise["dp_max"],
                "K": pro["K"], "seed": seed, "repetitions": reps,
                "version": __version__},
-              {"T": np.asarray(times), "fidelity_mean": means, "fidelity_se": ses})
-    return {"best_T": best, "best_fidelity": float(means.max())}
+              {"T": scan.times, "fidelity_mean": scan.fidelity_mean,
+               "fidelity_se": scan.fidelity_se})
+    return {"best_T": scan.best_time, "best_fidelity": float(scan.fidelity_mean.max())}
 
 
 def _run_gamma_scan(cfg, out_dir, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
-    noise = cfg["noise"]
     reps = cfg["run"]["repetitions"]
     seed = cfg["run"]["seed"]
     gammas = pro["gamma_values"]
+    protocols = ("fo", "as")
+    # contexts do not depend on gamma: build each (protocol, T) cell once
+    contexts = [[ProtocolContext(protocol, spectrum, T, K=pro["K"],
+                                 **_context_args(cfg, protocol, pro["omega_c"]))
+                 for T in pro[f"{protocol}_candidates"]] for protocol in protocols]
+    cells = [(ctx, _noise(cfg, derive_seed(seed, gi, pi, ti), gamma=gamma),
+              pro["eig_keep"], False)
+             for pi, row in enumerate(contexts)
+             for gi, gamma in enumerate(gammas)
+             for ti, ctx in enumerate(row)]
+    stats = iter(map(mean_se, run_repetitions(cells, reps, workers)))
     cols = {"gamma": np.asarray(gammas)}
-    for pi, protocol in enumerate(("fo", "as")):
-        cands = pro[f"{protocol}_candidates"]
-        omega_max = 1.15 * pro["omega_c"] if protocol == "fo" else pro["omega_c"]
-        # contexts do not depend on gamma: build each (protocol, T) cell once
-        contexts = [ProtocolContext(protocol, spectrum, T, K=pro["K"], omega_c=pro["omega_c"],
-                                    omega_max=omega_max, grid=_grid_from(cfg, omega_max))
-                    for T in cands]
+    for protocol, row in zip(protocols, contexts):
         best = []  # (T, mean, se) of the best candidate per gamma
-        for gi, gamma in enumerate(gammas):
-            stats = [_mean_se(run_repetitions(ctx, noise["dp_max"], gamma, noise["shots"],
-                                              pro["eig_keep"], reps,
-                                              derive_seed(seed, gi, pi, ti), workers))
-                     for ti, ctx in enumerate(contexts)]
-            ix = int(np.argmax([mean for mean, _ in stats]))
-            best.append((cands[ix], *stats[ix]))
+        for _ in gammas:
+            row_stats = [next(stats) for _ in row]
+            ix = int(np.argmax([mean for mean, _ in row_stats]))
+            best.append((row[ix].operation_time, *row_stats[ix]))
         for name, col in zip(("best_T", "fidelity", "fidelity_se"), zip(*best)):
             cols[f"{protocol}_{name}"] = np.asarray(col)
     write_csv(os.path.join(out_dir, "fidelity_vs_gamma.csv"),
-              {"dp_max": noise["dp_max"], "K": pro["K"], "repetitions": reps,
+              {"dp_max": cfg["noise"]["dp_max"], "K": pro["K"], "repetitions": reps,
                "seed": seed, "version": __version__}, cols)
     return {"gamma_values": len(gammas),
             "fo_min_fidelity": float(min(cols["fo_fidelity"])),
@@ -539,24 +492,20 @@ def _run_nqubit_scan(cfg, out_dir, workers):
     T_by_n = per_n(pro["T_values"], 2.0)
     dp_by_n = per_n(pro["dp_values"], noise["dp_max"])
     gamma_by_n = per_n(pro["gamma_values"], noise["gamma"])
-    means, ses = [], []
-    for ni, n_q in enumerate(ns_values):
-        omega_max = 1.15 * pro["omega_c"]
-        ctx = ProtocolContext("fo", spectrum, T_by_n[ni], K=pro["K"],
-                              omega_c=pro["omega_c"], omega_max=omega_max,
-                              n_qubits=n_q, grid=_grid_from(cfg, omega_max))
-        fids = run_repetitions(ctx, dp_by_n[ni], gamma_by_n[ni], noise["shots"],
-                               pro["eig_keep"], reps, derive_seed(seed, ni), workers)
-        m, s = _mean_se(fids)
-        means.append(m)
-        ses.append(s)
+    cells = [(ProtocolContext("fo", spectrum, T_by_n[ni], K=pro["K"], n_qubits=n_q,
+                              **_context_args(cfg, "fo", pro["omega_c"])),
+              _noise(cfg, derive_seed(seed, ni), dp_max=dp_by_n[ni], gamma=gamma_by_n[ni]),
+              pro["eig_keep"], False)
+             for ni, n_q in enumerate(ns_values)]
+    means, ses = np.array([mean_se(fids)
+                           for fids in run_repetitions(cells, reps, workers)]).T
     write_csv(os.path.join(out_dir, "fidelity_vs_nqubits.csv"),
               {"K": pro["K"], "omega_c": pro["omega_c"], "repetitions": reps,
                "seed": seed, "version": __version__},
               {"n_qubits": np.asarray(ns_values, dtype=int),
                "T": np.asarray(T_by_n), "dp_max": np.asarray(dp_by_n),
                "gamma": np.asarray(gamma_by_n),
-               "fidelity_mean": np.asarray(means), "fidelity_se": np.asarray(ses)})
+               "fidelity_mean": means, "fidelity_se": ses})
     ix = int(np.argmax(means))
     return {"best_n": int(ns_values[ix]), "best_fidelity": float(means[ix])}
 
@@ -566,9 +515,7 @@ def _run_ocf(cfg, out_dir, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     oc = cfg["ocf"]
     seed = cfg["run"]["seed"]
-    grid = FrequencyGrid(oc["grid_span_factor"] * oc["omega_c"],
-                         int(math.ceil(oc["grid_span_factor"] * oc["omega_c"]
-                                       / oc["grid_spacing"])) + 1)
+    grid = ocf_grid(oc["omega_c"], oc["grid_spacing"], oc["grid_span_factor"])
     fid_points = oc["omega_c"] * np.arange(1, 21) / 20
 
     def problem(n_q, T, continuous, run_seed):
@@ -589,7 +536,7 @@ def _run_ocf(cfg, out_dir, workers):
                                             derive_seed(seed, 1, ni, r)))
             xis.append(sol.normalized_fidelity)
             fids.append(fidelity(spectrum, solution_filter(sol), fid_points))
-        m, s = _mean_se(np.asarray(fids))
+        m, s = mean_se(np.asarray(fids))
         rows_n.append(n_q)
         rows_mean.append(m)
         rows_se.append(s)
@@ -645,8 +592,8 @@ def _run_tracking(cfg, out_dir, workers):
     noise_cfg = cfg["noise"]
     seed = cfg["run"]["seed"]
     omega_c = tr["omega_c"]
-    omega_max = 1.15 * omega_c
-    grid = _grid_from(cfg, omega_max)
+    band = _context_args(cfg, "fo", omega_c)
+    omega_max, grid = band["omega_max"], band["grid"]
 
     s_one = _spectrum_from(cfg["spectrum"])
     s_two = _spectrum_from(cfg["spectrum2"])
@@ -665,9 +612,8 @@ def _run_tracking(cfg, out_dir, workers):
     s_two = s_two.with_scale(s_two.scale * alpha)
     signal = CompositeSignal(tr["omega_osc"], s_one, s_two)
 
-    noise = NoiseModel(dp_max=noise_cfg["dp_max"], gamma=noise_cfg["gamma"],
-                       shots=noise_cfg["shots"], seed=derive_seed(seed, 10))
-    run_fo_res = track_fo(signal, tr["k_block"], tr["T"], tr["horizon"], noise,
+    run_fo_res = track_fo(signal, tr["k_block"], tr["T"], tr["horizon"],
+                          _noise(cfg, derive_seed(seed, 10)),
                           omega_c=omega_c, omega_max=omega_max,
                           eig_keep=tr["eig_keep"], grid=grid)
     write_csv(os.path.join(out_dir, "tracking_fo.csv"),
@@ -695,9 +641,7 @@ def _run_tracking(cfg, out_dir, workers):
                 grid=o_grid))
             pair.append(solution_filter(sol))
         run = track_ocf(signal, pair, tr["T"], tr["horizon"],
-                        NoiseModel(dp_max=noise_cfg["dp_max"], gamma=noise_cfg["gamma"],
-                                   shots=noise_cfg["shots"],
-                                   seed=derive_seed(seed, 30, ni)))
+                        _noise(cfg, derive_seed(seed, 30, ni)))
         write_csv(os.path.join(out_dir, f"tracking_ocf_n{n_q}.csv"),
                   {"method": run.method, "T": tr["T"], "n_qubits": n_q,
                    "omega_osc": tr["omega_osc"], "dp_max": noise_cfg["dp_max"],
@@ -719,11 +663,9 @@ def _run_fisher(cfg, out_dir, workers):
     fi = cfg["fisher"]
     noise = cfg["noise"]
     seed = cfg["run"]["seed"]
-    omega_max = 1.15 * fi["omega_c"]
     ctx = ProtocolContext("fo", spectrum, fi["T"], K=fi["K"],
-                          omega_c=fi["omega_c"], omega_max=omega_max,
-                          grid=_grid_from(cfg, omega_max))
-    probs = np.array([0.5 * (1.0 - math.exp(-c - noise["gamma"] * fi["T"]))
+                          **_context_args(cfg, "fo", fi["omega_c"]))
+    probs = np.array([survival_probability(c, noise["gamma"], fi["T"])
                       for c in ctx.c_true])
     fio = build_fio(ctx.filters, probs)
     rank = fio_rank(fio)
@@ -944,23 +886,23 @@ _QUICK_OVERRIDES = {
 }
 
 
+def _apply_quick(cfg: dict) -> None:
+    """Shrink the budgets of a validated config in place."""
+    for (section, key), value in _QUICK_OVERRIDES.get(cfg["run"]["scenario"], {}).items():
+        cfg[section][key] = value
+    # quick nqubit scans must keep per-N lists consistent
+    if cfg["run"]["scenario"] == "nqubit-scan":
+        n = len(cfg["protocol"]["nqubit_values"])
+        for key in ("T_values", "dp_values", "gamma_values"):
+            cfg["protocol"][key] = cfg["protocol"][key][:n]
+
+
 def preset_config(name: str, quick: bool = False) -> dict:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see 'noisespec list'")
-    raw = PRESETS[name][1]()
-    cfg = validate_config(raw)
+    cfg = validate_config(PRESETS[name][1]())
     if quick:
-        overrides = _QUICK_OVERRIDES.get(cfg["run"]["scenario"], {})
-        for (section, key), value in overrides.items():
-            if section in cfg and key in cfg[section]:
-                cfg[section][key] = value
-        # quick nqubit scans must keep per-N lists consistent
-        if cfg["run"]["scenario"] == "nqubit-scan":
-            n = len(cfg["protocol"]["nqubit_values"])
-            for key in ("T_values", "dp_values", "gamma_values"):
-                vals = cfg["protocol"][key]
-                if len(vals) > 1:
-                    cfg["protocol"][key] = vals[:n]
+        _apply_quick(cfg)
     return cfg
 
 
@@ -1014,16 +956,14 @@ def main(argv=None) -> int:
         elif os.path.exists(args.target):
             cfg = load_config(args.target)
             if args.quick:
-                for (section, key), value in _QUICK_OVERRIDES.get(
-                        cfg["run"]["scenario"], {}).items():
-                    if section in cfg and key in cfg[section]:
-                        cfg[section][key] = value
+                _apply_quick(cfg)
         else:
             raise ConfigError(f"{args.target!r} is neither a preset nor a file")
         if args.seed is not None:
             cfg["run"]["seed"] = args.seed
         if args.repetitions is not None:
             cfg["run"]["repetitions"] = args.repetitions
+        cfg = validate_config(cfg)
         out_dir = os.path.join(args.out_dir, cfg["run"]["name"])
         summary = run_scenario(cfg, out_dir, workers=args.workers)
         for key in sorted(summary):

@@ -137,12 +137,3 @@ def ml_deviation_estimate(c_base, d_overlaps, counts, shots: int,
         return lo if abs(s_lo) < abs(s_hi) else hi
     return float(brentq(score, lo, hi, xtol=1e-12, rtol=1e-12))
 
-
-def report_rows(fio: FisherOperator, directions, omega_int_max=None):
-    """(label, rank, information, bound) rows for a set of directions."""
-    rank = fio_rank(fio)
-    rows = []
-    for label, direction in directions:
-        info = directional_fisher(fio, direction, omega_int_max)
-        rows.append((label, rank, info, math.inf if info <= 0 else 1.0 / math.sqrt(info)))
-    return rows

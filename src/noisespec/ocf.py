@@ -12,7 +12,7 @@ penalty on the normalized filter (see ``_Objective``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import minimize

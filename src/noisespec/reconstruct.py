@@ -13,13 +13,14 @@ Two estimators are implemented on top of the same measurement chain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (DegenerateBasisError, GridRangeError,
                      IllConditionedInversionError, UndefinedFidelityError)
-from .filterfn import FrequencyGrid, default_grid, filter_function, overlap_matrix
+from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
+                       signal_overlap)
 from .modulation import as_sequence, fo_sequence, staircase_split
 from .probe import NoiseModel, measure
 from .seeding import derive_seed
@@ -314,7 +315,6 @@ class ProtocolContext:
         self.scale = calibrate_amplitude(unit, self.filters,
                                          omega_int_max=omega_int_max)
         self.spectrum = spectrum.with_scale(self.scale)
-        from .filterfn import signal_overlap
         self.c_true = np.array([signal_overlap(self.spectrum, f, omega_int_max)
                                 for f in self.filters])
         self.fidelity_points = omega_c * np.arange(1, K + 1) / K
@@ -346,6 +346,66 @@ class ProtocolContext:
         return fid, (result if want_result else None)
 
 
+# ---------------------------------------------------------------------------
+# repetition engine (optionally parallel, byte-deterministic)
+# ---------------------------------------------------------------------------
+
+#: cells of the pool run, set in each forked worker by its initializer
+_WORKER_CELLS: list = []
+
+
+def _run_job(cells, ci: int, rep: int) -> float:
+    """Fidelity of repetition ``rep`` of cell ``ci``; its noise draws from
+    ``derive_seed(cell seed, rep)``."""
+    ctx, noise, eig_keep, as_delta = cells[ci]
+    fid, _ = ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)),
+                          eig_keep=eig_keep, as_delta=as_delta)
+    return fid
+
+
+def _adopt_cells(cells) -> None:
+    _WORKER_CELLS[:] = cells
+
+
+def _pool_job(job) -> float:
+    return _run_job(_WORKER_CELLS, *job)
+
+
+def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
+    """Fidelities of seeded repetitions, shape ``(len(cells), repetitions)``.
+
+    A cell is ``(ProtocolContext, NoiseModel, eig_keep, as_delta)``; the
+    noise model's seed is the cell's seed base.  With ``workers > 1`` every
+    (cell, repetition) job runs in one fork pool; where fork is unavailable
+    the jobs run serially.  Results are stored by index, so the output is
+    the same for any worker count.
+    """
+    cells = list(cells)
+    fids = np.zeros((len(cells), repetitions))
+    jobs = list(np.ndindex(fids.shape))
+    if workers > 1 and jobs:
+        import multiprocessing as mp
+        try:
+            pool = mp.get_context("fork").Pool(workers, initializer=_adopt_cells,
+                                               initargs=(cells,))
+        except (ValueError, OSError):  # no fork on this platform, or fork failed
+            pool = None
+        if pool is not None:
+            with pool:
+                fids[...] = np.reshape(pool.map(_pool_job, jobs, chunksize=8), fids.shape)
+            return fids
+    for job in jobs:
+        fids[job] = _run_job(cells, *job)
+    return fids
+
+
+def mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Mean and its standard error (0 for a single value)."""
+    mean = float(values.mean())
+    se = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
+    return mean, se
+
+
 @dataclass(eq=False)
 class ScanResult:
     protocol: str
@@ -354,39 +414,33 @@ class ScanResult:
     fidelity_se: np.ndarray
     best_time: float
 
-    def as_rows(self):
-        return zip(self.times, self.fidelity_mean, self.fidelity_se)
-
 
 def scan_optimal_time(protocol: str, spectrum: SpectralDensity, gamma: float,
                       time_candidates, repetitions: int, master_seed: int,
                       dp_max: float = 0.01, shots: int | None = None,
                       K: int = 20, omega_c: float = 10.0,
                       omega_max: float | None = None, n_qubits: int = 1,
-                      eig_keep=DEFAULT_TAU, grid: FrequencyGrid | None = None) -> ScanResult:
+                      eig_keep=DEFAULT_TAU, grid: FrequencyGrid | None = None,
+                      workers: int = 1) -> ScanResult:
     """Scan filter operation times and return the fidelity curve.
 
     For every candidate T the spectrum scale is recalibrated to the new
     filter set, ``repetitions`` independent noisy runs are simulated from
     seeds derived per (T index, repetition), and the mean estimation
     fidelity with its standard error is recorded.  The optimal time is the
-    candidate with the largest mean fidelity.
+    candidate with the largest mean fidelity.  ``workers`` is passed to
+    :func:`run_repetitions` and does not change the result.
     """
     times = list(time_candidates)
     if not times:
         raise ValueError("need at least one candidate operation time")
-    means = np.zeros(len(times))
-    ses = np.zeros(len(times))
-    for ti, T in enumerate(times):
-        ctx = ProtocolContext(protocol, spectrum, T, K=K, omega_c=omega_c,
-                              omega_max=omega_max, n_qubits=n_qubits, grid=grid)
-        fids = np.zeros(repetitions)
-        for rep in range(repetitions):
-            noise = NoiseModel(dp_max=dp_max, gamma=gamma, shots=shots,
-                               seed=derive_seed(master_seed, ti, rep))
-            fids[rep], _ = ctx.run_once(noise, eig_keep=eig_keep)
-        means[ti] = fids.mean()
-        ses[ti] = fids.std(ddof=1) / math.sqrt(repetitions) if repetitions > 1 else 0.0
+    cells = [(ProtocolContext(protocol, spectrum, T, K=K, omega_c=omega_c,
+                              omega_max=omega_max, n_qubits=n_qubits, grid=grid),
+              NoiseModel(dp_max=dp_max, gamma=gamma, shots=shots,
+                         seed=derive_seed(master_seed, ti)), eig_keep, False)
+             for ti, T in enumerate(times)]
+    stats = [mean_se(fids) for fids in run_repetitions(cells, repetitions, workers)]
+    means, ses = np.array(stats).T
     best = times[int(np.argmax(means))]
     return ScanResult(protocol=protocol, times=np.asarray(times, dtype=float),
                       fidelity_mean=means, fidelity_se=ses, best_time=float(best))

@@ -9,7 +9,7 @@ Values carry arbitrary units; absolute scale is fixed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -175,8 +175,7 @@ class CompositeSignal:
         return s1 * self.component_one.evaluate(omega) + s2 * self.component_two.evaluate(omega)
 
 
-def calibrate_amplitude(spectrum: SpectralDensity, filters, gamma: float = 0.0,
-                        operation_time: float | None = None,
+def calibrate_amplitude(spectrum: SpectralDensity, filters,
                         omega_int_max: float | None = None) -> float:
     """Global scale S0 that puts the median filter overlap at one.
 
@@ -185,13 +184,12 @@ def calibrate_amplitude(spectrum: SpectralDensity, filters, gamma: float = 0.0,
     probe in its maximum-sensitivity range.  The input spectrum is not
     mutated; apply the result with ``spectrum.with_scale``.
 
-    ``gamma`` and ``operation_time`` are accepted for interface completeness:
-    the optimal target ``c_k = 1`` is independent of the dephasing exposure,
-    which only rescales the error of every coefficient by the same factor.
+    Dephasing does not enter: the optimal target ``c_k = 1`` is independent
+    of the dephasing exposure, which only rescales the error of every
+    coefficient by the same factor.
     """
     from .filterfn import signal_overlap
 
-    del gamma, operation_time
     overlaps = np.array([signal_overlap(spectrum, f, omega_int_max) for f in filters])
     if overlaps.size == 0:
         raise CalibrationError("no filters supplied")

@@ -11,7 +11,7 @@ assume instantaneous readout between filters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,11 +19,9 @@ from .errors import DegenerateBasisError, DegenerateComponentsError
 from .filterfn import FrequencyGrid, default_grid, filter_function, overlap_matrix, signal_overlap
 from .modulation import fo_sequence
 from .probe import NoiseModel, measure
-from .reconstruct import DEFAULT_TAU, fo_reconstruct
+from .reconstruct import _COND_LIMIT, DEFAULT_TAU, fo_reconstruct
 from .seeding import derive_seed
 from .spectra import CompositeSignal
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(eq=False)
@@ -118,8 +116,7 @@ def track_fo(signal: CompositeSignal, k_block: int, operation_time: float,
         mids = b * block + (np.arange(k_block) + 0.5) * T
         s1_m, s2_m = signal.weights(mids)
         c_true = s1_m * c_one + s2_m * c_two
-        block_noise = NoiseModel(dp_max=noise.dp_max, gamma=noise.gamma,
-                                 shots=noise.shots, seed=derive_seed(seed, b))
+        block_noise = replace(noise, seed=derive_seed(seed, b))
         records = [measure(c_true[k], block_noise, T, filter_index=k)
                    for k in range(k_block)]
         c_hat = np.array([r.c_estimate for r in records])
@@ -151,9 +148,8 @@ def _fit_block(filters, A, c_hat, c_one, c_two, omega_c, eig_keep):
     except DegenerateBasisError:
         return np.nan, np.nan
     sub = A[np.ix_(rec.kept_indices, rec.kept_indices)]
-    lam, U = np.linalg.eigh(sub)
-    lam = lam[::-1]
-    U = U[:, ::-1]
+    # the decomposition of ``sub`` that the reconstruction already made
+    lam, U = rec.basis.eigenvalues, rec.basis.transform.T
     r = rec.retained_count
     proj = U[:, :r] / lam[:r]          # columns scaled by 1/lambda
     P = proj @ U[:, :r].T              # truncated pseudoinverse of sub
@@ -222,8 +218,7 @@ def track_ocf(signal: CompositeSignal, filter_pair, operation_time: float,
     est = np.full((n_samples, 2), np.nan)
     truth = np.zeros((n_samples, 2))
     for n in range(n_samples):
-        sample_noise = NoiseModel(dp_max=noise.dp_max, gamma=noise.gamma,
-                                  shots=noise.shots, seed=derive_seed(seed, n))
+        sample_noise = replace(noise, seed=derive_seed(seed, n))
         c_hat = np.zeros(2)
         for i in range(2):
             mid = n * block + (i + 0.5) * T

@@ -7,6 +7,10 @@ from noisespec import cli
 PRESET_NAMES = sorted(cli.PRESETS)
 
 
+def _outputs(root):
+    return {f: (root / f).read_bytes() for f in sorted(os.listdir(root))}
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_quick_preset_runs(name, tmp_path):
     cfg = cli.preset_config(name, quick=True)
@@ -37,6 +41,22 @@ class TestExitCodes:
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "no_such_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("reps", ["-1", "0"])
+    def test_repetitions_below_one(self, reps, tmp_path, capsys):
+        assert cli.main(["run", "fig4-dephasing0", "--quick", "--repetitions", reps,
+                         "--out-dir", str(tmp_path)]) == 2
+        assert "run.repetitions" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_noise_out_of_range(self, tmp_path, capsys):
+        path = tmp_path / "loud.ini"
+        path.write_text("[run]\nscenario = reconstruction\nname = loud\n"
+                        "[spectrum]\ncomponents =\n  1.0 2.0 1.0\n"
+                        "[noise]\ndp_max = 0.7\n")
+        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "noise" in err and "dp_max" in err
+
     def test_numerical_error(self, tmp_path, capsys):
         # a spectrum sampled up to 15 cannot cover the integration grid
         spectrum = tmp_path / "spectrum.csv"
@@ -55,8 +75,21 @@ def test_worker_count_keeps_bytes(name, tmp_path, capsys):
         root = tmp_path / f"workers{workers}"
         assert cli.main(["run", name, "--quick", "--workers", str(workers),
                          "--out-dir", str(root)]) == 0
-        outputs.append({f: (root / name / f).read_bytes()
-                        for f in sorted(os.listdir(root / name))})
+        outputs.append(_outputs(root / name))
     capsys.readouterr()
     assert any(f.endswith(".csv") for f in outputs[0])
     assert outputs[0] == outputs[1]
+
+
+
+@pytest.mark.parametrize("name", ["ion-chain", "fig2-fidelity-vs-time"])
+def test_quick_config_file_matches_quick_preset(name, tmp_path, capsys):
+    assert cli.main(["export-config", name]) == 0
+    path = tmp_path / f"{name}.ini"
+    path.write_text(capsys.readouterr().out)
+    for target, root in ((name, tmp_path / "preset"), (str(path), tmp_path / "file")):
+        assert cli.main(["run", target, "--quick", "--out-dir", str(root)]) == 0
+    capsys.readouterr()
+    preset = _outputs(tmp_path / "preset" / name)
+    assert any(f.endswith(".csv") for f in preset)
+    assert _outputs(tmp_path / "file" / name) == preset

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import multiprocessing.pool
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from noisespec import (DegenerateBasisError, NoiseModel, SpectralDensity,
                        UndefinedFidelityError, as_reconstruct, default_grid,
                        fidelity, filter_function, fo_reconstruct, fo_sequence,
-                       measure, overlap_matrix, scan_optimal_time)
+                       measure, overlap_matrix, run_repetitions, scan_optimal_time)
+from noisespec import cli
 from noisespec.filterfn import FilterFunction, signal_overlap
-from noisespec.reconstruct import ProtocolContext, bin_matrix
+from noisespec.reconstruct import DEFAULT_TAU, ProtocolContext, bin_matrix
 from noisespec.seeding import derive_seed
 
 OMEGA_C = 10.0
@@ -220,3 +223,59 @@ class TestScan:
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
         with pytest.raises(ValueError):
             scan_optimal_time("fo", spec, 0.0, [], repetitions=2, master_seed=1)
+
+    def test_workers_keep_the_scan(self):
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
+        serial, pooled = (scan_optimal_time("fo", spec, 0.4, [2.0, 7.0], repetitions=5,
+                                            master_seed=99, workers=w) for w in (1, 2))
+        np.testing.assert_array_equal(serial.fidelity_mean, pooled.fidelity_mean)
+        np.testing.assert_array_equal(serial.fidelity_se, pooled.fidelity_se)
+        assert serial.best_time == pooled.best_time
+
+
+@pytest.fixture(scope="module")
+def engine_cells():
+    spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
+    fo = ProtocolContext("fo", spec, 2.0, K=10)
+    as_ = ProtocolContext("as", spec, 10.0, K=10)
+    return [(fo, NoiseModel(dp_max=0.01, gamma=0.4, seed=derive_seed(5, 0)), DEFAULT_TAU, False),
+            (as_, NoiseModel(dp_max=0.02, seed=derive_seed(5, 1)), DEFAULT_TAU, True),
+            (fo, NoiseModel(dp_max=0.05, shots=200, seed=derive_seed(5, 2)), 4, False)]
+
+
+class TestRepetitionEngine:
+    def test_worker_count_keeps_every_fidelity(self, engine_cells):
+        serial = run_repetitions(engine_cells, 6)
+        assert serial.shape == (3, 6)
+        np.testing.assert_array_equal(run_repetitions(engine_cells, 6, workers=2), serial)
+
+    def test_rows_follow_the_documented_seeds(self, engine_cells):
+        fids = run_repetitions(engine_cells, 4)
+        for row, (ctx, noise, eig_keep, as_delta) in zip(fids, engine_cells):
+            for rep, fid in enumerate(row):
+                expected, _ = ctx.run_once(
+                    NoiseModel(dp_max=noise.dp_max, gamma=noise.gamma, shots=noise.shots,
+                               seed=derive_seed(noise.seed, rep)),
+                    eig_keep=eig_keep, as_delta=as_delta)
+                assert fid == expected
+
+    def test_serial_fallback_without_fork(self, engine_cells, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        np.testing.assert_array_equal(run_repetitions(engine_cells, 3, workers=2),
+                                      run_repetitions(engine_cells, 3))
+
+    def test_one_pool_per_run(self, tmp_path, monkeypatch):
+        pools = []
+        init = multiprocessing.pool.Pool.__init__
+
+        def counting_init(self, *args, **kwargs):
+            pools.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+        cfg = cli.preset_config("fig3-fidelity-vs-gamma", quick=True)
+        cli.run_scenario(cfg, str(tmp_path), workers=2)
+        assert len(pools) == 1
