@@ -2,14 +2,24 @@
 
 Configs are INI files (sections of key=value lines) validated against a
 per-scenario schema; unknown sections or keys are rejected with their
-location.  Every stochastic quantity derives from the master seed, so a
-rerun of the same config is byte-identical, serial or parallel.
+location.  Scenarios, presets and budgets are data in this module:
+
+- ``SCHEMA`` holds each scenario's sections and its keys' kinds and
+  defaults (``run.repetitions`` too); ``_KINDS`` parses and formats a kind.
+- ``PRESETS`` holds each preset's description, scenario and sections;
+  ``_QUICK`` holds each scenario's quick budget as sections to merge.
+- ``_RUNNERS`` maps a scenario to a runner that only computes and returns
+  its summary and CSV tables; ``run_scenario`` writes them.
+
+Every stochastic quantity derives from the master seed, so a rerun of the
+same config is byte-identical, serial or parallel.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import math
 import os
 import sys
@@ -64,176 +74,142 @@ _NOISE = {
     "shots": ("int", None),
 }
 
+_BAND = {"K": ("int", 20), "omega_c": ("float", 10.0)}
+_OPTIMIZER = {"superiterations": ("int", 10), "inner_evals": ("int", 60),
+              "basis_size": ("int", 3)}
+
+
+def _scenario(repetitions=100, without=(), **sections):
+    """Schema of one scenario: the common sections less ``without``, with the
+    scenario's own ``run.repetitions`` default, then its own sections."""
+    common = {**_COMMON, "run": {**_COMMON["run"], "repetitions": ("int", repetitions)}}
+    return {**{name: keys for name, keys in common.items() if name not in without},
+            **sections}
+
+
 SCHEMA = {
-    "reconstruction": {
-        **_COMMON,
-        "noise": dict(_NOISE),
-        "protocol": {
+    "reconstruction": _scenario(
+        noise=_NOISE,
+        protocol={
             "protocols": ("strs", ["fo", "as"]),
-            "K": ("int", 20),
-            "omega_c": ("float", 10.0),
+            **_BAND,
             "T_fo": ("float", 2.0),
             "T_as": ("float", 25.0),
             "n_qubits": ("int", 1),
             "eig_keep": ("retention", DEFAULT_TAU),
             "as_delta_approx": ("bool", False),
-        },
-    },
-    "time-scan": {
-        **_COMMON,
-        "noise": dict(_NOISE),
-        "protocol": {
+        }),
+    "time-scan": _scenario(
+        noise=_NOISE,
+        protocol={
             "kind": ("str", "fo"),
-            "K": ("int", 20),
-            "omega_c": ("float", 10.0),
+            **_BAND,
             "T_candidates": ("floats", [1.0, 2.0, 3.0, 5.0, 7.0, 10.0]),
             "n_qubits": ("int", 1),
             "eig_keep": ("retention", DEFAULT_TAU),
-        },
-    },
-    "gamma-scan": {
-        **_COMMON,
-        "noise": dict(_NOISE),
-        "protocol": {
-            "K": ("int", 20),
-            "omega_c": ("float", 10.0),
+        }),
+    "gamma-scan": _scenario(
+        # the dephasing rates come from gamma_values
+        noise={key: _NOISE[key] for key in ("dp_max", "shots")},
+        protocol={
+            **_BAND,
             "gamma_values": ("floats", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
             "fo_candidates": ("floats", [1.0, 2.0, 3.0, 5.0, 7.0, 10.0]),
             "as_candidates": ("floats", [5.0, 10.0, 15.0, 20.0, 25.0]),
             "eig_keep": ("retention", DEFAULT_TAU),
-        },
-    },
-    "nqubit-scan": {
-        **_COMMON,
-        "noise": dict(_NOISE),
-        "protocol": {
-            "K": ("int", 20),
-            "omega_c": ("float", 10.0),
+        }),
+    "nqubit-scan": _scenario(
+        noise=_NOISE,
+        protocol={
+            **_BAND,
             "nqubit_values": ("ints", [1, 2, 3, 4, 5, 6]),
             "T_values": ("floats", [2.0]),
             "dp_values": ("floats", []),
             "gamma_values": ("floats", []),
             "eig_keep": ("retention", DEFAULT_TAU),
-        },
-    },
-    "ocf": {
-        **_COMMON,
-        "ocf": {
+        }),
+    # the optimization grid is [ocf] grid_spacing and grid_span_factor
+    "ocf": _scenario(
+        repetitions=1, without=("grid",),
+        ocf={
             "omega_c": ("float", 10.0),
             "T": ("float", 5.0),
             "T_candidates": ("floats", []),
             "nqubit_values": ("ints", [1, 2, 3, 4, 6]),
             "sweep_nqubits": ("ints", [1, 4]),
             "restarts": ("int", 3),
-            "superiterations": ("int", 10),
-            "inner_evals": ("int", 60),
-            "basis_size": ("int", 3),
+            **_OPTIMIZER,
             "penalty_weight": ("float", 1.0),
             "continuous": ("bool", True),
             "grid_spacing": ("float", 0.01),
             "grid_span_factor": ("float", 3.0),
-        },
-    },
-    "tracking": {
-        **_COMMON,
-        "noise": dict(_NOISE),
-        "spectrum2": {
-            "components": ("components", None),
-            "csv": ("str", None),
-            "scale": ("float", 1.0),
-        },
-        "tracking": {
+        }),
+    "tracking": _scenario(
+        repetitions=1,
+        noise=_NOISE,
+        spectrum2=_COMMON["spectrum"],
+        tracking={
             "omega_osc": ("float", _REQUIRED),
             "k_block": ("int", 10),
             "T": ("float", 5.0),
             "horizon": ("float", 500.0),
             "omega_c": ("float", 10.0),
             "nqubit_values": ("ints", [1, 6]),
-            "superiterations": ("int", 10),
-            "inner_evals": ("int", 60),
-            "basis_size": ("int", 3),
+            **_OPTIMIZER,
             "eig_keep": ("retention", DEFAULT_TAU),
-        },
-    },
-    "fisher": {
-        **_COMMON,
-        "noise": dict(_NOISE),
-        "fisher": {
-            "K": ("int", 20),
-            "omega_c": ("float", 10.0),
+        }),
+    "fisher": _scenario(
+        repetitions=1,
+        noise={"gamma": _NOISE["gamma"]},
+        fisher={
+            **_BAND,
             "T": ("float", 5.0),
             "n_random_directions": ("int", 3),
-            "shots": ("int", 10000),
-            "mc_repeats": ("int", 0),
-        },
-    },
+        }),
 }
 
-_SCENARIO_DEFAULT_REPS = {"ocf": 1, "tracking": 1, "fisher": 1}
+# [protocol] lists whose values each replace one [noise] field
+_NOISE_LISTS = {"gamma-scan": {"gamma_values": "gamma"},
+                "nqubit-scan": {"dp_values": "dp_max", "gamma_values": "gamma"}}
 
 
-def _parse_value(kind, raw, location):
-    try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "bool":
-            lowered = raw.strip().lower()
-            if lowered in ("true", "yes", "1", "on"):
-                return True
-            if lowered in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
-        if kind == "str":
-            return raw.strip()
-        if kind == "floats":
-            return [float(tok) for tok in raw.split()]
-        if kind == "ints":
-            return [int(tok) for tok in raw.split()]
-        if kind == "strs":
-            return [tok for tok in raw.split()]
-        if kind == "retention":
-            token = raw.strip()
-            if token == "cv":
-                return "cv"
-            return float(token)
-        if kind == "components":
-            rows = []
-            for line in raw.strip().splitlines():
-                parts = line.split()
-                if len(parts) != 3:
-                    raise ValueError(
-                        f"component line needs 'amplitude center width', got {line!r}")
-                rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
-            if not rows:
-                raise ValueError("empty component list")
-            return rows
-    except ValueError as exc:
-        raise ConfigError(str(exc), location=location) from exc
-    raise ConfigError(f"unknown schema kind {kind}", location=location)
+def _parse_bool(raw):
+    lowered = raw.strip().lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _spacer(kind):
-    return "" if kind == "components" else " "
+def _parse_components(raw):
+    rows = []
+    for line in raw.strip().splitlines():
+        parts = line.split()
+        if len(parts) != 3:
+            raise ValueError(f"component line needs 'amplitude center width', got {line!r}")
+        rows.append((float(parts[0]), float(parts[1]), float(parts[2])))
+    if not rows:
+        raise ValueError("empty component list")
+    return rows
 
 
-def _format_value(kind, value):
-    if kind == "components":
-        return "\n" + "\n".join(f"  {a!r} {c!r} {w!r}" for a, c, w in value)
-    if kind == "floats":
-        return " ".join(repr(float(v)) for v in value)
-    if kind == "ints":
-        return " ".join(str(int(v)) for v in value)
-    if kind == "strs":
-        return " ".join(value)
-    if kind == "bool":
-        return "true" if value else "false"
-    if kind == "float":
-        return repr(float(value))
-    if kind == "retention":
-        return value if isinstance(value, str) else repr(float(value))
-    return str(value)
+# schema kind -> (parse raw text, format a value as the text after "key =")
+_KINDS = {
+    "int": (int, lambda v: f" {v}"),
+    "float": (float, lambda v: f" {float(v)!r}"),
+    "bool": (_parse_bool, lambda v: " true" if v else " false"),
+    "str": (str.strip, lambda v: f" {v}"),
+    "strs": (str.split, lambda v: " " + " ".join(v)),
+    "floats": (lambda raw: [float(tok) for tok in raw.split()],
+               lambda v: " " + " ".join(repr(float(x)) for x in v)),
+    "ints": (lambda raw: [int(tok) for tok in raw.split()],
+             lambda v: " " + " ".join(str(int(x)) for x in v)),
+    "retention": (lambda raw: "cv" if raw.strip() == "cv" else float(raw),
+                  lambda v: f" {v if isinstance(v, str) else repr(float(v))}"),
+    "components": (_parse_components,
+                   lambda v: "".join(f"\n  {a!r} {c!r} {w!r}" for a, c, w in v)),
+}
 
 
 def validate_config(raw: dict) -> dict:
@@ -256,33 +232,47 @@ def validate_config(raw: dict) -> dict:
             if key not in schema[section]:
                 raise ConfigError("unknown key", location=f"{section}.{key}")
     for section, keys in schema.items():
-        out = {}
+        out = cfg[section] = {}
         for key, (kind, default) in keys.items():
-            if section in raw and key in raw[section]:
+            location = f"{section}.{key}"
+            if key in raw.get(section, {}):
                 value = raw[section][key]
                 if isinstance(value, str):
-                    value = _parse_value(kind, value, f"{section}.{key}")
+                    try:
+                        value = _KINDS[kind][0](value)
+                    except ValueError as exc:
+                        raise ConfigError(str(exc), location=location) from exc
                 out[key] = value
             elif default is _REQUIRED:
-                raise ConfigError("missing required key",
-                                  location=f"{section}.{key}")
+                raise ConfigError("missing required key", location=location)
             else:
-                out[key] = default if not isinstance(default, list) else list(default)
-        cfg[section] = out
-    if "repetitions" not in raw.get("run", {}):
-        cfg["run"]["repetitions"] = _SCENARIO_DEFAULT_REPS.get(
-            scenario, cfg["run"]["repetitions"])
+                out[key] = copy.deepcopy(default)
     if cfg["spectrum"]["components"] is None and cfg["spectrum"]["csv"] is None:
         raise ConfigError("need either components or csv",
                           location="spectrum.components")
     if cfg["run"]["repetitions"] < 1:
         raise ConfigError(f"must be >= 1, got {cfg['run']['repetitions']}",
                           location="run.repetitions")
-    if "noise" in cfg:
+    pro = cfg.get("protocol", {})
+    for key in ("protocols", "kind"):
+        names = pro.get(key, [])
+        for protocol in [names] if isinstance(names, str) else names:
+            if protocol not in ("fo", "as"):
+                raise ConfigError(f"unknown protocol {protocol!r}",
+                                  location=f"protocol.{key}")
+    if scenario == "nqubit-scan":
+        for key in ("T_values", "dp_values", "gamma_values"):
+            if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):
+                raise ConfigError("length must be 0, 1 or that of nqubit_values",
+                                  location=f"protocol.{key}")
+    noises = [(cfg["noise"], "noise")] if "noise" in cfg else []
+    noises += [({**cfg["noise"], field: value}, f"protocol.{key}")
+               for key, field in _NOISE_LISTS.get(scenario, {}).items() for value in pro[key]]
+    for fields, location in noises:
         try:
-            NoiseModel(**cfg["noise"])
+            NoiseModel(**fields)
         except ValueError as exc:
-            raise ConfigError(str(exc), location="noise") from exc
+            raise ConfigError(str(exc), location=location) from exc
     return cfg
 
 
@@ -309,11 +299,10 @@ def format_config(cfg: dict) -> str:
     lines = []
     for section in schema:
         keys = []
-        for key, (kind, default) in schema[section].items():
+        for key, (kind, _) in schema[section].items():
             value = cfg[section][key]
-            if value is None or value == "":
-                continue
-            keys.append(f"{key} ={_spacer(kind)}{_format_value(kind, value)}")
+            if value is not None and value != "":
+                keys.append(f"{key} ={_KINDS[kind][1](value)}")
         if keys:
             lines.append(f"[{section}]")
             lines.extend(keys)
@@ -378,77 +367,70 @@ def _noise(cfg, seed, **changes) -> NoiseModel:
     return NoiseModel(**{**cfg["noise"], **changes}, seed=seed)
 
 
-def _run_reconstruction(cfg, out_dir, workers):
+def _run_reconstruction(cfg, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
     noise = cfg["noise"]
-    seed = cfg["run"]["seed"]
     cells = []
     for pi, protocol in enumerate(pro["protocols"]):
-        if protocol not in ("fo", "as"):
-            raise ConfigError(f"unknown protocol {protocol!r}",
-                              location="protocol.protocols")
         T = pro["T_fo"] if protocol == "fo" else pro["T_as"]
         ctx = ProtocolContext(protocol, spectrum, T, K=pro["K"],
                               n_qubits=pro["n_qubits"] if protocol == "fo" else 1,
                               **_context_args(cfg, protocol, pro["omega_c"]))
         as_delta = pro["as_delta_approx"] and protocol == "as"
-        cells.append((ctx, _noise(cfg, derive_seed(seed, pi)), pro["eig_keep"], as_delta))
-    summary = {}
+        cells.append((ctx, _noise(cfg, derive_seed(cfg["run"]["seed"], pi)),
+                      pro["eig_keep"], as_delta))
+    summary, tables = {}, {}
     for (ctx, cell_noise, eig_keep, as_delta), fids in zip(
             cells, run_repetitions(cells, cfg["run"]["repetitions"], workers)):
         mean, se = mean_se(fids)
         _, result = ctx.run_once(_noise(cfg, derive_seed(cell_noise.seed, 0)),
                                  eig_keep=eig_keep, want_result=True, as_delta=as_delta)
         protocol, T = ctx.protocol, ctx.operation_time
-        meta = {"protocol": protocol, "K": pro["K"], "T": T,
-                "omega_c": pro["omega_c"], "omega_max": ctx.omega_max,
-                "gamma": noise["gamma"], "dp_max": noise["dp_max"],
-                "seed": seed, "fidelity_mean": mean, "fidelity_se": se,
-                "version": __version__}
         if result is not None:
-            meta["retained"] = result.retained_count
-            write_csv(os.path.join(out_dir, f"{protocol}_estimate.csv"), meta,
-                      {"omega": result.omegas,
-                       "estimate": result.values,
-                       "s_true": ctx.spectrum.evaluate(result.omegas)})
+            tables[f"{protocol}_estimate.csv"] = (
+                {"protocol": protocol, "K": pro["K"], "T": T,
+                 "omega_c": pro["omega_c"], "omega_max": ctx.omega_max,
+                 "gamma": noise["gamma"], "dp_max": noise["dp_max"],
+                 "fidelity_mean": mean, "fidelity_se": se,
+                 "retained": result.retained_count},
+                {"omega": result.omegas, "estimate": result.values,
+                 "s_true": ctx.spectrum.evaluate(result.omegas)})
         summary[f"{protocol}_fidelity_mean"] = mean
         summary[f"{protocol}_fidelity_se"] = se
         summary[f"{protocol}_T"] = T
-    return summary
+    return summary, tables
 
 
-def _run_time_scan(cfg, out_dir, workers):
+def _run_time_scan(cfg, workers):
     pro = cfg["protocol"]
     noise = cfg["noise"]
     reps = cfg["run"]["repetitions"]
-    seed = cfg["run"]["seed"]
     scan = scan_optimal_time(pro["kind"], _spectrum_from(cfg["spectrum"]), noise["gamma"],
-                             pro["T_candidates"], reps, seed, dp_max=noise["dp_max"],
-                             shots=noise["shots"], K=pro["K"], n_qubits=pro["n_qubits"],
-                             eig_keep=pro["eig_keep"], workers=workers,
+                             pro["T_candidates"], reps, cfg["run"]["seed"],
+                             dp_max=noise["dp_max"], shots=noise["shots"], K=pro["K"],
+                             n_qubits=pro["n_qubits"], eig_keep=pro["eig_keep"],
+                             workers=workers,
                              **_context_args(cfg, pro["kind"], pro["omega_c"]))
-    write_csv(os.path.join(out_dir, "fidelity_vs_time.csv"),
-              {"protocol": pro["kind"], "gamma": noise["gamma"], "dp_max": noise["dp_max"],
-               "K": pro["K"], "seed": seed, "repetitions": reps,
-               "version": __version__},
-              {"T": scan.times, "fidelity_mean": scan.fidelity_mean,
-               "fidelity_se": scan.fidelity_se})
-    return {"best_T": scan.best_time, "best_fidelity": float(scan.fidelity_mean.max())}
+    table = ({"protocol": pro["kind"], "gamma": noise["gamma"], "dp_max": noise["dp_max"],
+              "K": pro["K"], "repetitions": reps},
+             {"T": scan.times, "fidelity_mean": scan.fidelity_mean,
+              "fidelity_se": scan.fidelity_se})
+    return ({"best_T": scan.best_time, "best_fidelity": float(scan.fidelity_mean.max())},
+            {"fidelity_vs_time.csv": table})
 
 
-def _run_gamma_scan(cfg, out_dir, workers):
+def _run_gamma_scan(cfg, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
     reps = cfg["run"]["repetitions"]
-    seed = cfg["run"]["seed"]
     gammas = pro["gamma_values"]
     protocols = ("fo", "as")
     # contexts do not depend on gamma: build each (protocol, T) cell once
     contexts = [[ProtocolContext(protocol, spectrum, T, K=pro["K"],
                                  **_context_args(cfg, protocol, pro["omega_c"]))
                  for T in pro[f"{protocol}_candidates"]] for protocol in protocols]
-    cells = [(ctx, _noise(cfg, derive_seed(seed, gi, pi, ti), gamma=gamma),
+    cells = [(ctx, _noise(cfg, derive_seed(cfg["run"]["seed"], gi, pi, ti), gamma=gamma),
               pro["eig_keep"], False)
              for pi, row in enumerate(contexts)
              for gi, gamma in enumerate(gammas)
@@ -463,54 +445,48 @@ def _run_gamma_scan(cfg, out_dir, workers):
             best.append((row[ix].operation_time, *row_stats[ix]))
         for name, col in zip(("best_T", "fidelity", "fidelity_se"), zip(*best)):
             cols[f"{protocol}_{name}"] = np.asarray(col)
-    write_csv(os.path.join(out_dir, "fidelity_vs_gamma.csv"),
-              {"dp_max": cfg["noise"]["dp_max"], "K": pro["K"], "repetitions": reps,
-               "seed": seed, "version": __version__}, cols)
-    return {"gamma_values": len(gammas),
-            "fo_min_fidelity": float(min(cols["fo_fidelity"])),
-            "as_min_fidelity": float(min(cols["as_fidelity"]))}
+    meta = {"dp_max": cfg["noise"]["dp_max"], "K": pro["K"], "repetitions": reps}
+    return ({"gamma_values": len(gammas),
+             "fo_min_fidelity": float(min(cols["fo_fidelity"])),
+             "as_min_fidelity": float(min(cols["as_fidelity"]))},
+            {"fidelity_vs_gamma.csv": (meta, cols)})
 
 
-def _run_nqubit_scan(cfg, out_dir, workers):
+def _per_n(values, n, default):
+    """A per-qubit-count list: empty means ``default``, one value is shared."""
+    if not values:
+        return [default] * n
+    return list(values) if len(values) == n else [values[0]] * n
+
+
+def _run_nqubit_scan(cfg, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
     noise = cfg["noise"]
     reps = cfg["run"]["repetitions"]
-    seed = cfg["run"]["seed"]
     ns_values = pro["nqubit_values"]
-
-    def per_n(values, default):
-        if not values:
-            return [default] * len(ns_values)
-        if len(values) == 1:
-            return [values[0]] * len(ns_values)
-        if len(values) != len(ns_values):
-            raise ConfigError("length must be 1 or match nqubit_values",
-                              location="protocol.T_values/dp_values/gamma_values")
-        return list(values)
-
-    T_by_n = per_n(pro["T_values"], 2.0)
-    dp_by_n = per_n(pro["dp_values"], noise["dp_max"])
-    gamma_by_n = per_n(pro["gamma_values"], noise["gamma"])
+    T_by_n = _per_n(pro["T_values"], len(ns_values), 2.0)
+    dp_by_n = _per_n(pro["dp_values"], len(ns_values), noise["dp_max"])
+    gamma_by_n = _per_n(pro["gamma_values"], len(ns_values), noise["gamma"])
     cells = [(ProtocolContext("fo", spectrum, T_by_n[ni], K=pro["K"], n_qubits=n_q,
                               **_context_args(cfg, "fo", pro["omega_c"])),
-              _noise(cfg, derive_seed(seed, ni), dp_max=dp_by_n[ni], gamma=gamma_by_n[ni]),
+              _noise(cfg, derive_seed(cfg["run"]["seed"], ni), dp_max=dp_by_n[ni],
+                     gamma=gamma_by_n[ni]),
               pro["eig_keep"], False)
              for ni, n_q in enumerate(ns_values)]
     means, ses = np.array([mean_se(fids)
                            for fids in run_repetitions(cells, reps, workers)]).T
-    write_csv(os.path.join(out_dir, "fidelity_vs_nqubits.csv"),
-              {"K": pro["K"], "omega_c": pro["omega_c"], "repetitions": reps,
-               "seed": seed, "version": __version__},
-              {"n_qubits": np.asarray(ns_values, dtype=int),
-               "T": np.asarray(T_by_n), "dp_max": np.asarray(dp_by_n),
-               "gamma": np.asarray(gamma_by_n),
-               "fidelity_mean": means, "fidelity_se": ses})
+    table = ({"K": pro["K"], "omega_c": pro["omega_c"], "repetitions": reps},
+             {"n_qubits": np.asarray(ns_values, dtype=int),
+              "T": np.asarray(T_by_n), "dp_max": np.asarray(dp_by_n),
+              "gamma": np.asarray(gamma_by_n),
+              "fidelity_mean": means, "fidelity_se": ses})
     ix = int(np.argmax(means))
-    return {"best_n": int(ns_values[ix]), "best_fidelity": float(means[ix])}
+    return ({"best_n": int(ns_values[ix]), "best_fidelity": float(means[ix])},
+            {"fidelity_vs_nqubits.csv": table})
 
 
-def _run_ocf(cfg, out_dir, workers):
+def _run_ocf(cfg, workers):
     del workers  # restarts are cheap and sequential-deterministic
     spectrum = _spectrum_from(cfg["spectrum"])
     oc = cfg["ocf"]
@@ -526,49 +502,34 @@ def _run_ocf(cfg, out_dir, workers):
                           inner_evals=oc["inner_evals"],
                           basis_size=oc["basis_size"], seed=run_seed, grid=grid)
 
-    summary = {}
+    def restarts(n_q, T, *seed_path):
+        """Fidelity mean and se, and mean normalized objective, over the
+        restarts of one discrete design."""
+        sols = [optimize_discrete(problem(n_q, T, False, derive_seed(seed, *seed_path, r)))
+                for r in range(oc["restarts"])]
+        fids = np.array([fidelity(spectrum, solution_filter(sol), fid_points) for sol in sols])
+        return (*mean_se(fids), float(np.mean([sol.normalized_fidelity for sol in sols])))
+
+    summary, tables = {}, {}
     # fidelity vs qubit number at fixed T
-    rows_n, rows_mean, rows_se, rows_xi = [], [], [], []
-    for ni, n_q in enumerate(oc["nqubit_values"]):
-        fids, xis = [], []
-        for r in range(oc["restarts"]):
-            sol = optimize_discrete(problem(n_q, oc["T"], False,
-                                            derive_seed(seed, 1, ni, r)))
-            xis.append(sol.normalized_fidelity)
-            fids.append(fidelity(spectrum, solution_filter(sol), fid_points))
-        m, s = mean_se(np.asarray(fids))
-        rows_n.append(n_q)
-        rows_mean.append(m)
-        rows_se.append(s)
-        rows_xi.append(float(np.mean(xis)))
-    write_csv(os.path.join(out_dir, "ocf_nqubit_scan.csv"),
-              {"T": oc["T"], "omega_c": oc["omega_c"], "seed": seed,
-               "restarts": oc["restarts"], "version": __version__},
-              {"n_qubits": np.asarray(rows_n, dtype=int),
-               "fidelity_mean": np.asarray(rows_mean),
-               "fidelity_se": np.asarray(rows_se),
-               "xi_normalized_mean": np.asarray(rows_xi)})
+    rows_mean, rows_se, rows_xi = zip(*[restarts(n_q, oc["T"], 1, ni)
+                                        for ni, n_q in enumerate(oc["nqubit_values"])])
+    tables["ocf_nqubit_scan.csv"] = (
+        {"T": oc["T"], "omega_c": oc["omega_c"], "restarts": oc["restarts"]},
+        {"n_qubits": np.asarray(oc["nqubit_values"], dtype=int),
+         "fidelity_mean": np.asarray(rows_mean),
+         "fidelity_se": np.asarray(rows_se),
+         "xi_normalized_mean": np.asarray(rows_xi)})
 
     # fidelity vs operation time for selected qubit numbers
     if oc["T_candidates"]:
         cols = {"T": np.asarray(oc["T_candidates"])}
         for n_q in oc["sweep_nqubits"]:
-            vals = []
-            for ti, T in enumerate(oc["T_candidates"]):
-                fids = [fidelity(spectrum, solution_filter(
-                            optimize_discrete(problem(n_q, T, False,
-                                                      derive_seed(seed, 2, n_q, ti, r)))),
-                            fid_points)
-                        for r in range(oc["restarts"])]
-                vals.append(float(np.mean(fids)))
-            cols[f"fidelity_n{n_q}"] = np.asarray(vals)
-        write_csv(os.path.join(out_dir, "ocf_time_scan.csv"),
-                  {"omega_c": oc["omega_c"], "seed": seed,
-                   "restarts": oc["restarts"], "version": __version__}, cols)
-        for n_q in oc["sweep_nqubits"]:
-            vals = cols[f"fidelity_n{n_q}"]
-            summary[f"peak_T_n{n_q}"] = float(
-                cols["T"][int(np.argmax(vals))])
+            cols[f"fidelity_n{n_q}"] = vals = np.asarray(
+                [restarts(n_q, T, 2, n_q, ti)[0] for ti, T in enumerate(oc["T_candidates"])])
+            summary[f"peak_T_n{n_q}"] = float(cols["T"][int(np.argmax(vals))])
+        tables["ocf_time_scan.csv"] = (
+            {"omega_c": oc["omega_c"], "restarts": oc["restarts"]}, cols)
 
     if oc["continuous"]:
         sol = optimize_continuous(problem(1, oc["T"], True, derive_seed(seed, 3)))
@@ -576,120 +537,87 @@ def _run_ocf(cfg, out_dir, workers):
         filt = solution_filter(sol)
         norm_f = continuous_norm(filt, oc["omega_c"])
         norm_s = continuous_norm(spectrum, oc["omega_c"], grid)
-        write_csv(os.path.join(out_dir, "ocf_best_filter.csv"),
-                  {"T": oc["T"], "xi_normalized": sol.normalized_fidelity,
-                   "seed": seed, "version": __version__},
-                  {"omega": grid.omegas,
-                   "filter_normalized": filt.values / norm_f,
-                   "spectrum_normalized": spectrum.evaluate(grid.omegas) / norm_s})
+        tables["ocf_best_filter.csv"] = (
+            {"T": oc["T"], "xi_normalized": sol.normalized_fidelity},
+            {"omega": grid.omegas,
+             "filter_normalized": filt.values / norm_f,
+             "spectrum_normalized": spectrum.evaluate(grid.omegas) / norm_s})
     summary["nqubit_best_fidelity"] = float(max(rows_mean))
-    return summary
+    return summary, tables
 
 
-def _run_tracking(cfg, out_dir, workers):
+def _run_tracking(cfg, workers):
     del workers
     tr = cfg["tracking"]
-    noise_cfg = cfg["noise"]
     seed = cfg["run"]["seed"]
     omega_c = tr["omega_c"]
     band = _context_args(cfg, "fo", omega_c)
     omega_max, grid = band["omega_max"], band["grid"]
 
-    s_one = _spectrum_from(cfg["spectrum"])
-    s_two = _spectrum_from(cfg["spectrum2"])
     # equal component norms keep the pair system symmetric (sum-to-one drift
     # then only excites its well-conditioned direction)
-    n1 = continuous_norm(s_one, omega_c, grid)
-    n2 = continuous_norm(s_two, omega_c, grid)
-    s_one = s_one.with_scale(s_one.scale / n1)
-    s_two = s_two.with_scale(s_two.scale / n2)
+    s_one, s_two = (s.with_scale(s.scale / continuous_norm(s, omega_c, grid))
+                    for s in map(_spectrum_from, (cfg["spectrum"], cfg["spectrum2"])))
     block_filters = [filter_function(fo_sequence(k, tr["k_block"], omega_max, tr["T"]), grid)
                      for k in range(1, tr["k_block"] + 1)]
     overlaps = [0.5 * signal_overlap(s_one, f) + 0.5 * signal_overlap(s_two, f)
                 for f in block_filters]
     alpha = 1.0 / float(np.median(overlaps))
-    s_one = s_one.with_scale(s_one.scale * alpha)
-    s_two = s_two.with_scale(s_two.scale * alpha)
+    s_one, s_two = (s.with_scale(s.scale * alpha) for s in (s_one, s_two))
     signal = CompositeSignal(tr["omega_osc"], s_one, s_two)
 
-    run_fo_res = track_fo(signal, tr["k_block"], tr["T"], tr["horizon"],
-                          _noise(cfg, derive_seed(seed, 10)),
-                          omega_c=omega_c, omega_max=omega_max,
-                          eig_keep=tr["eig_keep"], grid=grid)
-    write_csv(os.path.join(out_dir, "tracking_fo.csv"),
-              {"method": run_fo_res.method, "T": tr["T"], "k_block": tr["k_block"],
-               "omega_osc": tr["omega_osc"], "dp_max": noise_cfg["dp_max"],
-               "rms_s2": run_fo_res.rms_error(), "seed": seed,
-               "version": __version__},
-              {"t": run_fo_res.sample_times,
-               "s1_estimate": run_fo_res.s1_estimate,
-               "s2_estimate": run_fo_res.s2_estimate,
-               "s1_true": run_fo_res.s1_true,
-               "s2_true": run_fo_res.s2_true})
-    summary = {"fo_rms_s2": run_fo_res.rms_error(),
-               "fo_samples": run_fo_res.n_samples,
-               "fo_sum_drift": run_fo_res.sum_drift()}
+    def table(run, **meta):
+        return ({"method": run.method, "T": tr["T"], "omega_osc": tr["omega_osc"],
+                 "dp_max": cfg["noise"]["dp_max"], "rms_s2": run.rms_error(), **meta},
+                {"t": run.sample_times,
+                 "s1_estimate": run.s1_estimate, "s2_estimate": run.s2_estimate,
+                 "s1_true": run.s1_true, "s2_true": run.s2_true})
+
+    run = track_fo(signal, tr["k_block"], tr["T"], tr["horizon"],
+                   _noise(cfg, derive_seed(seed, 10)),
+                   omega_c=omega_c, omega_max=omega_max, eig_keep=tr["eig_keep"], grid=grid)
+    tables = {"tracking_fo.csv": table(run, k_block=tr["k_block"])}
+    summary = {"fo_rms_s2": run.rms_error(), "fo_samples": run.n_samples,
+               "fo_sum_drift": run.sum_drift()}
 
     o_grid = ocf_grid(omega_c)
     for ni, n_q in enumerate(tr["nqubit_values"]):
-        pair = []
-        for ci, comp in enumerate((s_one, s_two)):
-            sol = optimize_discrete(OcfProblem(
-                spectrum=comp, duration=tr["T"], n_qubits=n_q, omega_c=omega_c,
-                superiterations=tr["superiterations"], inner_evals=tr["inner_evals"],
-                basis_size=tr["basis_size"], seed=derive_seed(seed, 20, ni, ci),
-                grid=o_grid))
-            pair.append(solution_filter(sol))
+        pair = [solution_filter(optimize_discrete(OcfProblem(
+                    spectrum=comp, duration=tr["T"], n_qubits=n_q, omega_c=omega_c,
+                    superiterations=tr["superiterations"], inner_evals=tr["inner_evals"],
+                    basis_size=tr["basis_size"], seed=derive_seed(seed, 20, ni, ci),
+                    grid=o_grid)))
+                for ci, comp in enumerate((s_one, s_two))]
         run = track_ocf(signal, pair, tr["T"], tr["horizon"],
                         _noise(cfg, derive_seed(seed, 30, ni)))
-        write_csv(os.path.join(out_dir, f"tracking_ocf_n{n_q}.csv"),
-                  {"method": run.method, "T": tr["T"], "n_qubits": n_q,
-                   "omega_osc": tr["omega_osc"], "dp_max": noise_cfg["dp_max"],
-                   "rms_s2": run.rms_error(), "seed": seed,
-                   "version": __version__},
-                  {"t": run.sample_times,
-                   "s1_estimate": run.s1_estimate,
-                   "s2_estimate": run.s2_estimate,
-                   "s1_true": run.s1_true,
-                   "s2_true": run.s2_true})
+        tables[f"tracking_ocf_n{n_q}.csv"] = table(run, n_qubits=n_q)
         summary[f"ocf_n{n_q}_rms_s2"] = run.rms_error()
         summary[f"ocf_n{n_q}_samples"] = run.n_samples
-    return summary
+    return summary, tables
 
 
-def _run_fisher(cfg, out_dir, workers):
+def _run_fisher(cfg, workers):
     del workers
     spectrum = _spectrum_from(cfg["spectrum"])
     fi = cfg["fisher"]
-    noise = cfg["noise"]
-    seed = cfg["run"]["seed"]
     ctx = ProtocolContext("fo", spectrum, fi["T"], K=fi["K"],
                           **_context_args(cfg, "fo", fi["omega_c"]))
-    probs = np.array([survival_probability(c, noise["gamma"], fi["T"])
+    probs = np.array([survival_probability(c, cfg["noise"]["gamma"], fi["T"])
                       for c in ctx.c_true])
     fio = build_fio(ctx.filters, probs)
     rank = fio_rank(fio)
     directions = [("component_mix", ctx.spectrum)]
-    rng_names = []
     for d in range(fi["n_random_directions"]):
-        rng = np.random.default_rng(derive_seed(seed, 40, d))
+        rng = np.random.default_rng(derive_seed(cfg["run"]["seed"], 40, d))
         comps = [(float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.0, fi["omega_c"])),
                   float(rng.uniform(0.5, 3.0))) for _ in range(2)]
         directions.append((f"random_{d}", SpectralDensity.lorentzian_mixture(comps)))
-        rng_names.append(f"random_{d}")
-    labels, infos, bounds = [], [], []
-    for label, direction in directions:
-        info = directional_fisher(fio, direction)
-        labels.append(label)
-        infos.append(info)
-        bounds.append(cramer_rao(fio, direction))
-    write_csv(os.path.join(out_dir, "fisher_report.csv"),
-              {"K": fi["K"], "T": fi["T"], "rank": rank, "seed": seed,
-               "version": __version__},
-              {"direction": np.asarray(labels, dtype=object),
-               "information": np.asarray(infos),
-               "cramer_rao_bound": np.asarray(bounds)})
-    return {"rank": rank, "n_directions": len(labels)}
+    labels = [label for label, _ in directions]
+    table = ({"K": fi["K"], "T": fi["T"], "rank": rank},
+             {"direction": np.asarray(labels, dtype=object),
+              "information": np.asarray([directional_fisher(fio, d) for _, d in directions]),
+              "cramer_rao_bound": np.asarray([cramer_rao(fio, d) for _, d in directions])})
+    return {"rank": rank, "n_directions": len(labels)}, {"fisher_report.csv": table}
 
 
 _RUNNERS = {
@@ -706,11 +634,14 @@ _RUNNERS = {
 def run_scenario(cfg: dict, out_dir: str, workers: int = 1) -> dict:
     """Execute a validated config; writes CSV artifacts, a summary file and
     a config echo into ``out_dir`` and returns the summary dict."""
-    os.makedirs(out_dir, exist_ok=True)
     scenario = cfg["run"]["scenario"]
-    summary = _RUNNERS[scenario](cfg, out_dir, workers)
-    summary = {"name": cfg["run"]["name"], "scenario": scenario,
-               "seed": cfg["run"]["seed"],
+    seed = cfg["run"]["seed"]
+    summary, tables = _RUNNERS[scenario](cfg, workers)
+    os.makedirs(out_dir, exist_ok=True)
+    for name, (meta, columns) in tables.items():
+        write_csv(os.path.join(out_dir, name),
+                  {**meta, "seed": seed, "version": __version__}, columns)
+    summary = {"name": cfg["run"]["name"], "scenario": scenario, "seed": seed,
                "repetitions": cfg["run"]["repetitions"],
                "version": __version__, **summary}
     write_summary(os.path.join(out_dir, "summary.txt"), summary)
@@ -731,165 +662,102 @@ _LEAKAGE = [(1.0, 2.0, 1.0), (0.7, 6.0, 2.0), (5.0, 20.0, 1.0)]
 # components reuse the standard double-Lorentzian template
 _ION = [(1.0, 2.0, 1.0), (0.7, 6.0, 2.0), (5.0, 20.0, _PI * _PI)]
 
-
-def _preset_fig2():
-    return {
-        "run": {"scenario": "time-scan", "name": "fig2-fidelity-vs-time"},
-        "spectrum": {"components": _DOUBLE_LORENTZIAN},
-        "noise": {"gamma": 0.4, "dp_max": 0.01},
-        "protocol": {"kind": "fo",
-                     "T_candidates": [1.0, 2.0, 3.0, 5.0, 7.0, 10.0]},
-    }
-
-
-def _preset_fig3():
-    return {
-        "run": {"scenario": "gamma-scan", "name": "fig3-fidelity-vs-gamma"},
-        "spectrum": {"components": _DOUBLE_LORENTZIAN},
-        "noise": {"dp_max": 0.01},
-        "protocol": {"gamma_values": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]},
-    }
-
-
-def _preset_fig4():
-    return {
-        "run": {"scenario": "reconstruction", "name": "fig4-dephasing0"},
-        "spectrum": {"components": _DOUBLE_LORENTZIAN},
-        "noise": {"gamma": 0.0, "dp_max": 0.01},
-        "protocol": {"T_fo": 2.0, "T_as": 25.0, "as_delta_approx": True},
-    }
-
-
-def _preset_fig5():
-    return {
-        "run": {"scenario": "reconstruction", "name": "fig5-dephasing04"},
-        "spectrum": {"components": _DOUBLE_LORENTZIAN},
-        "noise": {"gamma": 0.4, "dp_max": 0.01},
-        "protocol": {"T_fo": 2.0, "T_as": 5.0, "as_delta_approx": True},
-    }
-
-
-def _preset_fig6():
-    return {
-        "run": {"scenario": "nqubit-scan", "name": "fig6-leakage-vs-nqubits"},
-        "spectrum": {"components": _LEAKAGE},
-        "noise": {"gamma": 0.0, "dp_max": 0.01},
-        "protocol": {"nqubit_values": [1, 2, 3, 4, 5, 6], "T_values": [2.0]},
-    }
-
-
-def _preset_fig8():
-    return {
-        "run": {"scenario": "ocf", "name": "fig8-ocf-lorentzian"},
-        "spectrum": {"components": [(1.0, 2.0, 1.0)]},
-        "ocf": {"T": 5.0,
-                "T_candidates": [float(t) for t in range(1, 11)],
-                "nqubit_values": [1, 2, 3, 4, 6],
-                "sweep_nqubits": [1, 4]},
-    }
-
-
-def _preset_fig10():
-    return {
-        "run": {"scenario": "ocf", "name": "fig10-ocf-double"},
-        "spectrum": {"components": _DOUBLE_LORENTZIAN},
-        "ocf": {"T": 5.0, "nqubit_values": [1, 6]},
-    }
-
-
-def _preset_fig12():
-    return {
-        "run": {"scenario": "tracking", "name": "fig12-tracking-slow"},
-        "spectrum": {"components": [(1.0, 2.0, 1.0)]},
-        "spectrum2": {"components": _DOUBLE_LORENTZIAN},
-        "noise": {"dp_max": 0.002, "gamma": 0.0},
-        "tracking": {"omega_osc": 0.004 * _PI},
-    }
-
-
-def _preset_fig13():
-    cfg = _preset_fig12()
-    cfg["run"]["name"] = "fig13-tracking-fast"
-    cfg["tracking"]["omega_osc"] = 0.01 * _PI
-    return cfg
-
-
-def _preset_nv():
-    cfg = _preset_fig5()
-    cfg["run"]["name"] = "nv-center"
-    cfg["units"] = {
-        "time_unit": "40 microseconds",
-        "note": ("dimensionless twin of the NV-center scenario: 1/Gamma = "
-                 "100 us maps Gamma=0.4, T_fo=2 (80 us), T_as=5 (200 us); "
-                 "units are metadata only, the run is the dimensionless core"),
-    }
-    return cfg
-
-
-def _preset_ion():
-    return {
-        "run": {"scenario": "nqubit-scan", "name": "ion-chain"},
-        "spectrum": {"components": _ION},
-        "noise": {"gamma": 0.02},
-        "protocol": {"nqubit_values": [1, 2, 3, 4, 6],
-                     "T_values": [5.0, 2.0, 2.0, 2.0, 2.0],
-                     "dp_values": [0.01, 0.02, 0.03, 0.04, 0.1]},
-        "units": {
-            "time_unit": "2 milliseconds",
-            "note": ("trapped-ion chain: Gamma = 0.01/ms maps to 0.02, "
-                     "T = 10 ms (N=1) / 4 ms (N>=2) map to 5 / 2; "
-                     "state-preparation error enters via dp per qubit count"),
-        },
-    }
-
-
-def _preset_fisher():
-    return {
-        "run": {"scenario": "fisher", "name": "fisher-cr-bound"},
-        "spectrum": {"components": _DOUBLE_LORENTZIAN},
-    }
-
-
-PRESETS = {
-    "fig2-fidelity-vs-time": ("fidelity vs filter operation time, orthogonalization protocol at gamma=0.4", _preset_fig2),
-    "fig3-fidelity-vs-gamma": ("optimal-time fidelity of both protocols across dephasing rates", _preset_fig3),
-    "fig4-dephasing0": ("spectrum reconstruction by both protocols, detector noise only", _preset_fig4),
-    "fig5-dephasing04": ("spectrum reconstruction by both protocols at gamma=0.4", _preset_fig5),
-    "fig6-leakage-vs-nqubits": ("leakage suppression: fidelity vs entangled-probe size", _preset_fig6),
-    "fig8-ocf-lorentzian": ("optimal-control filters for a single Lorentzian line", _preset_fig8),
-    "fig10-ocf-double": ("optimal-control filters for the double-Lorentzian target", _preset_fig10),
-    "fig12-tracking-slow": ("time-resolved coefficient tracking, slow oscillation", _preset_fig12),
-    "fig13-tracking-fast": ("time-resolved coefficient tracking, fast oscillation", _preset_fig13),
-    "fisher-cr-bound": ("information operator rank and Cramer-Rao bounds", _preset_fisher),
-    "ion-chain": ("trapped-ion chain with per-qubit preparation error", _preset_ion),
-    "nv-center": ("NV-center unit mapping of the gamma=0.4 reconstruction", _preset_nv),
+_FIG5 = {
+    "spectrum": {"components": _DOUBLE_LORENTZIAN},
+    "noise": {"gamma": 0.4, "dp_max": 0.01},
+    "protocol": {"T_fo": 2.0, "T_as": 5.0, "as_delta_approx": True},
+}
+_FIG12 = {
+    "spectrum": {"components": [(1.0, 2.0, 1.0)]},
+    "spectrum2": {"components": _DOUBLE_LORENTZIAN},
+    "noise": {"dp_max": 0.002, "gamma": 0.0},
+    "tracking": {"omega_osc": 0.004 * _PI},
 }
 
-_QUICK_OVERRIDES = {
-    "time-scan": {("run", "repetitions"): 3,
-                  ("protocol", "T_candidates"): [2.0, 5.0]},
-    "gamma-scan": {("run", "repetitions"): 3,
-                   ("protocol", "gamma_values"): [0.0, 0.4],
-                   ("protocol", "fo_candidates"): [2.0, 5.0],
-                   ("protocol", "as_candidates"): [10.0, 25.0]},
-    "reconstruction": {("run", "repetitions"): 3},
-    "nqubit-scan": {("run", "repetitions"): 3,
-                    ("protocol", "nqubit_values"): [1, 2]},
-    "ocf": {("ocf", "restarts"): 1, ("ocf", "superiterations"): 2,
-            ("ocf", "inner_evals"): 10,
-            ("ocf", "T_candidates"): [], ("ocf", "nqubit_values"): [1, 2]},
-    "tracking": {("tracking", "horizon"): 100.0,
-                 ("tracking", "superiterations"): 2,
-                 ("tracking", "inner_evals"): 10,
-                 ("tracking", "nqubit_values"): [1]},
-    "fisher": {("fisher", "n_random_directions"): 1},
+# name -> (description, scenario, sections other than [run]); the run's name
+# is the preset's
+PRESETS = {
+    "fig2-fidelity-vs-time": (
+        "fidelity vs filter operation time, orthogonalization protocol at gamma=0.4",
+        "time-scan",
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
+         "noise": {"gamma": 0.4, "dp_max": 0.01},
+         "protocol": {"kind": "fo", "T_candidates": [1.0, 2.0, 3.0, 5.0, 7.0, 10.0]}}),
+    "fig3-fidelity-vs-gamma": (
+        "optimal-time fidelity of both protocols across dephasing rates", "gamma-scan",
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
+         "noise": {"dp_max": 0.01},
+         "protocol": {"gamma_values": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]}}),
+    "fig4-dephasing0": (
+        "spectrum reconstruction by both protocols, detector noise only", "reconstruction",
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
+         "noise": {"gamma": 0.0, "dp_max": 0.01},
+         "protocol": {"T_fo": 2.0, "T_as": 25.0, "as_delta_approx": True}}),
+    "fig5-dephasing04": (
+        "spectrum reconstruction by both protocols at gamma=0.4", "reconstruction", _FIG5),
+    "fig6-leakage-vs-nqubits": (
+        "leakage suppression: fidelity vs entangled-probe size", "nqubit-scan",
+        {"spectrum": {"components": _LEAKAGE},
+         "noise": {"gamma": 0.0, "dp_max": 0.01},
+         "protocol": {"nqubit_values": [1, 2, 3, 4, 5, 6], "T_values": [2.0]}}),
+    "fig8-ocf-lorentzian": (
+        "optimal-control filters for a single Lorentzian line", "ocf",
+        {"spectrum": {"components": [(1.0, 2.0, 1.0)]},
+         "ocf": {"T": 5.0, "T_candidates": [float(t) for t in range(1, 11)],
+                 "nqubit_values": [1, 2, 3, 4, 6], "sweep_nqubits": [1, 4]}}),
+    "fig10-ocf-double": (
+        "optimal-control filters for the double-Lorentzian target", "ocf",
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
+         "ocf": {"T": 5.0, "nqubit_values": [1, 6]}}),
+    "fig12-tracking-slow": (
+        "time-resolved coefficient tracking, slow oscillation", "tracking", _FIG12),
+    "fig13-tracking-fast": (
+        "time-resolved coefficient tracking, fast oscillation", "tracking",
+        {**_FIG12, "tracking": {"omega_osc": 0.01 * _PI}}),
+    "fisher-cr-bound": (
+        "information operator rank and Cramer-Rao bounds", "fisher",
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN}}),
+    "ion-chain": (
+        "trapped-ion chain with per-qubit preparation error", "nqubit-scan",
+        {"spectrum": {"components": _ION},
+         "noise": {"gamma": 0.02},
+         "protocol": {"nqubit_values": [1, 2, 3, 4, 6],
+                      "T_values": [5.0, 2.0, 2.0, 2.0, 2.0],
+                      "dp_values": [0.01, 0.02, 0.03, 0.04, 0.1]},
+         "units": {
+             "time_unit": "2 milliseconds",
+             "note": ("trapped-ion chain: Gamma = 0.01/ms maps to 0.02, "
+                      "T = 10 ms (N=1) / 4 ms (N>=2) map to 5 / 2; "
+                      "state-preparation error enters via dp per qubit count")}}),
+    "nv-center": (
+        "NV-center unit mapping of the gamma=0.4 reconstruction", "reconstruction",
+        {**_FIG5, "units": {
+            "time_unit": "40 microseconds",
+            "note": ("dimensionless twin of the NV-center scenario: 1/Gamma = "
+                     "100 us maps Gamma=0.4, T_fo=2 (80 us), T_as=5 (200 us); "
+                     "units are metadata only, the run is the dimensionless core")}}),
+}
+
+# quick budgets: sections merged into a validated config of the scenario
+_QUICK = {
+    "time-scan": {"run": {"repetitions": 3}, "protocol": {"T_candidates": [2.0, 5.0]}},
+    "gamma-scan": {"run": {"repetitions": 3},
+                   "protocol": {"gamma_values": [0.0, 0.4], "fo_candidates": [2.0, 5.0],
+                                "as_candidates": [10.0, 25.0]}},
+    "reconstruction": {"run": {"repetitions": 3}},
+    "nqubit-scan": {"run": {"repetitions": 3}, "protocol": {"nqubit_values": [1, 2]}},
+    "ocf": {"ocf": {"restarts": 1, "superiterations": 2, "inner_evals": 10,
+                    "T_candidates": [], "nqubit_values": [1, 2]}},
+    "tracking": {"tracking": {"horizon": 100.0, "superiterations": 2, "inner_evals": 10,
+                              "nqubit_values": [1]}},
+    "fisher": {"fisher": {"n_random_directions": 1}},
 }
 
 
 def _apply_quick(cfg: dict) -> None:
     """Shrink the budgets of a validated config in place."""
-    for (section, key), value in _QUICK_OVERRIDES.get(cfg["run"]["scenario"], {}).items():
-        cfg[section][key] = value
+    for section, values in copy.deepcopy(_QUICK[cfg["run"]["scenario"]]).items():
+        cfg[section].update(values)
     # quick nqubit scans must keep per-N lists consistent
     if cfg["run"]["scenario"] == "nqubit-scan":
         n = len(cfg["protocol"]["nqubit_values"])
@@ -900,15 +768,12 @@ def _apply_quick(cfg: dict) -> None:
 def preset_config(name: str, quick: bool = False) -> dict:
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see 'noisespec list'")
-    cfg = validate_config(PRESETS[name][1]())
+    _, scenario, sections = PRESETS[name]
+    cfg = validate_config({"run": {"scenario": scenario, "name": name},
+                           **copy.deepcopy(sections)})
     if quick:
         _apply_quick(cfg)
     return cfg
-
-
-def list_scenarios():
-    """Preset names with one-line descriptions, deterministically ordered."""
-    return [(name, PRESETS[name][0]) for name in sorted(PRESETS)]
 
 
 # ---------------------------------------------------------------------------
@@ -944,8 +809,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "list":
-            for name, description in list_scenarios():
-                print(f"{name:26} {description}")
+            for name in sorted(PRESETS):
+                print(f"{name:26} {PRESETS[name][0]}")
             return 0
         if args.command == "export-config":
             print(format_config(preset_config(args.preset, quick=args.quick)))

@@ -67,12 +67,7 @@ class TrackingRun:
         return float(np.sqrt(np.mean((est[good] - true[good]) ** 2)))
 
     def _truth(self, t, which: int):
-        omega = self.params.get("omega_osc")
-        if omega is None:
-            # fall back to interpolating the stored truth samples
-            true = self.s2_true if which == 2 else self.s1_true
-            return np.interp(t, self.sample_times, true)
-        s = np.sin(omega * t) ** 2
+        s = np.sin(self.params["omega_osc"] * t) ** 2
         return 1.0 - s if which == 2 else s
 
     def sum_drift(self) -> float:
@@ -82,9 +77,9 @@ class TrackingRun:
 
 
 def track_fo(signal: CompositeSignal, k_block: int, operation_time: float,
-             horizon: float, noise: NoiseModel, master_seed: int | None = None,
-             omega_c: float = 10.0, omega_max: float | None = None,
-             eig_keep=DEFAULT_TAU, grid: FrequencyGrid | None = None) -> TrackingRun:
+             horizon: float, noise: NoiseModel, omega_c: float = 10.0,
+             omega_max: float | None = None, eig_keep=DEFAULT_TAU,
+             grid: FrequencyGrid | None = None) -> TrackingRun:
     """Track the coefficients with repeated orthogonalization blocks.
 
     Each block applies ``k_block`` basis filters back to back
@@ -94,7 +89,6 @@ def track_fo(signal: CompositeSignal, k_block: int, operation_time: float,
     static signal is recovered exactly.  The estimate is assigned to the
     block midpoint.
     """
-    seed = noise.seed if master_seed is None else master_seed
     T = operation_time
     omega_max = omega_max if omega_max is not None else 1.15 * omega_c
     grid = grid if grid is not None else default_grid(omega_max)
@@ -116,7 +110,7 @@ def track_fo(signal: CompositeSignal, k_block: int, operation_time: float,
         mids = b * block + (np.arange(k_block) + 0.5) * T
         s1_m, s2_m = signal.weights(mids)
         c_true = s1_m * c_one + s2_m * c_two
-        block_noise = replace(noise, seed=derive_seed(seed, b))
+        block_noise = replace(noise, seed=derive_seed(noise.seed, b))
         records = [measure(c_true[k], block_noise, T, filter_index=k)
                    for k in range(k_block)]
         c_hat = np.array([r.c_estimate for r in records])
@@ -175,35 +169,29 @@ def _fit_block(filters, A, c_hat, c_one, c_two, omega_c, eig_keep):
 
 
 def track_ocf(signal: CompositeSignal, filter_pair, operation_time: float,
-              horizon: float, noise: NoiseModel,
-              master_seed: int | None = None,
-              omega_int_max: float | None = None,
-              auto_couple: bool = True) -> TrackingRun:
+              horizon: float, noise: NoiseModel) -> TrackingRun:
     """Track the coefficients with an alternating pair of matched filters.
 
     ``filter_pair`` holds the filters designed for the two components (in
     that order).  Each sample applies both filters back to back
     (``T_c = 2 T``) and solves the 2x2 system ``G s = c`` with
-    ``G_ij = integral S_j F_i``.  With ``auto_couple`` (default) each
-    filter's probe coupling is set so its matched-component overlap is one,
-    keeping both readouts in the maximum-sensitivity range regardless of the
-    filters' absolute magnitudes.
+    ``G_ij = integral S_j F_i``.  Each filter's probe coupling is set so its
+    matched-component overlap is one, keeping both readouts in the
+    maximum-sensitivity range regardless of the filters' absolute
+    magnitudes.
     """
     if len(filter_pair) != 2:
         raise ValueError("filter_pair must hold exactly two filters")
-    seed = noise.seed if master_seed is None else master_seed
     T = operation_time
     comps = (signal.component_one, signal.component_two)
-    G = np.array([[signal_overlap(s, f, omega_int_max) for s in comps]
-                  for f in filter_pair])
-    if auto_couple:
-        # per-filter probe coupling putting each measurement near unit
-        # overlap (the maximum-sensitivity working point)
-        diag = np.diag(G).copy()
-        if np.any(diag <= 0):
-            raise DegenerateComponentsError(
-                "a filter has no overlap with its matched component")
-        G = G / diag[:, None]
+    G = np.array([[signal_overlap(s, f) for s in comps] for f in filter_pair])
+    # per-filter probe coupling putting each measurement near unit overlap
+    # (the maximum-sensitivity working point)
+    diag = np.diag(G).copy()
+    if np.any(diag <= 0):
+        raise DegenerateComponentsError(
+            "a filter has no overlap with its matched component")
+    G = G / diag[:, None]
     svals = np.linalg.svd(G, compute_uv=False)
     if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
         raise DegenerateComponentsError(
@@ -218,7 +206,7 @@ def track_ocf(signal: CompositeSignal, filter_pair, operation_time: float,
     est = np.full((n_samples, 2), np.nan)
     truth = np.zeros((n_samples, 2))
     for n in range(n_samples):
-        sample_noise = replace(noise, seed=derive_seed(seed, n))
+        sample_noise = replace(noise, seed=derive_seed(noise.seed, n))
         c_hat = np.zeros(2)
         for i in range(2):
             mid = n * block + (i + 0.5) * T
@@ -235,5 +223,4 @@ def track_ocf(signal: CompositeSignal, filter_pair, operation_time: float,
                        s1_estimate=est[:, 0], s2_estimate=est[:, 1],
                        s1_true=truth[:, 0], s2_true=truth[:, 1],
                        block_duration=block,
-                       params={"T": T, "omega_int_max": omega_int_max,
-                               "omega_osc": signal.omega_osc})
+                       params={"T": T, "omega_osc": signal.omega_osc})

@@ -1,3 +1,4 @@
+import copy
 import os
 
 import pytest
@@ -9,6 +10,24 @@ PRESET_NAMES = sorted(cli.PRESETS)
 
 def _outputs(root):
     return {f: (root / f).read_bytes() for f in sorted(os.listdir(root))}
+
+
+def _ini(scenario, **sections):
+    """Config text of ``scenario`` with a one-line spectrum; ``sections``
+    maps a section name to its body and may replace the spectrum."""
+    sections = {"run": f"scenario = {scenario}\nname = bad",
+                "spectrum": "components =\n  1.0 2.0 1.0", **sections}
+    return "".join(f"[{name}]\n{body}\n" for name, body in sections.items())
+
+
+def _assert_rejected(tmp_path, capsys, text, location):
+    """Running ``text`` exits 2 naming ``location`` and writes nothing."""
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--quick", "--out-dir", str(out)]) == 2
+    assert f"{location}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -57,6 +76,32 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "noise" in err and "dp_max" in err
 
+    @pytest.mark.parametrize("text, location", [
+        (_ini("nqubit-scan", protocol="nqubit_values = 1 2\ndp_values = 0.01 0.7"),
+         "protocol.dp_values"),
+        (_ini("time-scan", protocol="kind = xx"), "protocol.kind"),
+        (_ini("reconstruction", protocol="protocols = fo xx"), "protocol.protocols"),
+        (_ini("nqubit-scan", protocol="nqubit_values = 1 2 3\nT_values = 2 5"),
+         "protocol.T_values"),
+        (_ini("gamma-scan", protocol="gamma_values = 0.1 -0.2"), "protocol.gamma_values"),
+    ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values"])
+    def test_rejected_before_run(self, text, location, tmp_path, capsys):
+        _assert_rejected(tmp_path, capsys, text, location)
+
+    @pytest.mark.parametrize("scenario, section, key, value", [
+        ("fisher", "fisher", "shots", "10000"),
+        ("fisher", "fisher", "mc_repeats", "0"),
+        ("fisher", "noise", "dp_max", "0.01"),
+        ("fisher", "noise", "shots", "100"),
+        ("gamma-scan", "noise", "gamma", "0.0"),
+    ])
+    def test_removed_key_is_unknown(self, scenario, section, key, value, tmp_path, capsys):
+        _assert_rejected(tmp_path, capsys, _ini(scenario, **{section: f"{key} = {value}"}),
+                         f"{section}.{key}")
+
+    def test_ocf_has_no_grid_section(self, tmp_path, capsys):
+        _assert_rejected(tmp_path, capsys, _ini("ocf", grid="spacing = 0.005"), "grid")
+
     def test_numerical_error(self, tmp_path, capsys):
         # a spectrum sampled up to 15 cannot cover the integration grid
         spectrum = tmp_path / "spectrum.csv"
@@ -93,3 +138,68 @@ def test_quick_config_file_matches_quick_preset(name, tmp_path, capsys):
     preset = _outputs(tmp_path / "preset" / name)
     assert any(f.endswith(".csv") for f in preset)
     assert _outputs(tmp_path / "file" / name) == preset
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_preset_config_is_a_fresh_copy(name):
+    for quick in (False, True):
+        cfg = cli.preset_config(name, quick=quick)
+        expected = copy.deepcopy(cfg)
+        for section in cfg.values():
+            for value in section.values():
+                if isinstance(value, list):
+                    value.append(value[0] if value else 9.9)
+        assert cli.preset_config(name, quick=quick) == expected
+
+
+class TestCodec:
+    CASES = [
+        ("int", " 10000 ", 10000),
+        ("float", "0.1", 0.1),
+        ("bool", "yes", True),
+        ("bool", "off", False),
+        ("str", " spectra/measured.csv ", "spectra/measured.csv"),
+        ("strs", "fo as", ["fo", "as"]),
+        ("floats", "", []),
+        ("floats", "1 2.5e-3", [1.0, 0.0025]),
+        ("ints", "1 6", [1, 6]),
+        ("retention", "cv", "cv"),
+        ("retention", "1e-3", 0.001),
+        ("components", "\n  1.0 2.0 1.0\n  0.7 6.0 2.0", [(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)]),
+    ]
+
+    def test_every_kind_is_covered(self):
+        assert {kind for kind, _, _ in self.CASES} == set(cli._KINDS)
+
+    @pytest.mark.parametrize("kind, raw, value", CASES, ids=[kind for kind, _, _ in CASES])
+    def test_parse_format_parse(self, kind, raw, value):
+        parse, fmt = cli._KINDS[kind]
+        assert parse(raw) == value
+        assert parse(fmt(value)) == value
+        assert fmt(parse(fmt(value))) == fmt(value)
+
+    def test_config_text_round_trip(self):
+        for text in (
+                _ini("reconstruction", spectrum="csv = spectra/measured.csv",
+                     noise="shots = 500", protocol="eig_keep = cv\nas_delta_approx = yes"),
+                _ini("nqubit-scan", protocol="dp_values =\nT_values = 2 5\n"
+                                             "nqubit_values = 1 2"),
+                _ini("ocf", spectrum="components =\n  1.0 2.0 1.0\n  0.7 6.0 2.0",
+                     ocf="continuous = off\nT_candidates =")):
+            cfg = cli.parse_config_text(text)
+            assert cli.parse_config_text(cli.format_config(cfg)) == cfg
+
+    @pytest.mark.parametrize("scenario, section, body, location", [
+        ("reconstruction", "noise", "shots = many", "noise.shots"),
+        ("reconstruction", "noise", "dp_max = high", "noise.dp_max"),
+        ("reconstruction", "protocol", "as_delta_approx = maybe", "protocol.as_delta_approx"),
+        ("time-scan", "protocol", "kind = xx", "protocol.kind"),
+        ("reconstruction", "protocol", "protocols = fo xx", "protocol.protocols"),
+        ("time-scan", "protocol", "T_candidates = 1 two", "protocol.T_candidates"),
+        ("nqubit-scan", "protocol", "nqubit_values = 1 2.5", "protocol.nqubit_values"),
+        ("reconstruction", "protocol", "eig_keep = loo", "protocol.eig_keep"),
+        ("reconstruction", "spectrum", "components =\n  1.0 2.0", "spectrum.components"),
+    ], ids=["int", "float", "bool", "str", "strs", "floats", "ints", "retention",
+            "components"])
+    def test_malformed_value(self, scenario, section, body, location, tmp_path, capsys):
+        _assert_rejected(tmp_path, capsys, _ini(scenario, **{section: body}), location)
