@@ -168,6 +168,11 @@ SCHEMA = {
         }),
 }
 
+# [protocol] lists a scenario cannot run without
+_NONEMPTY = {"time-scan": ("T_candidates",),
+             "gamma-scan": ("gamma_values", "fo_candidates", "as_candidates"),
+             "nqubit-scan": ("nqubit_values",)}
+
 # [protocol] lists whose values each replace one [noise] field
 _NOISE_LISTS = {"gamma-scan": {"gamma_values": "gamma"},
                 "nqubit-scan": {"dp_values": "dp_max", "gamma_values": "gamma"}}
@@ -260,6 +265,9 @@ def validate_config(raw: dict) -> dict:
             if protocol not in ("fo", "as"):
                 raise ConfigError(f"unknown protocol {protocol!r}",
                                   location=f"protocol.{key}")
+    for key in _NONEMPTY.get(scenario, ()):
+        if not pro[key]:
+            raise ConfigError("needs at least one value", location=f"protocol.{key}")
     if scenario == "nqubit-scan":
         for key in ("T_values", "dp_values", "gamma_values"):
             if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):

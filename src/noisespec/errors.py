@@ -1,8 +1,22 @@
 """Exception types raised by the noisespec package."""
 
+import math
+
 
 class NoiseSpecError(Exception):
     """Base class for all package-specific errors."""
+
+
+class NonFiniteInputError(NoiseSpecError, ValueError):
+    """A constructor argument is NaN or infinite."""
+
+
+def require_finite(**values) -> None:
+    """Raise :class:`NonFiniteInputError` naming the first NaN or infinite
+    keyword value."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise NonFiniteInputError(f"{name} must be finite, got {value}")
 
 
 class GridRangeError(NoiseSpecError, ValueError):

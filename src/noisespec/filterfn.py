@@ -40,7 +40,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 from scipy.special import sici
 
-from .errors import GridMismatchError, GridRangeError
+from .errors import GridMismatchError, GridRangeError, require_finite
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          to_step_function)
 
@@ -61,6 +61,7 @@ class FrequencyGrid:
     size: int
 
     def __post_init__(self):
+        require_finite(omega_max_grid=self.omega_max_grid)
         if self.size < 2:
             raise ValueError(f"size must be >= 2, got {self.size}")
         if self.omega_max_grid <= 0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridRangeError
+from .errors import GridRangeError, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,10 +92,13 @@ class ContinuousModulation:
     terms: tuple[tuple[float, float, float], ...] = ()
 
     def __post_init__(self):
+        require_finite(duration=self.duration, linear_rate=self.linear_rate)
         if self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
         object.__setattr__(self, "terms",
                            tuple((float(nu), float(a), float(b)) for nu, a, b in self.terms))
+        for nu, a, b in self.terms:
+            require_finite(nu=nu, a=a, b=b)
 
     def phase(self, t):
         t = np.asarray(t, dtype=float)
@@ -251,35 +254,3 @@ def repair_switch_times(times, duration: float) -> np.ndarray:
     t = np.sort(t)
     uniq, counts = np.unique(t, return_counts=True)
     return uniq[counts % 2 == 1]
-
-
-def sequence_to_csv(seq: PulseSequence, path) -> None:
-    """Write one switch time per row (for inspection and replay)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# duration,{seq.duration!r}\n")
-        fh.write(f"# initial_sign,{seq.initial_sign}\n")
-        for t in seq.switch_times:
-            fh.write(f"{float(t)!r}\n")
-
-
-def sequence_from_csv(path) -> PulseSequence:
-    duration = None
-    sign = 1
-    times = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(",")
-                key = key.strip()
-                if key == "duration":
-                    duration = float(value)
-                elif key == "initial_sign":
-                    sign = int(value)
-                continue
-            times.append(float(line))
-    if duration is None:
-        raise ValueError(f"{path}: missing '# duration,<T>' header")
-    return PulseSequence(np.asarray(times), duration, sign)

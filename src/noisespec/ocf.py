@@ -125,13 +125,6 @@ def _xi(modulation_or_filter, spectrum, omega_c: float, penalty_weight: float,
     return obj, obj.from_values(f_vals)
 
 
-def xi_objective(modulation_or_filter, spectrum, omega_c: float,
-                 penalty_weight: float = 0.0,
-                 grid: FrequencyGrid | None = None) -> float:
-    """Penalized overlap objective for a modulation or a prebuilt filter."""
-    return _xi(modulation_or_filter, spectrum, omega_c, penalty_weight, grid)[1][0]
-
-
 def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
                   grid: FrequencyGrid | None = None) -> float:
     """Raw overlap fidelity ``xi / ||S||_c`` (Cauchy-Schwarz bounded by 1

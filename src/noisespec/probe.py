@@ -2,10 +2,17 @@
 
 The chain is: overlap coefficient ``c`` -> survival probability
 ``p = (1 - exp(-c - Gamma*T)) / 2`` -> noisy readout -> inverted estimate
-``c_hat``.  The oracle recomputes ``chi = 4 * double-integral of
-y(t') y(t'') g(t' - t'')`` entirely in the time domain, with the
-autocorrelation ``g`` of the even spectral extension in closed form, so it
-shares nothing with the frequency-grid pipeline it cross-checks.
+``c_hat``.  :func:`measure_batch` runs the chain for a whole block of
+readouts with the exact vectorized stream of :mod:`noisespec.seeding`;
+:func:`measure` is its one-readout view.  The survival probability and the
+inversion use libm scalars (``math.exp``, ``math.log1p``), never numpy's
+vectorized ``exp``/``log1p``, which can differ from libm in the last bit
+and would move the written outputs.
+
+The oracle recomputes ``chi = 4 * double-integral of y(t') y(t'')
+g(t' - t'')`` entirely in the time domain, with the autocorrelation ``g``
+of the even spectral extension in closed form, so it shares nothing with
+the frequency-grid pipeline it cross-checks.
 """
 
 from __future__ import annotations
@@ -16,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import exp1
 
-from .errors import UnsupportedOracleError
+from .errors import UnsupportedOracleError, require_finite
 from .modulation import to_step_function
-from .seeding import derive_seed, make_rng
+from .seeding import derive_seed, first_uniform, make_rng
 from .spectra import SpectralDensity
 
 _SATURATION_MARGIN = 1e-9
@@ -50,6 +57,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(dp_max=self.dp_max, gamma=self.gamma)
         if not 0.0 <= self.dp_max < 0.5:
             raise ValueError(f"dp_max must be in [0, 0.5), got {self.dp_max}")
         if self.gamma < 0:
@@ -93,42 +101,85 @@ def invert_probability(p_measured: float, gamma: float,
     """
     if gamma < 0 or operation_time < 0:
         raise ValueError("gamma and T must be >= 0")
-    if p_measured >= 0.5 - _SATURATION_MARGIN:
-        return math.inf, True
-    c_hat = -math.log1p(-2.0 * p_measured) - gamma * operation_time
-    return max(0.0, c_hat), False
+    c_hat, saturated = _invert(np.array([p_measured], dtype=float), gamma, operation_time)
+    return float(c_hat[0]), bool(saturated[0])
+
+
+def _invert(p: np.ndarray, gamma: float, operation_time: float):
+    """:func:`invert_probability` of every entry of ``p``, with libm's
+    scalar ``math.log1p`` (see the module docstring)."""
+    saturated = p >= 0.5 - _SATURATION_MARGIN
+    c_hat = np.full(p.shape, math.inf)
+    free = ~saturated
+    logs = np.array([math.log1p(x) for x in (-2.0 * p[free]).tolist()], dtype=float)
+    c_free = -logs - gamma * operation_time
+    # max(0.0, c) as Python takes it: 0.0 unless c > 0.0 (NaN and -0.0 give 0.0)
+    c_hat[free] = np.where(c_free > 0.0, c_free, 0.0)
+    return c_hat, saturated
+
+
+def _readouts(c, noise: NoiseModel, operation_time: float, seeds):
+    """``(p_measured, c_hat, saturated)`` arrays over ``broadcast(c, seeds)``;
+    the readout of each entry draws from the stream of its seed."""
+    c = np.asarray(c, dtype=float)
+    seeds = np.asarray(seeds)
+    shape = np.broadcast_shapes(c.shape, seeds.shape)
+    p_true = np.array([survival_probability(x, noise.gamma, operation_time)
+                       for x in c.ravel().tolist()], dtype=float).reshape(c.shape)
+    p_true = np.broadcast_to(p_true, shape)
+    seeds = np.broadcast_to(seeds, shape)
+    dp = noise.dp_max
+    if noise.shots is None:
+        p = p_true + first_uniform(seeds, -dp, dp) if dp > 0 else p_true
+    else:
+        # the binomial sampler is not reproduced: one generator per readout,
+        # drawing the shot frequency first, then the detector error
+        p = np.empty(shape)
+        for ix in np.ndindex(shape):
+            rng = make_rng(int(seeds[ix]))
+            value = rng.binomial(noise.shots, float(p_true[ix])) / noise.shots
+            p[ix] = value + rng.uniform(-dp, dp) if dp > 0 else value
+    # min(1.0, max(0.0, p)) as Python takes it
+    p = np.where(p > 0.0, p, 0.0)
+    p = np.where(p < 1.0, p, 1.0)
+    c_hat, saturated = _invert(p, noise.gamma, operation_time)
+    return p, c_hat, saturated
+
+
+def measure_batch(c, noise: NoiseModel, operation_time: float,
+                  seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Simulate noisy measurements of the coefficients ``c``, one per seed.
+
+    ``c`` (shape ``(K,)`` or ``(R, K)``) and the stream seeds ``seeds``
+    (shape ``(R, K)``) broadcast together; returns ``(c_hat, saturated)``
+    of that shape.  Entry ``[r, k]`` equals :func:`measure` of ``c[..., k]``
+    on the stream ``seeds[r, k]`` bit for bit: the detector error is the
+    stream's first uniform draw (computed for all seeds at once by
+    :func:`~noisespec.seeding.first_uniform`), and the inversion uses
+    libm scalars.
+    """
+    _, c_hat, saturated = _readouts(c, noise, operation_time, seeds)
+    return c_hat, saturated
 
 
 def measure(c: float, noise: NoiseModel, operation_time: float,
             filter_index: int = 0) -> MeasurementRecord:
     """Simulate one noisy measurement of the coefficient ``c``.
 
-    Draw order within the per-filter stream is fixed: the binomial shot
-    frequency (when ``shots`` is set) comes first, then the uniform detector
-    error.  The result is clamped to ``[0, 1]`` and inverted.
+    Draw order within the per-filter stream ``derive_seed(noise.seed,
+    filter_index)`` is fixed: the binomial shot frequency (when ``shots``
+    is set) comes first, then the uniform detector error.  The result is
+    clamped to ``[0, 1]`` and inverted.  This is the one-readout view of
+    :func:`measure_batch`.
     """
-    p = survival_probability(c, noise.gamma, operation_time)
     stream_seed = derive_seed(noise.seed, filter_index)
-    rng = make_rng(stream_seed)
-    if noise.shots is not None:
-        p = rng.binomial(noise.shots, p) / noise.shots
-    if noise.dp_max > 0:
-        p = p + rng.uniform(-noise.dp_max, noise.dp_max)
-    p = min(1.0, max(0.0, p))
-    c_hat, saturated = invert_probability(p, noise.gamma, operation_time)
+    p, c_hat, saturated = _readouts([c], noise, operation_time,
+                                    np.array([stream_seed], dtype=np.uint64))
     return MeasurementRecord(filter_index=filter_index, c_true=c,
-                             p_measured=p, c_estimate=c_hat,
-                             saturated=saturated, dp_max=noise.dp_max,
+                             p_measured=float(p[0]), c_estimate=float(c_hat[0]),
+                             saturated=bool(saturated[0]), dp_max=noise.dp_max,
                              gamma=noise.gamma, shots=noise.shots,
                              stream_seed=stream_seed)
-
-
-def relative_error_factor(c: float, gamma: float, operation_time: float) -> float:
-    """Amplification ``exp(c + gamma*T) / c`` of relative coefficient error
-    per unit of detector error; minimal at ``c = 1``."""
-    if c <= 0:
-        raise ValueError(f"relative error undefined for c <= 0, got {c}")
-    return math.exp(c + gamma * operation_time) / c
 
 
 # ---------------------------------------------------------------------------

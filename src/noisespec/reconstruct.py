@@ -13,7 +13,7 @@ Two estimators are implemented on top of the same measurement chain:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,8 +22,8 @@ from .errors import (DegenerateBasisError, GridRangeError,
 from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
                        signal_overlap)
 from .modulation import as_sequence, fo_sequence, staircase_split
-from .probe import NoiseModel, measure
-from .seeding import derive_seed
+from .probe import NoiseModel, measure_batch
+from .seeding import derive_seed, derive_seed_array
 from .spectra import SpectralDensity, calibrate_amplitude
 
 #: candidate relative eigenvalue thresholds scanned by the "cv" retention rule
@@ -143,49 +143,68 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
     c = np.asarray(c_estimates, dtype=float)
     if len(filters) != c.size:
         raise ValueError("filters and coefficient estimates differ in length")
-    mask = _finite_mask(c, saturated)
-    kept = np.flatnonzero(mask)
+    kept = np.flatnonzero(_finite_mask(c, saturated))
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
-    if overlap is None:
-        A = overlap_matrix([filters[i] for i in kept], omega_c)
-    else:
-        A = overlap[np.ix_(kept, kept)]
-    c_kept = c[kept]
+    return _FOSystem(filters, kept, omega_c, overlap).solve(c, eig_keep)
 
-    lam, U = np.linalg.eigh(A)
-    lam = lam[::-1]
-    U = U[:, ::-1]
-    if not np.isfinite(lam[0]) or lam[0] <= 0:
-        raise DegenerateBasisError("overlap matrix has no positive eigenvalues")
 
-    rule = eig_keep
-    if isinstance(eig_keep, str):
-        if eig_keep != "cv":
-            raise ValueError(f"unknown retention rule {eig_keep!r}")
-        rule = select_retention_threshold(A, c_kept)
-    retained = _retained_count(lam, rule)
-    if retained == 0:
-        raise DegenerateBasisError("retention rule dropped every eigenvalue")
+class _FOSystem:
+    """What an orthogonalization fixes before it sees the coefficients: the
+    overlap matrix of the kept filters, its eigendecomposition (descending)
+    and the kept filters' samples up to the cutoff.  :func:`fo_reconstruct`
+    builds one per call; a :class:`ProtocolContext` keeps the one of its
+    full filter set for the repetitions in which no readout saturated."""
 
-    inv_sqrt = 1.0 / np.sqrt(lam[:retained])
-    c_tilde = (U.T @ c_kept)[:retained] * inv_sqrt
-    beta = U[:, :retained] @ (c_tilde * inv_sqrt)
+    def __init__(self, filters, kept: np.ndarray, omega_c: float,
+                 overlap: np.ndarray | None = None):
+        if overlap is None:
+            A = overlap_matrix([filters[i] for i in kept], omega_c)
+        else:
+            A = overlap[np.ix_(kept, kept)]
+        lam, U = np.linalg.eigh(A)
+        lam = lam[::-1]
+        U = U[:, ::-1]
+        if not np.isfinite(lam[0]) or lam[0] <= 0:
+            raise DegenerateBasisError("overlap matrix has no positive eigenvalues")
+        grid = filters[0].grid
+        # smallest grid prefix whose last node reaches (or passes) the cutoff
+        n_r = int(np.searchsorted(grid.omegas, omega_c - 1e-12 * max(1.0, omega_c))) + 1
+        n_r = min(n_r, grid.size)
+        self.kept = kept
+        self.omega_c = omega_c
+        self.A, self.lam, self.U = A, lam, U
+        self.omegas = grid.omegas[:n_r]
+        self.stacked = np.vstack([filters[i].values[:n_r] for i in kept])
+        for arr in (kept, A, lam, U, self.stacked):
+            arr.setflags(write=False)
 
-    grid = filters[0].grid
-    # smallest grid prefix whose last node reaches (or passes) the cutoff
-    n_r = int(np.searchsorted(grid.omegas, omega_c - 1e-12 * max(1.0, omega_c))) + 1
-    n_r = min(n_r, grid.size)
-    stacked = np.vstack([filters[i].values[:n_r] for i in kept])
-    estimate = beta @ stacked
+    def solve(self, c: np.ndarray, eig_keep) -> ReconstructionResult:
+        """Estimate from the coefficients ``c`` of all filters (the kept
+        entries are used)."""
+        lam, U = self.lam, self.U
+        c_kept = c[self.kept]
+        rule = eig_keep
+        if isinstance(eig_keep, str):
+            if eig_keep != "cv":
+                raise ValueError(f"unknown retention rule {eig_keep!r}")
+            rule = select_retention_threshold(self.A, c_kept)
+        retained = _retained_count(lam, rule)
+        if retained == 0:
+            raise DegenerateBasisError("retention rule dropped every eigenvalue")
 
-    basis = FOBasis(eigenvalues=lam, transform=U.T, retained=retained,
-                    omega_c=omega_c)
-    return ReconstructionResult(
-        protocol="fo", omegas=grid.omegas[:n_r], values=estimate,
-        retained_count=retained, kept_indices=kept, basis=basis,
-        params={"omega_c": omega_c, "eig_keep": eig_keep,
-                "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
+        inv_sqrt = 1.0 / np.sqrt(lam[:retained])
+        c_tilde = (U.T @ c_kept)[:retained] * inv_sqrt
+        beta = U[:, :retained] @ (c_tilde * inv_sqrt)
+        estimate = beta @ self.stacked
+
+        basis = FOBasis(eigenvalues=lam, transform=U.T, retained=retained,
+                        omega_c=self.omega_c)
+        return ReconstructionResult(
+            protocol="fo", omegas=self.omegas, values=estimate,
+            retained_count=retained, kept_indices=self.kept, basis=basis,
+            params={"omega_c": self.omega_c, "eig_keep": eig_keep,
+                    "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
 
 
 def bin_matrix(filters, omega_max: float) -> np.ndarray:
@@ -216,14 +235,25 @@ def as_reconstruct(filters, c_estimates, omega_max: float, saturated=None,
     division ``s_k = c_k / M_kk`` for comparison.
     """
     filters = list(filters)
-    K = len(filters)
     c = np.asarray(c_estimates, dtype=float)
-    if c.size != K:
+    if c.size != len(filters):
         raise ValueError("filters and coefficient estimates differ in length")
     M = bin_matrix(filters, omega_max) if bins is None else bins
-    omega_points = omega_max * np.arange(1, K + 1) / K
+    return _as_solve(M, c, omega_max, _finite_mask(c, saturated), delta_approx)
 
-    mask = _finite_mask(c, saturated)
+
+def _condition_number(M: np.ndarray) -> float:
+    svals = np.linalg.svd(M, compute_uv=False)
+    return float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+
+
+def _as_solve(M: np.ndarray, c: np.ndarray, omega_max: float, mask: np.ndarray,
+              delta_approx: bool, full_condition: float | None = None) -> ReconstructionResult:
+    """:func:`as_reconstruct` on the rows of ``M`` and ``c`` that ``mask``
+    keeps.  ``full_condition``, when given, is the condition number of the
+    whole of ``M``; it stands in for the SVD when no row is dropped."""
+    K = M.shape[0]
+    omega_points = omega_max * np.arange(1, K + 1) / K
     kept = np.flatnonzero(mask)
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
@@ -237,8 +267,10 @@ def as_reconstruct(filters, c_estimates, omega_max: float, saturated=None,
         values[kept] = c_kept / diag[kept]
         cond = float("nan")
     else:
-        svals = np.linalg.svd(M_kept, compute_uv=False)
-        cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+        if full_condition is not None and kept.size == K:
+            cond = full_condition
+        else:
+            cond = _condition_number(M_kept)
         if not math.isfinite(cond) or cond > _COND_LIMIT:
             raise IllConditionedInversionError(
                 f"bin system is rank deficient (condition number {cond:.3e})",
@@ -262,7 +294,12 @@ def fidelity(spectrum_true, estimate, omega_points) -> float:
     s_true = np.asarray(spectrum_true.evaluate(pts), dtype=float)
     s_est = np.asarray(estimate.evaluate(pts) if hasattr(estimate, "evaluate")
                        else estimate, dtype=float)
-    n_true = float(np.linalg.norm(s_true))
+    return _cosine(s_true, float(np.linalg.norm(s_true)), s_est)
+
+
+def _cosine(s_true: np.ndarray, n_true: float, s_est: np.ndarray) -> float:
+    """Normalized inner product of ``s_true`` (of norm ``n_true``) and
+    ``s_est``."""
     n_est = float(np.linalg.norm(s_est))
     if n_true == 0.0 or n_est == 0.0:
         raise UndefinedFidelityError("fidelity undefined for a zero-norm argument")
@@ -277,8 +314,13 @@ class ProtocolContext:
     """Noise-independent state for repeated runs of one (protocol, T) cell.
 
     Builds the filter set, calibrates the spectrum scale so the median
-    overlap coefficient is one, and caches the overlap/bin matrices so that
-    per-repetition work reduces to drawing noise and solving small systems.
+    overlap coefficient is one, and caches what no repetition changes: the
+    overlap/bin matrices, the decomposition of the full filter set ("fo":
+    overlap eigensystem and filter rows up to the cutoff; "as": the bin
+    matrix's condition number) and the true spectrum with its norm at the
+    fidelity points.  Per-repetition work reduces to drawing noise and
+    solving small systems; a repetition in which a readout saturated drops
+    filters and decomposes its own subset, as without the cache.
     """
 
     def __init__(self, protocol: str, spectrum: SpectralDensity, operation_time: float,
@@ -320,6 +362,15 @@ class ProtocolContext:
         self.fidelity_points = omega_c * np.arange(1, K + 1) / K
         self.overlap = overlap_matrix(self.filters, omega_c) if protocol == "fo" else None
         self.bins = bin_matrix(self.filters, self.omega_max) if protocol == "as" else None
+        self._s_true = np.asarray(self.spectrum.evaluate(self.fidelity_points), dtype=float)
+        self._n_true = float(np.linalg.norm(self._s_true))
+        self._fo_full = None
+        if protocol == "fo":
+            try:
+                self._fo_full = _FOSystem(self.filters, np.arange(K), omega_c, self.overlap)
+            except DegenerateBasisError:
+                pass  # every repetition degenerates too and scores 0
+        self._bins_condition = _condition_number(self.bins) if protocol == "as" else None
 
     def run_once(self, noise: NoiseModel, eig_keep=DEFAULT_TAU,
                  want_result: bool = False, as_delta: bool = False):
@@ -328,61 +379,76 @@ class ProtocolContext:
         Degenerate runs (all filters saturated, or a singular inversion)
         score fidelity 0: the estimate carries no information.
         """
-        records = [measure(self.c_true[k], noise, self.operation_time, filter_index=k)
-                   for k in range(self.K)]
-        c_hat = np.array([r.c_estimate for r in records])
+        c_hat, _ = measure_batch(self.c_true, noise, self.operation_time,
+                                 derive_seed_array(noise.seed, np.arange(self.K)))
+        fid, result = self._score(c_hat, eig_keep, as_delta)
+        return fid, (result if want_result else None)
+
+    def _score(self, c_hat: np.ndarray, eig_keep, as_delta: bool):
+        """(fidelity, result-or-None) of one repetition's K estimates."""
         try:
-            if self.protocol == "fo":
+            if self.protocol == "as":
+                result = _as_solve(self.bins, c_hat, self.omega_max, np.isfinite(c_hat),
+                                   as_delta, self._bins_condition)
+            elif self._fo_full is not None and np.isfinite(c_hat).all():
+                result = self._fo_full.solve(c_hat, eig_keep)
+            else:
                 result = fo_reconstruct(self.filters, c_hat, self.omega_c,
                                         eig_keep=eig_keep, overlap=self.overlap)
-            else:
-                result = as_reconstruct(self.filters, c_hat, self.omega_max,
-                                        delta_approx=as_delta, bins=self.bins)
-            fid = fidelity(self.spectrum, result, self.fidelity_points)
+            s_est = np.asarray(result.evaluate(self.fidelity_points), dtype=float)
+            fid = _cosine(self._s_true, self._n_true, s_est)
         except (DegenerateBasisError, IllConditionedInversionError,
                 UndefinedFidelityError):
             return 0.0, None
         result.fidelity = fid
-        return fid, (result if want_result else None)
+        return fid, result
 
 
 # ---------------------------------------------------------------------------
 # repetition engine (optionally parallel, byte-deterministic)
 # ---------------------------------------------------------------------------
 
+#: repetitions per readout batch; a pool job is one block of one cell
+_BLOCK = 256
+
 #: cells of the pool run, set in each forked worker by its initializer
 _WORKER_CELLS: list = []
 
 
-def _run_job(cells, ci: int, rep: int) -> float:
-    """Fidelity of repetition ``rep`` of cell ``ci``; its noise draws from
-    ``derive_seed(cell seed, rep)``."""
+def _run_block(cells, ci: int, start: int, stop: int) -> list[float]:
+    """Fidelities of repetitions ``start..stop-1`` of cell ``ci``.
+    Repetition r reads filter k on the stream ``derive_seed(cell seed, r,
+    k)``, all drawn in one batch."""
     ctx, noise, eig_keep, as_delta = cells[ci]
-    fid, _ = ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)),
-                          eig_keep=eig_keep, as_delta=as_delta)
-    return fid
+    seeds = derive_seed_array(noise.seed, np.arange(start, stop)[:, None], np.arange(ctx.K))
+    c_hat, _ = measure_batch(ctx.c_true, noise, ctx.operation_time, seeds)
+    return [ctx._score(row, eig_keep, as_delta)[0] for row in c_hat]
 
 
 def _adopt_cells(cells) -> None:
     _WORKER_CELLS[:] = cells
 
 
-def _pool_job(job) -> float:
-    return _run_job(_WORKER_CELLS, *job)
+def _pool_job(job) -> list[float]:
+    return _run_block(_WORKER_CELLS, *job)
 
 
 def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
     """Fidelities of seeded repetitions, shape ``(len(cells), repetitions)``.
 
     A cell is ``(ProtocolContext, NoiseModel, eig_keep, as_delta)``; the
-    noise model's seed is the cell's seed base.  With ``workers > 1`` every
-    (cell, repetition) job runs in one fork pool; where fork is unavailable
-    the jobs run serially.  Results are stored by index, so the output is
-    the same for any worker count.
+    noise model's seed is the cell's seed base, and repetition r equals
+    ``run_once`` at ``derive_seed(cell seed, r)``.  A job is a block of up
+    to ``_BLOCK`` repetitions of one cell.  With ``workers > 1`` the jobs
+    run in one fork pool; where fork is unavailable they run serially.
+    Results are stored by index, so the output is the same for any worker
+    count.
     """
     cells = list(cells)
     fids = np.zeros((len(cells), repetitions))
-    jobs = list(np.ndindex(fids.shape))
+    jobs = [(ci, start, min(start + _BLOCK, repetitions))
+            for ci in range(len(cells)) for start in range(0, repetitions, _BLOCK)]
+    blocks = None
     if workers > 1 and jobs:
         import multiprocessing as mp
         try:
@@ -392,10 +458,11 @@ def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
             pool = None
         if pool is not None:
             with pool:
-                fids[...] = np.reshape(pool.map(_pool_job, jobs, chunksize=8), fids.shape)
-            return fids
-    for job in jobs:
-        fids[job] = _run_job(cells, *job)
+                blocks = pool.map(_pool_job, jobs, chunksize=1)
+    if blocks is None:
+        blocks = [_run_block(cells, *job) for job in jobs]
+    for (ci, start, stop), block in zip(jobs, blocks):
+        fids[ci, start:stop] = block
     return fids
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, GridRangeError
+from .errors import CalibrationError, GridRangeError, require_finite
 
 
 @dataclass(frozen=True)
@@ -36,6 +36,8 @@ class LorentzianComponent:
     width_scale: float
 
     def __post_init__(self):
+        require_finite(amplitude=self.amplitude, center=self.center,
+                       width_scale=self.width_scale)
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.center < 0:

@@ -11,16 +11,16 @@ assume instantaneous readout between filters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateBasisError, DegenerateComponentsError
 from .filterfn import FrequencyGrid, default_grid, filter_function, overlap_matrix, signal_overlap
 from .modulation import fo_sequence
-from .probe import NoiseModel, measure
+from .probe import NoiseModel, measure_batch
 from .reconstruct import _COND_LIMIT, DEFAULT_TAU, fo_reconstruct
-from .seeding import derive_seed
+from .seeding import derive_seed_array
 from .spectra import CompositeSignal
 
 
@@ -59,12 +59,6 @@ class TrackingRun:
         curve = np.interp(grid, self.sample_times[good], est[good])
         truth = self._truth(grid, which)
         return float(np.sqrt(np.mean((curve - truth) ** 2)))
-
-    def rms_at_samples(self, which: int = 2) -> float:
-        est = self.s2_estimate if which == 2 else self.s1_estimate
-        true = self.s2_true if which == 2 else self.s1_true
-        good = np.isfinite(est)
-        return float(np.sqrt(np.mean((est[good] - true[good]) ** 2)))
 
     def _truth(self, t, which: int):
         s = np.sin(self.params["omega_osc"] * t) ** 2
@@ -106,14 +100,15 @@ def track_fo(signal: CompositeSignal, k_block: int, operation_time: float,
     times = np.zeros(n_blocks)
     est = np.full((n_blocks, 2), np.nan)
     truth = np.zeros((n_blocks, 2))
+    c_true = np.empty((n_blocks, k_block))
     for b in range(n_blocks):
         mids = b * block + (np.arange(k_block) + 0.5) * T
         s1_m, s2_m = signal.weights(mids)
-        c_true = s1_m * c_one + s2_m * c_two
-        block_noise = replace(noise, seed=derive_seed(noise.seed, b))
-        records = [measure(c_true[k], block_noise, T, filter_index=k)
-                   for k in range(k_block)]
-        c_hat = np.array([r.c_estimate for r in records])
+        c_true[b] = s1_m * c_one + s2_m * c_two
+    # block b reads filter k on the stream derive_seed(noise seed, b, k)
+    seeds = derive_seed_array(noise.seed, np.arange(n_blocks)[:, None], np.arange(k_block))
+    c_hats, _ = measure_batch(c_true, noise, T, seeds)
+    for b, c_hat in enumerate(c_hats):
         est[b] = _fit_block(filters, A, c_hat, c_one, c_two, omega_c, eig_keep)
         t_mid = b * block + 0.5 * block
         times[b] = t_mid
@@ -205,15 +200,17 @@ def track_ocf(signal: CompositeSignal, filter_pair, operation_time: float,
     times = np.zeros(n_samples)
     est = np.full((n_samples, 2), np.nan)
     truth = np.zeros((n_samples, 2))
+    # scalar weights per filter midpoint: a vectorized sin may differ from
+    # the scalar one in the last bit, which would move the estimates
+    c_true = np.empty((n_samples, 2))
     for n in range(n_samples):
-        sample_noise = replace(noise, seed=derive_seed(noise.seed, n))
-        c_hat = np.zeros(2)
         for i in range(2):
-            mid = n * block + (i + 0.5) * T
-            s1_m, s2_m = signal.weights(mid)
-            c_true = s1_m * G[i, 0] + s2_m * G[i, 1]
-            rec = measure(c_true, sample_noise, T, filter_index=i)
-            c_hat[i] = rec.c_estimate
+            s1_m, s2_m = signal.weights(n * block + (i + 0.5) * T)
+            c_true[n, i] = s1_m * G[i, 0] + s2_m * G[i, 1]
+    # sample n reads filter i on the stream derive_seed(noise seed, n, i)
+    seeds = derive_seed_array(noise.seed, np.arange(n_samples)[:, None], np.arange(2))
+    c_hats, _ = measure_batch(c_true, noise, T, seeds)
+    for n, c_hat in enumerate(c_hats):
         if np.all(np.isfinite(c_hat)):
             est[n] = np.linalg.solve(G, c_hat)
         times[n] = n * block + 0.5 * block

@@ -20,12 +20,12 @@ def _ini(scenario, **sections):
     return "".join(f"[{name}]\n{body}\n" for name, body in sections.items())
 
 
-def _assert_rejected(tmp_path, capsys, text, location):
+def _assert_rejected(tmp_path, capsys, text, location, flags=("--quick",)):
     """Running ``text`` exits 2 naming ``location`` and writes nothing."""
     path = tmp_path / "bad.ini"
     path.write_text(text)
     out = tmp_path / "out"
-    assert cli.main(["run", str(path), "--quick", "--out-dir", str(out)]) == 2
+    assert cli.main(["run", str(path), *flags, "--out-dir", str(out)]) == 2
     assert f"{location}:" in capsys.readouterr().err
     assert not out.exists()
 
@@ -98,6 +98,15 @@ class TestExitCodes:
     def test_removed_key_is_unknown(self, scenario, section, key, value, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, _ini(scenario, **{section: f"{key} = {value}"}),
                          f"{section}.{key}")
+
+    @pytest.mark.parametrize("scenario, key", [
+        ("time-scan", "T_candidates"), ("gamma-scan", "gamma_values"),
+        ("gamma-scan", "fo_candidates"), ("gamma-scan", "as_candidates"),
+        ("nqubit-scan", "nqubit_values")])
+    def test_empty_list_rejected(self, scenario, key, tmp_path, capsys):
+        # without --quick, which would replace the candidate lists
+        _assert_rejected(tmp_path, capsys, _ini(scenario, protocol=f"{key} ="),
+                         f"protocol.{key}", flags=("--repetitions", "1"))
 
     def test_ocf_has_no_grid_section(self, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, _ini("ocf", grid="spacing = 0.005"), "grid")

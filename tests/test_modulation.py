@@ -9,7 +9,6 @@ from noisespec import (ContinuousModulation, GridRangeError, ModulationSet,
                        PulseSequence, as_sequence, eval_continuous,
                        eval_modulation, fo_sequence, repair_switch_times,
                        staircase_split, to_step_function)
-from noisespec.modulation import sequence_from_csv, sequence_to_csv
 
 
 class TestSequences:
@@ -160,13 +159,3 @@ class TestStepFunction:
         times = repair_switch_times([-1.0, 2.0, 9.0], 5.0)
         assert times[0] > 0 and times[-1] < 5.0
         assert times.size == 3
-
-
-def test_sequence_csv_round_trip(tmp_path):
-    seq = fo_sequence(5, 20, 11.5, 5.0)
-    path = tmp_path / "seq.csv"
-    sequence_to_csv(seq, path)
-    back = sequence_from_csv(path)
-    assert back.duration == seq.duration
-    assert back.initial_sign == seq.initial_sign
-    np.testing.assert_allclose(back.switch_times, seq.switch_times)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noisespec import (SpectralDensity, UndefinedObjectiveError,
-                       staircase_split, xi_normalized, xi_objective)
+                       staircase_split, xi_normalized)
 from noisespec.filterfn import FilterFunction, FrequencyGrid, continuous_norm
 from noisespec.modulation import PulseSequence
 from noisespec.ocf import (OcfProblem, ocf_grid, optimize_continuous,
@@ -41,14 +41,14 @@ class TestObjective:
         spec = SpectralDensity.from_grid(grid.omegas, svals)
         filt = FilterFunction(grid=grid, values=fvals, generator=None,
                               operation_time=5.0)
-        assert xi_objective(filt, spec, 10.0) == pytest.approx(0.0, abs=1e-9)
+        assert xi_normalized(filt, spec, 10.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_zero_filter_rejected(self):
         grid = FrequencyGrid(30.0, 301)
         filt = FilterFunction(grid=grid, values=np.zeros(grid.size),
                               generator=None, operation_time=5.0)
         with pytest.raises(UndefinedObjectiveError):
-            xi_objective(filt, LORENTZIAN, 10.0)
+            xi_normalized(filt, LORENTZIAN, 10.0)
 
     def test_cauchy_schwarz_ceiling(self):
         grid = ocf_grid(10.0)

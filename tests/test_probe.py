@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from noisespec import (FrequencyGrid, NoiseModel, SpectralDensity,
-                       UnsupportedOracleError, as_sequence, autocorrelation,
-                       chi_time_domain, filter_function, fo_sequence,
-                       invert_probability, measure, relative_error_factor,
+from noisespec import (ContinuousModulation, FrequencyGrid, LorentzianComponent,
+                       NoiseModel, NoiseSpecError, NonFiniteInputError,
+                       SpectralDensity, UnsupportedOracleError, as_sequence,
+                       autocorrelation, chi_time_domain, filter_function,
+                       fo_sequence, invert_probability, measure, measure_batch,
                        signal_overlap, staircase_split, survival_probability)
 from noisespec.probe import _StepAutocorrelation
 from noisespec.modulation import PulseSequence, to_step_function
-from noisespec.seeding import derive_seed
+from noisespec.seeding import (derive_seed, derive_seed_array, first_uniform,
+                               make_rng, splitmix64, splitmix64_array)
+
+EDGE_SEEDS = [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
 
 
 class TestSurvivalProbability:
@@ -50,6 +54,107 @@ class TestNonFiniteInput:
         assert survival_probability(math.inf, 0.1, 5.0) == 0.5
         rec = measure(math.inf, NoiseModel(gamma=0.1, seed=1), 5.0)
         assert rec.saturated and rec.c_estimate == math.inf
+
+    @pytest.mark.parametrize("build", [
+        lambda: NoiseModel(gamma=math.nan),
+        lambda: NoiseModel(gamma=math.inf),
+        lambda: LorentzianComponent(math.nan, 1.0, 1.0),
+        lambda: FrequencyGrid(math.inf, 10),
+        lambda: ContinuousModulation(duration=math.nan),
+    ], ids=["noise-gamma-nan", "noise-gamma-inf", "lorentzian-nan", "grid-inf",
+            "continuous-duration-nan"])
+    def test_constructor_rejects(self, build):
+        with pytest.raises(NonFiniteInputError) as info:
+            build()
+        assert isinstance(info.value, NoiseSpecError)
+        assert isinstance(info.value, ValueError)
+
+
+def _reference_readout(c, gamma, T, dp, stream_seed):
+    """One readout spelled out with numpy's generator and libm scalars."""
+    p = 0.5 * (1.0 - math.exp(-c - gamma * T))
+    if dp > 0:
+        p = p + make_rng(stream_seed).uniform(-dp, dp)
+    p = min(1.0, max(0.0, p))
+    if p >= 0.5 - 1e-9:
+        return math.inf, True
+    return max(0.0, -math.log1p(-2.0 * p) - gamma * T), False
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestExactStream:
+    """The vectorized readout stream equals numpy's generator bit for bit;
+    a numpy release that changes SeedSequence or PCG64 fails here."""
+
+    def test_splitmix_and_derive_seed_arrays(self):
+        rng = np.random.default_rng(1)
+        xs = [int(v) for v in rng.integers(0, 2 ** 63, 200)] + EDGE_SEEDS
+        assert splitmix64_array(np.array(xs, dtype=np.uint64)).tolist() == [
+            splitmix64(x) for x in xs]
+        masters = xs[:20] + [-7, 2 ** 70 + 5]
+        got = derive_seed_array(np.array(masters[:20], dtype=np.uint64)[:, None, None],
+                                np.arange(3)[:, None], np.arange(4))
+        assert got.shape == (20, 3, 4)
+        for i, m in enumerate(masters[:20]):
+            for r in range(3):
+                for k in range(4):
+                    assert int(got[i, r, k]) == derive_seed(m, r, k)
+        for m in masters:
+            assert int(derive_seed_array(m, 5, -1)) == derive_seed(m, 5, -1)
+
+    @pytest.mark.parametrize("dp", [0.0, 0.01, 0.49])
+    def test_first_uniform_matches_generator(self, dp):
+        rng = np.random.default_rng(2)
+        seeds = EDGE_SEEDS + [int(v) for v in rng.integers(0, 2 ** 64, 3000,
+                                                           dtype=np.uint64)]
+        expected = [make_rng(s).uniform(-dp, dp) for s in seeds]
+        got = first_uniform(np.array(seeds, dtype=np.uint64), -dp, dp)
+        np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+    @pytest.mark.parametrize("dp", [0.0, 0.01, 0.49])
+    def test_measure_batch_matches_reference(self, dp):
+        gamma, T = 0.4, 2.0
+        # 0 and a large c saturate at the top or clamp at the bottom
+        c = np.array([0.0, 1e-6, 0.3, 1.0, 2.5, 40.0, math.inf])
+        rng = np.random.default_rng(3)
+        masters = EDGE_SEEDS + [int(v) for v in rng.integers(0, 2 ** 64, 60,
+                                                             dtype=np.uint64)]
+        seeds = derive_seed_array(np.array(masters, dtype=np.uint64)[:, None],
+                                  np.arange(c.size))
+        # the edge seeds are also drawn as stream seeds themselves
+        seeds[:len(EDGE_SEEDS), 0] = EDGE_SEEDS
+        c_hat, saturated = measure_batch(c, NoiseModel(dp_max=dp, gamma=gamma), T, seeds)
+        assert c_hat.shape == saturated.shape == seeds.shape
+        assert saturated.any() and not saturated.all()
+        for (r, k), s in np.ndenumerate(seeds):
+            ref_c, ref_sat = _reference_readout(float(c[k]), gamma, T, dp, int(s))
+            assert _bits(c_hat[r, k]) == _bits(ref_c)
+            assert saturated[r, k] == ref_sat
+
+    def test_measure_is_the_batch_view(self):
+        noise = NoiseModel(dp_max=0.05, gamma=0.1, seed=2 ** 64 - 1)
+        c = np.array([0.2, 0.9, 3.0])
+        c_hat, saturated = measure_batch(c, noise, 5.0,
+                                         derive_seed_array(noise.seed, np.arange(3)))
+        for k in range(3):
+            rec = measure(c[k], noise, 5.0, filter_index=k)
+            assert _bits(rec.c_estimate) == _bits(c_hat[k])
+            assert rec.saturated == saturated[k]
+
+    def test_shots_fallback_equals_measure(self):
+        noise = NoiseModel(dp_max=0.01, shots=500, seed=17)
+        c = np.array([[0.5, 1.0, 2.0], [0.1, 4.0, 30.0]])
+        seeds = derive_seed_array(noise.seed, np.arange(2)[:, None], np.arange(3))
+        c_hat, saturated = measure_batch(c, noise, 3.0, seeds)
+        for r in range(2):
+            row_noise = NoiseModel(dp_max=0.01, shots=500, seed=derive_seed(17, r))
+            for k in range(3):
+                rec = measure(c[r, k], row_noise, 3.0, filter_index=k)
+                assert _bits(rec.c_estimate) == _bits(c_hat[r, k])
+                assert rec.saturated == saturated[r, k]
 
 
 class TestInversion:
@@ -98,25 +203,6 @@ class TestMeasure:
         c = measure(1.0, NoiseModel(dp_max=0.01, seed=42), 5.0, filter_index=4)
         assert a == b
         assert a.p_measured != c.p_measured
-
-
-class TestRelativeErrorFactor:
-    def test_minimum_at_one(self):
-        assert relative_error_factor(1.0, 0.0, 1.0) == pytest.approx(math.e)
-        for c in (0.3, 0.7, 1.5, 3.0):
-            assert relative_error_factor(c, 0.0, 1.0) >= math.e
-
-    def test_half_vs_one_ratio(self):
-        ratio = relative_error_factor(0.5, 0.0, 1.0) / relative_error_factor(1.0, 0.0, 1.0)
-        assert ratio == pytest.approx(1.2130613194252668)
-
-    def test_dephasing_multiplier(self):
-        assert relative_error_factor(1.0, 0.4, 5.0) == pytest.approx(
-            math.e * math.exp(2.0))
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            relative_error_factor(0.0, 0.0, 1.0)
 
 
 class TestAutocorrelation:

@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import multiprocessing.pool
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +9,12 @@ import pytest
 from noisespec import (DegenerateBasisError, NoiseModel, SpectralDensity,
                        UndefinedFidelityError, as_reconstruct, default_grid,
                        fidelity, filter_function, fo_reconstruct, fo_sequence,
-                       measure, overlap_matrix, run_repetitions, scan_optimal_time)
+                       measure, measure_batch, overlap_matrix, run_repetitions,
+                       scan_optimal_time)
 from noisespec import cli
 from noisespec.filterfn import FilterFunction, signal_overlap
 from noisespec.reconstruct import DEFAULT_TAU, ProtocolContext, bin_matrix
-from noisespec.seeding import derive_seed
+from noisespec.seeding import derive_seed, derive_seed_array
 
 OMEGA_C = 10.0
 
@@ -243,7 +245,24 @@ def engine_cells():
             (fo, NoiseModel(dp_max=0.05, shots=200, seed=derive_seed(5, 2)), 4, False)]
 
 
+@pytest.fixture(scope="module")
+def run_once_fidelities(engine_cells):
+    """``run_once`` of each engine cell at its first 257 repetition seeds."""
+    return np.array([[ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)),
+                                   eig_keep=eig_keep, as_delta=as_delta)[0]
+                      for rep in range(257)]
+                     for ctx, noise, eig_keep, as_delta in engine_cells])
+
+
 class TestRepetitionEngine:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("repetitions", [1, 255, 256, 257])
+    def test_blocks_equal_run_once(self, engine_cells, run_once_fidelities,
+                                   repetitions, workers):
+        # 256 repetitions make one block: these counts cross its edges
+        fids = run_repetitions(engine_cells, repetitions, workers=workers)
+        np.testing.assert_array_equal(fids, run_once_fidelities[:, :repetitions])
+
     def test_worker_count_keeps_every_fidelity(self, engine_cells):
         serial = run_repetitions(engine_cells, 6)
         assert serial.shape == (3, 6)
@@ -279,3 +298,79 @@ class TestRepetitionEngine:
         cfg = cli.preset_config("fig3-fidelity-vs-gamma", quick=True)
         cli.run_scenario(cfg, str(tmp_path), workers=2)
         assert len(pools) == 1
+
+
+def _estimate_rows(ctx, noise, repetitions):
+    """Inverted readouts of ``repetitions`` runs, as the engine draws them."""
+    seeds = derive_seed_array(noise.seed, np.arange(repetitions)[:, None],
+                              np.arange(ctx.K))
+    return measure_batch(ctx.c_true, noise, ctx.operation_time, seeds)[0]
+
+
+@pytest.fixture(scope="module")
+def two_line_spectrum():
+    return SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
+
+
+class TestCachedDecomposition:
+    """A context's cached decomposition gives the same bytes as a fresh one."""
+
+    @pytest.mark.parametrize("eig_keep", [DEFAULT_TAU, 7, "cv"])
+    @pytest.mark.parametrize("saturate", [False, True], ids=["finite", "saturated"])
+    def test_fo_equals_uncached(self, two_line_spectrum, eig_keep, saturate):
+        ctx = ProtocolContext("fo", two_line_spectrum, 5.0)
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.1, seed=11), 6)
+        if saturate:
+            rows[:, [3, 11]] = math.inf
+        for row in rows:
+            fid, result = ctx._score(row, eig_keep, False)
+            ref = fo_reconstruct(ctx.filters, row, OMEGA_C, eig_keep=eig_keep,
+                                 overlap=ctx.overlap)
+            assert result.values.tobytes() == ref.values.tobytes()
+            assert result.retained_count == ref.retained_count
+            np.testing.assert_array_equal(result.kept_indices, ref.kept_indices)
+            assert fid == fidelity(ctx.spectrum, ref, ctx.fidelity_points)
+
+    def test_fo_readouts_that_saturate(self, two_line_spectrum):
+        # gamma * T = 1.5 puts the largest coefficients within dp of p = 1/2
+        ctx = ProtocolContext("fo", two_line_spectrum, 5.0)
+        noise = NoiseModel(dp_max=0.02, gamma=0.3, seed=4)
+        rows = _estimate_rows(ctx, noise, 40)
+        assert np.isinf(rows).any(axis=1).sum() >= 5
+        assert np.isfinite(rows).all(axis=1).sum() >= 5
+        for rep, row in enumerate(rows):
+            fid, _ = ctx._score(row, DEFAULT_TAU, False)
+            try:
+                ref = fidelity(ctx.spectrum,
+                               fo_reconstruct(ctx.filters, row, OMEGA_C, overlap=ctx.overlap),
+                               ctx.fidelity_points)
+            except DegenerateBasisError:
+                ref = 0.0
+            assert fid == ref
+            # run_once draws the same row from the repetition's own seed
+            once, _ = ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)))
+            assert once == fid
+
+    @pytest.mark.parametrize("as_delta", [False, True])
+    @pytest.mark.parametrize("saturate", [False, True], ids=["finite", "saturated"])
+    def test_as_equals_uncached(self, two_line_spectrum, as_delta, saturate):
+        ctx = ProtocolContext("as", two_line_spectrum, 10.0)
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.02, seed=12), 6)
+        if saturate:
+            rows[:, [0, 7]] = math.inf
+        for row in rows:
+            fid, result = ctx._score(row, DEFAULT_TAU, as_delta)
+            ref = as_reconstruct(ctx.filters, row, ctx.omega_max, delta_approx=as_delta)
+            assert result.values.tobytes() == ref.values.tobytes()
+            assert result.condition_number == ref.condition_number or as_delta
+            assert fid == fidelity(ctx.spectrum, ref, ctx.fidelity_points)
+
+    def test_run_once_equals_readout_by_readout(self, two_line_spectrum):
+        ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
+        noise = NoiseModel(dp_max=0.01, gamma=0.2, seed=8)
+        c_hat = np.array([measure(ctx.c_true[k], noise, 2.0, filter_index=k).c_estimate
+                          for k in range(ctx.K)])
+        ref = fo_reconstruct(ctx.filters, c_hat, OMEGA_C, overlap=ctx.overlap)
+        fid, result = ctx.run_once(noise, want_result=True)
+        assert result.values.tobytes() == ref.values.tobytes()
+        assert fid == fidelity(ctx.spectrum, ref, ctx.fidelity_points)
