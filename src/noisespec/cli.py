@@ -252,9 +252,17 @@ def validate_config(raw: dict) -> dict:
                 raise ConfigError("missing required key", location=location)
             else:
                 out[key] = copy.deepcopy(default)
-    if cfg["spectrum"]["components"] is None and cfg["spectrum"]["csv"] is None:
-        raise ConfigError("need either components or csv",
-                          location="spectrum.components")
+    for section in ("spectrum", "spectrum2"):
+        if section not in cfg:
+            continue
+        key = "csv" if cfg[section]["components"] is None else "components"
+        if cfg[section][key] is None:
+            raise ConfigError("need either components or csv",
+                              location=f"{section}.components")
+        try:
+            _spectrum_from(cfg[section])
+        except (ValueError, OSError) as exc:
+            raise ConfigError(str(exc), location=f"{section}.{key}") from exc
     if cfg["run"]["repetitions"] < 1:
         raise ConfigError(f"must be >= 1, got {cfg['run']['repetitions']}",
                           location="run.repetitions")

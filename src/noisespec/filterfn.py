@@ -29,6 +29,10 @@ Conventions:
   sample at ``omega_c`` reaches half a cell past it.
 * A sum repeats bit for bit for a fixed order of terms, but splitting its
   terms into partial sums changes the result by a few ulps.
+
+scipy is imported only when :meth:`FilterFunction.tail_integral` runs (the
+sine integral).  No preset run calls it, nor the oracle and ML helpers that
+import scipy the same way, so a run loads numpy alone.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import sici
+# loaded here so a run's first Gauss panel does not pay numpy's lazy import
+import numpy.polynomial.legendre  # noqa: F401
 
 from .errors import GridMismatchError, GridRangeError, require_finite
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
@@ -269,6 +274,8 @@ class FilterFunction:
             raise ValueError("analytic tail requires a pulse-train generator")
         if omega_from <= 0:
             raise ValueError("omega_from must be > 0")
+        from scipy.special import sici
+
         bounds, values = to_step_function(self.generator)
         points, coeffs = bounds, _boundary_coefficients(bounds, values)
         total = float(np.sum(coeffs ** 2)) / omega_from

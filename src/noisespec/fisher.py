@@ -5,6 +5,9 @@ Each binary-outcome filter measurement contributes a rank-one term
 kept in factored form (weights plus filter directions), never assembled
 densely.  Directional information along a trial spectrum gives the
 Cramer-Rao lower bound on the deviation coefficient in that direction.
+scipy is imported only when :func:`ml_deviation_estimate` runs (its root
+finder).  No preset run calls it, nor the oracle and tail helpers that
+import scipy the same way.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import EmptyOperatorError
 from .filterfn import FilterFunction, overlap_matrix, signal_overlap
@@ -135,5 +137,7 @@ def ml_deviation_estimate(c_base, d_overlaps, counts, shots: int,
     if s_lo * s_hi > 0:
         # score monotone side: estimate pinned at the admissible boundary
         return lo if abs(s_lo) < abs(s_hi) else hi
+    from scipy.optimize import brentq
+
     return float(brentq(score, lo, hi, xtol=1e-12, rtol=1e-12))
 

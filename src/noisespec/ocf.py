@@ -7,6 +7,14 @@ random trigonometric basis frequencies, runs a bounded Nelder-Mead search
 over their coefficients, and keeps the candidate only if it improves the
 best objective so far.  Out-of-band filter weight is discouraged by a
 penalty on the normalized filter (see ``_Objective``).
+
+The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 308 (1965)) is written
+here rather than taken from ``scipy.optimize``, whose import costs more than
+most preset runs; with it, no preset run loads scipy.  It performs the same
+float operations in the same order as scipy's ``minimize(...,
+method="Nelder-Mead")`` for the one call made here, and
+``tests/test_ocf.py::TestNelderMead`` pins the iterates to scipy's bit for
+bit.
 """
 
 from __future__ import annotations
@@ -15,7 +23,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import UndefinedObjectiveError
 from .filterfn import FilterFunction, FrequencyGrid, filter_function, filter_values
@@ -137,17 +144,78 @@ def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
     return xi / obj.s_norm
 
 
-def _simplex(dim: int, step: float) -> np.ndarray:
-    simplex = np.zeros((dim + 1, dim))
-    simplex[1:, :] = step * np.eye(dim)
-    return simplex
+class _BudgetSpent(Exception):
+    """The evaluation budget ran out in the middle of a search step."""
+
+
+def _by_value(sim: np.ndarray, fsim: np.ndarray):
+    ind = np.argsort(fsim)
+    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
 
 
 def _inner_search(fun, dim: int, step: float, max_evals: int) -> np.ndarray:
-    res = minimize(fun, np.zeros(dim), method="Nelder-Mead",
-                   options={"maxfev": max_evals, "initial_simplex": _simplex(dim, step),
-                            "xatol": 1e-10, "fatol": 1e-12})
-    return res.x
+    """Best vertex of a Nelder-Mead search over ``dim`` coefficients from
+    the simplex at zero with edges ``step``.
+
+    Standard coefficients, no bounds.  Every float expression, the two
+    sorts after the initial simplex and the one after each step follow
+    scipy's ``_minimize_neldermead``, so ties (several ``inf`` values)
+    break the same way.  An evaluation past ``max_evals`` ends the step
+    where it stands, inside the initial simplex or a shrink included.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    xatol, fatol = 1e-10, 1e-12
+    sim = np.zeros((dim + 1, dim))
+    sim[1:, :] = step * np.eye(dim)
+    fsim = np.full((dim + 1,), np.inf, dtype=float)
+    evals = 0
+
+    def f(x):
+        nonlocal evals
+        if evals >= max_evals:
+            raise _BudgetSpent
+        evals += 1
+        return fun(np.copy(x))
+
+    try:
+        for k in range(dim + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetSpent:
+        pass
+    sim, fsim = _by_value(*_by_value(sim, fsim))
+    while evals < max_evals:
+        try:
+            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / dim
+            xr = (1 + rho) * xbar - rho * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = (1 - psi) * xbar + psi * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, dim + 1):
+                        sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+        except _BudgetSpent:
+            pass
+        sim, fsim = _by_value(sim, fsim)
+    return sim[0]
 
 
 def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:

@@ -12,7 +12,9 @@ and would move the written outputs.
 The oracle recomputes ``chi = 4 * double-integral of y(t') y(t'')
 g(t' - t'')`` entirely in the time domain, with the autocorrelation ``g``
 of the even spectral extension in closed form, so it shares nothing with
-the frequency-grid pipeline it cross-checks.
+the frequency-grid pipeline it cross-checks.  scipy is imported only when
+:func:`autocorrelation` runs (the exponential integral).  No preset run
+calls it, nor the tail and ML helpers that import scipy the same way.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 from .errors import UnsupportedOracleError, require_finite
 from .modulation import to_step_function
@@ -203,6 +204,8 @@ def autocorrelation(spectrum: SpectralDensity, tau) -> np.ndarray:
     if not spectrum.is_analytic:
         raise UnsupportedOracleError(
             "time-domain oracle supports analytic (Lorentzian mixture) spectra only")
+    from scipy.special import exp1
+
     tau_arr = np.abs(np.atleast_1d(np.asarray(tau, dtype=float)))
     out = np.zeros(tau_arr.shape)
     for comp in spectrum.components:

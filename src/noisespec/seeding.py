@@ -21,6 +21,8 @@ readouts drift.
 from __future__ import annotations
 
 import numpy as np
+# numpy loads numpy.random lazily; load it with the package, not in a run
+import numpy.random  # noqa: F401
 
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1

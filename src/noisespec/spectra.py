@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+# np.median's NaN check loads numpy.ma lazily; load it with the package
+import numpy.ma  # noqa: F401
 
 from .errors import CalibrationError, GridRangeError, require_finite
 

@@ -1,8 +1,13 @@
 import copy
+import json
 import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import noisespec
 from noisespec import cli
 
 PRESET_NAMES = sorted(cli.PRESETS)
@@ -108,6 +113,26 @@ class TestExitCodes:
         _assert_rejected(tmp_path, capsys, _ini(scenario, protocol=f"{key} ="),
                          f"protocol.{key}", flags=("--repetitions", "1"))
 
+    @pytest.mark.parametrize("text, location", [
+        (_ini("reconstruction", spectrum="components =\n  nan 2.0 1.0"),
+         "spectrum.components"),
+        (_ini("time-scan", spectrum="components =\n  1.0 2.0 -1.0"), "spectrum.components"),
+        (_ini("tracking", tracking="omega_osc = 0.01",
+              spectrum2="components =\n  1.0 inf 1.0"), "spectrum2.components"),
+        (_ini("tracking", tracking="omega_osc = 0.01"), "spectrum2.components"),
+    ], ids=["nan-amplitude", "negative-width", "spectrum2-inf-center", "no-spectrum2"])
+    def test_spectrum_built_before_run(self, text, location, tmp_path, capsys):
+        _assert_rejected(tmp_path, capsys, text, location)
+
+    @pytest.mark.parametrize("body", ["0,1.0\n1,nan\n", "0,1.0,2.0\n1,0.5,2.0\n", None],
+                             ids=["nan-sample", "three-columns", "missing-file"])
+    def test_spectrum_csv_read_before_run(self, body, tmp_path, capsys):
+        spectrum = tmp_path / "spectrum.csv"
+        if body is not None:
+            spectrum.write_text(body)
+        _assert_rejected(tmp_path, capsys, _ini("reconstruction", spectrum=f"csv = {spectrum}"),
+                         "spectrum.csv")
+
     def test_ocf_has_no_grid_section(self, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, _ini("ocf", grid="spacing = 0.005"), "grid")
 
@@ -149,6 +174,35 @@ def test_quick_config_file_matches_quick_preset(name, tmp_path, capsys):
     assert _outputs(tmp_path / "file" / name) == preset
 
 
+def test_runs_import_nothing_new(tmp_path):
+    """Importing the CLI loads no scipy, and no preset run imports a numpy
+    or scipy module the import did not load (a lazy import would charge its
+    load to the first run)."""
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from noisespec import cli
+
+        def loaded():
+            return {m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy")}
+
+        at_import = loaded()
+        codes = {}
+        for name in sorted(cli.PRESETS):
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[name] = cli.main(["run", name, "--quick", "--out-dir", sys.argv[1]])
+        print(json.dumps({"scipy": sorted(m for m in at_import if m.startswith("scipy")),
+                          "new": sorted(loaded() - at_import), "codes": codes}))
+    """)
+    src = os.path.dirname(os.path.dirname(noisespec.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == {name: 0 for name in PRESET_NAMES}
+    assert result["scipy"] == []
+    assert result["new"] == []
+
+
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_preset_config_is_a_fresh_copy(name):
     for quick in (False, True):
@@ -187,7 +241,11 @@ class TestCodec:
         assert parse(fmt(value)) == value
         assert fmt(parse(fmt(value))) == fmt(value)
 
-    def test_config_text_round_trip(self):
+    def test_config_text_round_trip(self, tmp_path, monkeypatch):
+        # validation reads the spectrum a config names
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "spectra").mkdir()
+        (tmp_path / "spectra" / "measured.csv").write_text("0,1.0\n60,0.5\n")
         for text in (
                 _ini("reconstruction", spectrum="csv = spectra/measured.csv",
                      noise="shots = 500", protocol="eig_keep = cv\nas_delta_approx = yes"),

@@ -7,8 +7,9 @@ from noisespec import (SpectralDensity, UndefinedObjectiveError,
                        staircase_split, xi_normalized)
 from noisespec.filterfn import FilterFunction, FrequencyGrid, continuous_norm
 from noisespec.modulation import PulseSequence
-from noisespec.ocf import (OcfProblem, ocf_grid, optimize_continuous,
-                           optimize_discrete, solution_filter)
+from noisespec.ocf import (OcfProblem, _inner_search, ocf_grid,
+                           optimize_continuous, optimize_discrete,
+                           solution_filter)
 from noisespec.seeding import derive_seed
 
 LORENTZIAN = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
@@ -120,3 +121,78 @@ class TestOptimizers:
                     seed=derive_seed(1, r)))
                 for r in range(2)]
         assert sols[0].trace != sols[1].trace
+
+
+def _bowl(x):
+    """Tilted quadratic with its minimum off the initial simplex."""
+    c = np.linspace(0.35, -0.2, x.size)
+    return float(np.sum((1.0 + np.arange(x.size)) * (x - c) ** 2) + 0.3 * x[0] * x[-1])
+
+
+def _walled(x):
+    """The bowl, undefined (inf) beyond a wall across the search region."""
+    return math.inf if x[0] > 0.2 else _bowl(x)
+
+
+def _pinhole(x):
+    """Defined only near the origin: reflections and contractions fail, so
+    every step shrinks, and the initial simplex holds tied infs."""
+    return float(np.sum(x ** 2)) if np.sum(x ** 2) < 0.01 else math.inf
+
+
+def _recorded(objective):
+    """The objective, logging each point and then overwriting its argument
+    (a search that reused the array it passed would go astray)."""
+    points = []
+
+    def fun(x):
+        points.append(x.copy())
+        value = objective(x)
+        x[...] = np.nan
+        return value
+    return fun, points
+
+
+def _scipy_search(fun, dim, step, max_evals):
+    """The call the OCF inner search made through scipy."""
+    from scipy.optimize import minimize
+
+    simplex = np.zeros((dim + 1, dim))
+    simplex[1:, :] = step * np.eye(dim)
+    return minimize(fun, np.zeros(dim), method="Nelder-Mead",
+                    options={"maxfev": max_evals, "initial_simplex": simplex,
+                             "xatol": 1e-10, "fatol": 1e-12}).x
+
+
+def _same_as_scipy(objective, dim, max_evals, step=0.6):
+    """Assert the in-package search evaluates the same points as scipy's and
+    returns the same x, bit for bit; the points."""
+    fun, ours = _recorded(objective)
+    x = _inner_search(fun, dim, step=step, max_evals=max_evals)
+    ref_fun, theirs = _recorded(objective)
+    ref = _scipy_search(ref_fun, dim, step, max_evals)
+    assert len(ours) == len(theirs)
+    assert np.array_equal(np.array(ours), np.array(theirs))
+    assert np.array_equal(x, ref)
+    return ours
+
+
+class TestNelderMead:
+    """The in-package Nelder-Mead against ``scipy.optimize.minimize``."""
+
+    @pytest.mark.parametrize("objective", [_bowl, _walled, _pinhole])
+    @pytest.mark.parametrize("max_evals", [1, 3, 7, 10, 60, 500])
+    @pytest.mark.parametrize("dim", [2, 6])
+    def test_same_points_and_result_as_scipy(self, objective, dim, max_evals):
+        assert len(_same_as_scipy(objective, dim, max_evals)) <= max_evals
+
+    def test_budget_ends_inside_shrink(self):
+        # 7 simplex vertices, a reflection, an inside contraction, then the
+        # first of 6 shrink vertices: the budget stops the shrink
+        points = _same_as_scipy(_pinhole, 6, 10)
+        assert len(points) == 10
+        assert np.count_nonzero(points[-1]) == 1 and np.max(points[-1]) == 0.3
+        assert np.count_nonzero(points[-2]) > 1
+
+    def test_tolerance_stops_early(self):
+        assert len(_same_as_scipy(_bowl, 2, 500)) < 500
