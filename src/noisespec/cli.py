@@ -292,20 +292,28 @@ def validate_config(raw: dict) -> dict:
     return cfg
 
 
-def parse_config_text(text: str) -> dict:
+def _ini_sections(text: str) -> dict:
+    """The sections of INI ``text`` as a nested dict of raw strings."""
     parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    raw = {section: dict(parser.items(section)) for section in parser.sections()}
-    return validate_config(raw)
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+def parse_config_text(text: str) -> dict:
+    return validate_config(_ini_sections(text))
+
+
+def _file_sections(path: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
+        return _ini_sections(fh.read())
 
 
 def load_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    return validate_config(_file_sections(path))
 
 
 def format_config(cfg: dict) -> str:
@@ -781,12 +789,16 @@ def _apply_quick(cfg: dict) -> None:
             cfg["protocol"][key] = cfg["protocol"][key][:n]
 
 
-def preset_config(name: str, quick: bool = False) -> dict:
+def _preset_sections(name: str) -> dict:
+    """A preset's sections, not yet validated."""
     if name not in PRESETS:
         raise ConfigError(f"unknown preset {name!r}; see 'noisespec list'")
     _, scenario, sections = PRESETS[name]
-    cfg = validate_config({"run": {"scenario": scenario, "name": name},
-                           **copy.deepcopy(sections)})
+    return {"run": {"scenario": scenario, "name": name}, **copy.deepcopy(sections)}
+
+
+def preset_config(name: str, quick: bool = False) -> dict:
+    cfg = validate_config(_preset_sections(name))
     if quick:
         _apply_quick(cfg)
     return cfg
@@ -831,20 +843,23 @@ def main(argv=None) -> int:
         if args.command == "export-config":
             print(format_config(preset_config(args.preset, quick=args.quick)))
             return 0
-        # run
+        # run: the sections with the flags' overrides are validated once (a
+        # CSV spectrum is read there and by the runner); the quick budget
+        # then shrinks the config, as it does a validated preset's
         if args.target in PRESETS:
-            cfg = preset_config(args.target, quick=args.quick)
+            raw = _preset_sections(args.target)
         elif os.path.exists(args.target):
-            cfg = load_config(args.target)
-            if args.quick:
-                _apply_quick(cfg)
+            raw = _file_sections(args.target)
         else:
             raise ConfigError(f"{args.target!r} is neither a preset nor a file")
-        if args.seed is not None:
-            cfg["run"]["seed"] = args.seed
-        if args.repetitions is not None:
-            cfg["run"]["repetitions"] = args.repetitions
-        cfg = validate_config(cfg)
+        overrides = {key: value for key, value in (("seed", args.seed),
+                                                   ("repetitions", args.repetitions))
+                     if value is not None}
+        raw.setdefault("run", {}).update(overrides)
+        cfg = validate_config(raw)
+        if args.quick:
+            _apply_quick(cfg)
+            cfg["run"].update(overrides)  # the flags beat the quick budget
         out_dir = os.path.join(args.out_dir, cfg["run"]["name"])
         summary = run_scenario(cfg, out_dir, workers=args.workers)
         for key in sorted(summary):

@@ -1,10 +1,16 @@
 """Fisher information over the function space of spectra.
 
 Each binary-outcome filter measurement contributes a rank-one term
-``w_k |F_k><F_k|`` with weight ``w_k = (1 - p_k) / p_k``; the operator is
-kept in factored form (weights plus filter directions), never assembled
-densely.  Directional information along a trial spectrum gives the
-Cramer-Rao lower bound on the deviation coefficient in that direction.
+``w_k |F_k><F_k|``; the operator is kept in factored form (weights plus
+filter directions), never assembled densely.  The weight is the Bernoulli
+information per shot of the probe's measurement model: filter k survives
+with ``p_k = (1 - exp(-x_k)) / 2``, ``x_k = c_k + gamma*T``, so a change
+``d`` in ``x_k`` carries ``d**2 (dp/dx)**2 / (p (1 - p))``, i.e.
+``w_k = (1 - 2 p_k)**2 / (4 p_k (1 - p_k)) = 1 / (exp(2 x_k) - 1)``.
+``p <= 0`` (``x = 0``) makes the weight diverge and ``p >= 1/2`` carries no
+information; both are excluded.  Directional information along a trial
+spectrum gives the Cramer-Rao lower bound on the deviation coefficient in
+that direction.
 scipy is imported only when :func:`ml_deviation_estimate` runs (its root
 finder).  No preset run calls it, nor the oracle and tail helpers that
 import scipy the same way.
@@ -36,11 +42,11 @@ class FisherOperator:
 
 
 def build_fio(filters, probabilities) -> FisherOperator:
-    """Assemble the information operator from filters and their measured
-    survival probabilities.
+    """Assemble the information operator from filters and their survival
+    probabilities, weighting each by ``(1 - 2p)**2 / (4 p (1 - p))``.
 
-    Filters with ``p <= 0`` (divergent weight) or ``p >= 1`` (zero-information
-    boundary) are excluded and recorded with a reason.
+    Filters with ``p <= 0`` (divergent weight) or ``p >= 1/2`` (zero
+    information) are excluded and recorded with a reason.
     """
     filters = list(filters)
     probs = np.asarray(probabilities, dtype=float)
@@ -52,11 +58,11 @@ def build_fio(filters, probabilities) -> FisherOperator:
     for k, (f, p) in enumerate(zip(filters, probs)):
         if not math.isfinite(p) or p <= 0.0:
             excluded.append((k, "divergent-weight"))
-        elif p >= 1.0:
+        elif p >= 0.5:
             excluded.append((k, "zero-weight"))
         else:
             kept.append(f)
-            weights.append((1.0 - p) / p)
+            weights.append((1.0 - 2.0 * p) ** 2 / (4.0 * p * (1.0 - p)))
     if not kept:
         raise EmptyOperatorError("all probabilities degenerate; empty operator")
     return FisherOperator(filters=tuple(kept), weights=np.asarray(weights),

@@ -8,6 +8,23 @@ Two estimators are implemented on top of the same measurement chain:
 * pointwise ("as"): solve a binned linear system mapping per-bin spectral
   weight to the measured coefficients, yielding the spectrum at the K
   discrete frequencies ``omega_max * k / K``.
+
+Both estimates are linear in the K coefficients once the retention rule is
+fixed, so a repetition's fidelity is a cosine taken after a linear map
+``W`` (K x P, P fidelity points) of its estimates.  A
+:class:`ProtocolContext` builds ``W`` once per retention rule and scores a
+whole block of fully finite repetitions through it.  Every sum in that
+kernel runs in a fixed order of elementwise numpy operations, so a
+repetition's fidelity does not depend on the block size, its position in
+the block or the BLAS build.  It agrees with the per-row reference
+``fidelity(spectrum, fo_reconstruct(...) / as_reconstruct(...), points)``
+within 1e-12 where the inverted system is well conditioned, as under
+``DEFAULT_TAU`` (condition number at most 1/tau = 500).  The two round
+differently, so the gap grows with the condition number: measured 1e-12
+for an as system at 5e6, 7e-13 and 2e-10 for fo retaining terms down to
+1e-9 and 1e-14 of the largest eigenvalue.  Rows with a saturated readout,
+the ``"cv"`` rule and degenerate inversions are scored by the per-row
+reference.
 """
 
 from __future__ import annotations
@@ -63,11 +80,17 @@ class ReconstructionResult:
 
     def evaluate(self, omega) -> np.ndarray:
         """Estimate at ``omega`` (linear interpolation between samples)."""
-        omega = np.asarray(omega, dtype=float)
-        lo, hi = self.omegas[0], self.omegas[-1]
-        if np.any(omega < lo - 1e-9) or np.any(omega > hi + 1e-9):
-            raise GridRangeError(f"omega outside estimate range [{lo}, {hi}]")
-        return np.interp(omega, self.omegas, self.values)
+        return _interp(omega, self.omegas, self.values)
+
+
+def _interp(omega, omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``values`` sampled at ``omegas``, linearly interpolated at ``omega``;
+    a point outside the samples raises :class:`GridRangeError`."""
+    omega = np.asarray(omega, dtype=float)
+    lo, hi = omegas[0], omegas[-1]
+    if np.any(omega < lo - 1e-9) or np.any(omega > hi + 1e-9):
+        raise GridRangeError(f"omega outside estimate range [{lo}, {hi}]")
+    return np.interp(omega, omegas, values)
 
 
 def _finite_mask(c_estimates, saturated=None) -> np.ndarray:
@@ -206,6 +229,14 @@ class _FOSystem:
             params={"omega_c": self.omega_c, "eig_keep": eig_keep,
                     "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
 
+    def linear_map(self, retained: int, points: np.ndarray) -> np.ndarray:
+        """Map ``W`` with ``c @ W`` the estimate at ``points`` when the
+        leading ``retained`` terms are kept: ``U_r diag(1/lam_r) U_r^T G``,
+        where row k of ``G`` is kept filter k interpolated at ``points``."""
+        U_r = self.U[:, :retained]
+        G = np.array([_interp(points, self.omegas, row) for row in self.stacked])
+        return (U_r / self.lam[:retained]) @ (U_r.T @ G)
+
 
 def bin_matrix(filters, omega_max: float) -> np.ndarray:
     """Per-bin filter weight ``M_kl = integral_{bin l} F_k domega`` with K
@@ -247,13 +278,18 @@ def _condition_number(M: np.ndarray) -> float:
     return float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
 
 
+def _pointwise_omegas(omega_max: float, K: int) -> np.ndarray:
+    """The K frequencies ``omega_max * k / K`` of a pointwise estimate."""
+    return omega_max * np.arange(1, K + 1) / K
+
+
 def _as_solve(M: np.ndarray, c: np.ndarray, omega_max: float, mask: np.ndarray,
               delta_approx: bool, full_condition: float | None = None) -> ReconstructionResult:
     """:func:`as_reconstruct` on the rows of ``M`` and ``c`` that ``mask``
     keeps.  ``full_condition``, when given, is the condition number of the
     whole of ``M``; it stands in for the SVD when no row is dropped."""
     K = M.shape[0]
-    omega_points = omega_max * np.arange(1, K + 1) / K
+    omega_points = _pointwise_omegas(omega_max, K)
     kept = np.flatnonzero(mask)
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
@@ -306,6 +342,30 @@ def _cosine(s_true: np.ndarray, n_true: float, s_est: np.ndarray) -> float:
     return float(np.dot(s_true, s_est) / (n_true * n_est))
 
 
+def _cosine_rows(s_true: np.ndarray, n_true: float, c_rows: np.ndarray,
+                 W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cosine of ``s_true`` (of norm ``n_true``) with each row's estimate
+    ``c_rows[r] @ W``, and the mask of rows whose estimate is zero (they
+    score 0).  The estimate, the inner product and the squared norm are
+    each summed term by term in a fixed order, one elementwise multiply and
+    add per term, so a row's bits depend neither on the other rows nor on
+    BLAS."""
+    terms = c_rows.T
+    s_est = np.multiply.outer(W[0], terms[0])  # P x R
+    for w, c in zip(W[1:], terms[1:]):
+        s_est += np.multiply.outer(w, c)
+    dot = s_true[0] * s_est[0]
+    sq = s_est[0] * s_est[0]
+    for s, est in zip(s_true[1:], s_est[1:]):
+        dot += s * est
+        sq += est * est
+    n_est = np.sqrt(sq)
+    zero = n_est == 0.0
+    fids = np.zeros(n_est.size)
+    np.divide(dot, n_true * n_est, out=fids, where=~zero)
+    return fids, zero
+
+
 # ---------------------------------------------------------------------------
 # protocol runner
 # ---------------------------------------------------------------------------
@@ -318,9 +378,17 @@ class ProtocolContext:
     overlap/bin matrices, the decomposition of the full filter set ("fo":
     overlap eigensystem and filter rows up to the cutoff; "as": the bin
     matrix's condition number) and the true spectrum with its norm at the
-    fidelity points.  Per-repetition work reduces to drawing noise and
-    solving small systems; a repetition in which a readout saturated drops
-    filters and decomposes its own subset, as without the cache.
+    fidelity points.  Per retention rule it also keeps the linear map from
+    a fully finite row of estimates to the estimate at the fidelity points
+    ("fo": ``U_r diag(1/lam_r) U_r^T`` times the filters interpolated at the
+    points; "as": ``M^-T`` or, with ``as_delta``, ``diag(1/diag M)`` times
+    the interpolation weights), so :meth:`_score_block` scores a block of
+    repetitions with a few elementwise operations.  A repetition's fidelity
+    is a fixed-order sum, the same in any block and on any BLAS, and agrees
+    with the per-row reference within 1e-12 where the inverted system is
+    well conditioned (see the module docstring).  A repetition in which a
+    readout saturated drops filters and decomposes its own subset, as
+    without the cache; so do the ``"cv"`` rule and degenerate inversions.
     """
 
     def __init__(self, protocol: str, spectrum: SpectralDensity, operation_time: float,
@@ -371,6 +439,7 @@ class ProtocolContext:
             except DegenerateBasisError:
                 pass  # every repetition degenerates too and scores 0
         self._bins_condition = _condition_number(self.bins) if protocol == "as" else None
+        self._maps = {}  # retained count ("fo") or as_delta ("as") -> map or None
 
     def run_once(self, noise: NoiseModel, eig_keep=DEFAULT_TAU,
                  want_result: bool = False, as_delta: bool = False):
@@ -385,23 +454,79 @@ class ProtocolContext:
         return fid, (result if want_result else None)
 
     def _score(self, c_hat: np.ndarray, eig_keep, as_delta: bool):
-        """(fidelity, result-or-None) of one repetition's K estimates."""
+        """(fidelity, result-or-None) of one repetition's K estimates.  The
+        result is always the per-row solve; a fully finite row with a linear
+        map takes its fidelity from the block kernel, as in any block."""
+        finite = np.isfinite(c_hat)
+        W = self._linear_map(eig_keep, as_delta) if finite.all() else None
         try:
             if self.protocol == "as":
-                result = _as_solve(self.bins, c_hat, self.omega_max, np.isfinite(c_hat),
+                result = _as_solve(self.bins, c_hat, self.omega_max, finite,
                                    as_delta, self._bins_condition)
-            elif self._fo_full is not None and np.isfinite(c_hat).all():
+            elif self._fo_full is not None and finite.all():
                 result = self._fo_full.solve(c_hat, eig_keep)
             else:
                 result = fo_reconstruct(self.filters, c_hat, self.omega_c,
                                         eig_keep=eig_keep, overlap=self.overlap)
-            s_est = np.asarray(result.evaluate(self.fidelity_points), dtype=float)
-            fid = _cosine(self._s_true, self._n_true, s_est)
+            if W is None:
+                s_est = np.asarray(result.evaluate(self.fidelity_points), dtype=float)
+                fid = _cosine(self._s_true, self._n_true, s_est)
+            else:
+                fids, zero = _cosine_rows(self._s_true, self._n_true, c_hat[None, :], W)
+                if zero[0]:
+                    raise UndefinedFidelityError("fidelity undefined for a zero estimate")
+                fid = float(fids[0])
         except (DegenerateBasisError, IllConditionedInversionError,
                 UndefinedFidelityError):
             return 0.0, None
         result.fidelity = fid
         return fid, result
+
+    def _score_block(self, c_hat: np.ndarray, eig_keep, as_delta: bool) -> np.ndarray:
+        """Fidelities of a block of repetitions, one row of K estimates
+        each: the fully finite rows through the linear map at once, every
+        other row by :meth:`_score`."""
+        W = self._linear_map(eig_keep, as_delta)
+        mapped = np.isfinite(c_hat).all(axis=1) & (W is not None)
+        fids = np.zeros(len(c_hat))
+        if mapped.any():
+            fids[mapped] = _cosine_rows(self._s_true, self._n_true, c_hat[mapped], W)[0]
+        for r in np.flatnonzero(~mapped):
+            fids[r] = self._score(c_hat[r], eig_keep, as_delta)[0]
+        return fids
+
+    def _linear_map(self, eig_keep, as_delta: bool) -> np.ndarray | None:
+        """The K x P map from a fully finite row of estimates to the estimate
+        at the fidelity points, built once per retention rule; None where
+        rows take the per-row path: the ``"cv"`` rule, a degenerate full
+        basis, a rule that retains nothing, an as system past the condition
+        limit, or a map that is not finite."""
+        if self.protocol == "as":
+            key = bool(as_delta)
+        elif isinstance(eig_keep, str) or self._fo_full is None:
+            return None
+        else:
+            key = _retained_count(self._fo_full.lam, eig_keep)
+        if key not in self._maps:
+            self._maps[key] = self._build_map(key)
+        return self._maps[key]
+
+    def _build_map(self, key) -> np.ndarray | None:
+        if self.protocol == "fo":
+            if key == 0:
+                return None
+            W = self._fo_full.linear_map(key, self.fidelity_points)
+        else:
+            omega_points = _pointwise_omegas(self.omega_max, self.K)
+            weights = np.array([_interp(self.fidelity_points, omega_points, unit)
+                                for unit in np.eye(self.K)])
+            if key:
+                W = weights / np.diag(self.bins)[:, None]
+            elif math.isfinite(self._bins_condition) and self._bins_condition <= _COND_LIMIT:
+                W = np.linalg.solve(self.bins.T, weights)
+            else:
+                return None
+        return W if np.isfinite(W).all() else None
 
 
 # ---------------------------------------------------------------------------
@@ -415,21 +540,21 @@ _BLOCK = 256
 _WORKER_CELLS: list = []
 
 
-def _run_block(cells, ci: int, start: int, stop: int) -> list[float]:
+def _run_block(cells, ci: int, start: int, stop: int) -> np.ndarray:
     """Fidelities of repetitions ``start..stop-1`` of cell ``ci``.
     Repetition r reads filter k on the stream ``derive_seed(cell seed, r,
-    k)``, all drawn in one batch."""
+    k)``, all drawn and scored in one batch."""
     ctx, noise, eig_keep, as_delta = cells[ci]
     seeds = derive_seed_array(noise.seed, np.arange(start, stop)[:, None], np.arange(ctx.K))
     c_hat, _ = measure_batch(ctx.c_true, noise, ctx.operation_time, seeds)
-    return [ctx._score(row, eig_keep, as_delta)[0] for row in c_hat]
+    return ctx._score_block(c_hat, eig_keep, as_delta)
 
 
 def _adopt_cells(cells) -> None:
     _WORKER_CELLS[:] = cells
 
 
-def _pool_job(job) -> list[float]:
+def _pool_job(job) -> np.ndarray:
     return _run_block(_WORKER_CELLS, *job)
 
 
@@ -445,6 +570,8 @@ def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
     count.
     """
     cells = list(cells)
+    for ctx, _, eig_keep, as_delta in cells:
+        ctx._linear_map(eig_keep, as_delta)  # built here, so forked workers share it
     fids = np.zeros((len(cells), repetitions))
     jobs = [(ci, start, min(start + _BLOCK, repetitions))
             for ci in range(len(cells)) for start in range(0, repetitions, _BLOCK)]

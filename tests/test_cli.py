@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import noisespec
@@ -145,6 +146,26 @@ class TestExitCodes:
                         f"repetitions = 1\n[spectrum]\ncsv = {spectrum}\n")
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
         assert "GridRangeError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [(), ("--quick", "--seed", "3", "--repetitions", "2")],
+                         ids=["plain", "overrides"])
+def test_csv_spectrum_read_once_before_run(flags, tmp_path, monkeypatch, capsys):
+    """One validation after the flags' overrides reads a CSV spectrum, and
+    the runner reads it once more."""
+    spectrum = tmp_path / "spectrum.csv"
+    spectrum.write_text("".join(f"{0.5 * i},{1.0 / (1.0 + 0.25 * i * i)}\n"
+                                for i in range(121)))
+    path = tmp_path / "csv.ini"
+    path.write_text(_ini("reconstruction", spectrum=f"csv = {spectrum}",
+                         run="scenario = reconstruction\nname = csv\nrepetitions = 2",
+                         protocol="protocols = fo"))
+    reads = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: reads.append(a) or loadtxt(*a, **k))
+    assert cli.main(["run", str(path), *flags, "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    assert len(reads) == 2
 
 
 @pytest.mark.parametrize("name", ["fig3-fidelity-vs-gamma", "fig4-dephasing0"])

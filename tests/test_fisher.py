@@ -13,6 +13,11 @@ from noisespec.reconstruct import ProtocolContext
 from noisespec.seeding import derive_seed, make_rng
 
 
+#: survival probability of unit information per shot:
+#: (1 - 2p)^2 / (4p(1 - p)) = 1 at p = (2 - sqrt 2) / 4
+P_UNIT = (2.0 - math.sqrt(2.0)) / 4.0
+
+
 def box(grid, lo, hi, height=1.0):
     values = np.where((grid.omegas >= lo) & (grid.omegas <= hi), height, 0.0)
     return FilterFunction(grid=grid, values=values, generator=None,
@@ -27,9 +32,22 @@ def fo_filters():
 
 
 class TestBuild:
-    def test_half_probability_unit_weights(self, fo_filters):
-        fio = build_fio(fo_filters, np.full(20, 0.5))
+    def test_unit_weights(self, fo_filters):
+        fio = build_fio(fo_filters, np.full(20, P_UNIT))
         np.testing.assert_allclose(fio.weights, 1.0)
+
+    def test_weight_is_the_model_information(self, fo_filters):
+        # p = (1 - exp(-x)) / 2 carries 1 / (exp(2x) - 1) per shot
+        x = np.linspace(0.05, 3.0, 20)
+        fio = build_fio(fo_filters, 0.5 * (1.0 - np.exp(-x)))
+        np.testing.assert_allclose(fio.weights, 1.0 / np.expm1(2.0 * x), rtol=1e-12)
+
+    def test_half_probability_carries_no_information(self, fo_filters):
+        probs = np.full(20, 0.4)
+        probs[[1, 7]] = 0.5
+        fio = build_fio(fo_filters, probs)
+        assert fio.n_terms == 18
+        assert dict(fio.excluded) == {1: "zero-weight", 7: "zero-weight"}
 
     def test_degenerate_probabilities_excluded(self, fo_filters):
         probs = np.full(20, 0.4)
@@ -49,9 +67,9 @@ class TestDirectional:
         grid = FrequencyGrid(10.0, 10001)
         filt = box(grid, 0.0, 1.0)
         direction = SpectralDensity.from_grid([0.0, 10.0], [1.0, 1.0])
-        fio = build_fio([filt], [0.5])
+        fio = build_fio([filt], [P_UNIT])
         # the box covers the nodes 0..1 inclusive; composite trapezoid weights
-        # give that sampled box the integral 1 + d/2, and p = 1/2 weighs it by 1
+        # give that sampled box the integral 1 + d/2, and P_UNIT weighs it by 1
         overlap = 1.0 + 0.5 * grid.spacing
         assert directional_fisher(fio, direction) == pytest.approx(overlap ** 2,
                                                                    rel=1e-12)
@@ -61,7 +79,7 @@ class TestDirectional:
         filt = box(grid, 0.0, 2.0)
         direction = SpectralDensity.from_grid([0.0, 2.005, 2.01, 10.0],
                                               [0.0, 0.0, 1.0, 1.0])
-        fio = build_fio([filt], [0.5])
+        fio = build_fio([filt], [P_UNIT])
         assert directional_fisher(fio, direction) == pytest.approx(0.0, abs=1e-12)
 
     def test_quadratic_homogeneity(self, fo_filters):
@@ -95,9 +113,9 @@ class TestDirectional:
 class TestCramerRao:
     def test_inverse_square_root(self):
         grid = FrequencyGrid(10.0, 10001)
-        filt = box(grid, 0.0, 2.0)  # overlap 2 for flat S -> info 4 at p = 1/2
+        filt = box(grid, 0.0, 2.0)  # overlap 2 for flat S -> info 4 at P_UNIT
         direction = SpectralDensity.from_grid([0.0, 10.0], [1.0, 1.0])
-        fio = build_fio([filt], [0.5])
+        fio = build_fio([filt], [P_UNIT])
         assert cramer_rao(fio, direction) == pytest.approx(0.5, rel=1e-2)
 
     def test_infinite_bound(self):
@@ -105,7 +123,7 @@ class TestCramerRao:
         filt = box(grid, 0.0, 2.0)
         direction = SpectralDensity.from_grid([0.0, 2.005, 2.01, 10.0],
                                               [0.0, 0.0, 1.0, 1.0])
-        fio = build_fio([filt], [0.5])
+        fio = build_fio([filt], [P_UNIT])
         assert math.isinf(cramer_rao(fio, direction))
 
 
@@ -149,4 +167,6 @@ class TestMonteCarloBound:
             estimates[rep] = ml_deviation_estimate(c_base, d, counts, shots)
         sd = estimates.std(ddof=1)
         se_sd = sd / math.sqrt(2 * (repeats - 1))
-        assert sd >= bound - 3 * se_sd
+        # the ML estimate is efficient at this shot count: its spread lies
+        # within 3 se of the bound, on either side
+        assert abs(sd - bound) <= 3 * se_sd

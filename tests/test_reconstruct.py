@@ -6,12 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from noisespec import (DegenerateBasisError, NoiseModel, SpectralDensity,
-                       UndefinedFidelityError, as_reconstruct, default_grid,
+from noisespec import (DegenerateBasisError, IllConditionedInversionError, NoiseModel,
+                       SpectralDensity, UndefinedFidelityError, as_reconstruct, default_grid,
                        fidelity, filter_function, fo_reconstruct, fo_sequence,
                        measure, measure_batch, overlap_matrix, run_repetitions,
                        scan_optimal_time)
-from noisespec import cli
+from noisespec import cli, reconstruct
 from noisespec.filterfn import FilterFunction, signal_overlap
 from noisespec.reconstruct import DEFAULT_TAU, ProtocolContext, bin_matrix
 from noisespec.seeding import derive_seed, derive_seed_array
@@ -312,6 +312,16 @@ def two_line_spectrum():
     return SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
 
 
+def _assert_scored_like(fid, row, ref):
+    """A fully finite row is scored through the context's linear map, which
+    agrees with the per-row reference within 1e-12; any other row is scored
+    by the reference itself."""
+    if np.isfinite(row).all():
+        assert abs(fid - ref) <= 1e-12
+    else:
+        assert fid == ref
+
+
 class TestCachedDecomposition:
     """A context's cached decomposition gives the same bytes as a fresh one."""
 
@@ -329,7 +339,7 @@ class TestCachedDecomposition:
             assert result.values.tobytes() == ref.values.tobytes()
             assert result.retained_count == ref.retained_count
             np.testing.assert_array_equal(result.kept_indices, ref.kept_indices)
-            assert fid == fidelity(ctx.spectrum, ref, ctx.fidelity_points)
+            _assert_scored_like(fid, row, fidelity(ctx.spectrum, ref, ctx.fidelity_points))
 
     def test_fo_readouts_that_saturate(self, two_line_spectrum):
         # gamma * T = 1.5 puts the largest coefficients within dp of p = 1/2
@@ -346,7 +356,7 @@ class TestCachedDecomposition:
                                ctx.fidelity_points)
             except DegenerateBasisError:
                 ref = 0.0
-            assert fid == ref
+            _assert_scored_like(fid, row, ref)
             # run_once draws the same row from the repetition's own seed
             once, _ = ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)))
             assert once == fid
@@ -363,7 +373,7 @@ class TestCachedDecomposition:
             ref = as_reconstruct(ctx.filters, row, ctx.omega_max, delta_approx=as_delta)
             assert result.values.tobytes() == ref.values.tobytes()
             assert result.condition_number == ref.condition_number or as_delta
-            assert fid == fidelity(ctx.spectrum, ref, ctx.fidelity_points)
+            _assert_scored_like(fid, row, fidelity(ctx.spectrum, ref, ctx.fidelity_points))
 
     def test_run_once_equals_readout_by_readout(self, two_line_spectrum):
         ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
@@ -373,4 +383,92 @@ class TestCachedDecomposition:
         ref = fo_reconstruct(ctx.filters, c_hat, OMEGA_C, overlap=ctx.overlap)
         fid, result = ctx.run_once(noise, want_result=True)
         assert result.values.tobytes() == ref.values.tobytes()
-        assert fid == fidelity(ctx.spectrum, ref, ctx.fidelity_points)
+        _assert_scored_like(fid, c_hat, fidelity(ctx.spectrum, ref, ctx.fidelity_points))
+
+
+def _reference_score(ctx, row, eig_keep, as_delta):
+    """A repetition's fidelity by the per-row path: reconstruct from the
+    filters, then ``fidelity``; 0 where the inversion degenerates."""
+    try:
+        if ctx.protocol == "fo":
+            rec = fo_reconstruct(ctx.filters, row, OMEGA_C, eig_keep=eig_keep,
+                                 overlap=ctx.overlap)
+        else:
+            rec = as_reconstruct(ctx.filters, row, ctx.omega_max, delta_approx=as_delta)
+        return fidelity(ctx.spectrum, rec, ctx.fidelity_points)
+    except (DegenerateBasisError, IllConditionedInversionError, UndefinedFidelityError):
+        return 0.0
+
+
+_KERNEL_CASES = {"fo-tau": ("fo", 2.0, DEFAULT_TAU, False), "fo-7": ("fo", 2.0, 7, False),
+                 "as": ("as", 10.0, DEFAULT_TAU, False),
+                 "as-delta": ("as", 10.0, DEFAULT_TAU, True)}
+
+
+@pytest.fixture(scope="module", params=list(_KERNEL_CASES))
+def kernel_case(request, two_line_spectrum):
+    """(context, eig_keep, as_delta, 257 rows of estimates); every 17th row
+    has a saturated readout, so blocks mix mapped and per-row rows."""
+    protocol, T, eig_keep, as_delta = _KERNEL_CASES[request.param]
+    ctx = ProtocolContext(protocol, two_line_spectrum, T)
+    rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.1, seed=21), 257)
+    rows[::17, 4] = math.inf
+    assert ctx._linear_map(eig_keep, as_delta) is not None
+    return ctx, eig_keep, as_delta, rows
+
+
+class TestBlockKernel:
+    """Fully finite rows are scored through the context's linear map."""
+
+    @pytest.mark.parametrize("R", [1, 255, 256, 257])
+    def test_bits_independent_of_block_size(self, kernel_case, R):
+        ctx, eig_keep, as_delta, rows = kernel_case
+        full = ctx._score_block(rows, eig_keep, as_delta)
+        for start in sorted({0, (257 - R) // 2, 257 - R}):
+            part = ctx._score_block(rows[start:start + R], eig_keep, as_delta)
+            assert part.tobytes() == full[start:start + R].tobytes()
+
+    def test_bits_independent_of_position(self, kernel_case):
+        ctx, eig_keep, as_delta, rows = kernel_case
+        full = ctx._score_block(rows, eig_keep, as_delta)
+        perm = np.random.default_rng(3).permutation(len(rows))
+        assert ctx._score_block(rows[perm], eig_keep, as_delta).tobytes() == full[perm].tobytes()
+        for r in (0, 1, 17, 128, 256):
+            assert ctx._score(rows[r], eig_keep, as_delta)[0] == full[r]
+
+    def test_agrees_with_reference(self, kernel_case):
+        ctx, eig_keep, as_delta, rows = kernel_case
+        fids = ctx._score_block(rows, eig_keep, as_delta)
+        for row, fid in zip(rows, fids):
+            ref = _reference_score(ctx, row, eig_keep, as_delta)
+            _assert_scored_like(fid, row, ref)
+            assert ref > 0.5
+
+    @pytest.mark.parametrize("case", ["cv", "retain-none", "tau-above-one", "saturated"])
+    def test_fo_per_row_cases_unchanged(self, two_line_spectrum, case):
+        ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.2, seed=22), 6)
+        eig_keep = {"cv": "cv", "retain-none": 0, "tau-above-one": 2.0}.get(case, DEFAULT_TAU)
+        if case == "saturated":
+            rows[:, [3, 11]] = math.inf
+        else:
+            assert ctx._linear_map(eig_keep, False) is None
+        expected = [_reference_score(ctx, row, eig_keep, False) for row in rows]
+        np.testing.assert_array_equal(ctx._score_block(rows, eig_keep, False), expected)
+
+    def test_ill_conditioned_as_unchanged(self, two_line_spectrum, monkeypatch):
+        monkeypatch.setattr(reconstruct, "_COND_LIMIT", 1.0)
+        ctx = ProtocolContext("as", two_line_spectrum, 10.0)
+        assert ctx._linear_map(DEFAULT_TAU, False) is None
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, seed=23), 6)
+        expected = [_reference_score(ctx, row, DEFAULT_TAU, False) for row in rows]
+        assert expected == [0.0] * 6
+        np.testing.assert_array_equal(ctx._score_block(rows, DEFAULT_TAU, False), expected)
+
+    @pytest.mark.parametrize("protocol, as_delta", [("fo", False), ("as", False), ("as", True)])
+    def test_zero_estimate_scores_zero(self, two_line_spectrum, protocol, as_delta):
+        ctx = ProtocolContext(protocol, two_line_spectrum, 10.0)
+        zero = np.zeros((3, ctx.K))
+        assert _reference_score(ctx, zero[0], DEFAULT_TAU, as_delta) == 0.0
+        assert ctx._score_block(zero, DEFAULT_TAU, as_delta).tolist() == [0.0] * 3
+        assert ctx._score(zero[0], DEFAULT_TAU, as_delta) == (0.0, None)

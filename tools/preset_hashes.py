@@ -1,8 +1,10 @@
-"""Run the preset matrix through the CLI and print a sha256 of every output.
+"""Run the preset matrix through the CLI and print a sha256 of every output,
+or compare two output trees value by value.
 
 Usage (from the repository root)::
 
     python3 tools/preset_hashes.py OUT > hashes.txt
+    python3 tools/preset_hashes.py --compare OUT_A OUT_B [--rtol R]
 
 The package is imported from ``src/`` next to this script, so the same
 script run in two checkouts compares their outputs:
@@ -14,13 +16,22 @@ times and two swept qubit numbers, the one run that writes
 ``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``).  Each line is ``sha256  path`` with the path relative
 to ``OUT``; a run that exits nonzero is reported on stderr and makes the
 script exit 1.
+
+``--compare`` walks two such trees.  For every file that differs it lists
+the summary keys, CSV metadata keys and CSV columns whose values differ,
+each with its largest relative gap ``|a - b| / max(|a|, |b|)``, and then
+any difference that is not a number: a file on one side only, a key or
+column on one side only, a row count, a text value, or other bytes.  It
+exits 1 if a gap exceeds ``R`` (default 0) or any such difference exists.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
+import math
 import os
 import sys
 import tempfile
@@ -56,19 +67,113 @@ def matrix(config_dir):
     yield "quick-time-scan", [time_scan_config(os.path.join(config_dir, "time-scan.ini"))]
 
 
+def _fields(path) -> dict:
+    """A file's values by name: ``summary KEY`` for summary lines, ``meta
+    KEY`` and ``column NAME`` for CSVs (cells as text), and ``bytes`` for
+    any other file."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    name = os.path.basename(path)
+    if name == "summary.txt":
+        return {f"summary {key}": [value] for key, _, value in
+                (line.partition(" = ") for line in data.decode().splitlines())}
+    if not name.endswith(".csv"):
+        return {"bytes": [data]}
+    fields = {}
+    lines = data.decode().splitlines()
+    while lines and lines[0].startswith("# "):
+        key, _, value = lines.pop(0)[2:].partition(",")
+        fields[f"meta {key}"] = [value]
+    header = lines.pop(0).split(",") if lines else []
+    rows = [line.split(",") for line in lines]
+    for j, column in enumerate(header):
+        fields[f"column {column}"] = [row[j] if j < len(row) else "" for row in rows]
+    return fields
+
+
+def _gap(a, b) -> float | None:
+    """Relative gap of two numeric tokens (0 if equal), or None when either
+    is not a number."""
+    if a == b:
+        return 0.0
+    try:
+        x, y = float(a), float(b)
+    except (TypeError, ValueError):
+        return None
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    gap = abs(x - y) / max(abs(x), abs(y))
+    return gap if math.isfinite(gap) else math.inf  # NaN or inf on one side
+
+
+def compare(out_a, out_b, rtol: float = 0.0) -> int:
+    """Print the value differences between two output trees; 1 if a
+    relative gap exceeds ``rtol`` or any non-numeric difference exists."""
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _, names in os.walk(root) for f in names}
+
+    in_a, in_b = files(out_a), files(out_b)
+    worst, textual, changed = 0.0, 0, 0
+    for rel in sorted(in_a | in_b):
+        if rel not in in_a or rel not in in_b:
+            print(f"{rel}\n  only in {out_a if rel in in_a else out_b}")
+            textual += 1
+            changed += 1
+            continue
+        fa, fb = (_fields(os.path.join(root, rel)) for root in (out_a, out_b))
+        gaps, notes = {}, []
+        for field in sorted(fa.keys() | fb.keys()):
+            va, vb = fa.get(field), fb.get(field)
+            if va is None or vb is None:
+                notes.append(f"{field}: only in {out_a if vb is None else out_b}")
+            elif len(va) != len(vb):
+                notes.append(f"{field}: {len(va)} rows against {len(vb)}")
+            else:
+                pair = [_gap(a, b) for a, b in zip(va, vb)]
+                if None in pair:
+                    notes.append(f"{field}: non-numeric values differ")
+                elif max(pair, default=0.0) > 0.0:
+                    gaps[field] = max(pair)
+        if not gaps and not notes:
+            with open(os.path.join(out_a, rel), "rb") as fh_a, \
+                    open(os.path.join(out_b, rel), "rb") as fh_b:
+                if fh_a.read() != fh_b.read():
+                    notes.append("bytes differ")
+        if gaps or notes:
+            changed += 1
+            print(rel)
+            for field, gap in gaps.items():
+                print(f"  {field}  max rel gap {gap:.3g}")
+            for note in notes:
+                print(f"  {note}")
+            worst = max(worst, *gaps.values(), 0.0)
+            textual += len(notes)
+    print(f"{changed} of {len(in_a | in_b)} files differ; largest relative gap "
+          f"{worst:.3g} (rtol {rtol:g}); {textual} non-numeric differences")
+    return int(worst > rtol or textual > 0)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    out = argv[0]
+    parser = argparse.ArgumentParser(
+        description="Hash the preset matrix's outputs, or compare two output trees.")
+    parser.add_argument("out", nargs="?", help="directory to run the matrix into")
+    parser.add_argument("--compare", nargs=2, metavar=("OUT_A", "OUT_B"))
+    parser.add_argument("--rtol", type=float, default=0.0,
+                        help="largest relative gap --compare accepts")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, rtol=args.rtol)
+    if args.out is None:
+        parser.error("need OUT or --compare OUT_A OUT_B")
+    out = args.out
     failed = 0
     with tempfile.TemporaryDirectory() as config_dir:
-        for sub, args in matrix(config_dir):
+        for sub, run_args in matrix(config_dir):
             with contextlib.redirect_stdout(io.StringIO()):
-                code = cli.main(["run", *args, "--out-dir", os.path.join(out, sub)])
+                code = cli.main(["run", *run_args, "--out-dir", os.path.join(out, sub)])
             if code != 0:
-                print(f"exit {code}: noisespec run {' '.join(args)}", file=sys.stderr)
+                print(f"exit {code}: noisespec run {' '.join(run_args)}", file=sys.stderr)
                 failed = 1
     for dirpath, dirnames, filenames in os.walk(out):
         dirnames.sort()
