@@ -173,6 +173,11 @@ _NONEMPTY = {"time-scan": ("T_candidates",),
              "gamma-scan": ("gamma_values", "fo_candidates", "as_candidates"),
              "nqubit-scan": ("nqubit_values",)}
 
+# keys, in any section, whose values (each value of a list) must be > 0:
+# operation times, band cutoffs and the tracking horizon
+_POSITIVE = ("T", "T_fo", "T_as", "T_candidates", "fo_candidates", "as_candidates",
+             "T_values", "omega_c", "horizon")
+
 # [protocol] lists whose values each replace one [noise] field
 _NOISE_LISTS = {"gamma-scan": {"gamma_values": "gamma"},
                 "nqubit-scan": {"dp_values": "dp_max", "gamma_values": "gamma"}}
@@ -185,6 +190,13 @@ def _parse_bool(raw):
     if lowered in ("false", "no", "0", "off"):
         return False
     raise ValueError(f"not a boolean: {raw!r}")
+
+
+def _parse_float(raw):
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
 
 
 def _parse_components(raw):
@@ -202,15 +214,15 @@ def _parse_components(raw):
 # schema kind -> (parse raw text, format a value as the text after "key =")
 _KINDS = {
     "int": (int, lambda v: f" {v}"),
-    "float": (float, lambda v: f" {float(v)!r}"),
+    "float": (_parse_float, lambda v: f" {float(v)!r}"),
     "bool": (_parse_bool, lambda v: " true" if v else " false"),
     "str": (str.strip, lambda v: f" {v}"),
     "strs": (str.split, lambda v: " " + " ".join(v)),
-    "floats": (lambda raw: [float(tok) for tok in raw.split()],
+    "floats": (lambda raw: [_parse_float(tok) for tok in raw.split()],
                lambda v: " " + " ".join(repr(float(x)) for x in v)),
     "ints": (lambda raw: [int(tok) for tok in raw.split()],
              lambda v: " " + " ".join(str(int(x)) for x in v)),
-    "retention": (lambda raw: "cv" if raw.strip() == "cv" else float(raw),
+    "retention": (lambda raw: "cv" if raw.strip() == "cv" else _parse_float(raw),
                   lambda v: f" {v if isinstance(v, str) else repr(float(v))}"),
     "components": (_parse_components,
                    lambda v: "".join(f"\n  {a!r} {c!r} {w!r}" for a, c, w in v)),
@@ -263,9 +275,14 @@ def validate_config(raw: dict) -> dict:
             _spectrum_from(cfg[section])
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc), location=f"{section}.{key}") from exc
-    if cfg["run"]["repetitions"] < 1:
-        raise ConfigError(f"must be >= 1, got {cfg['run']['repetitions']}",
-                          location="run.repetitions")
+    for section, values in cfg.items():
+        for key, value in values.items():
+            if key in _POSITIVE and min(np.atleast_1d(value), default=1.0) <= 0:
+                raise ConfigError(f"must be > 0, got {value}", location=f"{section}.{key}")
+    for section, key in (("run", "repetitions"), ("protocol", "K"), ("fisher", "K")):
+        if cfg.get(section, {}).get(key, 1) < 1:
+            raise ConfigError(f"must be >= 1, got {cfg[section][key]}",
+                              location=f"{section}.{key}")
     pro = cfg.get("protocol", {})
     for key in ("protocols", "kind"):
         names = pro.get(key, [])
@@ -843,6 +860,8 @@ def main(argv=None) -> int:
         if args.command == "export-config":
             print(format_config(preset_config(args.preset, quick=args.quick)))
             return 0
+        if args.workers < 1:
+            raise ConfigError(f"must be >= 1, got {args.workers}", location="--workers")
         # run: the sections with the flags' overrides are validated once (a
         # CSV spectrum is read there and by the runner); the quick budget
         # then shrinks the config, as it does a validated preset's

@@ -9,22 +9,20 @@ Two estimators are implemented on top of the same measurement chain:
   weight to the measured coefficients, yielding the spectrum at the K
   discrete frequencies ``omega_max * k / K``.
 
-Both estimates are linear in the K coefficients once the retention rule is
-fixed, so a repetition's fidelity is a cosine taken after a linear map
-``W`` (K x P, P fidelity points) of its estimates.  A
-:class:`ProtocolContext` builds ``W`` once per retention rule and scores a
-whole block of fully finite repetitions through it.  Every sum in that
-kernel runs in a fixed order of elementwise numpy operations, so a
-repetition's fidelity does not depend on the block size, its position in
-the block or the BLAS build.  It agrees with the per-row reference
-``fidelity(spectrum, fo_reconstruct(...) / as_reconstruct(...), points)``
-within 1e-12 where the inverted system is well conditioned, as under
-``DEFAULT_TAU`` (condition number at most 1/tau = 500).  The two round
-differently, so the gap grows with the condition number: measured 1e-12
-for an as system at 5e6, 7e-13 and 2e-10 for fo retaining terms down to
-1e-9 and 1e-14 of the largest eigenvalue.  Rows with a saturated readout,
-the ``"cv"`` rule and degenerate inversions are scored by the per-row
-reference.
+Both estimates are linear in the K coefficients once the kept set (the
+finite estimates) and the retention rule are fixed, so a repetition's
+fidelity is a cosine taken after a linear map ``W`` (K x P, P fidelity
+points) of its estimates, with zeros in place of dropped entries.  A
+:class:`ProtocolContext` scores every repetition this way, building each
+distinct map once per block.  Every sum in that kernel runs in a fixed
+order of elementwise numpy operations, so a repetition's fidelity does not
+depend on the block size, its position in the block or the BLAS build.  It
+agrees with the per-row reference ``fidelity(spectrum, fo_reconstruct(...)
+/ as_reconstruct(...), points)`` within 1e-12 where the inverted system is
+well conditioned, as under ``DEFAULT_TAU`` (condition number at most 1/tau
+= 500).  The two round differently, so the gap grows with the condition
+number: measured 1e-12 for an as system at 5e6, 7e-13 and 2e-10 for fo
+retaining terms down to 1e-9 and 1e-14 of the largest eigenvalue.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (DegenerateBasisError, GridRangeError,
-                     IllConditionedInversionError, UndefinedFidelityError)
+                     IllConditionedInversionError, UndefinedFidelityError, require_finite)
 from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
                        signal_overlap)
 from .modulation import as_sequence, fo_sequence, staircase_split
@@ -102,6 +100,10 @@ def _finite_mask(c_estimates, saturated=None) -> np.ndarray:
 
 
 def _retained_count(lam: np.ndarray, eig_keep) -> int:
+    """Leading terms of the descending spectrum ``lam`` that ``eig_keep``
+    retains; 0 for an empty spectrum."""
+    if lam.size == 0:
+        return 0
     positive = lam > 0
     if isinstance(eig_keep, (int, np.integer)) and not isinstance(eig_keep, bool):
         return int(min(int(eig_keep), positive.sum()))
@@ -169,73 +171,59 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
     kept = np.flatnonzero(_finite_mask(c, saturated))
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
-    return _FOSystem(filters, kept, omega_c, overlap).solve(c, eig_keep)
+    if overlap is None:
+        A = overlap_matrix([filters[i] for i in kept], omega_c)
+    else:
+        A = overlap[np.ix_(kept, kept)]
+    lam, U = _eigh_descending(A)
+    c_kept = c[kept]
+    rule = _resolve_rule(A, c_kept, eig_keep)
+    retained = _retained_count(lam, rule)
+    if retained == 0:
+        raise DegenerateBasisError("retention rule dropped every eigenvalue")
+
+    inv_sqrt = 1.0 / np.sqrt(lam[:retained])
+    c_tilde = (U.T @ c_kept)[:retained] * inv_sqrt
+    beta = U[:, :retained] @ (c_tilde * inv_sqrt)
+    n_r = _cutoff_size(filters[0].grid, omega_c)
+    estimate = beta @ np.vstack([filters[i].values[:n_r] for i in kept])
+
+    basis = FOBasis(eigenvalues=lam, transform=U.T, retained=retained, omega_c=omega_c)
+    return ReconstructionResult(
+        protocol="fo", omegas=filters[0].grid.omegas[:n_r], values=estimate,
+        retained_count=retained, kept_indices=kept, basis=basis,
+        params={"omega_c": omega_c, "eig_keep": eig_keep,
+                "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
 
 
-class _FOSystem:
-    """What an orthogonalization fixes before it sees the coefficients: the
-    overlap matrix of the kept filters, its eigendecomposition (descending)
-    and the kept filters' samples up to the cutoff.  :func:`fo_reconstruct`
-    builds one per call; a :class:`ProtocolContext` keeps the one of its
-    full filter set for the repetitions in which no readout saturated."""
+def _eigh_descending(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of the overlap matrix ``A`` in descending order and the
+    matching eigenvectors (columns); :class:`DegenerateBasisError` when no
+    eigenvalue is positive."""
+    lam, U = np.linalg.eigh(A)
+    lam = lam[::-1]
+    U = U[:, ::-1]
+    if not np.isfinite(lam[0]) or lam[0] <= 0:
+        raise DegenerateBasisError("overlap matrix has no positive eigenvalues")
+    return lam, U
 
-    def __init__(self, filters, kept: np.ndarray, omega_c: float,
-                 overlap: np.ndarray | None = None):
-        if overlap is None:
-            A = overlap_matrix([filters[i] for i in kept], omega_c)
-        else:
-            A = overlap[np.ix_(kept, kept)]
-        lam, U = np.linalg.eigh(A)
-        lam = lam[::-1]
-        U = U[:, ::-1]
-        if not np.isfinite(lam[0]) or lam[0] <= 0:
-            raise DegenerateBasisError("overlap matrix has no positive eigenvalues")
-        grid = filters[0].grid
-        # smallest grid prefix whose last node reaches (or passes) the cutoff
-        n_r = int(np.searchsorted(grid.omegas, omega_c - 1e-12 * max(1.0, omega_c))) + 1
-        n_r = min(n_r, grid.size)
-        self.kept = kept
-        self.omega_c = omega_c
-        self.A, self.lam, self.U = A, lam, U
-        self.omegas = grid.omegas[:n_r]
-        self.stacked = np.vstack([filters[i].values[:n_r] for i in kept])
-        for arr in (kept, A, lam, U, self.stacked):
-            arr.setflags(write=False)
 
-    def solve(self, c: np.ndarray, eig_keep) -> ReconstructionResult:
-        """Estimate from the coefficients ``c`` of all filters (the kept
-        entries are used)."""
-        lam, U = self.lam, self.U
-        c_kept = c[self.kept]
-        rule = eig_keep
-        if isinstance(eig_keep, str):
-            if eig_keep != "cv":
-                raise ValueError(f"unknown retention rule {eig_keep!r}")
-            rule = select_retention_threshold(self.A, c_kept)
-        retained = _retained_count(lam, rule)
-        if retained == 0:
-            raise DegenerateBasisError("retention rule dropped every eigenvalue")
+def _resolve_rule(A: np.ndarray, c_kept: np.ndarray, eig_keep):
+    """The retention rule applied to the kept overlap matrix ``A``:
+    ``eig_keep`` itself, or for ``"cv"`` the threshold that
+    :func:`select_retention_threshold` picks for ``c_kept``."""
+    if not isinstance(eig_keep, str):
+        return eig_keep
+    if eig_keep != "cv":
+        raise ValueError(f"unknown retention rule {eig_keep!r}")
+    return select_retention_threshold(A, c_kept)
 
-        inv_sqrt = 1.0 / np.sqrt(lam[:retained])
-        c_tilde = (U.T @ c_kept)[:retained] * inv_sqrt
-        beta = U[:, :retained] @ (c_tilde * inv_sqrt)
-        estimate = beta @ self.stacked
 
-        basis = FOBasis(eigenvalues=lam, transform=U.T, retained=retained,
-                        omega_c=self.omega_c)
-        return ReconstructionResult(
-            protocol="fo", omegas=self.omegas, values=estimate,
-            retained_count=retained, kept_indices=self.kept, basis=basis,
-            params={"omega_c": self.omega_c, "eig_keep": eig_keep,
-                    "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
-
-    def linear_map(self, retained: int, points: np.ndarray) -> np.ndarray:
-        """Map ``W`` with ``c @ W`` the estimate at ``points`` when the
-        leading ``retained`` terms are kept: ``U_r diag(1/lam_r) U_r^T G``,
-        where row k of ``G`` is kept filter k interpolated at ``points``."""
-        U_r = self.U[:, :retained]
-        G = np.array([_interp(points, self.omegas, row) for row in self.stacked])
-        return (U_r / self.lam[:retained]) @ (U_r.T @ G)
+def _cutoff_size(grid: FrequencyGrid, omega_c: float) -> int:
+    """Size of the smallest grid prefix whose last node reaches (or
+    passes) the cutoff."""
+    n_r = int(np.searchsorted(grid.omegas, omega_c - 1e-12 * max(1.0, omega_c))) + 1
+    return min(n_r, grid.size)
 
 
 def bin_matrix(filters, omega_max: float) -> np.ndarray:
@@ -270,53 +258,44 @@ def as_reconstruct(filters, c_estimates, omega_max: float, saturated=None,
     if c.size != len(filters):
         raise ValueError("filters and coefficient estimates differ in length")
     M = bin_matrix(filters, omega_max) if bins is None else bins
-    return _as_solve(M, c, omega_max, _finite_mask(c, saturated), delta_approx)
-
-
-def _condition_number(M: np.ndarray) -> float:
-    svals = np.linalg.svd(M, compute_uv=False)
-    return float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
-
-
-def _pointwise_omegas(omega_max: float, K: int) -> np.ndarray:
-    """The K frequencies ``omega_max * k / K`` of a pointwise estimate."""
-    return omega_max * np.arange(1, K + 1) / K
-
-
-def _as_solve(M: np.ndarray, c: np.ndarray, omega_max: float, mask: np.ndarray,
-              delta_approx: bool, full_condition: float | None = None) -> ReconstructionResult:
-    """:func:`as_reconstruct` on the rows of ``M`` and ``c`` that ``mask``
-    keeps.  ``full_condition``, when given, is the condition number of the
-    whole of ``M``; it stands in for the SVD when no row is dropped."""
     K = M.shape[0]
-    omega_points = _pointwise_omegas(omega_max, K)
-    kept = np.flatnonzero(mask)
+    kept = np.flatnonzero(_finite_mask(c, saturated))
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
-    M_kept = M[kept, :]
     c_kept = c[kept]
 
     if delta_approx:
         # saturated rows carry no information; their points report zero
         values = np.zeros(K)
-        diag = np.diag(M)
-        values[kept] = c_kept / diag[kept]
+        values[kept] = c_kept / np.diag(M)[kept]
         cond = float("nan")
     else:
-        if full_condition is not None and kept.size == K:
-            cond = full_condition
-        else:
-            cond = _condition_number(M_kept)
-        if not math.isfinite(cond) or cond > _COND_LIMIT:
-            raise IllConditionedInversionError(
-                f"bin system is rank deficient (condition number {cond:.3e})",
-                condition_number=cond)
+        M_kept = M[kept, :]
+        cond = _checked_condition(M_kept)
         values, *_ = np.linalg.lstsq(M_kept, c_kept, rcond=None)
 
     return ReconstructionResult(
-        protocol="as", omegas=omega_points, values=np.asarray(values, dtype=float),
-        retained_count=kept.size, kept_indices=kept, condition_number=cond,
+        protocol="as", omegas=_pointwise_omegas(omega_max, K),
+        values=np.asarray(values, dtype=float), retained_count=kept.size,
+        kept_indices=kept, condition_number=cond,
         params={"omega_max": omega_max, "delta_approx": delta_approx})
+
+
+def _checked_condition(M: np.ndarray) -> float:
+    """Condition number of ``M``; :class:`IllConditionedInversionError` when
+    it is not finite or exceeds ``_COND_LIMIT``."""
+    svals = np.linalg.svd(M, compute_uv=False)
+    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    if not math.isfinite(cond) or cond > _COND_LIMIT:
+        raise IllConditionedInversionError(
+            f"bin system is rank deficient (condition number {cond:.3e})",
+            condition_number=cond)
+    return cond
+
+
+def _pointwise_omegas(omega_max: float, K: int) -> np.ndarray:
+    """The K frequencies ``omega_max * k / K`` of a pointwise estimate."""
+    return omega_max * np.arange(1, K + 1) / K
 
 
 def fidelity(spectrum_true, estimate, omega_points) -> float:
@@ -330,12 +309,7 @@ def fidelity(spectrum_true, estimate, omega_points) -> float:
     s_true = np.asarray(spectrum_true.evaluate(pts), dtype=float)
     s_est = np.asarray(estimate.evaluate(pts) if hasattr(estimate, "evaluate")
                        else estimate, dtype=float)
-    return _cosine(s_true, float(np.linalg.norm(s_true)), s_est)
-
-
-def _cosine(s_true: np.ndarray, n_true: float, s_est: np.ndarray) -> float:
-    """Normalized inner product of ``s_true`` (of norm ``n_true``) and
-    ``s_est``."""
+    n_true = float(np.linalg.norm(s_true))
     n_est = float(np.linalg.norm(s_est))
     if n_true == 0.0 or n_est == 0.0:
         raise UndefinedFidelityError("fidelity undefined for a zero-norm argument")
@@ -345,15 +319,15 @@ def _cosine(s_true: np.ndarray, n_true: float, s_est: np.ndarray) -> float:
 def _cosine_rows(s_true: np.ndarray, n_true: float, c_rows: np.ndarray,
                  W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine of ``s_true`` (of norm ``n_true``) with each row's estimate
-    ``c_rows[r] @ W``, and the mask of rows whose estimate is zero (they
-    score 0).  The estimate, the inner product and the squared norm are
-    each summed term by term in a fixed order, one elementwise multiply and
-    add per term, so a row's bits depend neither on the other rows nor on
-    BLAS."""
+    ``c_rows[r] @ W[:, :, r]``, and the mask of rows whose estimate is zero
+    (they score 0).  The estimate, the inner product and the squared norm
+    are each summed term by term in a fixed order, one elementwise multiply
+    and add per term, so a row's bits depend neither on the other rows nor
+    on BLAS."""
     terms = c_rows.T
-    s_est = np.multiply.outer(W[0], terms[0])  # P x R
+    s_est = W[0] * terms[0]  # P x R
     for w, c in zip(W[1:], terms[1:]):
-        s_est += np.multiply.outer(w, c)
+        s_est += w * c
     dot = s_true[0] * s_est[0]
     sq = s_est[0] * s_est[0]
     for s, est in zip(s_true[1:], s_est[1:]):
@@ -374,21 +348,25 @@ class ProtocolContext:
     """Noise-independent state for repeated runs of one (protocol, T) cell.
 
     Builds the filter set, calibrates the spectrum scale so the median
-    overlap coefficient is one, and caches what no repetition changes: the
-    overlap/bin matrices, the decomposition of the full filter set ("fo":
-    overlap eigensystem and filter rows up to the cutoff; "as": the bin
-    matrix's condition number) and the true spectrum with its norm at the
-    fidelity points.  Per retention rule it also keeps the linear map from
-    a fully finite row of estimates to the estimate at the fidelity points
-    ("fo": ``U_r diag(1/lam_r) U_r^T`` times the filters interpolated at the
-    points; "as": ``M^-T`` or, with ``as_delta``, ``diag(1/diag M)`` times
-    the interpolation weights), so :meth:`_score_block` scores a block of
-    repetitions with a few elementwise operations.  A repetition's fidelity
-    is a fixed-order sum, the same in any block and on any BLAS, and agrees
-    with the per-row reference within 1e-12 where the inverted system is
-    well conditioned (see the module docstring).  A repetition in which a
-    readout saturated drops filters and decomposes its own subset, as
-    without the cache; so do the ``"cv"`` rule and degenerate inversions.
+    overlap coefficient is one, and keeps what no repetition changes: the
+    overlap ("fo") or bin ("as") matrix, the true spectrum with its norm at
+    the fidelity points, and ``G``, whose row k is basis function k at the
+    fidelity points (filter k for "fo", the hat of pointwise node k for
+    "as").
+
+    :meth:`_score_block` scores every repetition.  With the kept set (the
+    finite estimates) and the retention rule fixed, a repetition's estimate
+    at the fidelity points is ``c @ W``, with zeros in ``c`` where a readout
+    saturated: "fo" ``U_r diag(1/lam_r) U_r^T G[kept]`` from the kept
+    overlap matrix; "as" ``M^-T G``, ``lstsq(M[kept]^T, G)`` for a subset,
+    or with ``as_delta`` ``G[kept] / diag(M)[kept]``.  A block builds each
+    distinct map once and keeps none.  A repetition's fidelity is a
+    fixed-order sum, the same in any block and on any BLAS, and agrees with
+    :func:`fidelity` of :func:`fo_reconstruct` or :func:`as_reconstruct`
+    within 1e-12 where the inverted system is well conditioned (see the
+    module docstring).  A repetition without a map (a degenerate basis, a
+    rule that retains nothing, an as system past the condition limit) or
+    with a zero estimate scores 0.
     """
 
     def __init__(self, protocol: str, spectrum: SpectralDensity, operation_time: float,
@@ -399,6 +377,7 @@ class ProtocolContext:
             raise ValueError(f"unknown protocol {protocol!r}")
         if protocol == "as" and n_qubits != 1:
             raise ValueError("the pointwise protocol is defined for one qubit")
+        require_finite(operation_time=operation_time, omega_c=omega_c)
         self.protocol = protocol
         self.K = K
         self.omega_c = omega_c
@@ -432,101 +411,89 @@ class ProtocolContext:
         self.bins = bin_matrix(self.filters, self.omega_max) if protocol == "as" else None
         self._s_true = np.asarray(self.spectrum.evaluate(self.fidelity_points), dtype=float)
         self._n_true = float(np.linalg.norm(self._s_true))
-        self._fo_full = None
         if protocol == "fo":
-            try:
-                self._fo_full = _FOSystem(self.filters, np.arange(K), omega_c, self.overlap)
-            except DegenerateBasisError:
-                pass  # every repetition degenerates too and scores 0
-        self._bins_condition = _condition_number(self.bins) if protocol == "as" else None
-        self._maps = {}  # retained count ("fo") or as_delta ("as") -> map or None
+            n_r = _cutoff_size(self.grid, omega_c)
+            rows = [(self.grid.omegas[:n_r], f.values[:n_r]) for f in self.filters]
+        else:
+            omega_points = _pointwise_omegas(self.omega_max, K)
+            rows = [(omega_points, unit) for unit in np.eye(K)]
+        self._G = np.array([_interp(self.fidelity_points, omegas, values)
+                            for omegas, values in rows])
 
     def run_once(self, noise: NoiseModel, eig_keep=DEFAULT_TAU,
                  want_result: bool = False, as_delta: bool = False):
         """One noisy protocol run -> (fidelity, result-or-None).
 
-        Degenerate runs (all filters saturated, or a singular inversion)
-        score fidelity 0: the estimate carries no information.
+        The fidelity comes from :meth:`_score_block`, as in any block.
+        Degenerate runs (all filters saturated, a singular inversion or a
+        zero estimate) score fidelity 0: the estimate carries no
+        information, and the result is None.  Otherwise, with
+        ``want_result``, the result is :func:`fo_reconstruct` or
+        :func:`as_reconstruct` of the run's estimates.
         """
         c_hat, _ = measure_batch(self.c_true, noise, self.operation_time,
                                  derive_seed_array(noise.seed, np.arange(self.K)))
-        fid, result = self._score(c_hat, eig_keep, as_delta)
-        return fid, (result if want_result else None)
-
-    def _score(self, c_hat: np.ndarray, eig_keep, as_delta: bool):
-        """(fidelity, result-or-None) of one repetition's K estimates.  The
-        result is always the per-row solve; a fully finite row with a linear
-        map takes its fidelity from the block kernel, as in any block."""
-        finite = np.isfinite(c_hat)
-        W = self._linear_map(eig_keep, as_delta) if finite.all() else None
-        try:
-            if self.protocol == "as":
-                result = _as_solve(self.bins, c_hat, self.omega_max, finite,
-                                   as_delta, self._bins_condition)
-            elif self._fo_full is not None and finite.all():
-                result = self._fo_full.solve(c_hat, eig_keep)
-            else:
-                result = fo_reconstruct(self.filters, c_hat, self.omega_c,
-                                        eig_keep=eig_keep, overlap=self.overlap)
-            if W is None:
-                s_est = np.asarray(result.evaluate(self.fidelity_points), dtype=float)
-                fid = _cosine(self._s_true, self._n_true, s_est)
-            else:
-                fids, zero = _cosine_rows(self._s_true, self._n_true, c_hat[None, :], W)
-                if zero[0]:
-                    raise UndefinedFidelityError("fidelity undefined for a zero estimate")
-                fid = float(fids[0])
-        except (DegenerateBasisError, IllConditionedInversionError,
-                UndefinedFidelityError):
-            return 0.0, None
+        fids, degenerate = self._score_block(c_hat[None, :], eig_keep, as_delta)
+        fid = float(fids[0])
+        if not want_result or degenerate[0]:
+            return fid, None
+        if self.protocol == "fo":
+            result = fo_reconstruct(self.filters, c_hat, self.omega_c, eig_keep=eig_keep,
+                                    overlap=self.overlap)
+        else:
+            result = as_reconstruct(self.filters, c_hat, self.omega_max,
+                                    delta_approx=as_delta, bins=self.bins)
         result.fidelity = fid
         return fid, result
 
-    def _score_block(self, c_hat: np.ndarray, eig_keep, as_delta: bool) -> np.ndarray:
+    def _score_block(self, c_hat: np.ndarray, eig_keep,
+                     as_delta: bool) -> tuple[np.ndarray, np.ndarray]:
         """Fidelities of a block of repetitions, one row of K estimates
-        each: the fully finite rows through the linear map at once, every
-        other row by :meth:`_score`."""
-        W = self._linear_map(eig_keep, as_delta)
-        mapped = np.isfinite(c_hat).all(axis=1) & (W is not None)
-        fids = np.zeros(len(c_hat))
-        if mapped.any():
-            fids[mapped] = _cosine_rows(self._s_true, self._n_true, c_hat[mapped], W)[0]
-        for r in np.flatnonzero(~mapped):
-            fids[r] = self._score(c_hat[r], eig_keep, as_delta)[0]
-        return fids
+        each, and the mask of rows that scored 0 as degenerate.  Rows are
+        grouped by kept set and retention rule (``"cv"`` picks it per row);
+        each group's map is built once, and one kernel call scores them
+        all."""
+        kept = np.isfinite(c_hat)
+        if self.protocol == "fo" and isinstance(eig_keep, str):
+            rules = [_resolve_rule(self.overlap[np.ix_(m, m)], row[m], eig_keep)
+                     for row, m in zip(c_hat, kept)]
+        else:
+            rules = [eig_keep] * len(c_hat)
+        groups = {}
+        index = [groups.setdefault((m.tobytes(), rule), len(groups))
+                 for m, rule in zip(kept, rules)]
+        maps = np.zeros((self.K, self.fidelity_points.size, len(groups)))
+        for (m, rule), g in groups.items():
+            m = np.frombuffer(m, dtype=bool)
+            W = self._linear_map(np.flatnonzero(m), rule, as_delta)
+            if W is not None:
+                maps[m, :, g] = W
+        return _cosine_rows(self._s_true, self._n_true, np.where(kept, c_hat, 0.0),
+                            maps[:, :, index])
 
-    def _linear_map(self, eig_keep, as_delta: bool) -> np.ndarray | None:
-        """The K x P map from a fully finite row of estimates to the estimate
-        at the fidelity points, built once per retention rule; None where
-        rows take the per-row path: the ``"cv"`` rule, a degenerate full
-        basis, a rule that retains nothing, an as system past the condition
-        limit, or a map that is not finite."""
-        if self.protocol == "as":
-            key = bool(as_delta)
-        elif isinstance(eig_keep, str) or self._fo_full is None:
+    def _linear_map(self, idx: np.ndarray, rule, as_delta: bool) -> np.ndarray | None:
+        """The map (kept x P) from the estimates ``idx`` of a row to its
+        estimate at the fidelity points under ``rule``; None where the
+        inversion degenerates."""
+        if idx.size == 0:
             return None
-        else:
-            key = _retained_count(self._fo_full.lam, eig_keep)
-        if key not in self._maps:
-            self._maps[key] = self._build_map(key)
-        return self._maps[key]
-
-    def _build_map(self, key) -> np.ndarray | None:
-        if self.protocol == "fo":
-            if key == 0:
-                return None
-            W = self._fo_full.linear_map(key, self.fidelity_points)
-        else:
-            omega_points = _pointwise_omegas(self.omega_max, self.K)
-            weights = np.array([_interp(self.fidelity_points, omega_points, unit)
-                                for unit in np.eye(self.K)])
-            if key:
-                W = weights / np.diag(self.bins)[:, None]
-            elif math.isfinite(self._bins_condition) and self._bins_condition <= _COND_LIMIT:
-                W = np.linalg.solve(self.bins.T, weights)
-            else:
-                return None
-        return W if np.isfinite(W).all() else None
+        if self.protocol == "as" and as_delta:
+            return self._G[idx] / np.diag(self.bins)[idx, None]
+        try:
+            if self.protocol == "as":
+                M_kept = self.bins[idx, :]
+                _checked_condition(M_kept)
+                if idx.size == self.K:
+                    return np.linalg.solve(M_kept.T, self._G)
+                return np.linalg.lstsq(M_kept.T, self._G, rcond=None)[0]
+            lam, U = _eigh_descending(self.overlap[np.ix_(idx, idx)])
+        except (DegenerateBasisError, IllConditionedInversionError):
+            return None
+        retained = _retained_count(lam, rule)
+        if retained == 0:
+            return None
+        U_r = U[:, :retained]
+        return (U_r / lam[:retained]) @ (U_r.T @ self._G[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +514,7 @@ def _run_block(cells, ci: int, start: int, stop: int) -> np.ndarray:
     ctx, noise, eig_keep, as_delta = cells[ci]
     seeds = derive_seed_array(noise.seed, np.arange(start, stop)[:, None], np.arange(ctx.K))
     c_hat, _ = measure_batch(ctx.c_true, noise, ctx.operation_time, seeds)
-    return ctx._score_block(c_hat, eig_keep, as_delta)
+    return ctx._score_block(c_hat, eig_keep, as_delta)[0]
 
 
 def _adopt_cells(cells) -> None:
@@ -564,22 +531,21 @@ def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
     A cell is ``(ProtocolContext, NoiseModel, eig_keep, as_delta)``; the
     noise model's seed is the cell's seed base, and repetition r equals
     ``run_once`` at ``derive_seed(cell seed, r)``.  A job is a block of up
-    to ``_BLOCK`` repetitions of one cell.  With ``workers > 1`` the jobs
-    run in one fork pool; where fork is unavailable they run serially.
-    Results are stored by index, so the output is the same for any worker
-    count.
+    to ``_BLOCK`` repetitions of one cell.  With ``workers > 1`` and more
+    than one job, the jobs run in one fork pool of ``min(workers, jobs)``
+    processes; where fork is unavailable they run serially.  Results are
+    stored by index, so the output is the same for any worker count.
     """
     cells = list(cells)
-    for ctx, _, eig_keep, as_delta in cells:
-        ctx._linear_map(eig_keep, as_delta)  # built here, so forked workers share it
     fids = np.zeros((len(cells), repetitions))
     jobs = [(ci, start, min(start + _BLOCK, repetitions))
             for ci in range(len(cells)) for start in range(0, repetitions, _BLOCK)]
     blocks = None
-    if workers > 1 and jobs:
+    if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
         try:
-            pool = mp.get_context("fork").Pool(workers, initializer=_adopt_cells,
+            pool = mp.get_context("fork").Pool(min(workers, len(jobs)),
+                                               initializer=_adopt_cells,
                                                initargs=(cells,))
         except (ValueError, OSError):  # no fork on this platform, or fork failed
             pool = None

@@ -90,9 +90,36 @@ class TestExitCodes:
         (_ini("nqubit-scan", protocol="nqubit_values = 1 2 3\nT_values = 2 5"),
          "protocol.T_values"),
         (_ini("gamma-scan", protocol="gamma_values = 0.1 -0.2"), "protocol.gamma_values"),
-    ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values"])
+        (_ini("reconstruction", protocol="T_fo = nan"), "protocol.T_fo"),
+        (_ini("reconstruction", protocol="T_fo = inf"), "protocol.T_fo"),
+        (_ini("reconstruction", protocol="T_fo = -2.0"), "protocol.T_fo"),
+        (_ini("reconstruction", protocol="T_as = 0"), "protocol.T_as"),
+        (_ini("reconstruction", protocol="omega_c = nan"), "protocol.omega_c"),
+        (_ini("reconstruction", protocol="K = 0"), "protocol.K"),
+        (_ini("reconstruction", protocol="eig_keep = nan"), "protocol.eig_keep"),
+        (_ini("time-scan", protocol="T_candidates = 2 -inf"), "protocol.T_candidates"),
+        (_ini("gamma-scan", protocol="as_candidates = 10 0"), "protocol.as_candidates"),
+        (_ini("nqubit-scan", protocol="T_values = -1"), "protocol.T_values"),
+        (_ini("ocf", ocf="T_candidates = 2 -5"), "ocf.T_candidates"),
+        (_ini("tracking", tracking="omega_osc = 0.01\nhorizon = 0",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.horizon"),
+        (_ini("fisher", fisher="K = 0"), "fisher.K"),
+        (_ini("fisher", fisher="omega_c = -10"), "fisher.omega_c"),
+        (_ini("reconstruction", spectrum="components =\n  1.0 2.0 1.0\nscale = inf"),
+         "spectrum.scale"),
+    ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values",
+            "T-nan", "T-inf", "T-negative", "T-zero", "omega-c-nan", "K-zero", "eig-keep-nan",
+            "candidates-inf", "candidates-zero", "T-values-negative", "ocf-candidates",
+            "horizon-zero", "fisher-K-zero", "fisher-omega-c", "scale-inf"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, text, location)
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one(self, workers, tmp_path, capsys):
+        assert cli.main(["run", "fig4-dephasing0", "--quick", "--workers", workers,
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("scenario, section, key, value", [
         ("fisher", "fisher", "shots", "10000"),

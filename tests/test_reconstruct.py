@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from noisespec import (DegenerateBasisError, IllConditionedInversionError, NoiseModel,
-                       SpectralDensity, UndefinedFidelityError, as_reconstruct, default_grid,
+                       NonFiniteInputError, SpectralDensity, UndefinedFidelityError,
+                       as_reconstruct, default_grid,
                        fidelity, filter_function, fo_reconstruct, fo_sequence,
                        measure, measure_batch, overlap_matrix, run_repetitions,
                        scan_optimal_time)
@@ -210,6 +211,16 @@ class TestRetention:
         assert 1 <= rec.retained_count <= 12
 
 
+class TestContextInput:
+    @pytest.mark.parametrize("kwargs", [{"operation_time": math.nan},
+                                        {"operation_time": math.inf},
+                                        {"operation_time": 2.0, "omega_c": math.nan}])
+    def test_non_finite_rejected(self, kwargs):
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+        with pytest.raises(NonFiniteInputError):
+            ProtocolContext("fo", spec, **kwargs)
+
+
 class TestScan:
     def test_scan_shapes_and_determinism(self):
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
@@ -299,6 +310,24 @@ class TestRepetitionEngine:
         cli.run_scenario(cfg, str(tmp_path), workers=2)
         assert len(pools) == 1
 
+    @pytest.mark.parametrize("workers, repetitions, processes", [
+        (2, 1, []), (9, 1, []), (9, 257, [2]), (2, 600, [2])])
+    def test_pool_size(self, engine_cells, monkeypatch, workers, repetitions, processes):
+        """A pool has no more processes than jobs, and a single job runs
+        without one; whatever it asks for, at most 2 start here."""
+        asked = []
+        init = multiprocessing.pool.Pool.__init__
+
+        def counting_init(self, processes=None, *args, **kwargs):
+            asked.append(processes)
+            init(self, min(processes, 2), *args, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+        cell = engine_cells[:1]
+        np.testing.assert_array_equal(run_repetitions(cell, repetitions, workers=workers),
+                                      run_repetitions(cell, repetitions))
+        assert asked == processes
+
 
 def _estimate_rows(ctx, noise, repetitions):
     """Inverted readouts of ``repetitions`` runs, as the engine draws them."""
@@ -312,68 +341,66 @@ def two_line_spectrum():
     return SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
 
 
-def _assert_scored_like(fid, row, ref):
-    """A fully finite row is scored through the context's linear map, which
-    agrees with the per-row reference within 1e-12; any other row is scored
-    by the reference itself."""
-    if np.isfinite(row).all():
-        assert abs(fid - ref) <= 1e-12
-    else:
-        assert fid == ref
+def _run_once_rows(ctx, noise, repetitions, eig_keep, as_delta=False):
+    """``run_once`` with the written result at the first ``repetitions``
+    seeds, next to the rows of estimates the engine draws for them."""
+    runs = [ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)), eig_keep=eig_keep,
+                         want_result=True, as_delta=as_delta)
+            for rep in range(repetitions)]
+    return _estimate_rows(ctx, noise, repetitions), runs
+
+
+# gamma * T = 1.5 puts the largest fo coefficients at T = 5 within dp of p = 1/2
+_SATURATING = NoiseModel(dp_max=0.02, gamma=0.3, seed=4)
 
 
 class TestCachedDecomposition:
-    """A context's cached decomposition gives the same bytes as a fresh one."""
+    """``run_once`` writes a fresh reconstruction's bytes and scores its row
+    through the block kernel, within 1e-12 of the per-row reference."""
 
     @pytest.mark.parametrize("eig_keep", [DEFAULT_TAU, 7, "cv"])
     @pytest.mark.parametrize("saturate", [False, True], ids=["finite", "saturated"])
     def test_fo_equals_uncached(self, two_line_spectrum, eig_keep, saturate):
         ctx = ProtocolContext("fo", two_line_spectrum, 5.0)
-        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.1, seed=11), 6)
-        if saturate:
-            rows[:, [3, 11]] = math.inf
-        for row in rows:
-            fid, result = ctx._score(row, eig_keep, False)
+        noise = _SATURATING if saturate else NoiseModel(dp_max=0.01, gamma=0.1, seed=11)
+        rows, runs = _run_once_rows(ctx, noise, 12, eig_keep)
+        assert np.isinf(rows).any(axis=1).sum() >= (3 if saturate else 0)
+        for row, (fid, result) in zip(rows, runs):
             ref = fo_reconstruct(ctx.filters, row, OMEGA_C, eig_keep=eig_keep,
                                  overlap=ctx.overlap)
             assert result.values.tobytes() == ref.values.tobytes()
             assert result.retained_count == ref.retained_count
             np.testing.assert_array_equal(result.kept_indices, ref.kept_indices)
-            _assert_scored_like(fid, row, fidelity(ctx.spectrum, ref, ctx.fidelity_points))
+            assert abs(fid - fidelity(ctx.spectrum, ref, ctx.fidelity_points)) <= 1e-12
+            assert result.fidelity == fid
 
     def test_fo_readouts_that_saturate(self, two_line_spectrum):
-        # gamma * T = 1.5 puts the largest coefficients within dp of p = 1/2
         ctx = ProtocolContext("fo", two_line_spectrum, 5.0)
-        noise = NoiseModel(dp_max=0.02, gamma=0.3, seed=4)
-        rows = _estimate_rows(ctx, noise, 40)
+        rows = _estimate_rows(ctx, _SATURATING, 40)
         assert np.isinf(rows).any(axis=1).sum() >= 5
         assert np.isfinite(rows).all(axis=1).sum() >= 5
-        for rep, row in enumerate(rows):
-            fid, _ = ctx._score(row, DEFAULT_TAU, False)
-            try:
-                ref = fidelity(ctx.spectrum,
-                               fo_reconstruct(ctx.filters, row, OMEGA_C, overlap=ctx.overlap),
-                               ctx.fidelity_points)
-            except DegenerateBasisError:
-                ref = 0.0
-            _assert_scored_like(fid, row, ref)
+        fids, degenerate = ctx._score_block(rows, DEFAULT_TAU, False)
+        for rep, (row, fid) in enumerate(zip(rows, fids)):
+            ref = _reference_score(ctx, row, DEFAULT_TAU, False)
+            assert abs(fid - ref) <= 1e-12
+            assert degenerate[rep] == (ref == 0.0)
             # run_once draws the same row from the repetition's own seed
-            once, _ = ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)))
+            once, _ = ctx.run_once(replace(_SATURATING, seed=derive_seed(_SATURATING.seed, rep)))
             assert once == fid
 
     @pytest.mark.parametrize("as_delta", [False, True])
     @pytest.mark.parametrize("saturate", [False, True], ids=["finite", "saturated"])
     def test_as_equals_uncached(self, two_line_spectrum, as_delta, saturate):
-        ctx = ProtocolContext("as", two_line_spectrum, 10.0)
-        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.02, seed=12), 6)
-        if saturate:
-            rows[:, [0, 7]] = math.inf
-        for row in rows:
-            fid, result = ctx._score(row, DEFAULT_TAU, as_delta)
+        # at T = 5 and gamma = 0.4 about a quarter of the as rows saturate
+        ctx = ProtocolContext("as", two_line_spectrum, 5.0 if saturate else 10.0)
+        noise = NoiseModel(dp_max=0.01, gamma=0.4 if saturate else 0.0, seed=12)
+        rows, runs = _run_once_rows(ctx, noise, 12, DEFAULT_TAU, as_delta)
+        assert np.isinf(rows).any(axis=1).sum() >= (2 if saturate else 0)
+        for row, (fid, result) in zip(rows, runs):
             ref = as_reconstruct(ctx.filters, row, ctx.omega_max, delta_approx=as_delta)
             assert result.values.tobytes() == ref.values.tobytes()
             assert result.condition_number == ref.condition_number or as_delta
-            _assert_scored_like(fid, row, fidelity(ctx.spectrum, ref, ctx.fidelity_points))
+            assert abs(fid - fidelity(ctx.spectrum, ref, ctx.fidelity_points)) <= 1e-12
 
     def test_run_once_equals_readout_by_readout(self, two_line_spectrum):
         ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
@@ -383,7 +410,7 @@ class TestCachedDecomposition:
         ref = fo_reconstruct(ctx.filters, c_hat, OMEGA_C, overlap=ctx.overlap)
         fid, result = ctx.run_once(noise, want_result=True)
         assert result.values.tobytes() == ref.values.tobytes()
-        _assert_scored_like(fid, c_hat, fidelity(ctx.spectrum, ref, ctx.fidelity_points))
+        assert abs(fid - fidelity(ctx.spectrum, ref, ctx.fidelity_points)) <= 1e-12
 
 
 def _reference_score(ctx, row, eig_keep, as_delta):
@@ -408,67 +435,132 @@ _KERNEL_CASES = {"fo-tau": ("fo", 2.0, DEFAULT_TAU, False), "fo-7": ("fo", 2.0, 
 @pytest.fixture(scope="module", params=list(_KERNEL_CASES))
 def kernel_case(request, two_line_spectrum):
     """(context, eig_keep, as_delta, 257 rows of estimates); every 17th row
-    has a saturated readout, so blocks mix mapped and per-row rows."""
+    has a saturated readout, so blocks mix kept sets."""
     protocol, T, eig_keep, as_delta = _KERNEL_CASES[request.param]
     ctx = ProtocolContext(protocol, two_line_spectrum, T)
     rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.1, seed=21), 257)
     rows[::17, 4] = math.inf
-    assert ctx._linear_map(eig_keep, as_delta) is not None
     return ctx, eig_keep, as_delta, rows
 
 
+def _fids(ctx, rows, eig_keep, as_delta):
+    return ctx._score_block(rows, eig_keep, as_delta)[0]
+
+
+def _assert_degenerate(ctx, noise, repetitions, eig_keep, as_delta=False):
+    """The engine's rows score exactly 0 as degenerate, and ``run_once``
+    writes no result for them."""
+    rows, runs = _run_once_rows(ctx, noise, repetitions, eig_keep, as_delta)
+    assert [_reference_score(ctx, row, eig_keep, as_delta) for row in rows] == [0.0] * len(rows)
+    fids, degenerate = ctx._score_block(rows, eig_keep, as_delta)
+    assert fids.tolist() == [0.0] * len(rows) and degenerate.all()
+    assert runs == [(0.0, None)] * len(rows)
+
+
 class TestBlockKernel:
-    """Fully finite rows are scored through the context's linear map."""
+    """Every row is scored through the linear map of its kept set."""
 
     @pytest.mark.parametrize("R", [1, 255, 256, 257])
     def test_bits_independent_of_block_size(self, kernel_case, R):
         ctx, eig_keep, as_delta, rows = kernel_case
-        full = ctx._score_block(rows, eig_keep, as_delta)
+        full = _fids(ctx, rows, eig_keep, as_delta)
         for start in sorted({0, (257 - R) // 2, 257 - R}):
-            part = ctx._score_block(rows[start:start + R], eig_keep, as_delta)
+            part = _fids(ctx, rows[start:start + R], eig_keep, as_delta)
             assert part.tobytes() == full[start:start + R].tobytes()
 
     def test_bits_independent_of_position(self, kernel_case):
         ctx, eig_keep, as_delta, rows = kernel_case
-        full = ctx._score_block(rows, eig_keep, as_delta)
+        full = _fids(ctx, rows, eig_keep, as_delta)
         perm = np.random.default_rng(3).permutation(len(rows))
-        assert ctx._score_block(rows[perm], eig_keep, as_delta).tobytes() == full[perm].tobytes()
+        assert _fids(ctx, rows[perm], eig_keep, as_delta).tobytes() == full[perm].tobytes()
         for r in (0, 1, 17, 128, 256):
-            assert ctx._score(rows[r], eig_keep, as_delta)[0] == full[r]
+            assert _fids(ctx, rows[r:r + 1], eig_keep, as_delta)[0] == full[r]
 
     def test_agrees_with_reference(self, kernel_case):
         ctx, eig_keep, as_delta, rows = kernel_case
-        fids = ctx._score_block(rows, eig_keep, as_delta)
+        fids = _fids(ctx, rows, eig_keep, as_delta)
         for row, fid in zip(rows, fids):
             ref = _reference_score(ctx, row, eig_keep, as_delta)
-            _assert_scored_like(fid, row, ref)
+            assert abs(fid - ref) <= 1e-12
             assert ref > 0.5
 
     @pytest.mark.parametrize("case", ["cv", "retain-none", "tau-above-one", "saturated"])
     def test_fo_per_row_cases_unchanged(self, two_line_spectrum, case):
         ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
-        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.2, seed=22), 6)
+        noise = NoiseModel(dp_max=0.01, gamma=0.2, seed=22)
         eig_keep = {"cv": "cv", "retain-none": 0, "tau-above-one": 2.0}.get(case, DEFAULT_TAU)
+        if case in ("retain-none", "tau-above-one"):
+            _assert_degenerate(ctx, noise, 6, eig_keep)
+            return
+        rows = _estimate_rows(ctx, noise, 6)
         if case == "saturated":
             rows[:, [3, 11]] = math.inf
-        else:
-            assert ctx._linear_map(eig_keep, False) is None
         expected = [_reference_score(ctx, row, eig_keep, False) for row in rows]
-        np.testing.assert_array_equal(ctx._score_block(rows, eig_keep, False), expected)
+        fids, degenerate = ctx._score_block(rows, eig_keep, False)
+        np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
+        assert not degenerate.any()
 
     def test_ill_conditioned_as_unchanged(self, two_line_spectrum, monkeypatch):
         monkeypatch.setattr(reconstruct, "_COND_LIMIT", 1.0)
         ctx = ProtocolContext("as", two_line_spectrum, 10.0)
-        assert ctx._linear_map(DEFAULT_TAU, False) is None
-        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, seed=23), 6)
-        expected = [_reference_score(ctx, row, DEFAULT_TAU, False) for row in rows]
-        assert expected == [0.0] * 6
-        np.testing.assert_array_equal(ctx._score_block(rows, DEFAULT_TAU, False), expected)
+        noise = NoiseModel(dp_max=0.01, seed=23)
+        _assert_degenerate(ctx, noise, 6, DEFAULT_TAU)
+        # a kept subset is checked too, not only the full set
+        rows = _estimate_rows(ctx, noise, 6)
+        rows[:, [0, 7]] = math.inf
+        assert [_reference_score(ctx, row, DEFAULT_TAU, False) for row in rows] == [0.0] * 6
+        fids, degenerate = ctx._score_block(rows, DEFAULT_TAU, False)
+        assert fids.tolist() == [0.0] * 6 and degenerate.all()
 
     @pytest.mark.parametrize("protocol, as_delta", [("fo", False), ("as", False), ("as", True)])
-    def test_zero_estimate_scores_zero(self, two_line_spectrum, protocol, as_delta):
+    def test_zero_estimate_scores_zero(self, two_line_spectrum, protocol, as_delta, monkeypatch):
         ctx = ProtocolContext(protocol, two_line_spectrum, 10.0)
         zero = np.zeros((3, ctx.K))
         assert _reference_score(ctx, zero[0], DEFAULT_TAU, as_delta) == 0.0
-        assert ctx._score_block(zero, DEFAULT_TAU, as_delta).tolist() == [0.0] * 3
-        assert ctx._score(zero[0], DEFAULT_TAU, as_delta) == (0.0, None)
+        fids, degenerate = ctx._score_block(zero, DEFAULT_TAU, as_delta)
+        assert fids.tolist() == [0.0] * 3 and degenerate.all()
+        monkeypatch.setattr(reconstruct, "measure_batch",
+                            lambda c_true, *args: (np.zeros_like(c_true), None))
+        assert ctx.run_once(NoiseModel(seed=1), want_result=True, as_delta=as_delta) == (0.0, None)
+
+    @pytest.mark.parametrize("protocol, eig_keep, as_delta", [
+        ("fo", "cv", False), ("fo", DEFAULT_TAU, False), ("fo", 7, False),
+        ("as", DEFAULT_TAU, False), ("as", DEFAULT_TAU, True)],
+        ids=["fo-cv", "fo-tau", "fo-7", "as", "as-delta"])
+    def test_mixed_saturation_patterns(self, two_line_spectrum, protocol, eig_keep, as_delta):
+        ctx = ProtocolContext(protocol, two_line_spectrum, 5.0)
+        rows = _estimate_rows(ctx, _SATURATING, 60)
+        rows[::5, 2] = math.inf
+        rows[1::7, [0, 9]] = math.inf
+        rows[3::11, 1:] = math.inf  # one kept readout
+        rows[4] = math.inf  # none kept
+        assert len({row.tobytes() for row in np.isfinite(rows)}) >= 6
+        fids, degenerate = ctx._score_block(rows, eig_keep, as_delta)
+        for row, fid, zero in zip(rows, fids, degenerate):
+            ref = _reference_score(ctx, row, eig_keep, as_delta)
+            assert abs(fid - ref) <= 1e-12
+            assert zero == (ref == 0.0)
+        assert degenerate[4] and degenerate.sum() < 10
+
+
+class TestSingleKeptReadout:
+    """The "cv" rule with one finite estimate keeps that filter."""
+
+    def test_fo_reconstruct(self, fo_setup):
+        grid, filters, A = fo_setup
+        c = np.full(20, math.inf)
+        c[6] = 0.8
+        rec = fo_reconstruct(filters, c, OMEGA_C, eig_keep="cv")
+        assert rec.kept_indices.tolist() == [6] and rec.retained_count == 1
+        assert rec.params["tau_used"] == max(reconstruct.TAU_GRID)
+        np.testing.assert_allclose(rec.values, 0.8 / A[6, 6] * filters[6].values[:rec.omegas.size],
+                                   rtol=1e-12)
+
+    def test_score_block(self, two_line_spectrum):
+        ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, seed=24), 3)
+        rows[:, 1:] = math.inf
+        fids, degenerate = ctx._score_block(rows, "cv", False)
+        expected = [_reference_score(ctx, row, "cv", False) for row in rows]
+        np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
+        assert min(expected) > 0 and not degenerate.any()

@@ -11,11 +11,13 @@ script run in two checkouts compares their outputs:
 ``diff parent/hashes.txt change/hashes.txt`` lists every file whose bytes
 differ.  The matrix is all presets at ``--quick`` with one and two
 workers, every preset but ``fig8-ocf-lorentzian`` (the slowest by far)
-at its full budget, and quick ``fig8-ocf-lorentzian`` with two operation
-times and two swept qubit numbers, the one run that writes
-``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``).  Each line is ``sha256  path`` with the path relative
-to ``OUT``; a run that exits nonzero is reported on stderr and makes the
-script exit 1.
+at its full budget, and two quick runs from written configs: fig8 with two
+operation times and two swept qubit numbers, the one run that writes
+``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``), and fig3
+at 20 repetitions with ``eig_keep = cv``, the one run that scores
+saturated readouts under the cross-validated retention rule.  Each line
+is ``sha256  path`` with the path relative to ``OUT``; a run that exits
+nonzero is reported on stderr and makes the script exit 1.
 
 ``--compare`` walks two such trees.  For every file that differs it lists
 the summary keys, CSV metadata keys and CSV columns whose values differ,
@@ -44,11 +46,13 @@ from noisespec import cli  # noqa: E402
 FULL_SKIP = {"fig8-ocf-lorentzian"}
 
 
-def time_scan_config(path) -> str:
-    """Write quick fig8 with ``T_candidates = 2 5`` and ``sweep_nqubits =
-    1 2`` to ``path`` as an INI config, run without ``--quick``."""
-    cfg = cli.preset_config("fig8-ocf-lorentzian", quick=True)
-    cfg["ocf"].update(T_candidates=[2.0, 5.0], sweep_nqubits=[1, 2])
+def quick_config(path, preset, **sections) -> str:
+    """Write the quick budget of ``preset``, with each of ``sections``
+    updated by its dict of values, to ``path`` as an INI config, run
+    without ``--quick``."""
+    cfg = cli.preset_config(preset, quick=True)
+    for section, values in sections.items():
+        cfg[section].update(values)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(cli.format_config(cfg))
     return path
@@ -64,7 +68,12 @@ def matrix(config_dir):
     for name in names:
         if name not in FULL_SKIP:
             yield "full", [name]
-    yield "quick-time-scan", [time_scan_config(os.path.join(config_dir, "time-scan.ini"))]
+    yield "quick-time-scan", [quick_config(
+        os.path.join(config_dir, "time-scan.ini"), "fig8-ocf-lorentzian",
+        ocf={"T_candidates": [2.0, 5.0], "sweep_nqubits": [1, 2]})]
+    yield "quick-cv", [quick_config(
+        os.path.join(config_dir, "cv.ini"), "fig3-fidelity-vs-gamma",
+        run={"repetitions": 20}, protocol={"eig_keep": "cv"})]
 
 
 def _fields(path) -> dict:
