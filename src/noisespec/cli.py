@@ -12,7 +12,7 @@ location.  Scenarios, presets and budgets are data in this module:
   its summary and CSV tables; ``run_scenario`` writes them.
 
 Every stochastic quantity derives from the master seed, so a rerun of the
-same config is byte-identical, serial or parallel.
+same config is byte-identical, its repetitions and designs serial or parallel.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .modulation import fo_sequence
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
 from .probe import NoiseModel, survival_probability
 from .reconstruct import (DEFAULT_TAU, ProtocolContext, fidelity, mean_se,
-                          run_repetitions, scan_optimal_time)
+                          run_jobs, run_repetitions, scan_optimal_time)
 from .seeding import derive_seed
 from .spectra import CompositeSignal, SpectralDensity
 from .tracking import track_fo, track_ocf
@@ -528,33 +528,40 @@ def _run_nqubit_scan(cfg, workers):
 
 
 def _run_ocf(cfg, workers):
-    del workers  # restarts are cheap and sequential-deterministic
     spectrum = _spectrum_from(cfg["spectrum"])
     oc = cfg["ocf"]
     seed = cfg["run"]["seed"]
     grid = ocf_grid(oc["omega_c"], oc["grid_spacing"], oc["grid_span_factor"])
     fid_points = oc["omega_c"] * np.arange(1, 21) / 20
 
-    def problem(n_q, T, continuous, run_seed):
-        return OcfProblem(spectrum=spectrum, duration=T, n_qubits=n_q,
-                          continuous=continuous, omega_c=oc["omega_c"],
-                          penalty_weight=oc["penalty_weight"],
-                          superiterations=oc["superiterations"],
-                          inner_evals=oc["inner_evals"],
-                          basis_size=oc["basis_size"], seed=run_seed, grid=grid)
+    # (qubits, T, seed path) of every design, the longest (continuous) first
+    designs = [(1, oc["T"], (3,))] if oc["continuous"] else []
+    designs += [(n_q, oc["T"], (1, ni, r)) for ni, n_q in enumerate(oc["nqubit_values"])
+                for r in range(oc["restarts"])]
+    designs += [(n_q, T, (2, n_q, ti, r)) for n_q in oc["sweep_nqubits"]
+                for ti, T in enumerate(oc["T_candidates"]) for r in range(oc["restarts"])]
 
-    def restarts(n_q, T, *seed_path):
+    def design(i):
+        n_q, T, path = designs[i]
+        return (optimize_continuous if path == (3,) else optimize_discrete)(OcfProblem(
+            spectrum=spectrum, duration=T, n_qubits=n_q, continuous=path == (3,),
+            omega_c=oc["omega_c"], penalty_weight=oc["penalty_weight"],
+            superiterations=oc["superiterations"], inner_evals=oc["inner_evals"],
+            basis_size=oc["basis_size"], seed=derive_seed(seed, *path), grid=grid))
+
+    sols = dict(zip([path for *_, path in designs], run_jobs(design, len(designs), workers)))
+
+    def restarts(*seed_path):
         """Fidelity mean and se, and mean normalized objective, over the
         restarts of one discrete design."""
-        sols = [optimize_discrete(problem(n_q, T, False, derive_seed(seed, *seed_path, r)))
-                for r in range(oc["restarts"])]
-        fids = np.array([fidelity(spectrum, solution_filter(sol), fid_points) for sol in sols])
-        return (*mean_se(fids), float(np.mean([sol.normalized_fidelity for sol in sols])))
+        runs = [sols[(*seed_path, r)] for r in range(oc["restarts"])]
+        fids = np.array([fidelity(spectrum, solution_filter(sol), fid_points) for sol in runs])
+        return (*mean_se(fids), float(np.mean([sol.normalized_fidelity for sol in runs])))
 
     summary, tables = {}, {}
     # fidelity vs qubit number at fixed T
-    rows_mean, rows_se, rows_xi = zip(*[restarts(n_q, oc["T"], 1, ni)
-                                        for ni, n_q in enumerate(oc["nqubit_values"])])
+    rows_mean, rows_se, rows_xi = zip(*[restarts(1, ni)
+                                        for ni in range(len(oc["nqubit_values"]))])
     tables["ocf_nqubit_scan.csv"] = (
         {"T": oc["T"], "omega_c": oc["omega_c"], "restarts": oc["restarts"]},
         {"n_qubits": np.asarray(oc["nqubit_values"], dtype=int),
@@ -567,13 +574,13 @@ def _run_ocf(cfg, workers):
         cols = {"T": np.asarray(oc["T_candidates"])}
         for n_q in oc["sweep_nqubits"]:
             cols[f"fidelity_n{n_q}"] = vals = np.asarray(
-                [restarts(n_q, T, 2, n_q, ti)[0] for ti, T in enumerate(oc["T_candidates"])])
+                [restarts(2, n_q, ti)[0] for ti in range(len(oc["T_candidates"]))])
             summary[f"peak_T_n{n_q}"] = float(cols["T"][int(np.argmax(vals))])
         tables["ocf_time_scan.csv"] = (
             {"omega_c": oc["omega_c"], "restarts": oc["restarts"]}, cols)
 
     if oc["continuous"]:
-        sol = optimize_continuous(problem(1, oc["T"], True, derive_seed(seed, 3)))
+        sol = sols[(3,)]
         summary["continuous_xi_normalized"] = sol.normalized_fidelity
         filt = solution_filter(sol)
         norm_f = continuous_norm(filt, oc["omega_c"])
@@ -588,7 +595,6 @@ def _run_ocf(cfg, workers):
 
 
 def _run_tracking(cfg, workers):
-    del workers
     tr = cfg["tracking"]
     seed = cfg["run"]["seed"]
     omega_c = tr["omega_c"]
@@ -622,14 +628,17 @@ def _run_tracking(cfg, workers):
                "fo_sum_drift": run.sum_drift()}
 
     o_grid = ocf_grid(omega_c)
+
+    def design(i):  # component i % 2 of qubit count i // 2
+        ni, ci = divmod(i, 2)
+        return solution_filter(optimize_discrete(OcfProblem(
+            spectrum=(s_one, s_two)[ci], duration=tr["T"], n_qubits=tr["nqubit_values"][ni],
+            omega_c=omega_c, superiterations=tr["superiterations"], inner_evals=tr["inner_evals"],
+            basis_size=tr["basis_size"], seed=derive_seed(seed, 20, ni, ci), grid=o_grid)))
+
+    filters = run_jobs(design, 2 * len(tr["nqubit_values"]), workers)
     for ni, n_q in enumerate(tr["nqubit_values"]):
-        pair = [solution_filter(optimize_discrete(OcfProblem(
-                    spectrum=comp, duration=tr["T"], n_qubits=n_q, omega_c=omega_c,
-                    superiterations=tr["superiterations"], inner_evals=tr["inner_evals"],
-                    basis_size=tr["basis_size"], seed=derive_seed(seed, 20, ni, ci),
-                    grid=o_grid)))
-                for ci, comp in enumerate((s_one, s_two))]
-        run = track_ocf(signal, pair, tr["T"], tr["horizon"],
+        run = track_ocf(signal, filters[2 * ni:2 * ni + 2], tr["T"], tr["horizon"],
                         _noise(cfg, derive_seed(seed, 30, ni)))
         tables[f"tracking_ocf_n{n_q}.csv"] = table(run, n_qubits=n_q)
         summary[f"ocf_n{n_q}_rms_s2"] = run.rms_error()
@@ -838,7 +847,7 @@ def _build_parser():
     run_p.add_argument("--repetitions", type=int, default=None,
                        help="override repetition count")
     run_p.add_argument("--workers", type=int, default=1,
-                       help="worker processes for repetition loops")
+                       help="worker processes for repetitions and filter designs")
     run_p.add_argument("--quick", action="store_true",
                        help="shrink budgets for smoke and determinism runs")
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedObjectiveError
-from .filterfn import FilterFunction, FrequencyGrid, filter_function, filter_values
+from .filterfn import FilterFunction, FrequencyGrid, filter_values
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          repair_switch_times, staircase_split)
 from .seeding import derive_seed, make_rng
@@ -334,5 +334,9 @@ def optimize_continuous(problem: OcfProblem) -> OcfSolution:
 
 
 def solution_filter(solution: OcfSolution) -> FilterFunction:
-    """Package the solution's modulation as a FilterFunction on its grid."""
-    return filter_function(solution.modulation, solution.grid)
+    """Package the solution's modulation as a FilterFunction on its grid,
+    over a read-only view of the filter values the search stored."""
+    values = solution.filter_values.view()
+    values.setflags(write=False)
+    return FilterFunction(grid=solution.grid, values=values, generator=solution.modulation,
+                          operation_time=solution.modulation.duration)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DegenerateBasisError, GridRangeError,
+from .errors import (CalibrationError, DegenerateBasisError, GridRangeError,
                      IllConditionedInversionError, UndefinedFidelityError, require_finite)
 from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
                        signal_overlap)
@@ -122,21 +122,38 @@ def select_retention_threshold(A: np.ndarray, c_hat: np.ndarray,
     prediction error wins (ties go to the largest, i.e. most truncating,
     threshold).
     """
+    return _cv_threshold(_cv_folds(A, tau_grid), c_hat)
+
+
+def _cv_folds(A: np.ndarray, tau_grid=TAU_GRID):
+    """The part of :func:`select_retention_threshold` that depends on the
+    overlap matrix ``A`` alone: the thresholds, most truncating first, and
+    per held-out filter j the mask of the other filters, the descending
+    eigenpairs of their overlap matrix, the projection of ``A[keep, j]``
+    and the count each threshold retains."""
     K = A.shape[0]
     taus = sorted(tau_grid, reverse=True)
-    residuals = np.zeros(len(taus))
+    folds = []
     for j in range(K):
         keep = np.arange(K) != j
-        sub = A[np.ix_(keep, keep)]
-        lam, U = np.linalg.eigh(sub)
+        lam, U = np.linalg.eigh(A[np.ix_(keep, keep)])
         lam = lam[::-1]
         U = U[:, ::-1]
+        folds.append((keep, lam, U, U.T @ A[keep, j],
+                      [_retained_count(lam, tau) for tau in taus]))
+    return taus, folds
+
+
+def _cv_threshold(cv_folds, c_hat: np.ndarray) -> float:
+    """The threshold of :func:`_cv_folds` output ``cv_folds`` that best
+    predicts each held-out coefficient of ``c_hat``."""
+    taus, folds = cv_folds
+    residuals = np.zeros(len(taus))
+    for j, (keep, lam, U, proj_a, counts) in enumerate(folds):
         proj_c = U.T @ c_hat[keep]
-        proj_a = U.T @ A[keep, j]
         with np.errstate(divide="ignore", invalid="ignore"):
             terms = np.where(lam > 0, proj_c * proj_a / lam, 0.0)
-        for ti, tau in enumerate(taus):
-            r = _retained_count(lam, tau)
+        for ti, r in enumerate(counts):
             pred = float(np.sum(terms[:r]))
             residuals[ti] += (pred - c_hat[j]) ** 2
     return taus[int(np.argmin(residuals))]
@@ -377,12 +394,19 @@ class ProtocolContext:
             raise ValueError(f"unknown protocol {protocol!r}")
         if protocol == "as" and n_qubits != 1:
             raise ValueError("the pointwise protocol is defined for one qubit")
-        require_finite(operation_time=operation_time, omega_c=omega_c)
+        if omega_max is None:
+            omega_max = 1.15 * omega_c if protocol == "fo" else omega_c
+        require_finite(operation_time=operation_time, omega_c=omega_c, omega_max=omega_max)
+        for name, value in (("omega_c", omega_c), ("omega_max", omega_max),
+                            ("operation_time", operation_time)):
+            if value <= 0:
+                raise GridRangeError(f"{name} must be > 0, got {value}")
+        if K < 1:
+            raise CalibrationError(f"K must be >= 1, got {K}")
         self.protocol = protocol
         self.K = K
         self.omega_c = omega_c
-        self.omega_max = omega_max if omega_max is not None else (
-            1.15 * omega_c if protocol == "fo" else omega_c)
+        self.omega_max = omega_max
         self.operation_time = operation_time
         self.n_qubits = n_qubits
         self.grid = grid if grid is not None else default_grid(self.omega_max)
@@ -452,13 +476,17 @@ class ProtocolContext:
         each, and the mask of rows that scored 0 as degenerate.  Rows are
         grouped by kept set and retention rule (``"cv"`` picks it per row);
         each group's map is built once, and one kernel call scores them
-        all."""
+        all.  Under ``"cv"`` each kept set is decomposed once."""
         kept = np.isfinite(c_hat)
+        rules = [eig_keep] * len(c_hat)
         if self.protocol == "fo" and isinstance(eig_keep, str):
-            rules = [_resolve_rule(self.overlap[np.ix_(m, m)], row[m], eig_keep)
-                     for row, m in zip(c_hat, kept)]
-        else:
-            rules = [eig_keep] * len(c_hat)
+            if eig_keep != "cv":
+                raise ValueError(f"unknown retention rule {eig_keep!r}")
+            folds = {}  # kept set -> its cross-validation folds
+            for i, (row, m) in enumerate(zip(c_hat, kept)):
+                if m.tobytes() not in folds:
+                    folds[m.tobytes()] = _cv_folds(self.overlap[np.ix_(m, m)])
+                rules[i] = _cv_threshold(folds[m.tobytes()], row[m])
         groups = {}
         index = [groups.setdefault((m.tobytes(), rule), len(groups))
                  for m, rule in zip(kept, rules)]
@@ -497,14 +525,38 @@ class ProtocolContext:
 
 
 # ---------------------------------------------------------------------------
-# repetition engine (optionally parallel, byte-deterministic)
+# job engine and repetition engine (optionally parallel, byte-deterministic)
 # ---------------------------------------------------------------------------
 
-#: repetitions per readout batch; a pool job is one block of one cell
-_BLOCK = 256
+#: the job function of a pool run, adopted by each forked worker's initializer
+_WORKER_JOB: list = []
 
-#: cells of the pool run, set in each forked worker by its initializer
-_WORKER_CELLS: list = []
+
+def _call_job(i: int):
+    return _WORKER_JOB[0](i)
+
+
+def run_jobs(fn, n: int, workers: int = 1) -> list:
+    """``[fn(i) for i in range(n)]``.  With ``workers > 1`` and ``n > 1``
+    the jobs run one index per task in a fork pool of ``min(workers, n)``
+    processes that inherit ``fn`` through its initializer (only indices and
+    results are pickled), or serially where fork is unavailable.  A job's
+    error is raised once.  Results are kept by index."""
+    if workers > 1 and n > 1:
+        import multiprocessing as mp
+        try:
+            pool = mp.get_context("fork").Pool(min(workers, n), initializer=_WORKER_JOB.append,
+                                               initargs=(fn,))
+        except (ValueError, OSError):  # no fork on this platform, or fork failed
+            pool = None
+        if pool is not None:
+            with pool:
+                return pool.map(_call_job, range(n), chunksize=1)
+    return [fn(i) for i in range(n)]
+
+
+#: repetitions per readout batch; a job is one block of one cell
+_BLOCK = 256
 
 
 def _run_block(cells, ci: int, start: int, stop: int) -> np.ndarray:
@@ -517,43 +569,20 @@ def _run_block(cells, ci: int, start: int, stop: int) -> np.ndarray:
     return ctx._score_block(c_hat, eig_keep, as_delta)[0]
 
 
-def _adopt_cells(cells) -> None:
-    _WORKER_CELLS[:] = cells
-
-
-def _pool_job(job) -> np.ndarray:
-    return _run_block(_WORKER_CELLS, *job)
-
-
 def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
     """Fidelities of seeded repetitions, shape ``(len(cells), repetitions)``.
 
     A cell is ``(ProtocolContext, NoiseModel, eig_keep, as_delta)``; the
     noise model's seed is the cell's seed base, and repetition r equals
     ``run_once`` at ``derive_seed(cell seed, r)``.  A job is a block of up
-    to ``_BLOCK`` repetitions of one cell.  With ``workers > 1`` and more
-    than one job, the jobs run in one fork pool of ``min(workers, jobs)``
-    processes; where fork is unavailable they run serially.  Results are
-    stored by index, so the output is the same for any worker count.
+    to ``_BLOCK`` repetitions of one cell, and :func:`run_jobs` runs them
+    on ``workers`` processes; the output is the same for any worker count.
     """
     cells = list(cells)
     fids = np.zeros((len(cells), repetitions))
     jobs = [(ci, start, min(start + _BLOCK, repetitions))
             for ci in range(len(cells)) for start in range(0, repetitions, _BLOCK)]
-    blocks = None
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-        try:
-            pool = mp.get_context("fork").Pool(min(workers, len(jobs)),
-                                               initializer=_adopt_cells,
-                                               initargs=(cells,))
-        except (ValueError, OSError):  # no fork on this platform, or fork failed
-            pool = None
-        if pool is not None:
-            with pool:
-                blocks = pool.map(_pool_job, jobs, chunksize=1)
-    if blocks is None:
-        blocks = [_run_block(cells, *job) for job in jobs]
+    blocks = run_jobs(lambda i: _run_block(cells, *jobs[i]), len(jobs), workers)
     for (ci, start, stop), block in zip(jobs, blocks):
         fids[ci, start:stop] = block
     return fids

@@ -195,17 +195,36 @@ def test_csv_spectrum_read_once_before_run(flags, tmp_path, monkeypatch, capsys)
     assert len(reads) == 2
 
 
-@pytest.mark.parametrize("name", ["fig3-fidelity-vs-gamma", "fig4-dephasing0"])
-def test_worker_count_keeps_bytes(name, tmp_path, capsys):
+def _outputs_by_workers(target, name, tmp_path, capsys, *flags):
+    """The output files of ``noisespec run target`` at one and two workers."""
     outputs = []
     for workers in (1, 2):
         root = tmp_path / f"workers{workers}"
-        assert cli.main(["run", name, "--quick", "--workers", str(workers),
+        assert cli.main(["run", target, *flags, "--workers", str(workers),
                          "--out-dir", str(root)]) == 0
         outputs.append(_outputs(root / name))
     capsys.readouterr()
     assert any(f.endswith(".csv") for f in outputs[0])
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+@pytest.mark.parametrize("name", ["fig3-fidelity-vs-gamma", "fig4-dephasing0",
+                                  "fig10-ocf-double", "fig12-tracking-slow"])
+def test_worker_count_keeps_bytes(name, tmp_path, capsys):
+    serial, pooled = _outputs_by_workers(name, name, tmp_path, capsys, "--quick")
+    assert serial == pooled
+
+
+def test_worker_count_keeps_time_scan_bytes(tmp_path, capsys):
+    """Quick fig8 with swept operation times: restarts of the nqubit scan,
+    the time scan and the continuous design share one pool."""
+    cfg = cli.preset_config("fig8-ocf-lorentzian", quick=True)
+    cfg["ocf"].update(T_candidates=[2.0, 5.0], sweep_nqubits=[1, 2])
+    path = tmp_path / "time-scan.ini"
+    path.write_text(cli.format_config(cfg))
+    serial, pooled = _outputs_by_workers(str(path), "fig8-ocf-lorentzian", tmp_path, capsys)
+    assert "ocf_time_scan.csv" in serial and "ocf_best_filter.csv" in serial
+    assert serial == pooled
 
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from noisespec import (SpectralDensity, UndefinedObjectiveError,
                        staircase_split, xi_normalized)
-from noisespec.filterfn import FilterFunction, FrequencyGrid, continuous_norm
+from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
+                                filter_function)
 from noisespec.modulation import PulseSequence
 from noisespec.ocf import (OcfProblem, _inner_search, ocf_grid,
                            optimize_continuous, optimize_discrete,
@@ -121,6 +122,19 @@ class TestOptimizers:
                     seed=derive_seed(1, r)))
                 for r in range(2)]
         assert sols[0].trace != sols[1].trace
+
+    @pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
+    def test_solution_filter_is_the_stored_filter(self, continuous):
+        prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=2,
+                          continuous=continuous, superiterations=2, inner_evals=10, seed=4)
+        sol = (optimize_continuous if continuous else optimize_discrete)(prob)
+        filt = solution_filter(sol)
+        fresh = filter_function(sol.modulation, sol.grid)
+        assert filt.values.tobytes() == fresh.values.tobytes()
+        assert filt.grid is sol.grid and filt.generator is sol.modulation
+        assert filt.operation_time == fresh.operation_time == 5.0
+        assert np.shares_memory(filt.values, sol.filter_values)
+        assert not filt.values.flags.writeable and sol.filter_values.flags.writeable
 
 
 def _bowl(x):

@@ -1,12 +1,14 @@
 import math
 import multiprocessing
 import multiprocessing.pool
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from noisespec import (DegenerateBasisError, IllConditionedInversionError, NoiseModel,
+from noisespec import (CalibrationError, DegenerateBasisError, GridRangeError,
+                       IllConditionedInversionError, NoiseModel,
                        NonFiniteInputError, SpectralDensity, UndefinedFidelityError,
                        as_reconstruct, default_grid,
                        fidelity, filter_function, fo_reconstruct, fo_sequence,
@@ -14,7 +16,7 @@ from noisespec import (DegenerateBasisError, IllConditionedInversionError, Noise
                        scan_optimal_time)
 from noisespec import cli, reconstruct
 from noisespec.filterfn import FilterFunction, signal_overlap
-from noisespec.reconstruct import DEFAULT_TAU, ProtocolContext, bin_matrix
+from noisespec.reconstruct import DEFAULT_TAU, ProtocolContext, bin_matrix, run_jobs
 from noisespec.seeding import derive_seed, derive_seed_array
 
 OMEGA_C = 10.0
@@ -210,6 +212,35 @@ class TestRetention:
                              overlap=ctx.overlap)
         assert 1 <= rec.retained_count <= 12
 
+    def test_cv_decomposes_each_kept_set_once(self, monkeypatch):
+        """A block under "cv" builds the cross-validation folds once per kept
+        set, and every row gets the threshold its own full selection picks."""
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
+        ctx = ProtocolContext("fo", spec, 5.0)
+        rows = _estimate_rows(ctx, _SATURATING, 40)
+        rows[::5, 2] = math.inf
+        rows[1::7, [0, 9]] = math.inf
+        kept = np.isfinite(rows)
+        kept_sets = {m.tobytes() for m in kept}
+        assert len(kept_sets) >= 3
+        folds, rules = [], []
+        cv_folds, cv_threshold = reconstruct._cv_folds, reconstruct._cv_threshold
+        monkeypatch.setattr(reconstruct, "_cv_folds",
+                            lambda A: folds.append(A.shape) or cv_folds(A))
+        monkeypatch.setattr(reconstruct, "_cv_threshold",
+                            lambda f, c: rules.append(cv_threshold(f, c)) or rules[-1])
+        ctx._score_block(rows, "cv", False)
+        assert len(folds) == len(kept_sets)
+        monkeypatch.undo()
+        assert rules == [reconstruct.select_retention_threshold(
+            ctx.overlap[np.ix_(m, m)], row[m]) for row, m in zip(rows, kept)]
+
+    def test_unknown_rule_rejected(self):
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+        ctx = ProtocolContext("fo", spec, 2.0, K=6)
+        with pytest.raises(ValueError, match="unknown retention rule 'loo'"):
+            ctx._score_block(np.ones((2, 6)), "loo", False)
+
 
 class TestContextInput:
     @pytest.mark.parametrize("kwargs", [{"operation_time": math.nan},
@@ -219,6 +250,23 @@ class TestContextInput:
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
         with pytest.raises(NonFiniteInputError):
             ProtocolContext("fo", spec, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"operation_time": 2.0, "omega_c": -1.0}, "omega_c"),
+        ({"operation_time": 2.0, "omega_c": 0.0}, "omega_c"),
+        ({"operation_time": 2.0, "omega_max": -3.0}, "omega_max"),
+        ({"operation_time": -2.0}, "operation_time"),
+        ({"operation_time": 0.0}, "operation_time")])
+    def test_non_positive_rejected(self, kwargs, name):
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+        with pytest.raises(GridRangeError, match=f"^{name} must be > 0"):
+            ProtocolContext("fo", spec, **kwargs)
+
+    @pytest.mark.parametrize("K", [0, -1])
+    def test_no_filters_rejected(self, K):
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+        with pytest.raises(CalibrationError, match=f"^K must be >= 1, got {K}"):
+            ProtocolContext("fo", spec, 2.0, K=K)
 
 
 class TestScan:
@@ -315,18 +363,83 @@ class TestRepetitionEngine:
     def test_pool_size(self, engine_cells, monkeypatch, workers, repetitions, processes):
         """A pool has no more processes than jobs, and a single job runs
         without one; whatever it asks for, at most 2 start here."""
-        asked = []
-        init = multiprocessing.pool.Pool.__init__
-
-        def counting_init(self, processes=None, *args, **kwargs):
-            asked.append(processes)
-            init(self, min(processes, 2), *args, **kwargs)
-
-        monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+        asked = _clamped_pools(monkeypatch)
         cell = engine_cells[:1]
         np.testing.assert_array_equal(run_repetitions(cell, repetitions, workers=workers),
                                       run_repetitions(cell, repetitions))
         assert asked == processes
+
+
+def _clamped_pools(monkeypatch):
+    """The process counts asked of every pool, each started with at most 2."""
+    asked = []
+    init = multiprocessing.pool.Pool.__init__
+
+    def counting_init(self, processes=None, *args, **kwargs):
+        asked.append(processes)
+        init(self, min(processes, 2), *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "__init__", counting_init)
+    return asked
+
+
+def _square(i):
+    return np.full(3, float(i * i))
+
+
+class TestRunJobs:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_serial(self, workers):
+        """A closure (which pickle refuses) reaches the workers, and with a
+        pool every job runs in a child process."""
+        table = {i: _square(i) for i in range(7)}
+        got = run_jobs(lambda i: (table[i], os.getpid()), 7, workers)
+        for i, (value, pid) in enumerate(got):
+            np.testing.assert_array_equal(value, _square(i))
+            assert (pid == os.getpid()) == (workers == 1)
+
+    def test_serial_fallback_without_fork(self, monkeypatch):
+        def no_fork(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        pid = os.getpid()
+        assert run_jobs(lambda i: (i, os.getpid()), 3, 2) == [(0, pid), (1, pid), (2, pid)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_job_error_raised_once(self, tmp_path, workers):
+        """A job's error reaches the caller with its type and fields, and no
+        job runs twice (a rerun would find its marker file and fail with
+        FileExistsError instead)."""
+        def job(i):
+            (tmp_path / str(i)).touch(exist_ok=False)
+            if i == 2:
+                raise IllConditionedInversionError("job 2 failed", condition_number=5.0)
+            return i
+
+        with pytest.raises(IllConditionedInversionError, match="job 2 failed") as info:
+            run_jobs(job, 4, workers)
+        assert info.value.condition_number == 5.0
+        assert (tmp_path / "2").exists()
+
+    @pytest.mark.parametrize("workers, n, processes", [
+        (2, 0, []), (2, 1, []), (9, 1, []), (1, 5, []), (2, 5, [2]), (9, 3, [3])])
+    def test_pool_size(self, monkeypatch, workers, n, processes):
+        """A pool has min(workers, n) processes, and one job or one worker
+        runs without a pool; whatever it asks for, at most 2 start here."""
+        asked = _clamped_pools(monkeypatch)
+        got = run_jobs(_square, n, workers)
+        assert asked == processes
+        assert len(got) == n
+        for i, value in enumerate(got):
+            np.testing.assert_array_equal(value, _square(i))
+
+    @pytest.mark.parametrize("name", ["fig8-ocf-lorentzian", "fig10-ocf-double",
+                                      "fig12-tracking-slow"])
+    def test_one_pool_per_design_run(self, tmp_path, monkeypatch, name):
+        asked = _clamped_pools(monkeypatch)
+        cli.run_scenario(cli.preset_config(name, quick=True), str(tmp_path), workers=2)
+        assert len(asked) == 1
 
 
 def _estimate_rows(ctx, noise, repetitions):

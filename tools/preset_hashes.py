@@ -11,11 +11,12 @@ script run in two checkouts compares their outputs:
 ``diff parent/hashes.txt change/hashes.txt`` lists every file whose bytes
 differ.  The matrix is all presets at ``--quick`` with one and two
 workers, every preset but ``fig8-ocf-lorentzian`` (the slowest by far)
-at its full budget, and two quick runs from written configs: fig8 with two
+at its full budget, and quick runs from written configs: fig8 with two
 operation times and two swept qubit numbers, the one run that writes
-``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``), and fig3
-at 20 repetitions with ``eig_keep = cv``, the one run that scores
-saturated readouts under the cross-validated retention rule.  Each line
+``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``), with one
+and with two workers, and fig3 at 20 repetitions with ``eig_keep = cv``,
+the one run that scores saturated readouts under the cross-validated
+retention rule.  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -68,9 +69,11 @@ def matrix(config_dir):
     for name in names:
         if name not in FULL_SKIP:
             yield "full", [name]
-    yield "quick-time-scan", [quick_config(
+    time_scan = quick_config(
         os.path.join(config_dir, "time-scan.ini"), "fig8-ocf-lorentzian",
-        ocf={"T_candidates": [2.0, 5.0], "sweep_nqubits": [1, 2]})]
+        ocf={"T_candidates": [2.0, 5.0], "sweep_nqubits": [1, 2]})
+    yield "quick-time-scan", [time_scan]
+    yield "quick-time-scan-w2", [time_scan, "--workers", "2"]
     yield "quick-cv", [quick_config(
         os.path.join(config_dir, "cv.ini"), "fig3-fidelity-vs-gamma",
         run={"repetitions": 20}, protocol={"eig_keep": "cv"})]
