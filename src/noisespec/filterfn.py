@@ -16,6 +16,11 @@ transforms are cached by value for the last 8 (duration, panels, grid)
 plans.  The grid path agrees with the direct ``e^{i omega t}`` form, which
 serves arbitrary frequencies, within 1e-12 of max F.
 
+One kernel, ``_pulse_transform(bounds, values, omega)``, transforms every
+pulse train: :func:`fourier_piecewise` feeds it the merged step function
+of a modulation object, and the discrete OCF search feeds it the step
+function merged from its candidate arrays, with no object built.
+
 Conventions:
 
 * Band integrals (``trap_weights(omega_c)``, :func:`overlap_matrix`,
@@ -174,6 +179,31 @@ def _nodes(omega):
     return omega_arr, np.ndim(omega) == 0
 
 
+def _pulse_transform(bounds, values, omega) -> np.ndarray:
+    """``Y(omega)`` of the step function ``(bounds, values)`` on a
+    :class:`FrequencyGrid` or at a 1-d array of frequencies ``>= 0``.
+
+    On a grid the nodes ascend, so the small-phase nodes are a prefix and
+    the quotient runs over a slice; other arrays select both by mask.
+    """
+    out = _phase_sums(_boundary_coefficients(bounds, values)[None, :], bounds, omega)[0]
+    if isinstance(omega, FrequencyGrid):
+        omega = omega.omegas
+        n = int(np.searchsorted(omega * bounds[-1], _SMALL_PHASE))
+        small, large = slice(0, n), slice(n, None)
+    else:
+        small = omega * bounds[-1] < _SMALL_PHASE
+        large = ~small
+    out[large] /= 1j * omega[large]
+    om = omega[small]
+    if om.size:
+        m0 = float(values @ np.diff(bounds))
+        m1 = float(values @ np.diff(bounds ** 2)) / 2.0
+        m2 = float(values @ np.diff(bounds ** 3)) / 6.0
+        out[small] = m0 + 1j * om * m1 - om ** 2 * m2
+    return out
+
+
 def fourier_piecewise(seq_or_set, omega) -> np.ndarray:
     """Exact transform of a piecewise-constant modulation at ``omega >= 0``.
 
@@ -184,16 +214,8 @@ def fourier_piecewise(seq_or_set, omega) -> np.ndarray:
     per-qubit transforms.
     """
     omega_arr, scalar = _nodes(omega)
-    bounds, values = to_step_function(seq_or_set)
-    out = _phase_sums(_boundary_coefficients(bounds, values)[None, :], bounds, omega)[0]
-    small = omega_arr * bounds[-1] < _SMALL_PHASE
-    out[~small] /= 1j * omega_arr[~small]
-    if np.any(small):
-        om = omega_arr[small]
-        m0 = float(values @ np.diff(bounds))
-        m1 = float(values @ np.diff(bounds ** 2)) / 2.0
-        m2 = float(values @ np.diff(bounds ** 3)) / 6.0
-        out[small] = m0 + 1j * om * m1 - om ** 2 * m2
+    out = _pulse_transform(*to_step_function(seq_or_set),
+                           omega if isinstance(omega, FrequencyGrid) else omega_arr)
     return complex(out[0]) if scalar else out
 
 

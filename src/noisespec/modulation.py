@@ -30,7 +30,8 @@ class PulseSequence:
     initial_sign: int = 1
 
     def __post_init__(self):
-        times = np.atleast_1d(np.asarray(self.switch_times, dtype=float))
+        require_finite(duration=self.duration)
+        times = _finite_times(self.switch_times)
         if self.duration <= 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
         if self.initial_sign not in (-1, 1):
@@ -77,6 +78,14 @@ class ModulationSet:
     @property
     def duration(self) -> float:
         return self.sequences[0].duration
+
+    def trains(self):
+        """``(times, qubits, signs)``: every switch time with its qubit
+        label, sorted by (qubit, time), and each qubit's initial sign."""
+        seqs = self.sequences
+        times = np.concatenate([s.switch_times for s in seqs])
+        qubits = np.repeat(np.arange(len(seqs)), [s.n_switches for s in seqs])
+        return times, qubits, np.array([s.initial_sign for s in seqs])
 
 
 @dataclass(frozen=True, eq=False)
@@ -234,23 +243,55 @@ def to_step_function(seq_or_set):
     """
     if isinstance(seq_or_set, PulseSequence):
         return seq_or_set.boundaries(), seq_or_set.segment_values()
-    mset = seq_or_set
-    T = mset.duration
-    cuts = np.unique(np.concatenate(
-        [[0.0, T]] + [s.switch_times for s in mset.sequences]))
-    mids = 0.5 * (cuts[:-1] + cuts[1:])
-    values = np.zeros(mids.size)
-    for seq in mset.sequences:
-        flips = np.searchsorted(seq.switch_times, mids, side="right")
-        values += seq.initial_sign * (-1.0) ** flips
-    return cuts, values
+    return merge_trains(*seq_or_set.trains(), seq_or_set.duration)
+
+
+def merge_trains(times, qubits, signs, duration: float):
+    """``(boundaries, values)`` of the summed y(t) of several trains.
+
+    ``times`` and ``qubits`` hold every switch sorted by (qubit, time), each
+    qubit's times strictly increasing inside (0, T); ``signs[q]`` is qubit
+    q's initial sign.  The levels are the summed initial signs plus the
+    running sum of the +-2 steps at each boundary: small integers, exact in
+    floating point.
+    """
+    bounds = np.unique(np.concatenate(([0.0, duration], times)))
+    # the k-th switch of a qubit steps its level by -2 * sign * (-1)**k
+    rank = np.arange(qubits.size) - np.searchsorted(qubits, qubits)
+    steps = np.where(rank % 2 == 1, 2.0, -2.0) * signs[qubits]
+    jumps = np.bincount(np.searchsorted(bounds, times), weights=steps,
+                        minlength=bounds.size)
+    return bounds, float(np.sum(signs)) + np.cumsum(jumps[:-1])
+
+
+def _finite_times(times) -> np.ndarray:
+    """``times`` as a 1-d float array; a NaN or infinite entry raises
+    :class:`NonFiniteInputError`."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(times).all():
+        require_finite(switch_times=float(times[~np.isfinite(times)][0]))
+    return times
+
+
+def repair_trains(times, qubits, duration: float):
+    """Repair the switch lists of several trains at once: clip into (0, T),
+    sort by (qubit, time) and cancel each qubit's coincident pairs (two
+    flips at one instant are a no-op).  Returns ``(times, qubits)``; a NaN
+    or infinite time raises :class:`NonFiniteInputError`."""
+    eps = 1e-12 * duration
+    t = np.clip(_finite_times(times), eps, duration - eps)
+    order = np.lexsort((t, qubits))
+    t, q = t[order], qubits[order]
+    # runs of equal (qubit, time): an odd run leaves one flip, an even none
+    edge = np.ones(t.size + 1, dtype=bool)
+    edge[1:-1] = (t[1:] != t[:-1]) | (q[1:] != q[:-1])
+    starts = np.flatnonzero(edge)
+    keep = starts[:-1][np.diff(starts) % 2 == 1]
+    return t[keep], q[keep]
 
 
 def repair_switch_times(times, duration: float) -> np.ndarray:
     """Repair a candidate switch list: clip into (0, T), sort, and cancel
-    coincident pairs (two flips at one instant are a no-op)."""
-    eps = 1e-12 * duration
-    t = np.clip(np.asarray(times, dtype=float), eps, duration - eps)
-    t = np.sort(t)
-    uniq, counts = np.unique(t, return_counts=True)
-    return uniq[counts % 2 == 1]
+    coincident pairs (two flips at one instant are a no-op).  The one-train
+    case of :func:`repair_trains`."""
+    return repair_trains(times, np.zeros(np.size(times), dtype=int), duration)[0]

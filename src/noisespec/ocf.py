@@ -25,9 +25,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedObjectiveError
-from .filterfn import FilterFunction, FrequencyGrid, filter_values
+from .filterfn import FilterFunction, FrequencyGrid, _pulse_transform, filter_values
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
-                         repair_switch_times, staircase_split)
+                         merge_trains, repair_trains, staircase_split)
 from .seeding import derive_seed, make_rng
 from .spectra import SpectralDensity
 
@@ -218,15 +218,18 @@ def _inner_search(fun, dim: int, step: float, max_evals: int) -> np.ndarray:
     return sim[0]
 
 
-def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
+def _solve(problem: OcfProblem, initial, candidate_from, values_of=filter_values,
+           finish=lambda state: state) -> OcfSolution:
     """Shared superiteration loop: draw a random basis, search coefficients,
     accept if improved.  ``candidate_from(state, s, freqs, x)`` builds a
-    modulation from the current state, the superiteration index and the
-    coefficient vector."""
+    candidate state from the current state, the superiteration index and
+    the coefficient vector; ``values_of(state, grid)`` gives a state's
+    filter samples and ``finish(state)`` the modulation of the accepted
+    state."""
     objective = _Objective(problem.spectrum, problem.grid, problem.omega_c,
                            problem.penalty_weight)
     state = initial
-    best_vals = filter_values(state, problem.grid)
+    best_vals = values_of(state, problem.grid)
     best_obj, _ = objective.from_values(best_vals)
     trace = [best_obj]
     dim = 2 * problem.basis_size
@@ -238,7 +241,7 @@ def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
         def neg_obj(x, _s=s, _freqs=freqs, _state=state):
             try:
                 cand = candidate_from(_state, _s, _freqs, x)
-                val, _ = objective.from_values(filter_values(cand, problem.grid))
+                val, _ = objective.from_values(values_of(cand, problem.grid))
             except UndefinedObjectiveError:
                 return math.inf
             return -val
@@ -246,7 +249,7 @@ def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
         x_best = _inner_search(neg_obj, dim, step=0.6, max_evals=problem.inner_evals)
         cand = candidate_from(state, s, freqs, x_best)
         try:
-            cand_obj, _ = objective.from_values(filter_values(cand, problem.grid))
+            cand_obj, _ = objective.from_values(values_of(cand, problem.grid))
         except UndefinedObjectiveError:
             cand_obj = -math.inf
         if cand_obj > best_obj:
@@ -254,13 +257,59 @@ def _solve(problem: OcfProblem, initial, candidate_from) -> OcfSolution:
             state = cand
         trace.append(best_obj)
 
-    best_vals = filter_values(state, problem.grid)
+    best_vals = values_of(state, problem.grid)
     _, xi = objective.from_values(best_vals)
-    return OcfSolution(modulation=state, xi=xi,
+    return OcfSolution(modulation=finish(state), xi=xi,
                        normalized_fidelity=xi / objective.s_norm,
                        evaluations=objective.evaluations, trace=tuple(trace),
                        filter_values=best_vals, grid=problem.grid,
                        seed=problem.seed)
+
+
+class _Trains:
+    """Discrete-search states of the pulse trains of ``modulation``: every
+    switch time and its qubit label as two flat arrays sorted by (qubit,
+    time).  The initial signs and the duration stay those of
+    ``modulation``."""
+
+    def __init__(self, modulation: ModulationSet):
+        self.duration = modulation.duration
+        times, qubits, self.signs = modulation.trains()
+        self.initial = (times, qubits)
+        self.amp = self.duration / 12.0
+
+    def warp(self, times, freqs, x):
+        """``t + sum_j amp (a_j sin(nu_j t) + b_j (1 - cos(nu_j t)))``."""
+        out = times
+        for j, nu in enumerate(freqs):
+            phase = nu * times
+            out = out + self.amp * x[2 * j] * np.sin(phase) \
+                      + self.amp * x[2 * j + 1] * (1.0 - np.cos(phase))
+        return out
+
+    def candidate(self, state, target, freqs, x):
+        """Warp the times of qubit ``target`` (every qubit if None), then
+        repair every train."""
+        times, qubits = state
+        if target is None:
+            warped = self.warp(times, freqs, x)
+        else:
+            lo, hi = np.searchsorted(qubits, (target, target + 1))
+            warped = times.copy()
+            warped[lo:hi] = self.warp(times[lo:hi], freqs, x)
+        return repair_trains(warped, qubits, self.duration)
+
+    def values(self, state, grid):
+        """Filter samples of the summed trains on ``grid``."""
+        bounds, values = merge_trains(*state, self.signs, self.duration)
+        return (4.0 / np.pi) * np.abs(_pulse_transform(bounds, values, grid)) ** 2
+
+    def modulation(self, state) -> ModulationSet:
+        """The state as one PulseSequence per qubit."""
+        times, qubits = state
+        return ModulationSet(tuple(
+            PulseSequence(times[qubits == q], self.duration, int(self.signs[q]))
+            for q in range(self.signs.size)))
 
 
 def optimize_discrete(problem: OcfProblem) -> OcfSolution:
@@ -274,6 +323,11 @@ def optimize_discrete(problem: OcfProblem) -> OcfSolution:
     which adjusts the staircase's relative structure.  Candidates with
     disordered or out-of-range switch times are repaired by sorting,
     clipping into (0, T) and cancelling coincident flips.
+
+    Candidates are arrays: every switch time and its qubit label, sorted by
+    (qubit, time), are warped, repaired, merged into one step function and
+    transformed without building a modulation object.  Only the accepted
+    state becomes a :class:`ModulationSet`, once per design.
     """
     if problem.continuous:
         raise ValueError("problem is flagged continuous; use optimize_continuous")
@@ -285,32 +339,18 @@ def optimize_discrete(problem: OcfProblem) -> OcfSolution:
     # movable spare at the right boundary (a flip at T - eps is a no-op
     # until the search pulls it inward)
     spare = T * (1.0 - 1e-9)
-    initial = ModulationSet(tuple(
+    trains = _Trains(ModulationSet(tuple(
         PulseSequence(np.append(seq.switch_times, spare)
                       if seq.n_switches == 0 or seq.switch_times[-1] < spare
                       else seq.switch_times, T, seq.initial_sign)
-        for seq in initial.sequences))
-    amp = T / 12.0
+        for seq in initial.sequences)))
 
-    def warp(times, freqs, x):
-        out = times.copy()
-        for j, nu in enumerate(freqs):
-            out = out + amp * x[2 * j] * np.sin(nu * times) \
-                      + amp * x[2 * j + 1] * (1.0 - np.cos(nu * times))
-        return out
-
-    def candidate_from(state: ModulationSet, s, freqs, x):
+    def candidate_from(state, s, freqs, x):
         target = None if (n_q == 1 or s % 2 == 0) else (s // 2) % n_q
-        seqs = []
-        for q, seq in enumerate(state.sequences):
-            if target is None or q == target:
-                times = repair_switch_times(warp(seq.switch_times, freqs, x), T)
-                seqs.append(PulseSequence(times, T, seq.initial_sign))
-            else:
-                seqs.append(seq)
-        return ModulationSet(tuple(seqs))
+        return trains.candidate(state, target, freqs, x)
 
-    return _solve(problem, initial, candidate_from)
+    return _solve(problem, trains.initial, candidate_from, trains.values,
+                  trains.modulation)
 
 
 def optimize_continuous(problem: OcfProblem) -> OcfSolution:

@@ -8,6 +8,7 @@ from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError,
                        continuous_norm, default_grid, filter_function,
                        fo_sequence, fourier_piecewise, overlap_matrix,
                        signal_overlap, staircase_split, transform_continuous)
+from noisespec import filterfn
 from noisespec.filterfn import FilterFunction, _gauss_plan, filter_values
 
 
@@ -42,6 +43,25 @@ class TestTransform:
                              - np.exp(1j * omega * bounds[:-1])) / (1j * omega)
         direct = complex(np.sum(segments))
         assert series == pytest.approx(direct, rel=1e-8)
+
+    @pytest.mark.parametrize("gen", [PulseSequence([0.035, 0.105, 0.245], 0.35),
+                                     staircase_split(3.0, 3, 0.35)],
+                             ids=["train", "staircase"])
+    def test_small_phase_prefix_on_grid(self, gen, monkeypatch):
+        # three nodes lie below |w| T = 1e-6: on the grid they are a prefix,
+        # as an array they are selected by mask
+        grid = FrequencyGrid(1e-5, 11)
+        small = np.count_nonzero(grid.omegas * gen.duration < 1e-6)
+        assert small == 3
+        on_grid = fourier_piecewise(gen, grid)
+        as_array = fourier_piecewise(gen, grid.omegas.copy())
+        assert on_grid[:small].tobytes() == as_array[:small].tobytes()
+        # with the phase sums taken the same way, every node agrees bit for bit
+        sums = filterfn._phase_sums
+        monkeypatch.setattr(filterfn, "_phase_sums", lambda weights, points, omega: sums(
+            weights, points, omega.omegas if isinstance(omega, FrequencyGrid) else omega))
+        assert (fourier_piecewise(gen, grid).tobytes()
+                == fourier_piecewise(gen, grid.omegas.copy()).tobytes())
 
     def test_modulation_set_is_sum_of_transforms(self):
         mset = staircase_split(2.0, 3, 5.0)

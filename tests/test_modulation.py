@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisespec import (ContinuousModulation, GridRangeError, ModulationSet,
-                       PulseSequence, as_sequence, eval_continuous,
-                       eval_modulation, fo_sequence, repair_switch_times,
-                       staircase_split, to_step_function)
+                       NonFiniteInputError, PulseSequence, as_sequence,
+                       eval_continuous, eval_modulation, fo_sequence,
+                       repair_switch_times, staircase_split, to_step_function)
+from noisespec.modulation import repair_trains
 
 
 class TestSequences:
@@ -41,6 +42,16 @@ class TestSequences:
             PulseSequence(np.array([1.0, 1.0]), 2.0)
         with pytest.raises(ValueError):
             PulseSequence(np.array([0.0]), 2.0)
+
+    @pytest.mark.parametrize("times, duration, field", [
+        (np.array([]), math.nan, "duration"),
+        ([1.0], math.inf, "duration"),
+        ([math.nan], 5.0, "switch_times"),
+        ([1.0, -math.inf, 2.0], 5.0, "switch_times"),
+    ])
+    def test_non_finite_input_named(self, times, duration, field):
+        with pytest.raises(NonFiniteInputError, match=f"^{field} must be finite"):
+            PulseSequence(times, duration)
 
 
 class TestStaircase:
@@ -159,3 +170,43 @@ class TestStepFunction:
         times = repair_switch_times([-1.0, 2.0, 9.0], 5.0)
         assert times[0] > 0 and times[-1] < 5.0
         assert times.size == 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_repair_refuses_non_finite_times(self, bad):
+        with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
+            repair_switch_times([1.0, bad], 5.0)
+        with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
+            repair_trains(np.array([1.0, 2.0, bad]), np.array([0, 1, 1]), 5.0)
+
+    @given(st.lists(st.sampled_from([-0.5, 0.0, 1e-13, 0.7, 1.25, 2.5, 4.9, 5.0, 6.0])
+                    | st.floats(-1.0, 6.0), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_repair_matches_unique_counts(self, times):
+        # the repair as a clip, a sort and np.unique's counts, bit for bit
+        T = 5.0
+        t = np.sort(np.clip(np.asarray(times, dtype=float), 1e-12 * T, T - 1e-12 * T))
+        uniq, counts = np.unique(t, return_counts=True)
+        assert repair_switch_times(times, T).tobytes() == uniq[counts % 2 == 1].tobytes()
+
+    @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.5, 1.0, 2.5, 3.75])
+                              | st.floats(0.01, 4.99)), max_size=20),
+           st.lists(st.sampled_from([-1, 1]), min_size=5, max_size=5))
+    # two switches 1 ulp apart: a segment midpoint rounds onto its end
+    @example(switches=[(0, 0.010000000000000002), (0, 0.01)], signs=[-1] * 5)
+    @settings(max_examples=80, deadline=None)
+    def test_merged_levels_match_per_train_sums(self, switches, signs):
+        # the merge against each train's level summed at the left end of
+        # every segment (y is right-continuous), bit for bit; shared times
+        # across trains merge into one boundary
+        T = 4.0
+        n_q = 1 + max((q for q, _ in switches), default=0)
+        seqs = tuple(PulseSequence(repair_switch_times([t for q, t in switches if q == j], T),
+                                   T, signs[j]) for j in range(n_q))
+        bounds, values = to_step_function(ModulationSet(seqs))
+        cuts = np.unique(np.concatenate([[0.0, T]] + [s.switch_times for s in seqs]))
+        levels = np.zeros(cuts.size - 1)
+        for seq in seqs:
+            flips = np.searchsorted(seq.switch_times, cuts[:-1], side="right")
+            levels += seq.initial_sign * (-1.0) ** flips
+        assert bounds.tobytes() == cuts.tobytes()
+        assert values.tobytes() == levels.tobytes()

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from noisespec import (SpectralDensity, UndefinedObjectiveError,
+from noisespec import (ModulationSet, NonFiniteInputError, SpectralDensity,
+                       UndefinedObjectiveError, repair_switch_times,
                        staircase_split, xi_normalized)
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
-                                filter_function)
+                                filter_function, filter_values)
 from noisespec.modulation import PulseSequence
-from noisespec.ocf import (OcfProblem, _inner_search, ocf_grid,
-                           optimize_continuous, optimize_discrete,
+from noisespec.ocf import (OcfProblem, _inner_search, _solve, _Trains,
+                           ocf_grid, optimize_continuous, optimize_discrete,
                            solution_filter)
 from noisespec.seeding import derive_seed
 
@@ -135,6 +136,117 @@ class TestOptimizers:
         assert filt.operation_time == fresh.operation_time == 5.0
         assert np.shares_memory(filt.values, sol.filter_values)
         assert not filt.values.flags.writeable and sol.filter_values.flags.writeable
+
+
+def _object_candidate(mset, target, freqs, x):
+    """A search candidate built train by train: warp the times of qubit
+    ``target`` (every qubit if None), repair each warped train and wrap it
+    in a PulseSequence."""
+    T = mset.duration
+    amp = T / 12.0
+
+    def warp(times):
+        out = times.copy()
+        for j, nu in enumerate(freqs):
+            out = out + amp * x[2 * j] * np.sin(nu * times) \
+                      + amp * x[2 * j + 1] * (1.0 - np.cos(nu * times))
+        return out
+
+    return ModulationSet(tuple(
+        PulseSequence(repair_switch_times(warp(seq.switch_times), T), T, seq.initial_sign)
+        if target is None or q == target else seq
+        for q, seq in enumerate(mset.sequences)))
+
+
+def _same_candidate(mset, target, freqs, x, grid):
+    """Assert the array candidate equals the train-by-train one, bit for bit,
+    in its filter values and in the switch times of its modulation; the
+    train-by-train candidate."""
+    trains = _Trains(mset)
+    state = trains.candidate(trains.initial, target, freqs, np.asarray(x, dtype=float))
+    ref = _object_candidate(mset, target, freqs, np.asarray(x, dtype=float))
+    assert trains.values(state, grid).tobytes() == filter_values(ref, grid).tobytes()
+    done = trains.modulation(state)
+    assert done.n_qubits == ref.n_qubits and done.duration == ref.duration
+    for ours, theirs in zip(done.sequences, ref.sequences):
+        assert ours.switch_times.tobytes() == theirs.switch_times.tobytes()
+        assert ours.initial_sign == theirs.initial_sign
+    return ref
+
+
+def _random_trains(rng, n_q, T):
+    """Trains with a few random times each, times shared across qubits, times
+    near 0 and near T, and sometimes no switch at all."""
+    shared = rng.uniform(0.0, T, 2)
+    seqs = []
+    for _ in range(n_q):
+        pool = [rng.uniform(0.0, T, rng.integers(0, 5)),
+                shared[rng.random(2) < 0.5],
+                rng.uniform(0.0, 0.05 * T, rng.integers(0, 3)),
+                T - rng.uniform(0.0, 0.05 * T, rng.integers(0, 3))]
+        times = repair_switch_times(np.concatenate(pool), T)
+        seqs.append(PulseSequence(times, T, int(rng.choice([-1, 1]))))
+    return ModulationSet(tuple(seqs))
+
+
+class TestArrayCandidates:
+    """The search's array candidates against candidates built train by
+    train through PulseSequence and ModulationSet."""
+
+    GRID = ocf_grid(10.0)
+
+    @pytest.mark.parametrize("warp_all", [True, False], ids=["all", "one"])
+    @pytest.mark.parametrize("n_q", range(1, 7))
+    def test_random_candidates(self, n_q, warp_all):
+        rng = np.random.default_rng(1000 * n_q + warp_all)
+        for _ in range(12):
+            T = float(rng.uniform(1.0, 10.0))
+            mset = _random_trains(rng, n_q, T)
+            target = None if warp_all else int(rng.integers(n_q))
+            freqs = rng.uniform(0.0, 12.0, 3)
+            # large coefficients fold times past 0 and past T
+            x = rng.normal(0.0, rng.choice([0.3, 3.0, 30.0]), 6)
+            _same_candidate(mset, target, freqs, x, self.GRID)
+
+    @pytest.mark.parametrize("target", [None, 0])
+    def test_coincident_flips_cancel_and_merge(self, target):
+        T = 5.0
+        mset = ModulationSet((
+            PulseSequence([0.05, 0.1, 2.0, 4.6, 4.8], T),
+            PulseSequence([2.0, 3.0], T, -1),
+            PulseSequence([4.6, 4.8], T)))
+        # a pulls 0.05, 0.1 and 2.0 below 0, b pushes 4.6 and 4.8 past T
+        ref = _same_candidate(mset, target, [1.0], [-100.0, 10.0], self.GRID)
+        eps = 1e-12 * T
+        # three flips fold onto eps (one is left), two onto T - eps (none)
+        assert ref.sequences[0].switch_times.tolist() == [eps]
+        if target is None:
+            # the second train shares eps with the first; the third is empty
+            assert ref.sequences[1].switch_times.tolist() == [eps, T - eps]
+            assert ref.sequences[2].n_switches == 0
+
+    def test_empty_trains(self):
+        mset = ModulationSet((PulseSequence([], 3.0), PulseSequence([1.0], 3.0)))
+        for target in (None, 0, 1):
+            _same_candidate(mset, target, [2.0, 5.0], [0.4, -0.2, 0.1, 0.3], self.GRID)
+
+    def test_non_finite_warp_refused_before_scoring(self):
+        prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=2,
+                          superiterations=1, inner_evals=5)
+        trains = _Trains(staircase_split(2.0, 2, 5.0))
+        scored = []
+
+        def values(state, grid):
+            scored.append(state)
+            return trains.values(state, grid)
+
+        def nan_candidate(state, s, freqs, x):
+            x = np.where(np.arange(x.size) == 0, np.nan, x)
+            return trains.candidate(state, None, freqs, x)
+
+        with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
+            _solve(prob, trains.initial, nan_candidate, values, trains.modulation)
+        assert len(scored) == 1  # the initial state alone
 
 
 def _bowl(x):

@@ -14,9 +14,11 @@ workers, every preset but ``fig8-ocf-lorentzian`` (the slowest by far)
 at its full budget, and quick runs from written configs: fig8 with two
 operation times and two swept qubit numbers, the one run that writes
 ``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``), with one
-and with two workers, and fig3 at 20 repetitions with ``eig_keep = cv``,
-the one run that scores saturated readouts under the cross-validated
-retention rule.  Each line
+and with two workers; quick fig8 at ``T_candidates = 10`` with 4 and 6
+swept qubits, whose long multi-qubit trains carry many switch times
+through the discrete search; and fig3 at 20 repetitions with
+``eig_keep = cv``, the one run that scores saturated readouts under the
+cross-validated retention rule.  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -74,6 +76,9 @@ def matrix(config_dir):
         ocf={"T_candidates": [2.0, 5.0], "sweep_nqubits": [1, 2]})
     yield "quick-time-scan", [time_scan]
     yield "quick-time-scan-w2", [time_scan, "--workers", "2"]
+    yield "quick-time-scan-long", [quick_config(
+        os.path.join(config_dir, "time-scan-long.ini"), "fig8-ocf-lorentzian",
+        ocf={"T_candidates": [10.0], "sweep_nqubits": [4, 6]})]
     yield "quick-cv", [quick_config(
         os.path.join(config_dir, "cv.ini"), "fig3-fidelity-vs-gamma",
         run={"repetitions": 20}, protocol={"eig_keep": "cv"})]
