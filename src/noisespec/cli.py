@@ -620,9 +620,8 @@ def _run_tracking(cfg, workers):
                  "s1_estimate": run.s1_estimate, "s2_estimate": run.s2_estimate,
                  "s1_true": run.s1_true, "s2_true": run.s2_true})
 
-    run = track_fo(signal, tr["k_block"], tr["T"], tr["horizon"],
-                   _noise(cfg, derive_seed(seed, 10)),
-                   omega_c=omega_c, omega_max=omega_max, eig_keep=tr["eig_keep"], grid=grid)
+    run = track_fo(signal, block_filters, tr["horizon"], _noise(cfg, derive_seed(seed, 10)),
+                   omega_c=omega_c, eig_keep=tr["eig_keep"])
     tables = {"tracking_fo.csv": table(run, k_block=tr["k_block"])}
     summary = {"fo_rms_s2": run.rms_error(), "fo_samples": run.n_samples,
                "fo_sum_drift": run.sum_drift()}
@@ -638,7 +637,7 @@ def _run_tracking(cfg, workers):
 
     filters = run_jobs(design, 2 * len(tr["nqubit_values"]), workers)
     for ni, n_q in enumerate(tr["nqubit_values"]):
-        run = track_ocf(signal, filters[2 * ni:2 * ni + 2], tr["T"], tr["horizon"],
+        run = track_ocf(signal, filters[2 * ni:2 * ni + 2], tr["horizon"],
                         _noise(cfg, derive_seed(seed, 30, ni)))
         tables[f"tracking_ocf_n{n_q}.csv"] = table(run, n_qubits=n_q)
         summary[f"ocf_n{n_q}_rms_s2"] = run.rms_error()

@@ -69,38 +69,32 @@ def build_fio(filters, probabilities) -> FisherOperator:
                           excluded=tuple(excluded))
 
 
-def directional_overlaps(fio: FisherOperator, direction,
-                         omega_int_max: float | None = None) -> np.ndarray:
+def directional_overlaps(fio: FisherOperator, direction) -> np.ndarray:
     """Overlaps ``d_k = integral direction * F_k`` for every retained filter."""
-    return np.array([signal_overlap(direction, f, omega_int_max)
-                     for f in fio.filters])
+    return np.array([signal_overlap(direction, f) for f in fio.filters])
 
 
-def directional_fisher(fio: FisherOperator, direction,
-                       omega_int_max: float | None = None) -> float:
+def directional_fisher(fio: FisherOperator, direction) -> float:
     """Information ``sum_k w_k (integral direction * F_k)**2`` (>= 0)."""
-    d = directional_overlaps(fio, direction, omega_int_max)
+    d = directional_overlaps(fio, direction)
     return float(np.sum(fio.weights * d ** 2))
 
 
-def cramer_rao(fio: FisherOperator, direction,
-               omega_int_max: float | None = None) -> float:
+def cramer_rao(fio: FisherOperator, direction) -> float:
     """Lower bound ``1 / sqrt(information)`` on the deviation coefficient
     along ``direction``; infinite when the direction overlaps no filter."""
-    info = directional_fisher(fio, direction, omega_int_max)
+    info = directional_fisher(fio, direction)
     if info <= 0.0:
         return math.inf
     return 1.0 / math.sqrt(info)
 
 
-def fio_rank(fio: FisherOperator, tolerance: float = 1e-10,
-             omega_c: float | None = None) -> int:
+def fio_rank(fio: FisherOperator, tolerance: float = 1e-10) -> int:
     """Numerical rank of the operator: rank of the Gram matrix of weighted
     directions, counting singular values ``>= tolerance * largest``."""
     if fio.n_terms == 0:
         return 0
-    cut = omega_c if omega_c is not None else fio.filters[0].grid.omega_max_grid
-    gram = overlap_matrix(fio.filters, cut)
+    gram = overlap_matrix(fio.filters, fio.filters[0].grid.omega_max_grid)
     root_w = np.sqrt(fio.weights)
     gram = gram * np.outer(root_w, root_w)
     svals = np.linalg.svd(gram, compute_uv=False)
@@ -110,8 +104,7 @@ def fio_rank(fio: FisherOperator, tolerance: float = 1e-10,
 
 
 def ml_deviation_estimate(c_base, d_overlaps, counts, shots: int,
-                          gamma: float = 0.0, operation_time: float = 0.0,
-                          bracket: float = 10.0) -> float:
+                          gamma: float = 0.0, operation_time: float = 0.0) -> float:
     """Maximum-likelihood estimate of the deviation coefficient.
 
     Model: the true spectrum is ``S + eps * direction``, so filter k has
@@ -131,8 +124,8 @@ def ml_deviation_estimate(c_base, d_overlaps, counts, shots: int,
         dp = 0.5 * e * d
         return float(np.sum((n / p - (shots - n) / (1.0 - p)) * dp))
 
-    lo, hi = -bracket, bracket
-    # keep exponents positive on the bracket
+    # bracket [-10, 10], narrowed to keep every exponent positive
+    lo, hi = -10.0, 10.0
     pos = d > 0
     if np.any(pos):
         lo = max(lo, float(np.max(-(c[pos] + offset) / d[pos])) + 1e-9)

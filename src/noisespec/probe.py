@@ -287,8 +287,7 @@ def _oracle_panels(breaks: np.ndarray, duration: float, rate_scale: float):
 
 
 def chi_time_domain(seq_or_set, spectrum: SpectralDensity,
-                    operation_time: float | None = None,
-                    gauss_order: int = 12) -> float:
+                    operation_time: float | None = None) -> float:
     """Brute-force decoherence value ``chi`` from the time domain (oracle).
 
     Evaluates ``4 * int_0^T int_0^T y(t') y(t'') g(t' - t'') dt' dt''`` as
@@ -307,7 +306,7 @@ def chi_time_domain(seq_or_set, spectrum: SpectralDensity,
         max(c.center + 1.0 / math.sqrt(c.width_scale) for c in spectrum.components),
         1.0 / acf.duration)
     edges = _oracle_panels(acf.breaks, acf.duration, rate_scale)
-    nodes, weights = np.polynomial.legendre.leggauss(gauss_order)
+    nodes, weights = np.polynomial.legendre.leggauss(12)
     half = 0.5 * np.diff(edges)
     mid = 0.5 * (edges[:-1] + edges[1:])
     t = (mid[:, None] + half[:, None] * nodes[None, :]).ravel()

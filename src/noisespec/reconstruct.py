@@ -91,14 +91,6 @@ def _interp(omega, omegas: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.interp(omega, omegas, values)
 
 
-def _finite_mask(c_estimates, saturated=None) -> np.ndarray:
-    c = np.asarray(c_estimates, dtype=float)
-    mask = np.isfinite(c)
-    if saturated is not None:
-        mask &= ~np.asarray(saturated, dtype=bool)
-    return mask
-
-
 def _retained_count(lam: np.ndarray, eig_keep) -> int:
     """Leading terms of the descending spectrum ``lam`` that ``eig_keep``
     retains; 0 for an empty spectrum."""
@@ -111,8 +103,7 @@ def _retained_count(lam: np.ndarray, eig_keep) -> int:
     return int(np.count_nonzero(positive & (lam >= tau * lam[0])))
 
 
-def select_retention_threshold(A: np.ndarray, c_hat: np.ndarray,
-                               tau_grid=TAU_GRID) -> float:
+def select_retention_threshold(A: np.ndarray, c_hat: np.ndarray) -> float:
     """Pick the relative eigenvalue threshold by leave-one-filter-out
     cross-validation.
 
@@ -122,17 +113,17 @@ def select_retention_threshold(A: np.ndarray, c_hat: np.ndarray,
     prediction error wins (ties go to the largest, i.e. most truncating,
     threshold).
     """
-    return _cv_threshold(_cv_folds(A, tau_grid), c_hat)
+    return _cv_threshold(_cv_folds(A), c_hat)
 
 
-def _cv_folds(A: np.ndarray, tau_grid=TAU_GRID):
+def _cv_folds(A: np.ndarray):
     """The part of :func:`select_retention_threshold` that depends on the
     overlap matrix ``A`` alone: the thresholds, most truncating first, and
     per held-out filter j the mask of the other filters, the descending
     eigenpairs of their overlap matrix, the projection of ``A[keep, j]``
     and the count each threshold retains."""
     K = A.shape[0]
-    taus = sorted(tau_grid, reverse=True)
+    taus = sorted(TAU_GRID, reverse=True)
     folds = []
     for j in range(K):
         keep = np.arange(K) != j
@@ -160,7 +151,7 @@ def _cv_threshold(cv_folds, c_hat: np.ndarray) -> float:
 
 
 def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
-                   saturated=None, overlap: np.ndarray | None = None) -> ReconstructionResult:
+                   overlap: np.ndarray | None = None) -> ReconstructionResult:
     """Reconstruct a continuous spectrum by filter orthogonalization.
 
     Parameters
@@ -185,7 +176,7 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
     c = np.asarray(c_estimates, dtype=float)
     if len(filters) != c.size:
         raise ValueError("filters and coefficient estimates differ in length")
-    kept = np.flatnonzero(_finite_mask(c, saturated))
+    kept = np.flatnonzero(np.isfinite(c))
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
     if overlap is None:
@@ -260,8 +251,7 @@ def bin_matrix(filters, omega_max: float) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def as_reconstruct(filters, c_estimates, omega_max: float, saturated=None,
-                   delta_approx: bool = False,
+def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = False,
                    bins: np.ndarray | None = None) -> ReconstructionResult:
     """Reconstruct the spectrum pointwise at ``omega_k = omega_max * k / K``.
 
@@ -276,7 +266,7 @@ def as_reconstruct(filters, c_estimates, omega_max: float, saturated=None,
         raise ValueError("filters and coefficient estimates differ in length")
     M = bin_matrix(filters, omega_max) if bins is None else bins
     K = M.shape[0]
-    kept = np.flatnonzero(_finite_mask(c, saturated))
+    kept = np.flatnonzero(np.isfinite(c))
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
     c_kept = c[kept]
@@ -388,8 +378,7 @@ class ProtocolContext:
 
     def __init__(self, protocol: str, spectrum: SpectralDensity, operation_time: float,
                  K: int = 20, omega_c: float = 10.0, omega_max: float | None = None,
-                 n_qubits: int = 1, grid: FrequencyGrid | None = None,
-                 omega_int_max: float | None = None):
+                 n_qubits: int = 1, grid: FrequencyGrid | None = None):
         if protocol not in ("fo", "as"):
             raise ValueError(f"unknown protocol {protocol!r}")
         if protocol == "as" and n_qubits != 1:
@@ -410,7 +399,6 @@ class ProtocolContext:
         self.operation_time = operation_time
         self.n_qubits = n_qubits
         self.grid = grid if grid is not None else default_grid(self.omega_max)
-        self.omega_int_max = omega_int_max
 
         gens = []
         for k in range(1, K + 1):
@@ -425,11 +413,9 @@ class ProtocolContext:
         self.filters = [filter_function(g, self.grid) for g in gens]
 
         unit = spectrum.with_scale(1.0)
-        self.scale = calibrate_amplitude(unit, self.filters,
-                                         omega_int_max=omega_int_max)
+        self.scale = calibrate_amplitude(unit, self.filters)
         self.spectrum = spectrum.with_scale(self.scale)
-        self.c_true = np.array([signal_overlap(self.spectrum, f, omega_int_max)
-                                for f in self.filters])
+        self.c_true = np.array([signal_overlap(self.spectrum, f) for f in self.filters])
         self.fidelity_points = omega_c * np.arange(1, K + 1) / K
         self.overlap = overlap_matrix(self.filters, omega_c) if protocol == "fo" else None
         self.bins = bin_matrix(self.filters, self.omega_max) if protocol == "as" else None

@@ -136,7 +136,8 @@ class SpectralDensity:
         lo, hi = self.grid_omegas[0], self.grid_omegas[-1]
         if np.any(omega < lo - 1e-12) or np.any(omega > hi + 1e-12):
             raise GridRangeError(
-                f"omega outside sampled range [{lo}, {hi}] (extrapolation refused)")
+                f"omega up to {float(np.max(omega)):g} requested outside sampled range "
+                f"[{lo}, {hi}] (extrapolation refused)")
         out = self.scale * np.interp(omega, self.grid_omegas, self.grid_values)
         return out if omega.ndim else float(out)
 
@@ -179,8 +180,7 @@ class CompositeSignal:
         return s1 * self.component_one.evaluate(omega) + s2 * self.component_two.evaluate(omega)
 
 
-def calibrate_amplitude(spectrum: SpectralDensity, filters,
-                        omega_int_max: float | None = None) -> float:
+def calibrate_amplitude(spectrum: SpectralDensity, filters) -> float:
     """Global scale S0 that puts the median filter overlap at one.
 
     Evaluates ``c_k = integral S * F_k`` for every filter and returns the
@@ -194,7 +194,7 @@ def calibrate_amplitude(spectrum: SpectralDensity, filters,
     """
     from .filterfn import signal_overlap
 
-    overlaps = np.array([signal_overlap(spectrum, f, omega_int_max) for f in filters])
+    overlaps = np.array([signal_overlap(spectrum, f) for f in filters])
     if overlaps.size == 0:
         raise CalibrationError("no filters supplied")
     median = float(np.median(overlaps))

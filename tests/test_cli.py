@@ -165,14 +165,19 @@ class TestExitCodes:
         _assert_rejected(tmp_path, capsys, _ini("ocf", grid="spacing = 0.005"), "grid")
 
     def test_numerical_error(self, tmp_path, capsys):
-        # a spectrum sampled up to 15 cannot cover the integration grid
+        # a spectrum sampled up to 15 cannot cover the integration grid, which
+        # reaches 57.5 by default; the message names both spans
         spectrum = tmp_path / "spectrum.csv"
         spectrum.write_text("".join(f"{w},{1.0 / (1.0 + w * w)}\n" for w in range(16)))
         path = tmp_path / "short.ini"
         path.write_text("[run]\nscenario = reconstruction\nname = short\n"
                         f"repetitions = 1\n[spectrum]\ncsv = {spectrum}\n")
-        assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 3
-        assert "GridRangeError" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "GridRangeError" in err
+        assert "57.5" in err and "[0.0, 15.0]" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [(), ("--quick", "--seed", "3", "--repetitions", "2")],

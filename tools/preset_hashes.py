@@ -18,7 +18,10 @@ and with two workers; quick fig8 at ``T_candidates = 10`` with 4 and 6
 swept qubits, whose long multi-qubit trains carry many switch times
 through the discrete search; and fig3 at 20 repetitions with
 ``eig_keep = cv``, the one run that scores saturated readouts under the
-cross-validated retention rule.  Each line
+cross-validated retention rule; and quick fig13 with 6-filter fo blocks
+under ``eig_keep = cv`` at ``gamma = 0.6`` and ``dp_max = 0.02``, where
+saturated readouts leave fo blocks fitted on a kept subset and OCF pair
+samples NaN.  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -82,6 +85,9 @@ def matrix(config_dir):
     yield "quick-cv", [quick_config(
         os.path.join(config_dir, "cv.ini"), "fig3-fidelity-vs-gamma",
         run={"repetitions": 20}, protocol={"eig_keep": "cv"})]
+    yield "quick-tracking-cv", [quick_config(
+        os.path.join(config_dir, "tracking-cv.ini"), "fig13-tracking-fast",
+        tracking={"k_block": 6, "eig_keep": "cv"}, noise={"gamma": 0.6, "dp_max": 0.02})]
 
 
 def _fields(path) -> dict:
