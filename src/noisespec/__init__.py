@@ -10,15 +10,14 @@ from .spectra import (CompositeSignal, LorentzianComponent, SpectralDensity,
                       calibrate_amplitude)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          as_sequence, eval_continuous, eval_modulation,
-                         fo_sequence, repair_switch_times, staircase_split,
-                         to_step_function)
+                         fo_sequence, staircase_split, to_step_function)
 from .filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                        default_grid, filter_function, fourier_piecewise,
                        overlap_matrix, signal_overlap, transform_continuous)
 from .probe import (MeasurementRecord, NoiseModel, autocorrelation,
                     chi_time_domain, invert_probability, measure,
                     measure_batch, survival_probability)
-from .reconstruct import (FOBasis, ProtocolContext, ReconstructionResult,
+from .reconstruct import (ProtocolContext, ReconstructionResult,
                           ScanResult, as_reconstruct, fidelity,
                           fo_reconstruct, run_repetitions, scan_optimal_time)
 from .fisher import (FisherOperator, build_fio, cramer_rao,

@@ -9,7 +9,10 @@ location.  Scenarios, presets and budgets are data in this module:
 - ``PRESETS`` holds each preset's description, scenario and sections;
   ``_QUICK`` holds each scenario's quick budget as sections to merge.
 - ``_RUNNERS`` maps a scenario to a runner that only computes and returns
-  its summary and CSV tables; ``run_scenario`` writes them.
+  its summary and CSV tables; ``run_scenario`` writes them.  ``_context``
+  builds every :class:`ProtocolContext` a runner needs.  The time scan and
+  the gamma scan both go through ``scan_optimal_time``: one scan per
+  protocol and dephasing rate, all in one repetition run.
 
 Every stochastic quantity derives from the master seed, so a rerun of the
 same config is byte-identical, its repetitions and designs serial or parallel.
@@ -178,6 +181,11 @@ _NONEMPTY = {"time-scan": ("T_candidates",),
 _POSITIVE = ("T", "T_fo", "T_as", "T_candidates", "fo_candidates", "as_candidates",
              "T_values", "omega_c", "horizon")
 
+# counts, in any section, and the least value each (each value of a list) may take
+_AT_LEAST = {"repetitions": 1, "K": 1, "n_qubits": 1, "nqubit_values": 1,
+             "sweep_nqubits": 1, "restarts": 1, "k_block": 1, "inner_evals": 1,
+             "basis_size": 1, "superiterations": 0, "n_random_directions": 0}
+
 # [protocol] lists whose values each replace one [noise] field
 _NOISE_LISTS = {"gamma-scan": {"gamma_values": "gamma"},
                 "nqubit-scan": {"dp_values": "dp_max", "gamma_values": "gamma"}}
@@ -279,10 +287,9 @@ def validate_config(raw: dict) -> dict:
         for key, value in values.items():
             if key in _POSITIVE and min(np.atleast_1d(value), default=1.0) <= 0:
                 raise ConfigError(f"must be > 0, got {value}", location=f"{section}.{key}")
-    for section, key in (("run", "repetitions"), ("protocol", "K"), ("fisher", "K")):
-        if cfg.get(section, {}).get(key, 1) < 1:
-            raise ConfigError(f"must be >= 1, got {cfg[section][key]}",
-                              location=f"{section}.{key}")
+            if key in _AT_LEAST and min(np.atleast_1d(value), default=1) < _AT_LEAST[key]:
+                raise ConfigError(f"must be >= {_AT_LEAST[key]}, got {value}",
+                                  location=f"{section}.{key}")
     pro = cfg.get("protocol", {})
     for key in ("protocols", "kind"):
         names = pro.get(key, [])
@@ -290,6 +297,9 @@ def validate_config(raw: dict) -> dict:
             if protocol not in ("fo", "as"):
                 raise ConfigError(f"unknown protocol {protocol!r}",
                                   location=f"protocol.{key}")
+    if pro.get("kind") == "as" and pro["n_qubits"] != 1:
+        raise ConfigError("the pointwise protocol is defined for one qubit",
+                          location="protocol.n_qubits")
     for key in _NONEMPTY.get(scenario, ()):
         if not pro[key]:
             raise ConfigError("needs at least one value", location=f"protocol.{key}")
@@ -320,17 +330,9 @@ def _ini_sections(text: str) -> dict:
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-def parse_config_text(text: str) -> dict:
-    return validate_config(_ini_sections(text))
-
-
 def _file_sections(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         return _ini_sections(fh.read())
-
-
-def load_config(path: str) -> dict:
-    return validate_config(_file_sections(path))
 
 
 def format_config(cfg: dict) -> str:
@@ -403,6 +405,13 @@ def _context_args(cfg, protocol, omega_c):
                                  spacing=cfg["grid"]["spacing"])}
 
 
+def _context(cfg, spectrum, protocol, T, n_qubits=1, band="protocol") -> ProtocolContext:
+    """The context of ``protocol`` at operation time ``T`` with the ``K``
+    and ``omega_c`` of section ``band``, on the grid that ``[grid]`` sets."""
+    return ProtocolContext(protocol, spectrum, T, K=cfg[band]["K"], n_qubits=n_qubits,
+                           **_context_args(cfg, protocol, cfg[band]["omega_c"]))
+
+
 def _noise(cfg, seed, **changes) -> NoiseModel:
     """The ``[noise]`` model at ``seed``, with per-cell changes."""
     return NoiseModel(**{**cfg["noise"], **changes}, seed=seed)
@@ -414,10 +423,8 @@ def _run_reconstruction(cfg, workers):
     noise = cfg["noise"]
     cells = []
     for pi, protocol in enumerate(pro["protocols"]):
-        T = pro["T_fo"] if protocol == "fo" else pro["T_as"]
-        ctx = ProtocolContext(protocol, spectrum, T, K=pro["K"],
-                              n_qubits=pro["n_qubits"] if protocol == "fo" else 1,
-                              **_context_args(cfg, protocol, pro["omega_c"]))
+        ctx = _context(cfg, spectrum, protocol, pro[f"T_{protocol}"],
+                       pro["n_qubits"] if protocol == "fo" else 1)
         as_delta = pro["as_delta_approx"] and protocol == "as"
         cells.append((ctx, _noise(cfg, derive_seed(cfg["run"]["seed"], pi)),
                       pro["eig_keep"], as_delta))
@@ -444,15 +451,14 @@ def _run_reconstruction(cfg, workers):
 
 
 def _run_time_scan(cfg, workers):
+    spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
     noise = cfg["noise"]
     reps = cfg["run"]["repetitions"]
-    scan = scan_optimal_time(pro["kind"], _spectrum_from(cfg["spectrum"]), noise["gamma"],
-                             pro["T_candidates"], reps, cfg["run"]["seed"],
-                             dp_max=noise["dp_max"], shots=noise["shots"], K=pro["K"],
-                             n_qubits=pro["n_qubits"], eig_keep=pro["eig_keep"],
-                             workers=workers,
-                             **_context_args(cfg, pro["kind"], pro["omega_c"]))
+    contexts = [_context(cfg, spectrum, pro["kind"], T, pro["n_qubits"])
+                for T in pro["T_candidates"]]
+    scan, = scan_optimal_time([(contexts, _noise(cfg, cfg["run"]["seed"]))], reps,
+                              pro["eig_keep"], workers)
     table = ({"protocol": pro["kind"], "gamma": noise["gamma"], "dp_max": noise["dp_max"],
               "K": pro["K"], "repetitions": reps},
              {"T": scan.times, "fidelity_mean": scan.fidelity_mean,
@@ -467,23 +473,18 @@ def _run_gamma_scan(cfg, workers):
     reps = cfg["run"]["repetitions"]
     gammas = pro["gamma_values"]
     protocols = ("fo", "as")
-    # contexts do not depend on gamma: build each (protocol, T) cell once
-    contexts = [[ProtocolContext(protocol, spectrum, T, K=pro["K"],
-                                 **_context_args(cfg, protocol, pro["omega_c"]))
-                 for T in pro[f"{protocol}_candidates"]] for protocol in protocols]
-    cells = [(ctx, _noise(cfg, derive_seed(cfg["run"]["seed"], gi, pi, ti), gamma=gamma),
-              pro["eig_keep"], False)
-             for pi, row in enumerate(contexts)
-             for gi, gamma in enumerate(gammas)
-             for ti, ctx in enumerate(row)]
-    stats = iter(map(mean_se, run_repetitions(cells, reps, workers)))
+    # contexts do not depend on gamma: each (protocol, T) context serves
+    # every gamma's scan
+    rows = [[_context(cfg, spectrum, protocol, T) for T in pro[f"{protocol}_candidates"]]
+            for protocol in protocols]
+    scans = iter(scan_optimal_time(
+        [(row, _noise(cfg, derive_seed(cfg["run"]["seed"], gi, pi), gamma=gamma))
+         for pi, row in enumerate(rows) for gi, gamma in enumerate(gammas)],
+        reps, pro["eig_keep"], workers))
     cols = {"gamma": np.asarray(gammas)}
-    for protocol, row in zip(protocols, contexts):
-        best = []  # (T, mean, se) of the best candidate per gamma
-        for _ in gammas:
-            row_stats = [next(stats) for _ in row]
-            ix = int(np.argmax([mean for mean, _ in row_stats]))
-            best.append((row[ix].operation_time, *row_stats[ix]))
+    for protocol in protocols:
+        best = [(scan.best_time, scan.fidelity_mean[scan.best], scan.fidelity_se[scan.best])
+                for scan in (next(scans) for _ in gammas)]
         for name, col in zip(("best_T", "fidelity", "fidelity_se"), zip(*best)):
             cols[f"{protocol}_{name}"] = np.asarray(col)
     meta = {"dp_max": cfg["noise"]["dp_max"], "K": pro["K"], "repetitions": reps}
@@ -509,8 +510,7 @@ def _run_nqubit_scan(cfg, workers):
     T_by_n = _per_n(pro["T_values"], len(ns_values), 2.0)
     dp_by_n = _per_n(pro["dp_values"], len(ns_values), noise["dp_max"])
     gamma_by_n = _per_n(pro["gamma_values"], len(ns_values), noise["gamma"])
-    cells = [(ProtocolContext("fo", spectrum, T_by_n[ni], K=pro["K"], n_qubits=n_q,
-                              **_context_args(cfg, "fo", pro["omega_c"])),
+    cells = [(_context(cfg, spectrum, "fo", T_by_n[ni], n_q),
               _noise(cfg, derive_seed(cfg["run"]["seed"], ni), dp_max=dp_by_n[ni],
                      gamma=gamma_by_n[ni]),
               pro["eig_keep"], False)
@@ -544,7 +544,7 @@ def _run_ocf(cfg, workers):
     def design(i):
         n_q, T, path = designs[i]
         return (optimize_continuous if path == (3,) else optimize_discrete)(OcfProblem(
-            spectrum=spectrum, duration=T, n_qubits=n_q, continuous=path == (3,),
+            spectrum=spectrum, duration=T, n_qubits=n_q,
             omega_c=oc["omega_c"], penalty_weight=oc["penalty_weight"],
             superiterations=oc["superiterations"], inner_evals=oc["inner_evals"],
             basis_size=oc["basis_size"], seed=derive_seed(seed, *path), grid=grid))
@@ -649,8 +649,7 @@ def _run_fisher(cfg, workers):
     del workers
     spectrum = _spectrum_from(cfg["spectrum"])
     fi = cfg["fisher"]
-    ctx = ProtocolContext("fo", spectrum, fi["T"], K=fi["K"],
-                          **_context_args(cfg, "fo", fi["omega_c"]))
+    ctx = _context(cfg, spectrum, "fo", fi["T"], band="fisher")
     probs = np.array([survival_probability(c, cfg["noise"]["gamma"], fi["T"])
                       for c in ctx.c_true])
     fio = build_fio(ctx.filters, probs)

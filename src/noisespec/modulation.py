@@ -288,10 +288,3 @@ def repair_trains(times, qubits, duration: float):
     starts = np.flatnonzero(edge)
     keep = starts[:-1][np.diff(starts) % 2 == 1]
     return t[keep], q[keep]
-
-
-def repair_switch_times(times, duration: float) -> np.ndarray:
-    """Repair a candidate switch list: clip into (0, T), sort, and cancel
-    coincident pairs (two flips at one instant are a no-op).  The one-train
-    case of :func:`repair_trains`."""
-    return repair_trains(times, np.zeros(np.size(times), dtype=int), duration)[0]

@@ -47,7 +47,6 @@ class OcfProblem:
     spectrum: SpectralDensity
     duration: float
     n_qubits: int = 1
-    continuous: bool = False
     omega_c: float = 10.0
     penalty_weight: float = 1.0
     superiterations: int = 10
@@ -59,7 +58,7 @@ class OcfProblem:
     def __post_init__(self):
         if self.duration <= 0:
             raise ValueError("duration must be > 0")
-        if not self.continuous and self.n_qubits < 1:
+        if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if self.superiterations < 0 or self.inner_evals < 1 or self.basis_size < 1:
             raise ValueError("optimizer budget must be positive")
@@ -329,8 +328,6 @@ def optimize_discrete(problem: OcfProblem) -> OcfSolution:
     transformed without building a modulation object.  Only the accepted
     state becomes a :class:`ModulationSet`, once per design.
     """
-    if problem.continuous:
-        raise ValueError("problem is flagged continuous; use optimize_continuous")
     T = problem.duration
     n_q = problem.n_qubits
     peak = problem.spectrum.peak_frequency(omega_max=problem.omega_c)

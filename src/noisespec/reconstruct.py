@@ -28,7 +28,7 @@ retaining terms down to 1e-9 and 1e-14 of the largest eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -51,17 +51,6 @@ DEFAULT_TAU = 2e-3
 _COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True, eq=False)
-class FOBasis:
-    """Orthonormalized filter basis: eigenvalues (descending), the
-    orthogonal transform (rows are eigenvectors) and the retained count."""
-
-    eigenvalues: np.ndarray
-    transform: np.ndarray
-    retained: int
-    omega_c: float
-
-
 @dataclass(eq=False)
 class ReconstructionResult:
     """Estimated spectrum: grid samples ("fo") or pointwise values ("as")."""
@@ -72,7 +61,6 @@ class ReconstructionResult:
     retained_count: int
     kept_indices: np.ndarray
     params: dict = field(default_factory=dict)
-    basis: FOBasis | None = None
     condition_number: float | None = None
     fidelity: float | None = None
 
@@ -196,10 +184,9 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
     n_r = _cutoff_size(filters[0].grid, omega_c)
     estimate = beta @ np.vstack([filters[i].values[:n_r] for i in kept])
 
-    basis = FOBasis(eigenvalues=lam, transform=U.T, retained=retained, omega_c=omega_c)
     return ReconstructionResult(
         protocol="fo", omegas=filters[0].grid.omegas[:n_r], values=estimate,
-        retained_count=retained, kept_indices=kept, basis=basis,
+        retained_count=retained, kept_indices=kept,
         params={"omega_c": omega_c, "eig_keep": eig_keep,
                 "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
 
@@ -583,39 +570,40 @@ def mean_se(values: np.ndarray) -> tuple[float, float]:
 
 @dataclass(eq=False)
 class ScanResult:
-    protocol: str
+    """Fidelity mean and se at each candidate operation time of one scan;
+    ``best`` indexes the candidate of the largest mean."""
+
     times: np.ndarray
     fidelity_mean: np.ndarray
     fidelity_se: np.ndarray
-    best_time: float
+    best: int
+
+    @property
+    def best_time(self) -> float:
+        return float(self.times[self.best])
 
 
-def scan_optimal_time(protocol: str, spectrum: SpectralDensity, gamma: float,
-                      time_candidates, repetitions: int, master_seed: int,
-                      dp_max: float = 0.01, shots: int | None = None,
-                      K: int = 20, omega_c: float = 10.0,
-                      omega_max: float | None = None, n_qubits: int = 1,
-                      eig_keep=DEFAULT_TAU, grid: FrequencyGrid | None = None,
-                      workers: int = 1) -> ScanResult:
-    """Scan filter operation times and return the fidelity curve.
+def scan_optimal_time(scans, repetitions: int, eig_keep=DEFAULT_TAU,
+                      workers: int = 1) -> list[ScanResult]:
+    """Fidelity against operation time, one :class:`ScanResult` per scan.
 
-    For every candidate T the spectrum scale is recalibrated to the new
-    filter set, ``repetitions`` independent noisy runs are simulated from
-    seeds derived per (T index, repetition), and the mean estimation
-    fidelity with its standard error is recorded.  The optimal time is the
-    candidate with the largest mean fidelity.  ``workers`` is passed to
-    :func:`run_repetitions` and does not change the result.
+    A scan is ``(contexts, noise)``: the contexts of one protocol at its
+    candidate operation times, and the noise model they run under.
+    Candidate t of a scan runs ``repetitions`` repetitions from the seed
+    base ``derive_seed(noise.seed, t)``.  Every cell of every scan runs in
+    one :func:`run_repetitions` call on ``workers`` processes, which does
+    not change the result; a scan without candidates raises ``ValueError``.
     """
-    times = list(time_candidates)
-    if not times:
+    scans = [(list(contexts), noise) for contexts, noise in scans]
+    if any(not contexts for contexts, _ in scans):
         raise ValueError("need at least one candidate operation time")
-    cells = [(ProtocolContext(protocol, spectrum, T, K=K, omega_c=omega_c,
-                              omega_max=omega_max, n_qubits=n_qubits, grid=grid),
-              NoiseModel(dp_max=dp_max, gamma=gamma, shots=shots,
-                         seed=derive_seed(master_seed, ti)), eig_keep, False)
-             for ti, T in enumerate(times)]
-    stats = [mean_se(fids) for fids in run_repetitions(cells, repetitions, workers)]
-    means, ses = np.array(stats).T
-    best = times[int(np.argmax(means))]
-    return ScanResult(protocol=protocol, times=np.asarray(times, dtype=float),
-                      fidelity_mean=means, fidelity_se=ses, best_time=float(best))
+    cells = [(ctx, replace(noise, seed=derive_seed(noise.seed, ti)), eig_keep, False)
+             for contexts, noise in scans for ti, ctx in enumerate(contexts)]
+    stats = iter(map(mean_se, run_repetitions(cells, repetitions, workers)))
+    results = []
+    for contexts, _ in scans:
+        means, ses = np.array([next(stats) for _ in contexts]).T
+        results.append(ScanResult(
+            times=np.array([ctx.operation_time for ctx in contexts], dtype=float),
+            fidelity_mean=means, fidelity_se=ses, best=int(np.argmax(means))))
+    return results

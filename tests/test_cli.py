@@ -44,14 +44,14 @@ def test_quick_preset_runs(name, tmp_path):
     files = os.listdir(tmp_path)
     assert {"summary.txt", "config.ini"} <= set(files)
     assert any(f.endswith(".csv") for f in files)
-    assert cli.load_config(str(tmp_path / "config.ini")) == cfg
+    assert cli.validate_config(cli._file_sections(str(tmp_path / "config.ini"))) == cfg
 
 
 @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_config_round_trip(name, quick):
     cfg = cli.preset_config(name, quick=quick)
-    assert cli.parse_config_text(cli.format_config(cfg)) == cfg
+    assert cli.validate_config(cli._ini_sections(cli.format_config(cfg))) == cfg
 
 
 class TestExitCodes:
@@ -107,10 +107,28 @@ class TestExitCodes:
         (_ini("fisher", fisher="omega_c = -10"), "fisher.omega_c"),
         (_ini("reconstruction", spectrum="components =\n  1.0 2.0 1.0\nscale = inf"),
          "spectrum.scale"),
+        (_ini("ocf", ocf="restarts = 0"), "ocf.restarts"),
+        (_ini("ocf", ocf="superiterations = -1"), "ocf.superiterations"),
+        (_ini("ocf", ocf="inner_evals = 0"), "ocf.inner_evals"),
+        (_ini("ocf", ocf="basis_size = 0"), "ocf.basis_size"),
+        (_ini("reconstruction", protocol="n_qubits = 0"), "protocol.n_qubits"),
+        (_ini("nqubit-scan", protocol="nqubit_values = 0 2"), "protocol.nqubit_values"),
+        (_ini("ocf", ocf="nqubit_values = 0"), "ocf.nqubit_values"),
+        (_ini("ocf", ocf="sweep_nqubits = 0"), "ocf.sweep_nqubits"),
+        (_ini("tracking", tracking="omega_osc = 0.01\nnqubit_values = 0",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.nqubit_values"),
+        (_ini("tracking", tracking="omega_osc = 0.01\nk_block = 0",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.k_block"),
+        (_ini("time-scan", protocol="kind = as\nn_qubits = 2"), "protocol.n_qubits"),
+        (_ini("fisher", fisher="n_random_directions = -1"), "fisher.n_random_directions"),
     ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values",
             "T-nan", "T-inf", "T-negative", "T-zero", "omega-c-nan", "K-zero", "eig-keep-nan",
             "candidates-inf", "candidates-zero", "T-values-negative", "ocf-candidates",
-            "horizon-zero", "fisher-K-zero", "fisher-omega-c", "scale-inf"])
+            "horizon-zero", "fisher-K-zero", "fisher-omega-c", "scale-inf", "restarts-zero",
+            "superiterations-negative", "inner-evals-zero", "basis-size-zero",
+            "n-qubits-zero", "nqubit-values-zero", "ocf-nqubit-values-zero",
+            "sweep-nqubits-zero", "tracking-nqubit-values-zero", "k-block-zero",
+            "time-scan-as-two-qubits", "random-directions-negative"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, text, location)
 
@@ -325,8 +343,8 @@ class TestCodec:
                                              "nqubit_values = 1 2"),
                 _ini("ocf", spectrum="components =\n  1.0 2.0 1.0\n  0.7 6.0 2.0",
                      ocf="continuous = off\nT_candidates =")):
-            cfg = cli.parse_config_text(text)
-            assert cli.parse_config_text(cli.format_config(cfg)) == cfg
+            cfg = cli.validate_config(cli._ini_sections(text))
+            assert cli.validate_config(cli._ini_sections(cli.format_config(cfg))) == cfg
 
     @pytest.mark.parametrize("scenario, section, body, location", [
         ("reconstruction", "noise", "shots = many", "noise.shots"),

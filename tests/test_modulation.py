@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from noisespec import (ContinuousModulation, GridRangeError, ModulationSet,
                        NonFiniteInputError, PulseSequence, as_sequence,
                        eval_continuous, eval_modulation, fo_sequence,
-                       repair_switch_times, staircase_split, to_step_function)
+                       staircase_split, to_step_function)
 from noisespec.modulation import repair_trains
 
 
@@ -163,18 +163,18 @@ class TestStepFunction:
         np.testing.assert_allclose(values, [2, 0, -2, 0])
 
     def test_repair_cancels_duplicates(self):
-        times = repair_switch_times([2.0, 1.0, 1.0, 3.0], 5.0)
+        times = repair_trains([2.0, 1.0, 1.0, 3.0], np.zeros(4, dtype=int), 5.0)[0]
         np.testing.assert_allclose(times, [2.0, 3.0])
 
     def test_repair_clips_into_open_interval(self):
-        times = repair_switch_times([-1.0, 2.0, 9.0], 5.0)
+        times = repair_trains([-1.0, 2.0, 9.0], np.zeros(3, dtype=int), 5.0)[0]
         assert times[0] > 0 and times[-1] < 5.0
         assert times.size == 3
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_repair_refuses_non_finite_times(self, bad):
         with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
-            repair_switch_times([1.0, bad], 5.0)
+            repair_trains([1.0, bad], np.zeros(2, dtype=int), 5.0)
         with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
             repair_trains(np.array([1.0, 2.0, bad]), np.array([0, 1, 1]), 5.0)
 
@@ -186,7 +186,8 @@ class TestStepFunction:
         T = 5.0
         t = np.sort(np.clip(np.asarray(times, dtype=float), 1e-12 * T, T - 1e-12 * T))
         uniq, counts = np.unique(t, return_counts=True)
-        assert repair_switch_times(times, T).tobytes() == uniq[counts % 2 == 1].tobytes()
+        repaired = repair_trains(times, np.zeros(len(times), dtype=int), T)[0]
+        assert repaired.tobytes() == uniq[counts % 2 == 1].tobytes()
 
     @given(st.lists(st.tuples(st.integers(0, 4), st.sampled_from([0.5, 1.0, 2.5, 3.75])
                               | st.floats(0.01, 4.99)), max_size=20),
@@ -200,8 +201,9 @@ class TestStepFunction:
         # across trains merge into one boundary
         T = 4.0
         n_q = 1 + max((q for q, _ in switches), default=0)
-        seqs = tuple(PulseSequence(repair_switch_times([t for q, t in switches if q == j], T),
-                                   T, signs[j]) for j in range(n_q))
+        trains = [[t for q, t in switches if q == j] for j in range(n_q)]
+        seqs = tuple(PulseSequence(repair_trains(times, np.zeros(len(times), dtype=int), T)[0],
+                                   T, sign) for times, sign in zip(trains, signs))
         bounds, values = to_step_function(ModulationSet(seqs))
         cuts = np.unique(np.concatenate([[0.0, T]] + [s.switch_times for s in seqs]))
         levels = np.zeros(cuts.size - 1)

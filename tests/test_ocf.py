@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from noisespec import (ModulationSet, NonFiniteInputError, SpectralDensity,
-                       UndefinedObjectiveError, repair_switch_times,
-                       staircase_split, xi_normalized)
+                       UndefinedObjectiveError, staircase_split, xi_normalized)
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                                 filter_function, filter_values)
-from noisespec.modulation import PulseSequence
+from noisespec.modulation import PulseSequence, repair_trains
 from noisespec.ocf import (OcfProblem, _inner_search, _solve, _Trains,
                            ocf_grid, optimize_continuous, optimize_discrete,
                            solution_filter)
@@ -102,14 +101,14 @@ class TestOptimizers:
         assert all(b >= a - 1e-15 for a, b in zip(sol1.trace, sol1.trace[1:]))
 
     def test_first_superiteration_never_decreases(self):
-        prob = OcfProblem(spectrum=LORENTZIAN, duration=4.0, continuous=True,
+        prob = OcfProblem(spectrum=LORENTZIAN, duration=4.0,
                           superiterations=1, inner_evals=20, seed=2)
         sol = optimize_continuous(prob)
         assert sol.trace[1] >= sol.trace[0]
 
     def test_continuous_beats_single_qubit(self):
         cont = optimize_continuous(OcfProblem(
-            spectrum=LORENTZIAN, duration=5.0, continuous=True,
+            spectrum=LORENTZIAN, duration=5.0,
             superiterations=6, inner_evals=40, seed=3))
         disc = optimize_discrete(OcfProblem(
             spectrum=LORENTZIAN, duration=5.0, n_qubits=1,
@@ -127,7 +126,7 @@ class TestOptimizers:
     @pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
     def test_solution_filter_is_the_stored_filter(self, continuous):
         prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=2,
-                          continuous=continuous, superiterations=2, inner_evals=10, seed=4)
+                          superiterations=2, inner_evals=10, seed=4)
         sol = (optimize_continuous if continuous else optimize_discrete)(prob)
         filt = solution_filter(sol)
         fresh = filter_function(sol.modulation, sol.grid)
@@ -153,7 +152,9 @@ def _object_candidate(mset, target, freqs, x):
         return out
 
     return ModulationSet(tuple(
-        PulseSequence(repair_switch_times(warp(seq.switch_times), T), T, seq.initial_sign)
+        PulseSequence(repair_trains(warp(seq.switch_times),
+                                    np.zeros(seq.switch_times.size, dtype=int), T)[0],
+                      T, seq.initial_sign)
         if target is None or q == target else seq
         for q, seq in enumerate(mset.sequences)))
 
@@ -184,7 +185,8 @@ def _random_trains(rng, n_q, T):
                 shared[rng.random(2) < 0.5],
                 rng.uniform(0.0, 0.05 * T, rng.integers(0, 3)),
                 T - rng.uniform(0.0, 0.05 * T, rng.integers(0, 3))]
-        times = repair_switch_times(np.concatenate(pool), T)
+        times = np.concatenate(pool)
+        times = repair_trains(times, np.zeros(times.size, dtype=int), T)[0]
         seqs.append(PulseSequence(times, T, int(rng.choice([-1, 1]))))
     return ModulationSet(tuple(seqs))
 

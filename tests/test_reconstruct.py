@@ -269,13 +269,36 @@ class TestContextInput:
             ProtocolContext("fo", spec, 2.0, K=K)
 
 
+def _fo_scan(spec, gamma, times, seed):
+    """fo contexts at ``times`` under detector error 0.01 and ``gamma``."""
+    return ([ProtocolContext("fo", spec, T) for T in times],
+            NoiseModel(dp_max=0.01, gamma=gamma, seed=seed))
+
+
+@pytest.fixture(scope="module")
+def uneven_scans():
+    """Scans of fo at three times and as at one, each at two gammas, with
+    the noise at ``derive_seed(7, gi, pi)``, as a gamma scan builds them."""
+    spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
+    rows = [[ProtocolContext("fo", spec, T, K=10) for T in (1.0, 2.0, 5.0)],
+            [ProtocolContext("as", spec, 25.0, K=10)]]
+    return [(row, NoiseModel(dp_max=0.01, gamma=gamma, seed=derive_seed(7, gi, pi)))
+            for pi, row in enumerate(rows) for gi, gamma in enumerate((0.0, 0.4))]
+
+
+def _same_scans(ours, theirs):
+    assert len(ours) == len(theirs)
+    for a, b in zip(ours, theirs):
+        for name in ("times", "fidelity_mean", "fidelity_se"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        assert a.best == b.best and a.best_time == b.best_time
+
+
 class TestScan:
     def test_scan_shapes_and_determinism(self):
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
-        res1 = scan_optimal_time("fo", spec, 0.4, [2.0, 7.0], repetitions=5,
-                                 master_seed=99)
-        res2 = scan_optimal_time("fo", spec, 0.4, [2.0, 7.0], repetitions=5,
-                                 master_seed=99)
+        res1, = scan_optimal_time([_fo_scan(spec, 0.4, [2.0, 7.0], 99)], repetitions=5)
+        res2, = scan_optimal_time([_fo_scan(spec, 0.4, [2.0, 7.0], 99)], repetitions=5)
         np.testing.assert_array_equal(res1.fidelity_mean, res2.fidelity_mean)
         assert res1.best_time == 2.0
         assert res1.fidelity_se.shape == (2,)
@@ -283,15 +306,46 @@ class TestScan:
     def test_empty_candidates_rejected(self):
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
         with pytest.raises(ValueError):
-            scan_optimal_time("fo", spec, 0.0, [], repetitions=2, master_seed=1)
+            scan_optimal_time([_fo_scan(spec, 0.0, [], 1)], repetitions=2)
 
     def test_workers_keep_the_scan(self):
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
-        serial, pooled = (scan_optimal_time("fo", spec, 0.4, [2.0, 7.0], repetitions=5,
-                                            master_seed=99, workers=w) for w in (1, 2))
+        serial, pooled = (scan_optimal_time([_fo_scan(spec, 0.4, [2.0, 7.0], 99)],
+                                            repetitions=5, workers=w)[0] for w in (1, 2))
         np.testing.assert_array_equal(serial.fidelity_mean, pooled.fidelity_mean)
         np.testing.assert_array_equal(serial.fidelity_se, pooled.fidelity_se)
         assert serial.best_time == pooled.best_time
+
+    def test_several_scans_equal_each_alone(self, uneven_scans):
+        together = scan_optimal_time(uneven_scans, repetitions=4)
+        _same_scans(together, [scan_optimal_time([scan], repetitions=4)[0]
+                               for scan in uneven_scans])
+        # candidate t of the scan at derive_seed(7, gi, pi) draws from
+        # derive_seed(7, gi, pi, t), the seed of a flat (protocol, gamma, T) cell
+        for (gi, pi), (contexts, noise), result in zip(
+                [(0, 0), (1, 0), (0, 1), (1, 1)], uneven_scans, together):
+            cells = [(ctx, replace(noise, seed=derive_seed(7, gi, pi, ti)), DEFAULT_TAU, False)
+                     for ti, ctx in enumerate(contexts)]
+            means = [reconstruct.mean_se(f)[0] for f in run_repetitions(cells, 4)]
+            assert np.array(means).tobytes() == result.fidelity_mean.tobytes()
+
+    def test_rows_of_unequal_length(self, uneven_scans):
+        results = scan_optimal_time(uneven_scans, repetitions=4)
+        assert [r.times.tolist() for r in results] == [[1.0, 2.0, 5.0]] * 2 + [[25.0]] * 2
+        for r in results:
+            assert r.fidelity_mean.shape == r.fidelity_se.shape == r.times.shape
+            assert r.best == int(np.argmax(r.fidelity_mean))
+            assert r.best_time == r.times[r.best]
+
+    def test_empty_row_rejected(self, uneven_scans, monkeypatch):
+        monkeypatch.setattr(reconstruct, "run_repetitions",
+                            lambda *a, **k: pytest.fail("ran a scan with an empty row"))
+        with pytest.raises(ValueError, match="at least one candidate"):
+            scan_optimal_time([*uneven_scans, ([], uneven_scans[0][1])], repetitions=4)
+
+    def test_workers_keep_several_scans(self, uneven_scans):
+        _same_scans(scan_optimal_time(uneven_scans, repetitions=4, workers=2),
+                    scan_optimal_time(uneven_scans, repetitions=4))
 
 
 @pytest.fixture(scope="module")

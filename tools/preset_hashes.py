@@ -21,7 +21,9 @@ through the discrete search; and fig3 at 20 repetitions with
 cross-validated retention rule; and quick fig13 with 6-filter fo blocks
 under ``eig_keep = cv`` at ``gamma = 0.6`` and ``dp_max = 0.02``, where
 saturated readouts leave fo blocks fitted on a kept subset and OCF pair
-samples NaN.  Each line
+samples NaN; and quick fig3 at two workers with three fo candidates, one
+as candidate and three dephasing rates, whose rows of unequal length
+regroup the scan's cells per (protocol, rate).  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -88,6 +90,10 @@ def matrix(config_dir):
     yield "quick-tracking-cv", [quick_config(
         os.path.join(config_dir, "tracking-cv.ini"), "fig13-tracking-fast",
         tracking={"k_block": 6, "eig_keep": "cv"}, noise={"gamma": 0.6, "dp_max": 0.02})]
+    yield "quick-gamma-uneven", [quick_config(
+        os.path.join(config_dir, "gamma-uneven.ini"), "fig3-fidelity-vs-gamma",
+        protocol={"fo_candidates": [1.0, 2.0, 5.0], "as_candidates": [25.0],
+                  "gamma_values": [0.0, 0.3, 0.5]}), "--workers", "2"]
 
 
 def _fields(path) -> dict:
