@@ -10,9 +10,11 @@ location.  Scenarios, presets and budgets are data in this module:
   ``_QUICK`` holds each scenario's quick budget as sections to merge.
 - ``_RUNNERS`` maps a scenario to a runner that only computes and returns
   its summary and CSV tables; ``run_scenario`` writes them.  ``_context``
-  builds every :class:`ProtocolContext` a runner needs.  The time scan and
-  the gamma scan both go through ``scan_optimal_time``: one scan per
-  protocol and dephasing rate, all in one repetition run.
+  builds every :class:`ProtocolContext` a runner needs, with the retention
+  rule and pointwise variant of its section.  Every repetition runs on a
+  ``(context, noise)`` cell: the time scan and the gamma scan both go
+  through ``scan_optimal_time``, one scan per protocol and dephasing rate,
+  all in one repetition run.
 
 Every stochastic quantity derives from the master seed, so a rerun of the
 same config is byte-identical, its repetitions and designs serial or parallel.
@@ -36,7 +38,7 @@ from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
 from .modulation import fo_sequence
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
 from .probe import NoiseModel, survival_probability
-from .reconstruct import (DEFAULT_TAU, ProtocolContext, fidelity, mean_se,
+from .reconstruct import (DEFAULT_TAU, ProtocolContext, _check_rule, fidelity, mean_se,
                           run_jobs, run_repetitions, scan_optimal_time)
 from .seeding import derive_seed
 from .spectra import CompositeSignal, SpectralDensity
@@ -177,9 +179,10 @@ _NONEMPTY = {"time-scan": ("T_candidates",),
              "nqubit-scan": ("nqubit_values",)}
 
 # keys, in any section, whose values (each value of a list) must be > 0:
-# operation times, band cutoffs and the tracking horizon
+# operation times, band cutoffs, the tracking horizon and grid sizes
 _POSITIVE = ("T", "T_fo", "T_as", "T_candidates", "fo_candidates", "as_candidates",
-             "T_values", "omega_c", "horizon")
+             "T_values", "omega_c", "horizon", "spacing", "span_factor", "grid_spacing",
+             "grid_span_factor")
 
 # counts, in any section, and the least value each (each value of a list) may take
 _AT_LEAST = {"repetitions": 1, "K": 1, "n_qubits": 1, "nqubit_values": 1,
@@ -230,7 +233,7 @@ _KINDS = {
                lambda v: " " + " ".join(repr(float(x)) for x in v)),
     "ints": (lambda raw: [int(tok) for tok in raw.split()],
              lambda v: " " + " ".join(str(int(x)) for x in v)),
-    "retention": (lambda raw: "cv" if raw.strip() == "cv" else _parse_float(raw),
+    "retention": (lambda raw: _check_rule("cv" if raw.strip() == "cv" else _parse_float(raw)),
                   lambda v: f" {v if isinstance(v, str) else repr(float(v))}"),
     "components": (_parse_components,
                    lambda v: "".join(f"\n  {a!r} {c!r} {w!r}" for a, c, w in v)),
@@ -396,20 +399,18 @@ def write_summary(path, entries: dict) -> None:
 # scenario runners
 # ---------------------------------------------------------------------------
 
-def _context_args(cfg, protocol, omega_c):
-    """Band and grid of a protocol run: omega_max is 1.15 omega_c for fo and
-    omega_c for as, on the grid that ``[grid]`` sets."""
-    omega_max = 1.15 * omega_c if protocol == "fo" else omega_c
-    return {"omega_c": omega_c, "omega_max": omega_max,
-            "grid": default_grid(omega_max, span_factor=cfg["grid"]["span_factor"],
-                                 spacing=cfg["grid"]["spacing"])}
-
-
 def _context(cfg, spectrum, protocol, T, n_qubits=1, band="protocol") -> ProtocolContext:
-    """The context of ``protocol`` at operation time ``T`` with the ``K``
-    and ``omega_c`` of section ``band``, on the grid that ``[grid]`` sets."""
-    return ProtocolContext(protocol, spectrum, T, K=cfg[band]["K"], n_qubits=n_qubits,
-                           **_context_args(cfg, protocol, cfg[band]["omega_c"]))
+    """The context of ``protocol`` at operation time ``T`` with the ``K``,
+    ``omega_c``, ``eig_keep`` and ``as_delta_approx`` of section ``band``
+    (where it has them): omega_max is 1.15 omega_c for fo and omega_c for
+    as, on the grid that ``[grid]`` sets."""
+    sec = cfg[band]
+    omega_max = 1.15 * sec["omega_c"] if protocol == "fo" else sec["omega_c"]
+    return ProtocolContext(protocol, spectrum, T, K=sec["K"], omega_c=sec["omega_c"],
+                           omega_max=omega_max, n_qubits=n_qubits,
+                           grid=default_grid(omega_max, **cfg["grid"]),
+                           eig_keep=sec.get("eig_keep", DEFAULT_TAU),
+                           as_delta=sec.get("as_delta_approx", False))
 
 
 def _noise(cfg, seed, **changes) -> NoiseModel:
@@ -421,19 +422,15 @@ def _run_reconstruction(cfg, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     pro = cfg["protocol"]
     noise = cfg["noise"]
-    cells = []
-    for pi, protocol in enumerate(pro["protocols"]):
-        ctx = _context(cfg, spectrum, protocol, pro[f"T_{protocol}"],
-                       pro["n_qubits"] if protocol == "fo" else 1)
-        as_delta = pro["as_delta_approx"] and protocol == "as"
-        cells.append((ctx, _noise(cfg, derive_seed(cfg["run"]["seed"], pi)),
-                      pro["eig_keep"], as_delta))
+    cells = [(_context(cfg, spectrum, protocol, pro[f"T_{protocol}"],
+                       pro["n_qubits"] if protocol == "fo" else 1),
+              _noise(cfg, derive_seed(cfg["run"]["seed"], pi)))
+             for pi, protocol in enumerate(pro["protocols"])]
     summary, tables = {}, {}
-    for (ctx, cell_noise, eig_keep, as_delta), fids in zip(
+    for (ctx, cell_noise), fids in zip(
             cells, run_repetitions(cells, cfg["run"]["repetitions"], workers)):
         mean, se = mean_se(fids)
-        _, result = ctx.run_once(_noise(cfg, derive_seed(cell_noise.seed, 0)),
-                                 eig_keep=eig_keep, want_result=True, as_delta=as_delta)
+        _, result = ctx.run_once(_noise(cfg, derive_seed(cell_noise.seed, 0)))
         protocol, T = ctx.protocol, ctx.operation_time
         if result is not None:
             tables[f"{protocol}_estimate.csv"] = (
@@ -457,8 +454,7 @@ def _run_time_scan(cfg, workers):
     reps = cfg["run"]["repetitions"]
     contexts = [_context(cfg, spectrum, pro["kind"], T, pro["n_qubits"])
                 for T in pro["T_candidates"]]
-    scan, = scan_optimal_time([(contexts, _noise(cfg, cfg["run"]["seed"]))], reps,
-                              pro["eig_keep"], workers)
+    scan, = scan_optimal_time([(contexts, _noise(cfg, cfg["run"]["seed"]))], reps, workers)
     table = ({"protocol": pro["kind"], "gamma": noise["gamma"], "dp_max": noise["dp_max"],
               "K": pro["K"], "repetitions": reps},
              {"T": scan.times, "fidelity_mean": scan.fidelity_mean,
@@ -480,7 +476,7 @@ def _run_gamma_scan(cfg, workers):
     scans = iter(scan_optimal_time(
         [(row, _noise(cfg, derive_seed(cfg["run"]["seed"], gi, pi), gamma=gamma))
          for pi, row in enumerate(rows) for gi, gamma in enumerate(gammas)],
-        reps, pro["eig_keep"], workers))
+        reps, workers))
     cols = {"gamma": np.asarray(gammas)}
     for protocol in protocols:
         best = [(scan.best_time, scan.fidelity_mean[scan.best], scan.fidelity_se[scan.best])
@@ -512,8 +508,7 @@ def _run_nqubit_scan(cfg, workers):
     gamma_by_n = _per_n(pro["gamma_values"], len(ns_values), noise["gamma"])
     cells = [(_context(cfg, spectrum, "fo", T_by_n[ni], n_q),
               _noise(cfg, derive_seed(cfg["run"]["seed"], ni), dp_max=dp_by_n[ni],
-                     gamma=gamma_by_n[ni]),
-              pro["eig_keep"], False)
+                     gamma=gamma_by_n[ni]))
              for ni, n_q in enumerate(ns_values)]
     means, ses = np.array([mean_se(fids)
                            for fids in run_repetitions(cells, reps, workers)]).T
@@ -598,8 +593,8 @@ def _run_tracking(cfg, workers):
     tr = cfg["tracking"]
     seed = cfg["run"]["seed"]
     omega_c = tr["omega_c"]
-    band = _context_args(cfg, "fo", omega_c)
-    omega_max, grid = band["omega_max"], band["grid"]
+    omega_max = 1.15 * omega_c
+    grid = default_grid(omega_max, **cfg["grid"])
 
     # equal component norms keep the pair system symmetric (sum-to-one drift
     # then only excites its well-conditioned direction)

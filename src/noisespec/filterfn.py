@@ -72,10 +72,10 @@ class FrequencyGrid:
 
     def __post_init__(self):
         require_finite(omega_max_grid=self.omega_max_grid)
-        if self.size < 2:
-            raise ValueError(f"size must be >= 2, got {self.size}")
         if self.omega_max_grid <= 0:
-            raise ValueError("omega_max_grid must be > 0")
+            raise GridRangeError(f"omega_max_grid must be > 0, got {self.omega_max_grid}")
+        if self.size < 2:
+            raise GridRangeError(f"size must be >= 2, got {self.size}")
 
     @property
     def spacing(self) -> float:
@@ -122,6 +122,8 @@ class FrequencyGrid:
 def default_grid(omega_max: float, span_factor: float = 5.0,
                  spacing: float = 0.005) -> FrequencyGrid:
     """Default grid: span ``span_factor * omega_max``, spacing <= ``spacing``."""
+    if not spacing > 0:
+        raise GridRangeError(f"spacing must be > 0, got {spacing}")
     span = span_factor * omega_max
     size = int(math.ceil(span / spacing)) + 1
     return FrequencyGrid(span, size)

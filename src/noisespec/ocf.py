@@ -25,7 +25,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UndefinedObjectiveError
-from .filterfn import FilterFunction, FrequencyGrid, _pulse_transform, filter_values
+from .filterfn import (FilterFunction, FrequencyGrid, _pulse_transform, default_grid,
+                       filter_values)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          merge_trains, repair_trains, staircase_split)
 from .seeding import derive_seed, make_rng
@@ -36,8 +37,7 @@ def ocf_grid(omega_c: float, spacing: float = 0.01,
              span_factor: float = 3.0) -> FrequencyGrid:
     """Default optimization grid: coarser and shorter than the protocol
     grid, big enough to see the penalized out-of-band region."""
-    span = span_factor * omega_c
-    return FrequencyGrid(span, int(math.ceil(span / spacing)) + 1)
+    return default_grid(omega_c, span_factor, spacing)
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,12 +13,14 @@ Both estimates are linear in the K coefficients once the kept set (the
 finite estimates) and the retention rule are fixed, so a repetition's
 fidelity is a cosine taken after a linear map ``W`` (K x P, P fidelity
 points) of its estimates, with zeros in place of dropped entries.  A
-:class:`ProtocolContext` scores every repetition this way, building each
-distinct map once per block.  Every sum in that kernel runs in a fixed
-order of elementwise numpy operations, so a repetition's fidelity does not
-depend on the block size, its position in the block or the BLAS build.  It
-agrees with the per-row reference ``fidelity(spectrum, fo_reconstruct(...)
-/ as_reconstruct(...), points)`` within 1e-12 where the inverted system is
+:class:`ProtocolContext`, one (protocol, T) cell with its retention rule
+and pointwise variant, scores every repetition this way, building each
+distinct map once per block; :func:`run_repetitions` runs cells
+``(context, noise)``.  Every sum in that kernel runs in a fixed order of
+elementwise numpy operations, so a repetition's fidelity does not depend
+on the block size, its position in the block or the BLAS build.  It agrees
+with the per-row reference ``fidelity(spectrum, fo_reconstruct(...) /
+as_reconstruct(...), points)`` within 1e-12 where the inverted system is
 well conditioned, as under ``DEFAULT_TAU`` (condition number at most 1/tau
 = 500).  The two round differently, so the gap grows with the condition
 number: measured 1e-12 for an as system at 5e6, 7e-13 and 2e-10 for fo
@@ -203,15 +205,24 @@ def _eigh_descending(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, U
 
 
+def _check_rule(eig_keep):
+    """``eig_keep`` if it is a retention rule (``"cv"``, a count >= 0 or a
+    threshold >= 0); ``ValueError`` otherwise."""
+    if isinstance(eig_keep, str):
+        if eig_keep != "cv":
+            raise ValueError(f"unknown retention rule {eig_keep!r}")
+    elif not eig_keep >= 0:  # also refuses NaN
+        raise ValueError(f"retention rule must be >= 0, got {eig_keep!r}")
+    return eig_keep
+
+
 def _resolve_rule(A: np.ndarray, c_kept: np.ndarray, eig_keep):
     """The retention rule applied to the kept overlap matrix ``A``:
     ``eig_keep`` itself, or for ``"cv"`` the threshold that
     :func:`select_retention_threshold` picks for ``c_kept``."""
-    if not isinstance(eig_keep, str):
-        return eig_keep
-    if eig_keep != "cv":
-        raise ValueError(f"unknown retention rule {eig_keep!r}")
-    return select_retention_threshold(A, c_kept)
+    if isinstance(_check_rule(eig_keep), str):
+        return select_retention_threshold(A, c_kept)
+    return eig_keep
 
 
 def _cutoff_size(grid: FrequencyGrid, omega_c: float) -> int:
@@ -346,7 +357,9 @@ class ProtocolContext:
     overlap ("fo") or bin ("as") matrix, the true spectrum with its norm at
     the fidelity points, and ``G``, whose row k is basis function k at the
     fidelity points (filter k for "fo", the hat of pointwise node k for
-    "as").
+    "as").  The cell's inversion is fixed too: the "fo" retention rule
+    ``eig_keep`` (checked here) and the "as" delta approximation
+    ``as_delta``, as in :func:`fo_reconstruct` and :func:`as_reconstruct`.
 
     :meth:`_score_block` scores every repetition.  With the kept set (the
     finite estimates) and the retention rule fixed, a repetition's estimate
@@ -365,7 +378,8 @@ class ProtocolContext:
 
     def __init__(self, protocol: str, spectrum: SpectralDensity, operation_time: float,
                  K: int = 20, omega_c: float = 10.0, omega_max: float | None = None,
-                 n_qubits: int = 1, grid: FrequencyGrid | None = None):
+                 n_qubits: int = 1, grid: FrequencyGrid | None = None,
+                 eig_keep=DEFAULT_TAU, as_delta: bool = False):
         if protocol not in ("fo", "as"):
             raise ValueError(f"unknown protocol {protocol!r}")
         if protocol == "as" and n_qubits != 1:
@@ -385,6 +399,8 @@ class ProtocolContext:
         self.omega_max = omega_max
         self.operation_time = operation_time
         self.n_qubits = n_qubits
+        self.eig_keep = _check_rule(eig_keep)
+        self.as_delta = as_delta
         self.grid = grid if grid is not None else default_grid(self.omega_max)
 
         gens = []
@@ -417,44 +433,40 @@ class ProtocolContext:
         self._G = np.array([_interp(self.fidelity_points, omegas, values)
                             for omegas, values in rows])
 
-    def run_once(self, noise: NoiseModel, eig_keep=DEFAULT_TAU,
-                 want_result: bool = False, as_delta: bool = False):
+    def run_once(self, noise: NoiseModel):
         """One noisy protocol run -> (fidelity, result-or-None).
 
         The fidelity comes from :meth:`_score_block`, as in any block.
         Degenerate runs (all filters saturated, a singular inversion or a
         zero estimate) score fidelity 0: the estimate carries no
-        information, and the result is None.  Otherwise, with
-        ``want_result``, the result is :func:`fo_reconstruct` or
-        :func:`as_reconstruct` of the run's estimates.
+        information, and the result is None.  Otherwise the result is
+        :func:`fo_reconstruct` or :func:`as_reconstruct` of the run's
+        estimates under the context's rule or variant.
         """
         c_hat, _ = measure_batch(self.c_true, noise, self.operation_time,
                                  derive_seed_array(noise.seed, np.arange(self.K)))
-        fids, degenerate = self._score_block(c_hat[None, :], eig_keep, as_delta)
+        fids, degenerate = self._score_block(c_hat[None, :])
         fid = float(fids[0])
-        if not want_result or degenerate[0]:
+        if degenerate[0]:
             return fid, None
         if self.protocol == "fo":
-            result = fo_reconstruct(self.filters, c_hat, self.omega_c, eig_keep=eig_keep,
+            result = fo_reconstruct(self.filters, c_hat, self.omega_c, eig_keep=self.eig_keep,
                                     overlap=self.overlap)
         else:
             result = as_reconstruct(self.filters, c_hat, self.omega_max,
-                                    delta_approx=as_delta, bins=self.bins)
+                                    delta_approx=self.as_delta, bins=self.bins)
         result.fidelity = fid
         return fid, result
 
-    def _score_block(self, c_hat: np.ndarray, eig_keep,
-                     as_delta: bool) -> tuple[np.ndarray, np.ndarray]:
+    def _score_block(self, c_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Fidelities of a block of repetitions, one row of K estimates
         each, and the mask of rows that scored 0 as degenerate.  Rows are
         grouped by kept set and retention rule (``"cv"`` picks it per row);
         each group's map is built once, and one kernel call scores them
         all.  Under ``"cv"`` each kept set is decomposed once."""
         kept = np.isfinite(c_hat)
-        rules = [eig_keep] * len(c_hat)
-        if self.protocol == "fo" and isinstance(eig_keep, str):
-            if eig_keep != "cv":
-                raise ValueError(f"unknown retention rule {eig_keep!r}")
+        rules = [self.eig_keep] * len(c_hat)
+        if self.protocol == "fo" and isinstance(self.eig_keep, str):
             folds = {}  # kept set -> its cross-validation folds
             for i, (row, m) in enumerate(zip(c_hat, kept)):
                 if m.tobytes() not in folds:
@@ -466,19 +478,19 @@ class ProtocolContext:
         maps = np.zeros((self.K, self.fidelity_points.size, len(groups)))
         for (m, rule), g in groups.items():
             m = np.frombuffer(m, dtype=bool)
-            W = self._linear_map(np.flatnonzero(m), rule, as_delta)
+            W = self._linear_map(np.flatnonzero(m), rule)
             if W is not None:
                 maps[m, :, g] = W
         return _cosine_rows(self._s_true, self._n_true, np.where(kept, c_hat, 0.0),
                             maps[:, :, index])
 
-    def _linear_map(self, idx: np.ndarray, rule, as_delta: bool) -> np.ndarray | None:
+    def _linear_map(self, idx: np.ndarray, rule) -> np.ndarray | None:
         """The map (kept x P) from the estimates ``idx`` of a row to its
-        estimate at the fidelity points under ``rule``; None where the
-        inversion degenerates."""
+        estimate at the fidelity points under the "fo" retention ``rule``
+        (a count or threshold); None where the inversion degenerates."""
         if idx.size == 0:
             return None
-        if self.protocol == "as" and as_delta:
+        if self.protocol == "as" and self.as_delta:
             return self._G[idx] / np.diag(self.bins)[idx, None]
         try:
             if self.protocol == "as":
@@ -536,18 +548,19 @@ def _run_block(cells, ci: int, start: int, stop: int) -> np.ndarray:
     """Fidelities of repetitions ``start..stop-1`` of cell ``ci``.
     Repetition r reads filter k on the stream ``derive_seed(cell seed, r,
     k)``, all drawn and scored in one batch."""
-    ctx, noise, eig_keep, as_delta = cells[ci]
+    ctx, noise = cells[ci]
     seeds = derive_seed_array(noise.seed, np.arange(start, stop)[:, None], np.arange(ctx.K))
     c_hat, _ = measure_batch(ctx.c_true, noise, ctx.operation_time, seeds)
-    return ctx._score_block(c_hat, eig_keep, as_delta)[0]
+    return ctx._score_block(c_hat)[0]
 
 
 def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
     """Fidelities of seeded repetitions, shape ``(len(cells), repetitions)``.
 
-    A cell is ``(ProtocolContext, NoiseModel, eig_keep, as_delta)``; the
+    A cell is ``(context, noise)``: a :class:`ProtocolContext`, which
+    carries its inversion, and the :class:`NoiseModel` it runs under.  The
     noise model's seed is the cell's seed base, and repetition r equals
-    ``run_once`` at ``derive_seed(cell seed, r)``.  A job is a block of up
+    ``context.run_once`` at ``derive_seed(cell seed, r)``.  A job is a block of up
     to ``_BLOCK`` repetitions of one cell, and :func:`run_jobs` runs them
     on ``workers`` processes; the output is the same for any worker count.
     """
@@ -583,21 +596,21 @@ class ScanResult:
         return float(self.times[self.best])
 
 
-def scan_optimal_time(scans, repetitions: int, eig_keep=DEFAULT_TAU,
-                      workers: int = 1) -> list[ScanResult]:
+def scan_optimal_time(scans, repetitions: int, workers: int = 1) -> list[ScanResult]:
     """Fidelity against operation time, one :class:`ScanResult` per scan.
 
     A scan is ``(contexts, noise)``: the contexts of one protocol at its
-    candidate operation times, and the noise model they run under.
-    Candidate t of a scan runs ``repetitions`` repetitions from the seed
-    base ``derive_seed(noise.seed, t)``.  Every cell of every scan runs in
+    candidate operation times, each with its inversion, and the noise
+    model they run under.  Candidate t of a scan is the repetition cell
+    ``(context, noise at seed derive_seed(noise.seed, t))`` and runs
+    ``repetitions`` repetitions.  Every cell of every scan runs in
     one :func:`run_repetitions` call on ``workers`` processes, which does
     not change the result; a scan without candidates raises ``ValueError``.
     """
     scans = [(list(contexts), noise) for contexts, noise in scans]
     if any(not contexts for contexts, _ in scans):
         raise ValueError("need at least one candidate operation time")
-    cells = [(ctx, replace(noise, seed=derive_seed(noise.seed, ti)), eig_keep, False)
+    cells = [(ctx, replace(noise, seed=derive_seed(noise.seed, ti)))
              for contexts, noise in scans for ti, ctx in enumerate(contexts)]
     stats = iter(map(mean_se, run_repetitions(cells, repetitions, workers)))
     results = []

@@ -143,18 +143,12 @@ class SpectralDensity:
 
     __call__ = evaluate
 
-    def peak_frequency(self, omega_max: float | None = None, samples: int = 20001) -> float:
-        """Frequency of the dominant peak (dense scan for analytic form)."""
-        if self.components is not None:
-            hi = omega_max if omega_max is not None else max(
-                c.center + 6.0 / math.sqrt(c.width_scale) for c in self.components)
-            om = np.linspace(0.0, hi, samples)
-        else:
-            om = self.grid_omegas
-            if omega_max is not None:
-                om = om[om <= omega_max]
-        vals = self.evaluate(om)
-        return float(om[int(np.argmax(vals))])
+    def peak_frequency(self, omega_max: float) -> float:
+        """Frequency of the dominant peak in ``[0, omega_max]`` (a
+        20001-point scan for the analytic form, the samples otherwise)."""
+        om = (np.linspace(0.0, omega_max, 20001) if self.components is not None
+              else self.grid_omegas[self.grid_omegas <= omega_max])
+        return float(om[int(np.argmax(self.evaluate(om)))])
 
 
 @dataclass(frozen=True, eq=False)

@@ -42,28 +42,23 @@ class TrackingRun:
     def n_samples(self) -> int:
         return int(self.sample_times.size)
 
-    def rms_error(self, which: int = 2, dense: int = 2001) -> float:
-        """RMS deviation of the tracked curve from the true coefficient.
+    def rms_error(self) -> float:
+        """RMS deviation of the tracked s2 curve from the true coefficient.
 
-        The sample series is linearly interpolated (edge-held) onto a dense
-        time grid spanning the measured horizon and compared with the true
-        coefficient there; sampling too slowly for the signal therefore
-        shows up as a large error even where individual samples alias onto
-        plausible values.
+        The sample series is linearly interpolated (edge-held) onto 2001
+        times spanning the measured horizon and compared with the true
+        ``s2 = 1 - sin^2(omega_osc t)`` there; sampling too slowly for the
+        signal therefore shows up as a large error even where individual
+        samples alias onto plausible values.
         """
-        est = self.s2_estimate if which == 2 else self.s1_estimate
-        good = np.isfinite(est)
+        good = np.isfinite(self.s2_estimate)
         if not np.any(good):
             return math.inf
         t_end = self.sample_times[-1] + 0.5 * self.block_duration
-        grid = np.linspace(0.0, t_end, dense)
-        curve = np.interp(grid, self.sample_times[good], est[good])
-        truth = self._truth(grid, which)
+        grid = np.linspace(0.0, t_end, 2001)
+        curve = np.interp(grid, self.sample_times[good], self.s2_estimate[good])
+        truth = 1.0 - np.sin(self.omega_osc * grid) ** 2
         return float(np.sqrt(np.mean((curve - truth) ** 2)))
-
-    def _truth(self, t, which: int):
-        s = np.sin(self.omega_osc * t) ** 2
-        return 1.0 - s if which == 2 else s
 
     def sum_drift(self) -> float:
         """Mean |s1 + s2 - 1| of the estimates (diagnostic, not enforced)."""

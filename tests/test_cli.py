@@ -121,6 +121,12 @@ class TestExitCodes:
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.k_block"),
         (_ini("time-scan", protocol="kind = as\nn_qubits = 2"), "protocol.n_qubits"),
         (_ini("fisher", fisher="n_random_directions = -1"), "fisher.n_random_directions"),
+        (_ini("reconstruction", grid="spacing = 0"), "grid.spacing"),
+        (_ini("reconstruction", grid="spacing = -0.005"), "grid.spacing"),
+        (_ini("reconstruction", grid="span_factor = 0"), "grid.span_factor"),
+        (_ini("ocf", ocf="grid_spacing = 0"), "ocf.grid_spacing"),
+        (_ini("ocf", ocf="grid_span_factor = -1"), "ocf.grid_span_factor"),
+        (_ini("reconstruction", protocol="eig_keep = -1"), "protocol.eig_keep"),
     ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values",
             "T-nan", "T-inf", "T-negative", "T-zero", "omega-c-nan", "K-zero", "eig-keep-nan",
             "candidates-inf", "candidates-zero", "T-values-negative", "ocf-candidates",
@@ -128,7 +134,9 @@ class TestExitCodes:
             "superiterations-negative", "inner-evals-zero", "basis-size-zero",
             "n-qubits-zero", "nqubit-values-zero", "ocf-nqubit-values-zero",
             "sweep-nqubits-zero", "tracking-nqubit-values-zero", "k-block-zero",
-            "time-scan-as-two-qubits", "random-directions-negative"])
+            "time-scan-as-two-qubits", "random-directions-negative", "grid-spacing-zero",
+            "grid-spacing-negative", "grid-span-zero", "ocf-grid-spacing-zero",
+            "ocf-grid-span-negative", "eig-keep-negative"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, text, location)
 

@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError,
+from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError, GridRangeError,
                        PulseSequence, SpectralDensity, as_sequence,
                        continuous_norm, default_grid, filter_function,
                        fo_sequence, fourier_piecewise, overlap_matrix,
                        signal_overlap, staircase_split, transform_continuous)
 from noisespec import filterfn
 from noisespec.filterfn import FilterFunction, _gauss_plan, filter_values
+from noisespec.ocf import ocf_grid
 
 
 def box_filter(grid, lo, hi, height=1.0):
@@ -269,3 +270,33 @@ def test_grid_convergence_of_overlaps():
         c1 = signal_overlap(spec, filter_function(seq, coarse))
         c2 = signal_overlap(spec, filter_function(seq, fine))
         assert abs(c1 - c2) / abs(c2) < 1e-3
+
+
+class TestGridInput:
+    """A grid that cannot hold two nodes over a positive span raises
+    GridRangeError, in place of a ZeroDivisionError or a bare ValueError."""
+
+    @pytest.mark.parametrize("omega_max_grid, size", [(1.0, 1), (1.0, -11499), (0.0, 11),
+                                                      (-3.0, 11)])
+    def test_frequency_grid(self, omega_max_grid, size):
+        with pytest.raises(GridRangeError):
+            FrequencyGrid(omega_max_grid, size)
+
+    @pytest.mark.parametrize("kwargs", [{"spacing": 0.0}, {"spacing": -0.005},
+                                        {"spacing": math.nan}, {"span_factor": 0.0},
+                                        {"span_factor": -1.0}])
+    def test_default_grid(self, kwargs):
+        with pytest.raises(GridRangeError):
+            default_grid(11.5, **kwargs)
+
+    @pytest.mark.parametrize("spacing, span_factor", [(0.0, 3.0), (0.01, -1.0)])
+    def test_ocf_grid(self, spacing, span_factor):
+        with pytest.raises(GridRangeError):
+            ocf_grid(10.0, spacing, span_factor)
+
+    @pytest.mark.parametrize("omega_c, spacing, span_factor", [
+        (10.0, 0.01, 3.0), (7.3, 0.013, 2.5), (10.0, 0.005, 5.0)])
+    def test_ocf_grid_is_a_default_grid(self, omega_c, spacing, span_factor):
+        span = span_factor * omega_c
+        grid = ocf_grid(omega_c, spacing, span_factor)
+        assert (grid.omega_max_grid, grid.size) == (span, int(math.ceil(span / spacing)) + 1)

@@ -216,7 +216,7 @@ class TestRetention:
         """A block under "cv" builds the cross-validation folds once per kept
         set, and every row gets the threshold its own full selection picks."""
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
-        ctx = ProtocolContext("fo", spec, 5.0)
+        ctx = ProtocolContext("fo", spec, 5.0, eig_keep="cv")
         rows = _estimate_rows(ctx, _SATURATING, 40)
         rows[::5, 2] = math.inf
         rows[1::7, [0, 9]] = math.inf
@@ -229,7 +229,7 @@ class TestRetention:
                             lambda A: folds.append(A.shape) or cv_folds(A))
         monkeypatch.setattr(reconstruct, "_cv_threshold",
                             lambda f, c: rules.append(cv_threshold(f, c)) or rules[-1])
-        ctx._score_block(rows, "cv", False)
+        ctx._score_block(rows)
         assert len(folds) == len(kept_sets)
         monkeypatch.undo()
         assert rules == [reconstruct.select_retention_threshold(
@@ -237,9 +237,24 @@ class TestRetention:
 
     def test_unknown_rule_rejected(self):
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
-        ctx = ProtocolContext("fo", spec, 2.0, K=6)
         with pytest.raises(ValueError, match="unknown retention rule 'loo'"):
-            ctx._score_block(np.ones((2, 6)), "loo", False)
+            ProtocolContext("fo", spec, 2.0, K=6, eig_keep="loo")
+
+    @pytest.mark.parametrize("eig_keep", [-1, -3, -0.5, math.nan])
+    def test_negative_rule_rejected(self, eig_keep, monkeypatch):
+        """Before building anything: a negative count kept -1 terms and
+        scored a NaN-laden or negative fidelity."""
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+        monkeypatch.setattr(reconstruct, "filter_function",
+                            lambda *a: pytest.fail("built filters under a bad rule"))
+        with pytest.raises(ValueError, match=f"retention rule must be >= 0, got {eig_keep}"):
+            ProtocolContext("fo", spec, 2.0, K=6, eig_keep=eig_keep)
+
+    @pytest.mark.parametrize("eig_keep", ["loo", -1, -3, -0.5, math.nan])
+    def test_bad_rule_rejected_by_fo_reconstruct(self, fo_setup, eig_keep):
+        grid, filters, A = fo_setup
+        with pytest.raises(ValueError, match="^(unknown retention rule|retention rule must)"):
+            fo_reconstruct(filters, np.ones(20), OMEGA_C, eig_keep=eig_keep, overlap=A)
 
 
 class TestContextInput:
@@ -324,7 +339,7 @@ class TestScan:
         # derive_seed(7, gi, pi, t), the seed of a flat (protocol, gamma, T) cell
         for (gi, pi), (contexts, noise), result in zip(
                 [(0, 0), (1, 0), (0, 1), (1, 1)], uneven_scans, together):
-            cells = [(ctx, replace(noise, seed=derive_seed(7, gi, pi, ti)), DEFAULT_TAU, False)
+            cells = [(ctx, replace(noise, seed=derive_seed(7, gi, pi, ti)))
                      for ti, ctx in enumerate(contexts)]
             means = [reconstruct.mean_se(f)[0] for f in run_repetitions(cells, 4)]
             assert np.array(means).tobytes() == result.fidelity_mean.tobytes()
@@ -351,20 +366,20 @@ class TestScan:
 @pytest.fixture(scope="module")
 def engine_cells():
     spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
-    fo = ProtocolContext("fo", spec, 2.0, K=10)
-    as_ = ProtocolContext("as", spec, 10.0, K=10)
-    return [(fo, NoiseModel(dp_max=0.01, gamma=0.4, seed=derive_seed(5, 0)), DEFAULT_TAU, False),
-            (as_, NoiseModel(dp_max=0.02, seed=derive_seed(5, 1)), DEFAULT_TAU, True),
-            (fo, NoiseModel(dp_max=0.05, shots=200, seed=derive_seed(5, 2)), 4, False)]
+    return [(ProtocolContext("fo", spec, 2.0, K=10),
+             NoiseModel(dp_max=0.01, gamma=0.4, seed=derive_seed(5, 0))),
+            (ProtocolContext("as", spec, 10.0, K=10, as_delta=True),
+             NoiseModel(dp_max=0.02, seed=derive_seed(5, 1))),
+            (ProtocolContext("fo", spec, 2.0, K=10, eig_keep=4),
+             NoiseModel(dp_max=0.05, shots=200, seed=derive_seed(5, 2)))]
 
 
 @pytest.fixture(scope="module")
 def run_once_fidelities(engine_cells):
     """``run_once`` of each engine cell at its first 257 repetition seeds."""
-    return np.array([[ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)),
-                                   eig_keep=eig_keep, as_delta=as_delta)[0]
+    return np.array([[ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)))[0]
                       for rep in range(257)]
-                     for ctx, noise, eig_keep, as_delta in engine_cells])
+                     for ctx, noise in engine_cells])
 
 
 class TestRepetitionEngine:
@@ -383,13 +398,27 @@ class TestRepetitionEngine:
 
     def test_rows_follow_the_documented_seeds(self, engine_cells):
         fids = run_repetitions(engine_cells, 4)
-        for row, (ctx, noise, eig_keep, as_delta) in zip(fids, engine_cells):
+        for row, (ctx, noise) in zip(fids, engine_cells):
             for rep, fid in enumerate(row):
                 expected, _ = ctx.run_once(
                     NoiseModel(dp_max=noise.dp_max, gamma=noise.gamma, shots=noise.shots,
-                               seed=derive_seed(noise.seed, rep)),
-                    eig_keep=eig_keep, as_delta=as_delta)
+                               seed=derive_seed(noise.seed, rep)))
                 assert fid == expected
+
+    def test_cells_with_different_rules_equal_each_alone(self, two_line_spectrum):
+        """One run over contexts that differ only in their rule or variant,
+        under one noise model, equals each context run alone."""
+        noise = NoiseModel(dp_max=0.02, gamma=0.3, seed=31)
+        cells = [(ProtocolContext(protocol, two_line_spectrum, T, K=10, eig_keep=eig_keep,
+                                  as_delta=as_delta), noise)
+                 for protocol, T, eig_keep, as_delta in [
+                     ("fo", 5.0, "cv", False), ("fo", 5.0, 3, False),
+                     ("fo", 5.0, DEFAULT_TAU, False), ("as", 10.0, DEFAULT_TAU, False),
+                     ("as", 10.0, DEFAULT_TAU, True)]]
+        together = run_repetitions(cells, 300)
+        alone = np.vstack([run_repetitions([cell], 300) for cell in cells])
+        assert together.tobytes() == alone.tobytes()
+        assert len({row.tobytes() for row in together}) == len(cells)
 
     def test_serial_fallback_without_fork(self, engine_cells, monkeypatch):
         def no_fork(method=None):
@@ -508,11 +537,10 @@ def two_line_spectrum():
     return SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
 
 
-def _run_once_rows(ctx, noise, repetitions, eig_keep, as_delta=False):
-    """``run_once`` with the written result at the first ``repetitions``
-    seeds, next to the rows of estimates the engine draws for them."""
-    runs = [ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)), eig_keep=eig_keep,
-                         want_result=True, as_delta=as_delta)
+def _run_once_rows(ctx, noise, repetitions):
+    """``run_once`` at the first ``repetitions`` seeds, next to the rows of
+    estimates the engine draws for them."""
+    runs = [ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)))
             for rep in range(repetitions)]
     return _estimate_rows(ctx, noise, repetitions), runs
 
@@ -528,9 +556,9 @@ class TestCachedDecomposition:
     @pytest.mark.parametrize("eig_keep", [DEFAULT_TAU, 7, "cv"])
     @pytest.mark.parametrize("saturate", [False, True], ids=["finite", "saturated"])
     def test_fo_equals_uncached(self, two_line_spectrum, eig_keep, saturate):
-        ctx = ProtocolContext("fo", two_line_spectrum, 5.0)
+        ctx = ProtocolContext("fo", two_line_spectrum, 5.0, eig_keep=eig_keep)
         noise = _SATURATING if saturate else NoiseModel(dp_max=0.01, gamma=0.1, seed=11)
-        rows, runs = _run_once_rows(ctx, noise, 12, eig_keep)
+        rows, runs = _run_once_rows(ctx, noise, 12)
         assert np.isinf(rows).any(axis=1).sum() >= (3 if saturate else 0)
         for row, (fid, result) in zip(rows, runs):
             ref = fo_reconstruct(ctx.filters, row, OMEGA_C, eig_keep=eig_keep,
@@ -546,9 +574,9 @@ class TestCachedDecomposition:
         rows = _estimate_rows(ctx, _SATURATING, 40)
         assert np.isinf(rows).any(axis=1).sum() >= 5
         assert np.isfinite(rows).all(axis=1).sum() >= 5
-        fids, degenerate = ctx._score_block(rows, DEFAULT_TAU, False)
+        fids, degenerate = ctx._score_block(rows)
         for rep, (row, fid) in enumerate(zip(rows, fids)):
-            ref = _reference_score(ctx, row, DEFAULT_TAU, False)
+            ref = _reference_score(ctx, row)
             assert abs(fid - ref) <= 1e-12
             assert degenerate[rep] == (ref == 0.0)
             # run_once draws the same row from the repetition's own seed
@@ -559,9 +587,10 @@ class TestCachedDecomposition:
     @pytest.mark.parametrize("saturate", [False, True], ids=["finite", "saturated"])
     def test_as_equals_uncached(self, two_line_spectrum, as_delta, saturate):
         # at T = 5 and gamma = 0.4 about a quarter of the as rows saturate
-        ctx = ProtocolContext("as", two_line_spectrum, 5.0 if saturate else 10.0)
+        ctx = ProtocolContext("as", two_line_spectrum, 5.0 if saturate else 10.0,
+                              as_delta=as_delta)
         noise = NoiseModel(dp_max=0.01, gamma=0.4 if saturate else 0.0, seed=12)
-        rows, runs = _run_once_rows(ctx, noise, 12, DEFAULT_TAU, as_delta)
+        rows, runs = _run_once_rows(ctx, noise, 12)
         assert np.isinf(rows).any(axis=1).sum() >= (2 if saturate else 0)
         for row, (fid, result) in zip(rows, runs):
             ref = as_reconstruct(ctx.filters, row, ctx.omega_max, delta_approx=as_delta)
@@ -575,20 +604,21 @@ class TestCachedDecomposition:
         c_hat = np.array([measure(ctx.c_true[k], noise, 2.0, filter_index=k).c_estimate
                           for k in range(ctx.K)])
         ref = fo_reconstruct(ctx.filters, c_hat, OMEGA_C, overlap=ctx.overlap)
-        fid, result = ctx.run_once(noise, want_result=True)
+        fid, result = ctx.run_once(noise)
         assert result.values.tobytes() == ref.values.tobytes()
         assert abs(fid - fidelity(ctx.spectrum, ref, ctx.fidelity_points)) <= 1e-12
 
 
-def _reference_score(ctx, row, eig_keep, as_delta):
-    """A repetition's fidelity by the per-row path: reconstruct from the
-    filters, then ``fidelity``; 0 where the inversion degenerates."""
+def _reference_score(ctx, row):
+    """A repetition's fidelity by the per-row path under the context's rule
+    or variant: reconstruct from the filters, then ``fidelity``; 0 where
+    the inversion degenerates."""
     try:
         if ctx.protocol == "fo":
-            rec = fo_reconstruct(ctx.filters, row, OMEGA_C, eig_keep=eig_keep,
+            rec = fo_reconstruct(ctx.filters, row, OMEGA_C, eig_keep=ctx.eig_keep,
                                  overlap=ctx.overlap)
         else:
-            rec = as_reconstruct(ctx.filters, row, ctx.omega_max, delta_approx=as_delta)
+            rec = as_reconstruct(ctx.filters, row, ctx.omega_max, delta_approx=ctx.as_delta)
         return fidelity(ctx.spectrum, rec, ctx.fidelity_points)
     except (DegenerateBasisError, IllConditionedInversionError, UndefinedFidelityError):
         return 0.0
@@ -601,25 +631,25 @@ _KERNEL_CASES = {"fo-tau": ("fo", 2.0, DEFAULT_TAU, False), "fo-7": ("fo", 2.0, 
 
 @pytest.fixture(scope="module", params=list(_KERNEL_CASES))
 def kernel_case(request, two_line_spectrum):
-    """(context, eig_keep, as_delta, 257 rows of estimates); every 17th row
-    has a saturated readout, so blocks mix kept sets."""
+    """(context with the case's rule or variant, 257 rows of estimates);
+    every 17th row has a saturated readout, so blocks mix kept sets."""
     protocol, T, eig_keep, as_delta = _KERNEL_CASES[request.param]
-    ctx = ProtocolContext(protocol, two_line_spectrum, T)
+    ctx = ProtocolContext(protocol, two_line_spectrum, T, eig_keep=eig_keep, as_delta=as_delta)
     rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.1, seed=21), 257)
     rows[::17, 4] = math.inf
-    return ctx, eig_keep, as_delta, rows
+    return ctx, rows
 
 
-def _fids(ctx, rows, eig_keep, as_delta):
-    return ctx._score_block(rows, eig_keep, as_delta)[0]
+def _fids(ctx, rows):
+    return ctx._score_block(rows)[0]
 
 
-def _assert_degenerate(ctx, noise, repetitions, eig_keep, as_delta=False):
+def _assert_degenerate(ctx, noise, repetitions):
     """The engine's rows score exactly 0 as degenerate, and ``run_once``
     writes no result for them."""
-    rows, runs = _run_once_rows(ctx, noise, repetitions, eig_keep, as_delta)
-    assert [_reference_score(ctx, row, eig_keep, as_delta) for row in rows] == [0.0] * len(rows)
-    fids, degenerate = ctx._score_block(rows, eig_keep, as_delta)
+    rows, runs = _run_once_rows(ctx, noise, repetitions)
+    assert [_reference_score(ctx, row) for row in rows] == [0.0] * len(rows)
+    fids, degenerate = ctx._score_block(rows)
     assert fids.tolist() == [0.0] * len(rows) and degenerate.all()
     assert runs == [(0.0, None)] * len(rows)
 
@@ -629,41 +659,41 @@ class TestBlockKernel:
 
     @pytest.mark.parametrize("R", [1, 255, 256, 257])
     def test_bits_independent_of_block_size(self, kernel_case, R):
-        ctx, eig_keep, as_delta, rows = kernel_case
-        full = _fids(ctx, rows, eig_keep, as_delta)
+        ctx, rows = kernel_case
+        full = _fids(ctx, rows)
         for start in sorted({0, (257 - R) // 2, 257 - R}):
-            part = _fids(ctx, rows[start:start + R], eig_keep, as_delta)
+            part = _fids(ctx, rows[start:start + R])
             assert part.tobytes() == full[start:start + R].tobytes()
 
     def test_bits_independent_of_position(self, kernel_case):
-        ctx, eig_keep, as_delta, rows = kernel_case
-        full = _fids(ctx, rows, eig_keep, as_delta)
+        ctx, rows = kernel_case
+        full = _fids(ctx, rows)
         perm = np.random.default_rng(3).permutation(len(rows))
-        assert _fids(ctx, rows[perm], eig_keep, as_delta).tobytes() == full[perm].tobytes()
+        assert _fids(ctx, rows[perm]).tobytes() == full[perm].tobytes()
         for r in (0, 1, 17, 128, 256):
-            assert _fids(ctx, rows[r:r + 1], eig_keep, as_delta)[0] == full[r]
+            assert _fids(ctx, rows[r:r + 1])[0] == full[r]
 
     def test_agrees_with_reference(self, kernel_case):
-        ctx, eig_keep, as_delta, rows = kernel_case
-        fids = _fids(ctx, rows, eig_keep, as_delta)
+        ctx, rows = kernel_case
+        fids = _fids(ctx, rows)
         for row, fid in zip(rows, fids):
-            ref = _reference_score(ctx, row, eig_keep, as_delta)
+            ref = _reference_score(ctx, row)
             assert abs(fid - ref) <= 1e-12
             assert ref > 0.5
 
     @pytest.mark.parametrize("case", ["cv", "retain-none", "tau-above-one", "saturated"])
     def test_fo_per_row_cases_unchanged(self, two_line_spectrum, case):
-        ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
-        noise = NoiseModel(dp_max=0.01, gamma=0.2, seed=22)
         eig_keep = {"cv": "cv", "retain-none": 0, "tau-above-one": 2.0}.get(case, DEFAULT_TAU)
+        ctx = ProtocolContext("fo", two_line_spectrum, 2.0, eig_keep=eig_keep)
+        noise = NoiseModel(dp_max=0.01, gamma=0.2, seed=22)
         if case in ("retain-none", "tau-above-one"):
-            _assert_degenerate(ctx, noise, 6, eig_keep)
+            _assert_degenerate(ctx, noise, 6)
             return
         rows = _estimate_rows(ctx, noise, 6)
         if case == "saturated":
             rows[:, [3, 11]] = math.inf
-        expected = [_reference_score(ctx, row, eig_keep, False) for row in rows]
-        fids, degenerate = ctx._score_block(rows, eig_keep, False)
+        expected = [_reference_score(ctx, row) for row in rows]
+        fids, degenerate = ctx._score_block(rows)
         np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
         assert not degenerate.any()
 
@@ -671,40 +701,41 @@ class TestBlockKernel:
         monkeypatch.setattr(reconstruct, "_COND_LIMIT", 1.0)
         ctx = ProtocolContext("as", two_line_spectrum, 10.0)
         noise = NoiseModel(dp_max=0.01, seed=23)
-        _assert_degenerate(ctx, noise, 6, DEFAULT_TAU)
+        _assert_degenerate(ctx, noise, 6)
         # a kept subset is checked too, not only the full set
         rows = _estimate_rows(ctx, noise, 6)
         rows[:, [0, 7]] = math.inf
-        assert [_reference_score(ctx, row, DEFAULT_TAU, False) for row in rows] == [0.0] * 6
-        fids, degenerate = ctx._score_block(rows, DEFAULT_TAU, False)
+        assert [_reference_score(ctx, row) for row in rows] == [0.0] * 6
+        fids, degenerate = ctx._score_block(rows)
         assert fids.tolist() == [0.0] * 6 and degenerate.all()
 
     @pytest.mark.parametrize("protocol, as_delta", [("fo", False), ("as", False), ("as", True)])
     def test_zero_estimate_scores_zero(self, two_line_spectrum, protocol, as_delta, monkeypatch):
-        ctx = ProtocolContext(protocol, two_line_spectrum, 10.0)
+        ctx = ProtocolContext(protocol, two_line_spectrum, 10.0, as_delta=as_delta)
         zero = np.zeros((3, ctx.K))
-        assert _reference_score(ctx, zero[0], DEFAULT_TAU, as_delta) == 0.0
-        fids, degenerate = ctx._score_block(zero, DEFAULT_TAU, as_delta)
+        assert _reference_score(ctx, zero[0]) == 0.0
+        fids, degenerate = ctx._score_block(zero)
         assert fids.tolist() == [0.0] * 3 and degenerate.all()
         monkeypatch.setattr(reconstruct, "measure_batch",
                             lambda c_true, *args: (np.zeros_like(c_true), None))
-        assert ctx.run_once(NoiseModel(seed=1), want_result=True, as_delta=as_delta) == (0.0, None)
+        assert ctx.run_once(NoiseModel(seed=1)) == (0.0, None)
 
     @pytest.mark.parametrize("protocol, eig_keep, as_delta", [
         ("fo", "cv", False), ("fo", DEFAULT_TAU, False), ("fo", 7, False),
         ("as", DEFAULT_TAU, False), ("as", DEFAULT_TAU, True)],
         ids=["fo-cv", "fo-tau", "fo-7", "as", "as-delta"])
     def test_mixed_saturation_patterns(self, two_line_spectrum, protocol, eig_keep, as_delta):
-        ctx = ProtocolContext(protocol, two_line_spectrum, 5.0)
+        ctx = ProtocolContext(protocol, two_line_spectrum, 5.0, eig_keep=eig_keep,
+                              as_delta=as_delta)
         rows = _estimate_rows(ctx, _SATURATING, 60)
         rows[::5, 2] = math.inf
         rows[1::7, [0, 9]] = math.inf
         rows[3::11, 1:] = math.inf  # one kept readout
         rows[4] = math.inf  # none kept
         assert len({row.tobytes() for row in np.isfinite(rows)}) >= 6
-        fids, degenerate = ctx._score_block(rows, eig_keep, as_delta)
+        fids, degenerate = ctx._score_block(rows)
         for row, fid, zero in zip(rows, fids, degenerate):
-            ref = _reference_score(ctx, row, eig_keep, as_delta)
+            ref = _reference_score(ctx, row)
             assert abs(fid - ref) <= 1e-12
             assert zero == (ref == 0.0)
         assert degenerate[4] and degenerate.sum() < 10
@@ -724,10 +755,10 @@ class TestSingleKeptReadout:
                                    rtol=1e-12)
 
     def test_score_block(self, two_line_spectrum):
-        ctx = ProtocolContext("fo", two_line_spectrum, 2.0)
+        ctx = ProtocolContext("fo", two_line_spectrum, 2.0, eig_keep="cv")
         rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, seed=24), 3)
         rows[:, 1:] = math.inf
-        fids, degenerate = ctx._score_block(rows, "cv", False)
-        expected = [_reference_score(ctx, row, "cv", False) for row in rows]
+        fids, degenerate = ctx._score_block(rows)
+        expected = [_reference_score(ctx, row) for row in rows]
         np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
         assert min(expected) > 0 and not degenerate.any()

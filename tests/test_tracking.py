@@ -179,3 +179,10 @@ class TestSampler:
                                    [subset.s1_estimate[0], subset.s2_estimate[0]],
                                    rtol=1e-9, atol=1e-12)
         assert abs(full.s2_estimate[0] - 1.0) < 0.1
+
+    @pytest.mark.parametrize("eig_keep", [-1, -0.5, math.nan, "loo"])
+    def test_bad_rule_rejected(self, setup, block, eig_keep):
+        grid, s_one, s_two = setup
+        sig = CompositeSignal(0.01, s_one, s_two)
+        with pytest.raises(ValueError, match="^(unknown retention rule|retention rule must)"):
+            track_fo(sig, block, 100.0, NoiseModel(seed=1), eig_keep=eig_keep)

@@ -23,7 +23,10 @@ under ``eig_keep = cv`` at ``gamma = 0.6`` and ``dp_max = 0.02``, where
 saturated readouts leave fo blocks fitted on a kept subset and OCF pair
 samples NaN; and quick fig3 at two workers with three fo candidates, one
 as candidate and three dephasing rates, whose rows of unequal length
-regroup the scan's cells per (protocol, rate).  Each line
+regroup the scan's cells per (protocol, rate); and quick fig4 with
+``as_delta_approx = false``, ``eig_keep = cv`` and ``n_qubits = 2``, the
+one run that writes a least-squares ``as_estimate.csv``, a cross-validated
+``fo_estimate.csv`` and a 2-qubit reconstruction.  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -94,6 +97,9 @@ def matrix(config_dir):
         os.path.join(config_dir, "gamma-uneven.ini"), "fig3-fidelity-vs-gamma",
         protocol={"fo_candidates": [1.0, 2.0, 5.0], "as_candidates": [25.0],
                   "gamma_values": [0.0, 0.3, 0.5]}), "--workers", "2"]
+    yield "quick-reconstruction-lstsq", [quick_config(
+        os.path.join(config_dir, "reconstruction-lstsq.ini"), "fig4-dephasing0",
+        protocol={"as_delta_approx": False, "eig_keep": "cv", "n_qubits": 2})]
 
 
 def _fields(path) -> dict:
