@@ -38,7 +38,7 @@ from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
 from .modulation import fo_sequence
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
 from .probe import NoiseModel, survival_probability
-from .reconstruct import (DEFAULT_TAU, ProtocolContext, _check_rule, fidelity, mean_se,
+from .reconstruct import (DEFAULT_TAU, ProtocolContext, fidelity, mean_se,
                           run_jobs, run_repetitions, scan_optimal_time)
 from .seeding import derive_seed
 from .spectra import CompositeSignal, SpectralDensity
@@ -233,7 +233,7 @@ _KINDS = {
                lambda v: " " + " ".join(repr(float(x)) for x in v)),
     "ints": (lambda raw: [int(tok) for tok in raw.split()],
              lambda v: " " + " ".join(str(int(x)) for x in v)),
-    "retention": (lambda raw: _check_rule("cv" if raw.strip() == "cv" else _parse_float(raw)),
+    "retention": (lambda raw: "cv" if raw.strip() == "cv" else _parse_float(raw),
                   lambda v: f" {v if isinstance(v, str) else repr(float(v))}"),
     "components": (_parse_components,
                    lambda v: "".join(f"\n  {a!r} {c!r} {w!r}" for a, c, w in v)),
@@ -292,6 +292,10 @@ def validate_config(raw: dict) -> dict:
                 raise ConfigError(f"must be > 0, got {value}", location=f"{section}.{key}")
             if key in _AT_LEAST and min(np.atleast_1d(value), default=1) < _AT_LEAST[key]:
                 raise ConfigError(f"must be >= {_AT_LEAST[key]}, got {value}",
+                                  location=f"{section}.{key}")
+            # a config has no retained counts: a threshold above 1 retains nothing
+            if key == "eig_keep" and value != "cv" and not 0 <= value <= 1:
+                raise ConfigError(f"must be cv or a threshold in [0, 1], got {value}",
                                   location=f"{section}.{key}")
     pro = cfg.get("protocol", {})
     for key in ("protocols", "kind"):

@@ -47,14 +47,6 @@ class PulseSequence:
     def n_switches(self) -> int:
         return int(self.switch_times.size)
 
-    def boundaries(self) -> np.ndarray:
-        """Segment boundaries ``[0, t_1, ..., t_m, T]``."""
-        return np.concatenate([[0.0], self.switch_times, [self.duration]])
-
-    def segment_values(self) -> np.ndarray:
-        """Value of y on each segment: ``initial_sign * (-1)**j``."""
-        return self.initial_sign * (-1.0) ** np.arange(self.n_switches + 1)
-
 
 @dataclass(frozen=True, eq=False)
 class ModulationSet:
@@ -236,13 +228,16 @@ def eval_continuous(mod: ContinuousModulation, t):
 
 
 def to_step_function(seq_or_set):
-    """Merged representation ``(boundaries, values)`` of the summed y(t).
+    """Merged representation ``(boundaries, values)`` of the summed y(t),
+    built by :func:`merge_trains`; a lone :class:`PulseSequence` is the
+    one-train set, with boundaries ``[0, t_1, ..., t_m, T]`` and values
+    ``initial_sign * (-1)**j``.
 
     ``boundaries`` has length ``n + 1`` including 0 and T; ``values[i]`` is
     the constant level on ``[boundaries[i], boundaries[i+1])``.
     """
     if isinstance(seq_or_set, PulseSequence):
-        return seq_or_set.boundaries(), seq_or_set.segment_values()
+        seq_or_set = ModulationSet((seq_or_set,))
     return merge_trains(*seq_or_set.trains(), seq_or_set.duration)
 
 

@@ -116,21 +116,6 @@ class _Objective:
         return xi - self.penalty_weight * self.s_rms * out, xi
 
 
-def _xi(modulation_or_filter, spectrum, omega_c: float, penalty_weight: float,
-        grid: FrequencyGrid | None):
-    """The objective on the filter's grid (``grid`` or ``ocf_grid`` for a
-    modulation) and its (penalized objective, raw xi)."""
-    if isinstance(modulation_or_filter, FilterFunction):
-        grid = modulation_or_filter.grid
-        f_vals = modulation_or_filter.values
-    else:
-        if grid is None:
-            grid = ocf_grid(omega_c)
-        f_vals = filter_values(modulation_or_filter, grid)
-    obj = _Objective(spectrum, grid, omega_c, penalty_weight)
-    return obj, obj.from_values(f_vals)
-
-
 def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
                   grid: FrequencyGrid | None = None) -> float:
     """Raw overlap fidelity ``xi / ||S||_c`` (Cauchy-Schwarz bounded by 1
@@ -138,9 +123,18 @@ def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
 
     The numerator integrates the full grid.  A spectrum sampled on the grid
     meets the premise only if it is zero at every node ``>= omega_c``.
+    The filter's grid is its own, or ``grid`` (``ocf_grid`` by default)
+    for a modulation.
     """
-    obj, (_, xi) = _xi(modulation_or_filter, spectrum, omega_c, 0.0, grid)
-    return xi / obj.s_norm
+    if isinstance(modulation_or_filter, FilterFunction):
+        grid = modulation_or_filter.grid
+        f_vals = modulation_or_filter.values
+    else:
+        if grid is None:
+            grid = ocf_grid(omega_c)
+        f_vals = filter_values(modulation_or_filter, grid)
+    obj = _Objective(spectrum, grid, omega_c, 0.0)
+    return obj.from_values(f_vals)[1] / obj.s_norm
 
 
 class _BudgetSpent(Exception):

@@ -117,9 +117,7 @@ def _cv_folds(A: np.ndarray):
     folds = []
     for j in range(K):
         keep = np.arange(K) != j
-        lam, U = np.linalg.eigh(A[np.ix_(keep, keep)])
-        lam = lam[::-1]
-        U = U[:, ::-1]
+        lam, U = _eigh_descending(A[np.ix_(keep, keep)])
         folds.append((keep, lam, U, U.T @ A[keep, j],
                       [_retained_count(lam, tau) for tau in taus]))
     return taus, folds
@@ -173,36 +171,42 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
         A = overlap_matrix([filters[i] for i in kept], omega_c)
     else:
         A = overlap[np.ix_(kept, kept)]
-    lam, U = _eigh_descending(A)
     c_kept = c[kept]
     rule = _resolve_rule(A, c_kept, eig_keep)
-    retained = _retained_count(lam, rule)
-    if retained == 0:
-        raise DegenerateBasisError("retention rule dropped every eigenvalue")
+    lam_r, U_r = _retained_basis(A, rule)
 
-    inv_sqrt = 1.0 / np.sqrt(lam[:retained])
-    c_tilde = (U.T @ c_kept)[:retained] * inv_sqrt
-    beta = U[:, :retained] @ (c_tilde * inv_sqrt)
+    inv_sqrt = 1.0 / np.sqrt(lam_r)
+    c_tilde = (U_r.T @ c_kept) * inv_sqrt
+    beta = U_r @ (c_tilde * inv_sqrt)
     n_r = _cutoff_size(filters[0].grid, omega_c)
     estimate = beta @ np.vstack([filters[i].values[:n_r] for i in kept])
 
     return ReconstructionResult(
         protocol="fo", omegas=filters[0].grid.omegas[:n_r], values=estimate,
-        retained_count=retained, kept_indices=kept,
+        retained_count=lam_r.size, kept_indices=kept,
         params={"omega_c": omega_c, "eig_keep": eig_keep,
                 "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
 
 
 def _eigh_descending(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues of the overlap matrix ``A`` in descending order and the
-    matching eigenvectors (columns); :class:`DegenerateBasisError` when no
-    eigenvalue is positive."""
+    """Eigenvalues of the symmetric matrix ``A`` in descending order and the
+    matching eigenvectors (columns): the one ``eigh`` of the package."""
     lam, U = np.linalg.eigh(A)
-    lam = lam[::-1]
-    U = U[:, ::-1]
+    return lam[::-1], U[:, ::-1]
+
+
+def _retained_basis(A: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """``(lam_r, U_r)``: the leading eigenpairs of the overlap matrix ``A``
+    that the resolved retention ``rule`` (a count or a threshold) keeps,
+    eigenvalues descending.  :class:`DegenerateBasisError` when no
+    eigenvalue is positive or the rule keeps none."""
+    lam, U = _eigh_descending(A)
     if not np.isfinite(lam[0]) or lam[0] <= 0:
         raise DegenerateBasisError("overlap matrix has no positive eigenvalues")
-    return lam, U
+    retained = _retained_count(lam, rule)
+    if retained == 0:
+        raise DegenerateBasisError("retention rule dropped every eigenvalue")
+    return lam[:retained], U[:, :retained]
 
 
 def _check_rule(eig_keep):
@@ -499,14 +503,10 @@ class ProtocolContext:
                 if idx.size == self.K:
                     return np.linalg.solve(M_kept.T, self._G)
                 return np.linalg.lstsq(M_kept.T, self._G, rcond=None)[0]
-            lam, U = _eigh_descending(self.overlap[np.ix_(idx, idx)])
+            lam_r, U_r = _retained_basis(self.overlap[np.ix_(idx, idx)], rule)
         except (DegenerateBasisError, IllConditionedInversionError):
             return None
-        retained = _retained_count(lam, rule)
-        if retained == 0:
-            return None
-        U_r = U[:, :retained]
-        return (U_r / lam[:retained]) @ (U_r.T @ self._G[idx])
+        return (U_r / lam_r) @ (U_r.T @ self._G[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -141,8 +141,6 @@ class SpectralDensity:
         out = self.scale * np.interp(omega, self.grid_omegas, self.grid_values)
         return out if omega.ndim else float(out)
 
-    __call__ = evaluate
-
     def peak_frequency(self, omega_max: float) -> float:
         """Frequency of the dominant peak in ``[0, omega_max]`` (a
         20001-point scan for the analytic form, the samples otherwise)."""

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import DegenerateBasisError, DegenerateComponentsError
 from .filterfn import overlap_matrix, signal_overlap
 from .probe import NoiseModel, measure_batch
-from .reconstruct import (_COND_LIMIT, DEFAULT_TAU, _eigh_descending, _resolve_rule,
-                          _retained_count)
+from .reconstruct import _COND_LIMIT, DEFAULT_TAU, _resolve_rule, _retained_basis
 from .seeding import derive_seed_array
 from .spectra import CompositeSignal
 
@@ -139,14 +138,10 @@ def _fit_block(A, c_hat, c_one, c_two, eig_keep):
         return np.nan, np.nan
     sub = A[np.ix_(kept, kept)]
     try:
-        lam, U = _eigh_descending(sub)
+        lam_r, U_r = _retained_basis(sub, _resolve_rule(sub, c_hat[kept], eig_keep))
     except DegenerateBasisError:
         return np.nan, np.nan
-    r = _retained_count(lam, _resolve_rule(sub, c_hat[kept], eig_keep))
-    if r == 0:
-        return np.nan, np.nan
-    proj = U[:, :r] / lam[:r]          # columns scaled by 1/lambda
-    P = proj @ U[:, :r].T              # truncated pseudoinverse of sub
+    P = (U_r / lam_r) @ U_r.T          # truncated pseudoinverse of sub
     b_hat, *comps = (P @ vec[kept] for vec in (c_hat, c_one, c_two))
     gram = np.empty((2, 2))
     for i in range(2):

@@ -127,6 +127,9 @@ class TestExitCodes:
         (_ini("ocf", ocf="grid_spacing = 0"), "ocf.grid_spacing"),
         (_ini("ocf", ocf="grid_span_factor = -1"), "ocf.grid_span_factor"),
         (_ini("reconstruction", protocol="eig_keep = -1"), "protocol.eig_keep"),
+        (_ini("reconstruction", protocol="eig_keep = 7"), "protocol.eig_keep"),
+        (_ini("tracking", tracking="omega_osc = 0.01\neig_keep = 2",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.eig_keep"),
     ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values",
             "T-nan", "T-inf", "T-negative", "T-zero", "omega-c-nan", "K-zero", "eig-keep-nan",
             "candidates-inf", "candidates-zero", "T-values-negative", "ocf-candidates",
@@ -136,9 +139,19 @@ class TestExitCodes:
             "sweep-nqubits-zero", "tracking-nqubit-values-zero", "k-block-zero",
             "time-scan-as-two-qubits", "random-directions-negative", "grid-spacing-zero",
             "grid-spacing-negative", "grid-span-zero", "ocf-grid-spacing-zero",
-            "ocf-grid-span-negative", "eig-keep-negative"])
+            "ocf-grid-span-negative", "eig-keep-negative", "eig-keep-above-one",
+            "tracking-eig-keep-above-one"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, text, location)
+
+    @pytest.mark.parametrize("value", [7, 7.0, 1.5, -1.0, float("nan"), float("inf")])
+    def test_typed_rule_checked(self, value):
+        # a config passed already typed meets the same range check
+        cfg = cli.preset_config("fig4-dephasing0", quick=True)
+        cfg["protocol"]["eig_keep"] = value
+        with pytest.raises(noisespec.ConfigError, match="threshold in \\[0, 1\\]") as exc:
+            cli.validate_config(cfg)
+        assert exc.value.location == "protocol.eig_keep"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one(self, workers, tmp_path, capsys):

@@ -212,3 +212,9 @@ class TestStepFunction:
             levels += seq.initial_sign * (-1.0) ** flips
         assert bounds.tobytes() == cuts.tobytes()
         assert values.tobytes() == levels.tobytes()
+        # a lone train is the one-train set: [0, t_1, ..., T] and sign * (-1)**j
+        for seq in seqs:
+            bounds, values = to_step_function(seq)
+            assert bounds.tobytes() == np.concatenate([[0.0], seq.switch_times, [T]]).tobytes()
+            assert values.tobytes() == (seq.initial_sign
+                                        * (-1.0) ** np.arange(seq.n_switches + 1)).tobytes()

@@ -180,6 +180,15 @@ class TestSampler:
                                    rtol=1e-9, atol=1e-12)
         assert abs(full.s2_estimate[0] - 1.0) < 0.1
 
+    @pytest.mark.parametrize("eig_keep", [0, 2.0])
+    def test_rule_retaining_nothing_gives_nan(self, setup, block, eig_keep):
+        # no retained basis, so no sample has a fit
+        grid, s_one, s_two = setup
+        sig = CompositeSignal(0.01, s_one, s_two)
+        run = track_fo(sig, block, 100.0, NoiseModel(seed=1), eig_keep=eig_keep)
+        assert run.n_samples == 2
+        assert np.isnan(run.s1_estimate).all() and np.isnan(run.s2_estimate).all()
+
     @pytest.mark.parametrize("eig_keep", [-1, -0.5, math.nan, "loo"])
     def test_bad_rule_rejected(self, setup, block, eig_keep):
         grid, s_one, s_two = setup

@@ -26,7 +26,9 @@ as candidate and three dephasing rates, whose rows of unequal length
 regroup the scan's cells per (protocol, rate); and quick fig4 with
 ``as_delta_approx = false``, ``eig_keep = cv`` and ``n_qubits = 2``, the
 one run that writes a least-squares ``as_estimate.csv``, a cross-validated
-``fo_estimate.csv`` and a 2-qubit reconstruction.  Each line
+``fo_estimate.csv`` and a 2-qubit reconstruction; and quick fig5 at
+``shots = 500``, the one run whose readouts are binomial shot frequencies
+(finite-precision measurements).  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -100,6 +102,8 @@ def matrix(config_dir):
     yield "quick-reconstruction-lstsq", [quick_config(
         os.path.join(config_dir, "reconstruction-lstsq.ini"), "fig4-dephasing0",
         protocol={"as_delta_approx": False, "eig_keep": "cv", "n_qubits": 2})]
+    yield "quick-shots", [quick_config(
+        os.path.join(config_dir, "shots.ini"), "fig5-dephasing04", noise={"shots": 500})]
 
 
 def _fields(path) -> dict:
