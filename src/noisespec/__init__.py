@@ -13,7 +13,8 @@ from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          fo_sequence, staircase_split, to_step_function)
 from .filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                        default_grid, filter_function, fourier_piecewise,
-                       overlap_matrix, signal_overlap, transform_continuous)
+                       overlap_matrix, signal_overlap, signal_overlaps,
+                       transform_continuous)
 from .probe import (MeasurementRecord, NoiseModel, autocorrelation,
                     chi_time_domain, invert_probability, measure,
                     measure_batch, survival_probability)

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, NoiseSpecError
-from .filterfn import continuous_norm, default_grid, filter_function, signal_overlap
+from .filterfn import continuous_norm, default_grid, filter_function, signal_overlaps
 from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
 from .modulation import fo_sequence
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
@@ -606,8 +606,8 @@ def _run_tracking(cfg, workers):
                     for s in map(_spectrum_from, (cfg["spectrum"], cfg["spectrum2"])))
     block_filters = [filter_function(fo_sequence(k, tr["k_block"], omega_max, tr["T"]), grid)
                      for k in range(1, tr["k_block"] + 1)]
-    overlaps = [0.5 * signal_overlap(s_one, f) + 0.5 * signal_overlap(s_two, f)
-                for f in block_filters]
+    overlaps = (0.5 * signal_overlaps(s_one, block_filters)
+                + 0.5 * signal_overlaps(s_two, block_filters))
     alpha = 1.0 / float(np.median(overlaps))
     s_one, s_two = (s.with_scale(s.scale * alpha) for s in (s_one, s_two))
     signal = CompositeSignal(tr["omega_osc"], s_one, s_two)

@@ -26,9 +26,10 @@ Conventions:
 * Band integrals (``trap_weights(omega_c)``, :func:`overlap_matrix`,
   :func:`continuous_norm`) run over ``[0, omega_c]``; a cut between nodes
   adds the partial final cell with an interpolated endpoint.
-* :func:`signal_overlap` integrates the full grid by default, and so does the
-  numerator of the OCF objective: that is chi(T) as the probe sees it,
-  out-of-band leakage included.
+* :func:`signal_overlaps` integrates the full grid by default, and so does
+  the numerator of the OCF objective: that is chi(T) as the probe sees it,
+  out-of-band leakage included.  It samples the spectrum once per filter
+  set on the shared grid; :func:`signal_overlap` is its one-filter case.
 * A spectrum sampled on the grid has no weight beyond a node-aligned
   ``omega_c`` only if it is zero at every node ``>= omega_c``; a nonzero
   sample at ``omega_c`` reaches half a cell past it.
@@ -351,20 +352,35 @@ def overlap_matrix(filters, omega_c: float) -> np.ndarray:
     return B @ B.T
 
 
-def signal_overlap(spectrum, filt: FilterFunction,
-                   omega_int_max: float | None = None) -> float:
-    """Overlap coefficient ``c = integral_0^{omega_int_max} S(w) F(w) dw``.
+def signal_overlaps(spectrum, filters,
+                    omega_int_max: float | None = None) -> np.ndarray:
+    """Overlap coefficients ``c_k = integral_0^{omega_int_max} S(w) F_k(w) dw``
+    of every filter, in order; empty for no filters.
 
-    This is the noiseless decoherence value chi(T) for the filter.  The
-    integral truncates at ``omega_int_max`` (grid maximum by default); the
-    neglected tail is bounded by ``F.tail_integral(cut) * max_{w>cut} S``.
+    These are the noiseless decoherence values chi(T).  The integral
+    truncates at ``omega_int_max`` (grid maximum by default); the neglected
+    tail is bounded by ``F.tail_integral(cut) * max_{w>cut} S``.  The
+    spectrum is sampled once on the filters' shared grid
+    (:class:`GridMismatchError` otherwise), and each filter is summed on
+    its own as ``sum((w * S) * F_k)``.
     """
-    grid = filt.grid
+    filters = list(filters)
+    if not filters:
+        return np.empty(0)
+    grid = _common_grid(filters)
     w = grid.trap_weights(omega_int_max)
     active = w > 0
     svals = np.zeros(grid.size)
     svals[active] = spectrum.evaluate(grid.omegas[active])
-    return float(np.sum(w * svals * filt.values))
+    ws = w * svals
+    return np.fromiter((np.sum(ws * f.values) for f in filters), dtype=float,
+                       count=len(filters))
+
+
+def signal_overlap(spectrum, filt: FilterFunction,
+                   omega_int_max: float | None = None) -> float:
+    """:func:`signal_overlaps` of the one filter ``filt``."""
+    return float(signal_overlaps(spectrum, [filt], omega_int_max)[0])
 
 
 def continuous_norm(obj, omega_c: float, grid: FrequencyGrid | None = None) -> float:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyOperatorError
-from .filterfn import FilterFunction, overlap_matrix, signal_overlap
+from .filterfn import FilterFunction, overlap_matrix, signal_overlaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +71,7 @@ def build_fio(filters, probabilities) -> FisherOperator:
 
 def directional_overlaps(fio: FisherOperator, direction) -> np.ndarray:
     """Overlaps ``d_k = integral direction * F_k`` for every retained filter."""
-    return np.array([signal_overlap(direction, f) for f in fio.filters])
+    return signal_overlaps(direction, fio.filters)
 
 
 def directional_fisher(fio: FisherOperator, direction) -> float:

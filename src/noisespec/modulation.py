@@ -250,7 +250,9 @@ def merge_trains(times, qubits, signs, duration: float):
     running sum of the +-2 steps at each boundary: small integers, exact in
     floating point.
     """
-    bounds = np.unique(np.concatenate(([0.0, duration], times)))
+    # np.unique without its NaN handling: every time is finite, inside (0, T)
+    edges = np.sort(np.concatenate(([0.0, duration], times)))
+    bounds = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     # the k-th switch of a qubit steps its level by -2 * sign * (-1)**k
     rank = np.arange(qubits.size) - np.searchsorted(qubits, qubits)
     steps = np.where(rank % 2 == 1, 2.0, -2.0) * signs[qubits]

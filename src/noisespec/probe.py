@@ -7,7 +7,9 @@ readouts with the exact vectorized stream of :mod:`noisespec.seeding`;
 :func:`measure` is its one-readout view.  The survival probability and the
 inversion use libm scalars (``math.exp``, ``math.log1p``), never numpy's
 vectorized ``exp``/``log1p``, which can differ from libm in the last bit
-and would move the written outputs.
+and would move the written outputs.  The inversion maps ``math.log1p``
+over a readout block straight into an array (``np.fromiter``), with no
+Python list in between.
 
 The oracle recomputes ``chi = 4 * double-integral of y(t') y(t'')
 g(t' - t'')`` entirely in the time domain, with the autocorrelation ``g``
@@ -112,7 +114,8 @@ def _invert(p: np.ndarray, gamma: float, operation_time: float):
     saturated = p >= 0.5 - _SATURATION_MARGIN
     c_hat = np.full(p.shape, math.inf)
     free = ~saturated
-    logs = np.array([math.log1p(x) for x in (-2.0 * p[free]).tolist()], dtype=float)
+    x = (-2.0 * p[free]).tolist()
+    logs = np.fromiter(map(math.log1p, x), dtype=float, count=len(x))
     c_free = -logs - gamma * operation_time
     # max(0.0, c) as Python takes it: 0.0 unless c > 0.0 (NaN and -0.0 give 0.0)
     c_hat[free] = np.where(c_free > 0.0, c_free, 0.0)

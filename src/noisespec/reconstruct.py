@@ -37,7 +37,7 @@ import numpy as np
 from .errors import (CalibrationError, DegenerateBasisError, GridRangeError,
                      IllConditionedInversionError, UndefinedFidelityError, require_finite)
 from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
-                       signal_overlap)
+                       signal_overlaps)
 from .modulation import as_sequence, fo_sequence, staircase_split
 from .probe import NoiseModel, measure_batch
 from .seeding import derive_seed, derive_seed_array
@@ -279,9 +279,8 @@ def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = 
         values[kept] = c_kept / np.diag(M)[kept]
         cond = float("nan")
     else:
-        M_kept = M[kept, :]
-        cond = _checked_condition(M_kept)
-        values, *_ = np.linalg.lstsq(M_kept, c_kept, rcond=None)
+        values, _, _, svals = np.linalg.lstsq(M[kept, :], c_kept, rcond=None)
+        cond = _checked_condition(svals)
 
     return ReconstructionResult(
         protocol="as", omegas=_pointwise_omegas(omega_max, K),
@@ -290,10 +289,10 @@ def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = 
         params={"omega_max": omega_max, "delta_approx": delta_approx})
 
 
-def _checked_condition(M: np.ndarray) -> float:
-    """Condition number of ``M``; :class:`IllConditionedInversionError` when
-    it is not finite or exceeds ``_COND_LIMIT``."""
-    svals = np.linalg.svd(M, compute_uv=False)
+def _checked_condition(svals: np.ndarray) -> float:
+    """Condition number of a matrix from its descending singular values
+    ``svals``; :class:`IllConditionedInversionError` when it is not finite
+    or exceeds ``_COND_LIMIT``."""
     cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise IllConditionedInversionError(
@@ -357,27 +356,31 @@ class ProtocolContext:
     """Noise-independent state for repeated runs of one (protocol, T) cell.
 
     Builds the filter set, calibrates the spectrum scale so the median
-    overlap coefficient is one, and keeps what no repetition changes: the
-    overlap ("fo") or bin ("as") matrix, the true spectrum with its norm at
-    the fidelity points, and ``G``, whose row k is basis function k at the
-    fidelity points (filter k for "fo", the hat of pointwise node k for
-    "as").  The cell's inversion is fixed too: the "fo" retention rule
-    ``eig_keep`` (checked here) and the "as" delta approximation
-    ``as_delta``, as in :func:`fo_reconstruct` and :func:`as_reconstruct`.
+    overlap coefficient is one (one spectrum sample on the grid for the
+    calibration, one for ``c_true``), and keeps what no repetition
+    changes: the overlap ("fo") or bin ("as") matrix, the true spectrum
+    with its norm at the fidelity points, and ``G``, whose row k is basis
+    function k at the fidelity points (filter k for "fo", the hat of
+    pointwise node k for "as").  The cell's inversion is fixed too: the
+    "fo" retention rule ``eig_keep`` (checked here) and the "as" delta
+    approximation ``as_delta``, as in :func:`fo_reconstruct` and
+    :func:`as_reconstruct`.
 
     :meth:`_score_block` scores every repetition.  With the kept set (the
     finite estimates) and the retention rule fixed, a repetition's estimate
     at the fidelity points is ``c @ W``, with zeros in ``c`` where a readout
     saturated: "fo" ``U_r diag(1/lam_r) U_r^T G[kept]`` from the kept
     overlap matrix; "as" ``M^-T G``, ``lstsq(M[kept]^T, G)`` for a subset,
-    or with ``as_delta`` ``G[kept] / diag(M)[kept]``.  A block builds each
-    distinct map once and keeps none.  A repetition's fidelity is a
-    fixed-order sum, the same in any block and on any BLAS, and agrees with
-    :func:`fidelity` of :func:`fo_reconstruct` or :func:`as_reconstruct`
-    within 1e-12 where the inverted system is well conditioned (see the
-    module docstring).  A repetition without a map (a degenerate basis, a
-    rule that retains nothing, an as system past the condition limit) or
-    with a zero estimate scores 0.
+    or with ``as_delta`` ``G[kept] / diag(M)[kept]``.  A subset's condition
+    number comes from the singular values of its own ``lstsq``, so it is
+    factorized once; only the full set's ``solve`` takes an ``svd``.  A
+    block builds each distinct map once and keeps none.  A repetition's
+    fidelity is a fixed-order sum, the same in any block and on any BLAS,
+    and agrees with :func:`fidelity` of :func:`fo_reconstruct` or
+    :func:`as_reconstruct` within 1e-12 where the inverted system is well
+    conditioned (see the module docstring).  A repetition without a map (a
+    degenerate basis, a rule that retains nothing, an as system past the
+    condition limit) or with a zero estimate scores 0.
     """
 
     def __init__(self, protocol: str, spectrum: SpectralDensity, operation_time: float,
@@ -422,7 +425,7 @@ class ProtocolContext:
         unit = spectrum.with_scale(1.0)
         self.scale = calibrate_amplitude(unit, self.filters)
         self.spectrum = spectrum.with_scale(self.scale)
-        self.c_true = np.array([signal_overlap(self.spectrum, f) for f in self.filters])
+        self.c_true = signal_overlaps(self.spectrum, self.filters)
         self.fidelity_points = omega_c * np.arange(1, K + 1) / K
         self.overlap = overlap_matrix(self.filters, omega_c) if protocol == "fo" else None
         self.bins = bin_matrix(self.filters, self.omega_max) if protocol == "as" else None
@@ -499,10 +502,12 @@ class ProtocolContext:
         try:
             if self.protocol == "as":
                 M_kept = self.bins[idx, :]
-                _checked_condition(M_kept)
                 if idx.size == self.K:
+                    _checked_condition(np.linalg.svd(M_kept, compute_uv=False))
                     return np.linalg.solve(M_kept.T, self._G)
-                return np.linalg.lstsq(M_kept.T, self._G, rcond=None)[0]
+                W, _, _, svals = np.linalg.lstsq(M_kept.T, self._G, rcond=None)
+                _checked_condition(svals)
+                return W
             lam_r, U_r = _retained_basis(self.overlap[np.ix_(idx, idx)], rule)
         except (DegenerateBasisError, IllConditionedInversionError):
             return None

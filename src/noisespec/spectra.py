@@ -175,18 +175,19 @@ class CompositeSignal:
 def calibrate_amplitude(spectrum: SpectralDensity, filters) -> float:
     """Global scale S0 that puts the median filter overlap at one.
 
-    Evaluates ``c_k = integral S * F_k`` for every filter and returns the
-    scale value such that the median of the ``c_k`` equals 1, which keeps the
-    probe in its maximum-sensitivity range.  The input spectrum is not
-    mutated; apply the result with ``spectrum.with_scale``.
+    Evaluates ``c_k = integral S * F_k`` for every filter (one spectrum
+    sample on their shared grid) and returns the scale value such that the
+    median of the ``c_k`` equals 1, which keeps the probe in its
+    maximum-sensitivity range.  The input spectrum is not mutated; apply
+    the result with ``spectrum.with_scale``.
 
     Dephasing does not enter: the optimal target ``c_k = 1`` is independent
     of the dephasing exposure, which only rescales the error of every
     coefficient by the same factor.
     """
-    from .filterfn import signal_overlap
+    from .filterfn import signal_overlaps
 
-    overlaps = np.array([signal_overlap(spectrum, f) for f in filters])
+    overlaps = signal_overlaps(spectrum, filters)
     if overlaps.size == 0:
         raise CalibrationError("no filters supplied")
     median = float(np.median(overlaps))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBasisError, DegenerateComponentsError
-from .filterfn import overlap_matrix, signal_overlap
+from .filterfn import overlap_matrix, signal_overlaps
 from .probe import NoiseModel, measure_batch
 from .reconstruct import _COND_LIMIT, DEFAULT_TAU, _resolve_rule, _retained_basis
 from .seeding import derive_seed_array
@@ -72,7 +72,7 @@ def _component_overlaps(signal: CompositeSignal, filters) -> tuple[np.ndarray, f
     if len(times) != 1:
         raise ValueError(f"filters must share one operation time, got {sorted(times)}")
     comps = (signal.component_one, signal.component_two)
-    return np.array([[signal_overlap(s, f) for s in comps] for f in filters]), times.pop()
+    return np.column_stack([signal_overlaps(s, filters) for s in comps]), times.pop()
 
 
 def _track(method: str, signal: CompositeSignal, G: np.ndarray, T: float,

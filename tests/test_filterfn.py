@@ -7,7 +7,8 @@ from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError, G
                        PulseSequence, SpectralDensity, as_sequence,
                        continuous_norm, default_grid, filter_function,
                        fo_sequence, fourier_piecewise, overlap_matrix,
-                       signal_overlap, staircase_split, transform_continuous)
+                       signal_overlap, signal_overlaps, staircase_split,
+                       transform_continuous)
 from noisespec import filterfn
 from noisespec.filterfn import FilterFunction, _gauss_plan, filter_values
 from noisespec.ocf import ocf_grid
@@ -233,6 +234,70 @@ class TestSignalOverlap:
         near_peak = filter_function(fo_sequence(5, 20, 11.5, 5.0), grid)   # ~2.3
         near_tail = filter_function(fo_sequence(17, 20, 11.5, 5.0), grid)  # ~9.2
         assert signal_overlap(spec, near_peak) > 3 * signal_overlap(spec, near_tail)
+
+
+def _per_filter_overlap(spectrum, filt, omega_int_max=None):
+    """The one-filter overlap with its own spectrum sample, as it was
+    written before :func:`signal_overlaps` shared one sample per set."""
+    grid = filt.grid
+    w = grid.trap_weights(omega_int_max)
+    active = w > 0
+    svals = np.zeros(grid.size)
+    svals[active] = spectrum.evaluate(grid.omegas[active])
+    return float(np.sum(w * svals * filt.values))
+
+
+_OVERLAP_SETS = {
+    "fo": lambda: [fo_sequence(k, 20, 11.5, 5.0) for k in range(1, 21)],
+    "as": lambda: [as_sequence(k, 20, 11.5, 10.0) for k in range(1, 21)],
+    "staircase-2q": lambda: [staircase_split(11.5 * (k - 1) / 12, 2, 5.0)
+                             for k in range(1, 13)],
+}
+
+
+class TestSignalOverlaps:
+    """One spectrum sample per filter set gives every overlap's bits."""
+
+    @pytest.fixture(scope="class")
+    def spectra(self, tmp_path_factory):
+        analytic = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
+        omegas = np.linspace(0.0, 60.0, 601)
+        path = tmp_path_factory.mktemp("spectrum") / "spec.csv"
+        np.savetxt(path, np.column_stack((omegas, analytic.evaluate(omegas))),
+                   delimiter=",", header="omega,S")
+        return {"analytic": analytic, "csv": SpectralDensity.from_csv(path)}
+
+    @pytest.mark.parametrize("cut", [None, 10.0, 7.3337])
+    @pytest.mark.parametrize("kind", ["analytic", "csv"])
+    @pytest.mark.parametrize("family", list(_OVERLAP_SETS))
+    def test_bits_equal_per_filter(self, spectra, family, kind, cut):
+        grid = default_grid(11.5)
+        filters = [filter_function(g, grid) for g in _OVERLAP_SETS[family]()]
+        spec = spectra[kind]
+        both = signal_overlaps(spec, filters, omega_int_max=cut)
+        one = np.array([signal_overlap(spec, f, omega_int_max=cut) for f in filters])
+        ref = np.array([_per_filter_overlap(spec, f, cut) for f in filters])
+        assert both.dtype == np.float64 and both.shape == (len(filters),)
+        assert both.tobytes() == one.tobytes() == ref.tobytes()
+        assert np.all(both > 0)
+
+    def test_one_spectrum_sample(self, spectra, monkeypatch):
+        grid = default_grid(11.5)
+        filters = [filter_function(g, grid) for g in _OVERLAP_SETS["fo"]()]
+        calls = []
+        evaluate = SpectralDensity.evaluate
+        monkeypatch.setattr(SpectralDensity, "evaluate",
+                            lambda self, omega: calls.append(np.size(omega))
+                            or evaluate(self, omega))
+        signal_overlaps(spectra["analytic"], filters)
+        assert calls == [grid.size]
+
+    def test_empty_and_mixed_grids(self, spectra):
+        assert signal_overlaps(spectra["analytic"], []).shape == (0,)
+        f1 = box_filter(FrequencyGrid(10.0, 101), 0, 5)
+        f2 = box_filter(FrequencyGrid(10.0, 201), 0, 5)
+        with pytest.raises(GridMismatchError):
+            signal_overlaps(spectra["analytic"], [f1, f2])
 
 
 class TestContinuousNorm:

@@ -9,7 +9,7 @@ from noisespec import (ContinuousModulation, GridRangeError, ModulationSet,
                        NonFiniteInputError, PulseSequence, as_sequence,
                        eval_continuous, eval_modulation, fo_sequence,
                        staircase_split, to_step_function)
-from noisespec.modulation import repair_trains
+from noisespec.modulation import merge_trains, repair_trains
 
 
 class TestSequences:
@@ -161,6 +161,19 @@ class TestStepFunction:
         bounds, values = to_step_function(ModulationSet((a, b)))
         np.testing.assert_allclose(bounds, [0, 1, 2, 3, 4])
         np.testing.assert_allclose(values, [2, 0, -2, 0])
+
+    def test_coincident_switches_share_one_boundary(self):
+        # qubits 0 and 1 both switch at 1.5: one boundary carries both jumps,
+        # byte-equal to boundaries taken from np.unique
+        times = np.array([1.5, 3.0, 0.5, 1.5, 2.25])
+        qubits = np.array([0, 0, 1, 1, 1])
+        signs = np.array([1.0, -1.0])
+        bounds, values = merge_trains(times, qubits, signs, 4.0)
+        uniq = np.unique(np.concatenate(([0.0, 4.0], times)))
+        assert bounds.tobytes() == uniq.tobytes()
+        assert bounds.tolist() == [0.0, 0.5, 1.5, 2.25, 3.0, 4.0]
+        # qubit 0: +1 -> -1 at 1.5 -> +1 at 3; qubit 1: -1 -> +1 at 0.5 -> -1 at 1.5 -> +1
+        assert values.tolist() == [0.0, 2.0, -2.0, 0.0, 2.0]
 
     def test_repair_cancels_duplicates(self):
         times = repair_trains([2.0, 1.0, 1.0, 3.0], np.zeros(4, dtype=int), 5.0)[0]

@@ -12,7 +12,7 @@ from noisespec import (ContinuousModulation, FrequencyGrid, LorentzianComponent,
                        autocorrelation, chi_time_domain, filter_function,
                        fo_sequence, invert_probability, measure, measure_batch,
                        signal_overlap, staircase_split, survival_probability)
-from noisespec.probe import _StepAutocorrelation
+from noisespec.probe import _SATURATION_MARGIN, _StepAutocorrelation, _invert
 from noisespec.modulation import PulseSequence, to_step_function
 from noisespec.seeding import (derive_seed, derive_seed_array, first_uniform,
                                make_rng, splitmix64, splitmix64_array)
@@ -174,6 +174,36 @@ class TestInversion:
         c_hat, saturated = invert_probability(0.499999999, 0.0, 1.0)
         assert saturated
         assert math.isinf(c_hat)
+
+    @staticmethod
+    def _entry_by_entry(p, gamma, T):
+        """``_invert`` one readout at a time, with libm's ``math.log1p``."""
+        out = []
+        for x in p.ravel().tolist():
+            if x >= 0.5 - _SATURATION_MARGIN:
+                out.append(math.inf)
+            else:
+                out.append(max(0.0, -math.log1p(-2.0 * x) - gamma * T))
+        return np.array(out, dtype=float).reshape(p.shape)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.2])
+    def test_block_bits_equal_libm_per_entry(self, gamma):
+        edge = 0.5 - _SATURATION_MARGIN
+        p = np.concatenate(([0.0, edge, np.nextafter(edge, 0.0), edge + 1e-12, 0.5, 1.0],
+                            np.random.default_rng(5).uniform(0.0, 0.5, 994))).reshape(20, 50)
+        c_hat, saturated = _invert(p, gamma, 3.0)
+        ref = self._entry_by_entry(p, gamma, 3.0)
+        assert c_hat.tobytes() == ref.tobytes()
+        assert saturated.tolist() == np.isinf(ref).tolist()
+        assert saturated.ravel()[[1, 3, 4, 5]].all() and not saturated.ravel()[[0, 2]].any()
+        assert c_hat.ravel()[0] == 0.0
+
+    @pytest.mark.parametrize("p", [np.full((3, 4), 0.5 - _SATURATION_MARGIN), np.ones(5),
+                                   np.empty(0)], ids=["at-margin", "one", "empty"])
+    def test_no_free_readout(self, p):
+        c_hat, saturated = _invert(p, 0.2, 3.0)
+        assert c_hat.shape == p.shape and saturated.all()
+        assert c_hat.tobytes() == self._entry_by_entry(p, 0.2, 3.0).tobytes()
 
 
 class TestMeasure:

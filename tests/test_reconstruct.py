@@ -762,3 +762,72 @@ class TestSingleKeptReadout:
         expected = [_reference_score(ctx, row) for row in rows]
         np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
         assert min(expected) > 0 and not degenerate.any()
+
+
+class TestWorkDoneOnce:
+    """A context samples its spectrum once per filter set, and an "as" kept
+    subset is factorized once, by its own ``lstsq``."""
+
+    @pytest.mark.parametrize("protocol, n_qubits", [("fo", 1), ("fo", 2), ("as", 1)])
+    def test_context_overlaps_equal_per_filter(self, two_line_spectrum, protocol, n_qubits):
+        ctx = ProtocolContext(protocol, two_line_spectrum, 5.0, n_qubits=n_qubits)
+        unit = two_line_spectrum.with_scale(1.0)
+        scale = 1.0 / float(np.median([signal_overlap(unit, f) for f in ctx.filters]))
+        c_true = np.array([signal_overlap(two_line_spectrum.with_scale(scale), f)
+                           for f in ctx.filters])
+        assert ctx.scale == scale
+        assert ctx.c_true.tobytes() == c_true.tobytes()
+
+    @pytest.mark.parametrize("protocol", ["fo", "as"])
+    def test_context_samples_spectrum_twice(self, two_line_spectrum, protocol, monkeypatch):
+        calls = []
+        evaluate = SpectralDensity.evaluate
+        monkeypatch.setattr(SpectralDensity, "evaluate",
+                            lambda self, omega: calls.append(np.size(omega))
+                            or evaluate(self, omega))
+        ctx = ProtocolContext(protocol, two_line_spectrum, 5.0)
+        # calibration and c_true on the grid; the truth at the K fidelity points
+        assert calls.count(ctx.grid.size) == 2 and len(calls) == 3
+
+    @staticmethod
+    def _counted_factorizations(monkeypatch):
+        counts = {"lstsq": 0, "svd": 0}
+        for name in counts:
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("with_full_set", [False, True])
+    def test_one_lstsq_per_kept_subset(self, two_line_spectrum, monkeypatch, with_full_set):
+        ctx = ProtocolContext("as", two_line_spectrum, 10.0)
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, seed=25), 12)
+        rows[0::3, 4] = math.inf
+        rows[1::3, [0, 7]] = math.inf
+        if not with_full_set:
+            rows[2::3, 19] = math.inf
+        expected = [_reference_score(ctx, row) for row in rows]
+        counts = self._counted_factorizations(monkeypatch)
+        fids, degenerate = ctx._score_block(rows)
+        assert counts == {"lstsq": 3 if not with_full_set else 2, "svd": int(with_full_set)}
+        np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
+        assert not degenerate.any()
+
+    def test_subset_past_limit_scores_zero(self, two_line_spectrum, monkeypatch):
+        # at T = 10 the full set's condition number is 2.235, without filter
+        # 8 it is 2.210 and without filters 1 and 8 it is 2.159
+        monkeypatch.setattr(reconstruct, "_COND_LIMIT", 2.2)
+        ctx = ProtocolContext("as", two_line_spectrum, 10.0)
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, seed=26), 9)
+        rows[0::3, 7] = math.inf
+        rows[1::3, [0, 7]] = math.inf
+        expected = [_reference_score(ctx, row) for row in rows]
+        fids, degenerate = ctx._score_block(rows)
+        assert degenerate.tolist() == [True, False, True] * 3
+        assert fids[degenerate].tolist() == [0.0] * 6
+        assert [expected[i] for i in range(0, 9, 3)] == [0.0] * 3
+        np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
+        assert min(fids[1::3]) > 0.5

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisespec import (CalibrationError, CompositeSignal, GridRangeError,
+from noisespec import (CalibrationError, CompositeSignal, GridMismatchError, GridRangeError,
                        LorentzianComponent, SpectralDensity,
                        calibrate_amplitude)
 from noisespec.filterfn import FrequencyGrid, FilterFunction, default_grid, filter_function, signal_overlap
@@ -131,6 +131,17 @@ class TestCalibration:
         filt = self.box_filter(0.0, 5.0, 1.0, grid)
         with pytest.raises(CalibrationError):
             calibrate_amplitude(spec, [filt])
+
+    def test_no_filters_raises(self):
+        with pytest.raises(CalibrationError, match="no filters"):
+            calibrate_amplitude(double_lorentzian(), [])
+
+    def test_mixed_grids_raise(self):
+        # the filters share one spectrum sample, so they must share a grid
+        flat = SpectralDensity.from_grid([0.0, 10.0], [1.0, 1.0])
+        filters = [self.box_filter(0.0, 2.0, 1.0, FrequencyGrid(10.0, n)) for n in (101, 201)]
+        with pytest.raises(GridMismatchError):
+            calibrate_amplitude(flat, filters)
 
     @pytest.mark.parametrize("T", [1.0, 2.0, 5.0, 10.0])
     def test_protocol_scenario_median_near_one(self, T):
