@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import copy
+import itertools
 import math
 import os
 import sys
@@ -381,16 +382,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cells(col: np.ndarray):
+    """The cells of a 1-D column as :func:`_fmt` writes them, converted in
+    one pass per column and yielded lazily."""
+    kind = col.dtype.kind
+    if kind == "f":
+        return map(repr, col.astype(float).tolist())
+    if kind in "iu":
+        return map(str, col.tolist())
+    if kind == "b":
+        return ("true" if v else "false" for v in col.tolist())
+    return map(_fmt, col)
+
+
 def write_csv(path, meta: dict, columns: dict) -> None:
-    """CSV with '#'-prefixed metadata lines; floats use shortest repr."""
+    """CSV with '#'-prefixed metadata lines; floats use shortest repr.
+    Each column is formatted in one conversion, and a shorter column's
+    missing cells are empty."""
     arrays = {name: np.atleast_1d(np.asarray(col)) for name, col in columns.items()}
-    n = max(a.size for a in arrays.values()) if arrays else 0
+    rows = itertools.zip_longest(*map(_cells, arrays.values()), fillvalue="")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key in sorted(meta):
             fh.write(f"# {key},{_fmt(meta[key])}\n")
         fh.write(",".join(arrays) + "\n")
-        for i in range(n):
-            fh.write(",".join(_fmt(a[i]) if i < a.size else "" for a in arrays.values()) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def write_summary(path, entries: dict) -> None:

@@ -325,17 +325,20 @@ def fidelity(spectrum_true, estimate, omega_points) -> float:
 
 
 def _cosine_rows(s_true: np.ndarray, n_true: float, c_rows: np.ndarray,
-                 W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                 maps: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cosine of ``s_true`` (of norm ``n_true``) with each row's estimate
-    ``c_rows[r] @ W[:, :, r]``, and the mask of rows whose estimate is zero
-    (they score 0).  The estimate, the inner product and the squared norm
-    are each summed term by term in a fixed order, one elementwise multiply
-    and add per term, so a row's bits depend neither on the other rows nor
-    on BLAS."""
+    ``c_rows[r] @ maps[:, :, index[r]]``, and the mask of rows whose
+    estimate is zero (they score 0).  ``maps`` stacks G maps as (K, P, G),
+    and ``index`` (an ``np.intp`` array) picks a row's map; term k gathers
+    its (P, R) slice ``maps[k][:, index]`` in turn, so no (K, P, R) stack
+    is built.  The estimate, the inner product and the squared norm are
+    each summed term by term in a fixed order, one elementwise multiply and
+    add per term, so a row's bits depend neither on the other rows nor on
+    BLAS."""
     terms = c_rows.T
-    s_est = W[0] * terms[0]  # P x R
-    for w, c in zip(W[1:], terms[1:]):
-        s_est += w * c
+    s_est = maps[0][:, index] * terms[0]  # P x R
+    for w, c in zip(maps[1:], terms[1:]):
+        s_est += w[:, index] * c
     dot = s_true[0] * s_est[0]
     sq = s_est[0] * s_est[0]
     for s, est in zip(s_true[1:], s_est[1:]):
@@ -469,8 +472,10 @@ class ProtocolContext:
         """Fidelities of a block of repetitions, one row of K estimates
         each, and the mask of rows that scored 0 as degenerate.  Rows are
         grouped by kept set and retention rule (``"cv"`` picks it per row);
-        each group's map is built once, and one kernel call scores them
-        all.  Under ``"cv"`` each kept set is decomposed once."""
+        each group's map is built once into a (K, P, groups) stack, and
+        one :func:`_cosine_rows` call scores them all, gathering each
+        term's maps per row.  Under ``"cv"`` each kept set is decomposed
+        once.  An empty block scores two empty arrays."""
         kept = np.isfinite(c_hat)
         rules = [self.eig_keep] * len(c_hat)
         if self.protocol == "fo" and isinstance(self.eig_keep, str):
@@ -480,8 +485,8 @@ class ProtocolContext:
                     folds[m.tobytes()] = _cv_folds(self.overlap[np.ix_(m, m)])
                 rules[i] = _cv_threshold(folds[m.tobytes()], row[m])
         groups = {}
-        index = [groups.setdefault((m.tobytes(), rule), len(groups))
-                 for m, rule in zip(kept, rules)]
+        index = np.array([groups.setdefault((m.tobytes(), rule), len(groups))
+                          for m, rule in zip(kept, rules)], dtype=np.intp)
         maps = np.zeros((self.K, self.fidelity_points.size, len(groups)))
         for (m, rule), g in groups.items():
             m = np.frombuffer(m, dtype=bool)
@@ -489,7 +494,7 @@ class ProtocolContext:
             if W is not None:
                 maps[m, :, g] = W
         return _cosine_rows(self._s_true, self._n_true, np.where(kept, c_hat, 0.0),
-                            maps[:, :, index])
+                            maps, index)
 
     def _linear_map(self, idx: np.ndarray, rule) -> np.ndarray | None:
         """The map (kept x P) from the estimates ``idx`` of a row to its
@@ -545,8 +550,10 @@ def run_jobs(fn, n: int, workers: int = 1) -> list:
     return [fn(i) for i in range(n)]
 
 
-#: repetitions per readout batch; a job is one block of one cell
-_BLOCK = 256
+#: repetitions per readout batch; a job is one block of one cell.  A
+#: block's numpy calls cost about the same at any size, while its
+#: temporaries grow with it: about 1.1 MB at 512 rows, 2.3 MB at 1024.
+_BLOCK = 512
 
 
 def _run_block(cells, ci: int, start: int, stop: int) -> np.ndarray:
@@ -566,8 +573,10 @@ def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
     carries its inversion, and the :class:`NoiseModel` it runs under.  The
     noise model's seed is the cell's seed base, and repetition r equals
     ``context.run_once`` at ``derive_seed(cell seed, r)``.  A job is a block of up
-    to ``_BLOCK`` repetitions of one cell, and :func:`run_jobs` runs them
-    on ``workers`` processes; the output is the same for any worker count.
+    to ``_BLOCK`` (512) repetitions of one cell, read out and scored in one
+    batch (each term of the score gathers its own maps, so a block holds no
+    (K, P, R) stack), and :func:`run_jobs` runs them on ``workers``
+    processes; the output is the same for any worker count and block size.
     """
     cells = list(cells)
     fids = np.zeros((len(cells), repetitions))

@@ -12,10 +12,13 @@ the first ``uniform(low, high)`` draw of that stream, and
 :func:`first_uniform` computes that draw for a whole array of seeds without
 building a generator per seed.  It reproduces numpy's ``SeedSequence``
 (pool of four uint32 words), the PCG64 seeding and one XSL-RR output step
-(O'Neill, *PCG*, HMC-CS-2014-0905) in uint64 arithmetic, so it is bit-equal
-to numpy's draw.  Should a numpy release change ``SeedSequence`` or PCG64,
-the tests that compare it with ``make_rng`` fail loudly rather than let the
-readouts drift.
+(O'Neill, *PCG*, HMC-CS-2014-0905), so it is bit-equal to numpy's draw.
+The ``SeedSequence`` hash runs in uint32 lanes, where a product or a
+difference wraps modulo 2**32 as numpy's C code does; the state widens to
+uint64 only to assemble its four words, and the PCG64 steps run in uint64.
+Should a numpy release change ``SeedSequence`` or PCG64, the tests that
+compare it with ``make_rng`` fail loudly rather than let the readouts
+drift.
 """
 
 from __future__ import annotations
@@ -27,10 +30,11 @@ import numpy.random  # noqa: F401
 _MASK64 = (1 << 64) - 1
 _MASK32 = (1 << 32) - 1
 
-# Every array constant is a numpy uint64: under numpy's legacy promotion
-# (numpy < 2) a Python int constant would turn uint64 arithmetic into float64.
+# Every array constant is a numpy uint64 (uint32 in the hash): under numpy's
+# legacy promotion (numpy < 2) a Python int constant would turn unsigned
+# arithmetic into float64.
 _U32 = np.uint64(_MASK32)
-_SHIFT = {n: np.uint64(n) for n in (1, 11, 16, 27, 30, 31, 32, 58, 63)}
+_SHIFT = {n: np.uint64(n) for n in (1, 11, 27, 30, 31, 32, 58, 63)}
 
 
 def splitmix64(x: int) -> int:
@@ -61,10 +65,11 @@ def make_rng(seed: int) -> np.random.Generator:
 
 def _u64(x) -> np.ndarray:
     """``x & (2**64 - 1)`` as uint64: a Python int of any size, or an
-    integer array (negative entries wrap as two's complement)."""
+    integer array (negative entries wrap as two's complement); a uint64
+    array is returned as it is."""
     if isinstance(x, int):
         return np.array(x & _MASK64, dtype=np.uint64)
-    return np.asarray(x).astype(np.uint64)
+    return np.asarray(x).astype(np.uint64, copy=False)
 
 
 def splitmix64_array(x) -> np.ndarray:
@@ -92,51 +97,69 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _POOL = 4
 
 
-def _hash_constants(init: int, mult: int, n: int) -> list[tuple[np.uint64, np.uint64]]:
-    """The seed-independent (xor, multiply) constants of ``n`` successive
-    hash steps: each step xors with the running constant, advances it by
-    ``mult`` and multiplies by the advanced one."""
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The seed-independent constants of ``n`` successive hash steps as a
+    (2, n, 1) uint32 array: each step xors with the running constant (row
+    0), advances it by ``mult`` and multiplies by the advanced one (row 1)."""
     out = []
     for _ in range(n):
         advanced = (init * mult) & _MASK32
-        out.append((np.uint64(init), np.uint64(advanced)))
+        out.append((init, advanced))
         init = advanced
-    return out
+    return np.array(out, dtype=np.uint32).T[:, :, None]
 
 
-# pool fill (4 steps) and all-pairs mixing (4 * 3 steps)
+# pool fill (4 steps), then all-pairs mixing: each source word is hashed
+# once per other word, in order, and mixed into that word
 _HASHMIX = _hash_constants(_INIT_A, _MULT_A, _POOL + _POOL * (_POOL - 1))
-# generate_state(4, uint64) reads 8 uint32 words
+_FILL = _HASHMIX[:, :_POOL]
+_MIXING = [(np.array([dst for dst in range(_POOL) if dst != src]),
+            _HASHMIX[:, _POOL + (_POOL - 1) * src:_POOL + (_POOL - 1) * (src + 1)])
+           for src in range(_POOL)]
+# generate_state(4, uint64) reads 8 uint32 words, cycling through the pool
 _GENERATE = _hash_constants(_INIT_B, _MULT_B, 2 * _POOL)
+_GENERATE_ROWS = np.arange(2 * _POOL) % _POOL
+_MIX_L, _MIX_R = np.uint32(_MIX_MULT_L), np.uint32(_MIX_MULT_R)
+_SHIFT16 = np.uint32(16)
 
 
+# The hash runs on uint32 lanes: their products and differences wrap
+# modulo 2**32, as numpy's C code does.  Each step writes into its one new
+# array, so a block holds few temporaries.
 def _hash_step(value, consts):
     xor, mult = consts
-    value = ((value ^ xor) * mult) & _U32
-    return value ^ (value >> _SHIFT[16])
+    value = value ^ xor
+    value *= mult
+    value ^= value >> _SHIFT16
+    return value
 
 
 def _mix(x, y):
-    result = (np.uint64(_MIX_MULT_L) * x - np.uint64(_MIX_MULT_R) * y) & _U32
-    return result ^ (result >> _SHIFT[16])
+    result = _MIX_L * x
+    result -= _MIX_R * y
+    result ^= result >> _SHIFT16
+    return result
 
 
 def _seed_sequence_state(seeds: np.ndarray) -> list[np.ndarray]:
-    """``SeedSequence(seed).generate_state(4, np.uint64)`` per seed, as four
-    uint64 arrays.  The int seed enters as its little-endian uint32 words;
-    a seed below 2**32 has one word, and numpy fills the rest of the pool
-    as if by zero words, so two words (the high one possibly zero) cover
-    every seed."""
-    steps = iter(_HASHMIX)
-    words = [seeds & _U32, seeds >> _SHIFT[32]]
-    pool = [_hash_step(words[i] if i < len(words) else np.zeros_like(seeds), next(steps))
-            for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash_step(pool[src], next(steps)))
-    out = [_hash_step(pool[i % _POOL], consts) for i, consts in enumerate(_GENERATE)]
-    return [out[2 * j] | (out[2 * j + 1] << _SHIFT[32]) for j in range(_POOL)]
+    """``SeedSequence(seed).generate_state(4, np.uint64)`` per uint64 seed,
+    as four uint64 arrays of the seeds' shape.  The int seed enters as its
+    little-endian uint32 words; a seed below 2**32 has one word, and numpy
+    fills the rest of the pool as if by zero words, so two words (the high
+    one possibly zero) cover every seed.  The pool is one (4, n) uint32
+    array, and each hash or mix runs on all the rows it updates at once."""
+    flat = seeds.reshape(-1)
+    pool = np.zeros((_POOL, flat.size), dtype=np.uint32)
+    pool[0] = flat & _U32
+    pool[1] = flat >> _SHIFT[32]
+    pool = _hash_step(pool, _FILL)
+    for src, (dst, consts) in enumerate(_MIXING):
+        pool[dst] = _mix(pool[dst], _hash_step(pool[src], consts))
+    out = _hash_step(pool[_GENERATE_ROWS], _GENERATE)
+    state = out[1::2].astype(np.uint64)
+    state <<= _SHIFT[32]
+    state |= out[0::2]
+    return [row.reshape(seeds.shape) for row in state]
 
 
 def _mul_hi(a, b_lo32: np.uint64, b_hi32: np.uint64):
@@ -144,11 +167,20 @@ def _mul_hi(a, b_lo32: np.uint64, b_hi32: np.uint64):
     given by its 32-bit limbs."""
     a_lo = a & _U32
     a_hi = a >> _SHIFT[32]
-    p00 = a_lo * b_lo32
-    p01 = a_lo * b_hi32
+    mid = a_lo * b_lo32  # p00
+    mid >>= _SHIFT[32]
+    a_lo *= b_hi32  # p01
     p10 = a_hi * b_lo32
-    mid = (p00 >> _SHIFT[32]) + (p01 & _U32) + (p10 & _U32)
-    return a_hi * b_hi32 + (p01 >> _SHIFT[32]) + (p10 >> _SHIFT[32]) + (mid >> _SHIFT[32])
+    a_hi *= b_hi32  # p11
+    mid += a_lo & _U32
+    mid += p10 & _U32
+    mid >>= _SHIFT[32]
+    a_lo >>= _SHIFT[32]
+    p10 >>= _SHIFT[32]
+    a_hi += a_lo
+    a_hi += p10
+    a_hi += mid
+    return a_hi
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's default multiplier
@@ -157,17 +189,21 @@ _PCG_MULT_LO = np.uint64(_PCG_MULT & _MASK64)
 _PCG_MULT_LO_LIMBS = (np.uint64(_PCG_MULT & _MASK32), np.uint64((_PCG_MULT >> 32) & _MASK32))
 
 
+# The 128-bit steps below build new arrays and update them in place; they
+# never write to their arguments.
 def _pcg_step(hi, lo, inc_hi, inc_lo):
     """One LCG step ``state * MULT + inc`` modulo 2**128, on (hi, lo) halves."""
-    new_hi = _mul_hi(lo, *_PCG_MULT_LO_LIMBS) + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
-    new_lo = lo * _PCG_MULT_LO
-    return _add128(new_hi, new_lo, inc_hi, inc_lo)
+    new_hi = _mul_hi(lo, *_PCG_MULT_LO_LIMBS)
+    new_hi += lo * _PCG_MULT_HI
+    new_hi += hi * _PCG_MULT_LO
+    return _add128(new_hi, lo * _PCG_MULT_LO, inc_hi, inc_lo)
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
     lo = a_lo + b_lo
-    carry = (lo < a_lo).astype(np.uint64)
-    return a_hi + b_hi + carry, lo
+    hi = a_hi + b_hi
+    hi += lo < a_lo  # the carry
+    return hi, lo
 
 
 def first_uniform(seeds, low: float, high: float) -> np.ndarray:
@@ -177,16 +213,24 @@ def first_uniform(seeds, low: float, high: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         s0, s1, q0, q1 = _seed_sequence_state(seeds)
         # pcg64_set_seed: initstate = (s0, s1), inc = (initseq << 1) | 1
-        inc_hi = (q0 << _SHIFT[1]) | (q1 >> _SHIFT[63])
-        inc_lo = (q1 << _SHIFT[1]) | np.uint64(1)
+        inc_hi = q0 << _SHIFT[1]
+        inc_hi |= q1 >> _SHIFT[63]
+        inc_lo = q1 << _SHIFT[1]
+        inc_lo |= np.uint64(1)
         # srandom: state = 0, one step (state = inc), add initstate, one step
         hi, lo = _add128(inc_hi, inc_lo, s0, s1)
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
         # next64: one step, then the XSL-RR output
         hi, lo = _pcg_step(hi, lo, inc_hi, inc_lo)
-        xored = hi ^ lo
         rot = hi >> _SHIFT[58]
-        out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & np.uint64(63)))
-    unit = (out >> _SHIFT[11]).astype(np.float64) * (1.0 / 9007199254740992.0)
+        hi ^= lo  # xored
+        out = hi >> rot
+        rot = np.uint64(64) - rot
+        rot &= np.uint64(63)
+        hi <<= rot
+        out |= hi
+    out >>= _SHIFT[11]
+    unit = out.astype(np.float64)
+    unit *= 1.0 / 9007199254740992.0
     low = float(low)
     return low + (float(high) - low) * unit

@@ -381,3 +381,48 @@ class TestCodec:
             "components"])
     def test_malformed_value(self, scenario, section, body, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, _ini(scenario, **{section: body}), location)
+
+
+def _per_cell_csv(meta, columns) -> bytes:
+    """The CSV as one ``_fmt`` call per cell writes it: the reference of
+    the column-wise ``write_csv``."""
+    arrays = {name: np.atleast_1d(np.asarray(col)) for name, col in columns.items()}
+    n = max(a.size for a in arrays.values()) if arrays else 0
+    lines = [f"# {key},{cli._fmt(meta[key])}" for key in sorted(meta)]
+    lines.append(",".join(arrays))
+    lines += [",".join(cli._fmt(a[i]) if i < a.size else "" for a in arrays.values())
+              for i in range(n)]
+    return "".join(line + "\n" for line in lines).encode()
+
+
+class TestWriteCsv:
+    FLOATS = [0.1, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e300, 2.0]
+    CASES = {
+        "float64": {"x": np.array(FLOATS)},
+        "float32": {"x": np.array(FLOATS[:5] + [0.1, 3.4e38, 1e-45], dtype=np.float32),
+                    "long": np.array([0.1, 1 / 3, -0.0], dtype=np.longdouble)},
+        "int64": {"n": np.array([0, -1, 2 ** 63 - 1, -2 ** 63], dtype=np.int64),
+                  "u": np.array([0, 1, 2 ** 64 - 1, 7], dtype=np.uint64)},
+        "bool": {"flag": np.array([True, False, True])},
+        "str": {"protocol": ["fo", "as", "fo as"], "obj": np.array([1, 2.5, "x"], dtype=object)},
+        "scalar": {"T": 2.5, "n": 3, "flag": np.True_, "label": "fo"},
+        "ragged": {"T": [1.0, 2.0, 5.0], "n": [4], "flag": [], "label": ["a", "b"]},
+        "zero-rows": {"T": np.array([]), "n": np.array([], dtype=int)},
+        "no-columns": {},
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_bytes_equal_per_cell_fmt(self, tmp_path, case):
+        meta = {"seed": 7, "gamma": 0.4, "rule": "cv", "delta": False}
+        columns = self.CASES[case]
+        cli.write_csv(tmp_path / "t.csv", meta, columns)
+        assert (tmp_path / "t.csv").read_bytes() == _per_cell_csv(meta, columns)
+
+    def test_mixed_table(self, tmp_path):
+        columns = {name: col for case in ("float64", "int64", "bool") for name, col
+                   in self.CASES[case].items()}
+        cli.write_csv(tmp_path / "t.csv", {}, columns)
+        data = (tmp_path / "t.csv").read_bytes()
+        assert data == _per_cell_csv({}, columns)
+        assert data.splitlines()[1:4] == [b"0.1,0,0,true", b"-0.0,-1,1,false",
+                                          b"nan,9223372036854775807,18446744073709551615,true"]

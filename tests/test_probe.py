@@ -14,6 +14,7 @@ from noisespec import (ContinuousModulation, FrequencyGrid, LorentzianComponent,
                        signal_overlap, staircase_split, survival_probability)
 from noisespec.probe import _SATURATION_MARGIN, _StepAutocorrelation, _invert
 from noisespec.modulation import PulseSequence, to_step_function
+from noisespec import seeding
 from noisespec.seeding import (derive_seed, derive_seed_array, first_uniform,
                                make_rng, splitmix64, splitmix64_array)
 
@@ -113,6 +114,33 @@ class TestExactStream:
         expected = [make_rng(s).uniform(-dp, dp) for s in seeds]
         got = first_uniform(np.array(seeds, dtype=np.uint64), -dp, dp)
         np.testing.assert_array_equal(_bits(got), _bits(expected))
+
+    def test_seed_sequence_state_matches_numpy(self):
+        rng = np.random.default_rng(4)
+        seeds = EDGE_SEEDS + [int(v) for v in rng.integers(0, 2 ** 64, 2000,
+                                                           dtype=np.uint64)]
+        state = seeding._seed_sequence_state(np.array(seeds, dtype=np.uint64))
+        assert [a.dtype for a in state] == [np.uint64] * 4
+        got = np.column_stack(state)
+        expected = np.array([np.random.SeedSequence(s).generate_state(4, np.uint64)
+                             for s in seeds])
+        np.testing.assert_array_equal(got, expected)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seeds, shape", [
+        (2 ** 64 - 1, ()), (np.array(2 ** 32, dtype=np.uint64), ()),
+        (np.array(7, dtype=np.uint64), ()), (np.array([], dtype=np.uint64), (0,)),
+        (np.zeros((0, 5), dtype=np.uint64), (0, 5))],
+        ids=["int", "0-d-high-word", "0-d", "empty", "empty-2d"])
+    def test_first_uniform_shapes(self, seeds, shape):
+        got = np.asarray(first_uniform(seeds, -0.3, 0.3))
+        assert got.shape == shape and got.dtype == np.float64
+        expected = [make_rng(int(s)).uniform(-0.3, 0.3) for s in np.ravel(seeds)]
+        np.testing.assert_array_equal(_bits(got.ravel()), _bits(expected))
+
+    def test_uint64_seeds_are_not_copied(self):
+        seeds = np.arange(6, dtype=np.uint64)
+        assert seeding._u64(seeds) is seeds
 
     @pytest.mark.parametrize("dp", [0.0, 0.01, 0.49])
     def test_measure_batch_matches_reference(self, dp):

@@ -374,20 +374,26 @@ def engine_cells():
              NoiseModel(dp_max=0.05, shots=200, seed=derive_seed(5, 2)))]
 
 
+_BLOCK = reconstruct._BLOCK
+# repetition counts within one block and across the edge of the first:
+# 1, _BLOCK - 1 and _BLOCK make one job, _BLOCK + 1 makes two
+_BLOCK_EDGES = sorted({1, 255, 256, 257, _BLOCK - 1, _BLOCK, _BLOCK + 1})
+
+
 @pytest.fixture(scope="module")
 def run_once_fidelities(engine_cells):
-    """``run_once`` of each engine cell at its first 257 repetition seeds."""
+    """``run_once`` of each engine cell at its first ``_BLOCK + 1``
+    repetition seeds."""
     return np.array([[ctx.run_once(replace(noise, seed=derive_seed(noise.seed, rep)))[0]
-                      for rep in range(257)]
+                      for rep in range(max(_BLOCK_EDGES))]
                      for ctx, noise in engine_cells])
 
 
 class TestRepetitionEngine:
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("repetitions", [1, 255, 256, 257])
+    @pytest.mark.parametrize("repetitions", _BLOCK_EDGES)
     def test_blocks_equal_run_once(self, engine_cells, run_once_fidelities,
                                    repetitions, workers):
-        # 256 repetitions make one block: these counts cross its edges
         fids = run_repetitions(engine_cells, repetitions, workers=workers)
         np.testing.assert_array_equal(fids, run_once_fidelities[:, :repetitions])
 
@@ -442,7 +448,8 @@ class TestRepetitionEngine:
         assert len(pools) == 1
 
     @pytest.mark.parametrize("workers, repetitions, processes", [
-        (2, 1, []), (9, 1, []), (9, 257, [2]), (2, 600, [2])])
+        (2, 1, []), (9, 1, []), (9, _BLOCK // 2 + 1, []), (2, 600, [2]),
+        (9, _BLOCK + 1, [2])])
     def test_pool_size(self, engine_cells, monkeypatch, workers, repetitions, processes):
         """A pool has no more processes than jobs, and a single job runs
         without one; whatever it asks for, at most 2 start here."""
@@ -644,6 +651,35 @@ def _fids(ctx, rows):
     return ctx._score_block(rows)[0]
 
 
+def _stacked_fids(ctx, rows):
+    """The block kernel as it was with one (K, P, R) stack of every row's
+    map, ``maps[:, :, index]``: the reference of the per-term gather."""
+    kept = np.isfinite(rows)
+    groups = {}
+    index = [groups.setdefault(m.tobytes(), len(groups)) for m in kept]
+    maps = np.zeros((ctx.K, ctx.fidelity_points.size, len(groups)))
+    for m, g in groups.items():
+        m = np.frombuffer(m, dtype=bool)
+        W = ctx._linear_map(np.flatnonzero(m), ctx.eig_keep)
+        if W is not None:
+            maps[m, :, g] = W
+    W = maps[:, :, index]
+    terms = np.where(kept, rows, 0.0).T
+    s_est = W[0] * terms[0]
+    for w, c in zip(W[1:], terms[1:]):
+        s_est += w * c
+    s_true = ctx._s_true
+    dot = s_true[0] * s_est[0]
+    sq = s_est[0] * s_est[0]
+    for s, est in zip(s_true[1:], s_est[1:]):
+        dot += s * est
+        sq += est * est
+    n_est = np.sqrt(sq)
+    fids = np.zeros(n_est.size)
+    np.divide(dot, ctx._n_true * n_est, out=fids, where=n_est != 0.0)
+    return fids
+
+
 def _assert_degenerate(ctx, noise, repetitions):
     """The engine's rows score exactly 0 as degenerate, and ``run_once``
     writes no result for them."""
@@ -664,6 +700,25 @@ class TestBlockKernel:
         for start in sorted({0, (257 - R) // 2, 257 - R}):
             part = _fids(ctx, rows[start:start + R])
             assert part.tobytes() == full[start:start + R].tobytes()
+
+    @pytest.mark.parametrize("case", ["fo-tau", "as", "as-delta"])
+    def test_gather_equals_stacked_maps(self, two_line_spectrum, case):
+        protocol, T, eig_keep, as_delta = _KERNEL_CASES[case]
+        ctx = ProtocolContext(protocol, two_line_spectrum, T, eig_keep=eig_keep,
+                              as_delta=as_delta)
+        rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, gamma=0.1, seed=24),
+                              reconstruct._BLOCK)
+        rows[::17, 4] = math.inf
+        rows[::23, 9] = math.inf
+        assert len({m.tobytes() for m in np.isfinite(rows)}) >= 3
+        assert _fids(ctx, rows).tobytes() == _stacked_fids(ctx, rows).tobytes()
+
+    @pytest.mark.parametrize("protocol, T", [("fo", 2.0), ("as", 10.0)])
+    def test_empty_block(self, two_line_spectrum, protocol, T):
+        ctx = ProtocolContext(protocol, two_line_spectrum, T)
+        fids, degenerate = ctx._score_block(np.empty((0, ctx.K)))
+        assert fids.shape == degenerate.shape == (0,)
+        assert fids.dtype == float and degenerate.dtype == bool
 
     def test_bits_independent_of_position(self, kernel_case):
         ctx, rows = kernel_case

@@ -28,7 +28,10 @@ regroup the scan's cells per (protocol, rate); and quick fig4 with
 one run that writes a least-squares ``as_estimate.csv``, a cross-validated
 ``fo_estimate.csv`` and a 2-qubit reconstruction; and quick fig5 at
 ``shots = 500``, the one run whose readouts are binomial shot frequencies
-(finite-precision measurements).  Each line
+(finite-precision measurements); and quick fig5 at ``repetitions = 1100``
+with one and with two workers, the one run whose cells span several
+repetition blocks (every other run has at most 100 repetitions a cell,
+which is one block), so its bytes cross block edges.  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -104,6 +107,10 @@ def matrix(config_dir):
         protocol={"as_delta_approx": False, "eig_keep": "cv", "n_qubits": 2})]
     yield "quick-shots", [quick_config(
         os.path.join(config_dir, "shots.ini"), "fig5-dephasing04", noise={"shots": 500})]
+    multiblock = quick_config(os.path.join(config_dir, "reps-multiblock.ini"),
+                              "fig5-dephasing04", run={"repetitions": 1100})
+    yield "quick-reps-multiblock", [multiblock]
+    yield "quick-reps-multiblock-w2", [multiblock, "--workers", "2"]
 
 
 def _fields(path) -> dict:
