@@ -33,13 +33,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, NoiseSpecError
+from .errors import CalibrationError, ConfigError, NoiseSpecError
 from .filterfn import continuous_norm, default_grid, filter_function, signal_overlaps
 from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
 from .modulation import fo_sequence
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
 from .probe import NoiseModel, survival_probability
-from .reconstruct import (DEFAULT_TAU, ProtocolContext, fidelity, mean_se,
+from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, fidelity, mean_se,
                           run_jobs, run_repetitions, scan_optimal_time)
 from .seeding import derive_seed
 from .spectra import CompositeSignal, SpectralDensity
@@ -308,6 +308,10 @@ def validate_config(raw: dict) -> dict:
     if pro.get("kind") == "as" and pro["n_qubits"] != 1:
         raise ConfigError("the pointwise protocol is defined for one qubit",
                           location="protocol.n_qubits")
+    tr = cfg.get("tracking")
+    if tr and tr["horizon"] < max(tr["k_block"], 2) * tr["T"]:
+        raise ConfigError(f"shorter than one sample, max(k_block, 2) * T = "
+                          f"{max(tr['k_block'], 2) * tr['T']}", location="tracking.horizon")
     for key in _NONEMPTY.get(scenario, ()):
         if not pro[key]:
             raise ConfigError("needs at least one value", location=f"protocol.{key}")
@@ -421,10 +425,10 @@ def write_summary(path, entries: dict) -> None:
 def _context(cfg, spectrum, protocol, T, n_qubits=1, band="protocol") -> ProtocolContext:
     """The context of ``protocol`` at operation time ``T`` with the ``K``,
     ``omega_c``, ``eig_keep`` and ``as_delta_approx`` of section ``band``
-    (where it has them): omega_max is 1.15 omega_c for fo and omega_c for
-    as, on the grid that ``[grid]`` sets."""
+    (where it has them): omega_max is ``FO_BAND_MARGIN * omega_c`` for fo
+    and omega_c for as, on the grid that ``[grid]`` sets."""
     sec = cfg[band]
-    omega_max = 1.15 * sec["omega_c"] if protocol == "fo" else sec["omega_c"]
+    omega_max = FO_BAND_MARGIN * sec["omega_c"] if protocol == "fo" else sec["omega_c"]
     return ProtocolContext(protocol, spectrum, T, K=sec["K"], omega_c=sec["omega_c"],
                            omega_max=omega_max, n_qubits=n_qubits,
                            grid=default_grid(omega_max, **cfg["grid"]),
@@ -612,13 +616,16 @@ def _run_tracking(cfg, workers):
     tr = cfg["tracking"]
     seed = cfg["run"]["seed"]
     omega_c = tr["omega_c"]
-    omega_max = 1.15 * omega_c
+    omega_max = FO_BAND_MARGIN * omega_c
     grid = default_grid(omega_max, **cfg["grid"])
 
     # equal component norms keep the pair system symmetric (sum-to-one drift
     # then only excites its well-conditioned direction)
-    s_one, s_two = (s.with_scale(s.scale / continuous_norm(s, omega_c, grid))
-                    for s in map(_spectrum_from, (cfg["spectrum"], cfg["spectrum2"])))
+    comps = [_spectrum_from(cfg[section]) for section in ("spectrum", "spectrum2")]
+    norms = [continuous_norm(s, omega_c, grid) for s in comps]
+    if min(norms) == 0.0:
+        raise CalibrationError("a tracking component vanishes on [0, omega_c]")
+    s_one, s_two = (s.with_scale(s.scale / norm) for s, norm in zip(comps, norms))
     block_filters = [filter_function(fo_sequence(k, tr["k_block"], omega_max, tr["T"]), grid)
                      for k in range(1, tr["k_block"] + 1)]
     overlaps = (0.5 * signal_overlaps(s_one, block_filters)
@@ -664,8 +671,7 @@ def _run_fisher(cfg, workers):
     spectrum = _spectrum_from(cfg["spectrum"])
     fi = cfg["fisher"]
     ctx = _context(cfg, spectrum, "fo", fi["T"], band="fisher")
-    probs = np.array([survival_probability(c, cfg["noise"]["gamma"], fi["T"])
-                      for c in ctx.c_true])
+    probs = survival_probability(ctx.c_true, cfg["noise"]["gamma"], fi["T"])
     fio = build_fio(ctx.filters, probs)
     rank = fio_rank(fio)
     directions = [("component_mix", ctx.spectrum)]

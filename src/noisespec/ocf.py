@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UndefinedObjectiveError
+from .errors import CalibrationError, UndefinedObjectiveError
 from .filterfn import (FilterFunction, FrequencyGrid, _pulse_transform, default_grid,
                        filter_values)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
@@ -88,6 +88,7 @@ class _Objective:
     where ``s_rms = ||S||_c / sqrt(omega_c)``; normalizing by ``||F||_c``
     makes the penalty invariant under filter rescaling (otherwise it would
     dwarf or vanish against xi depending on qubit number and duration).
+    A spectrum that vanishes on the band raises :class:`CalibrationError`.
     """
 
     def __init__(self, spectrum, grid: FrequencyGrid, omega_c: float,
@@ -100,6 +101,8 @@ class _Objective:
         self.w_out = self.w_full - self.w_band
         self.s_vals = spectrum.evaluate(grid.omegas)
         self.s_norm = float(math.sqrt(np.sum(self.w_band * self.s_vals ** 2)))
+        if self.s_norm == 0.0:
+            raise CalibrationError("spectrum vanishes on [0, omega_c]; nothing to match")
         self.s_rms = self.s_norm / math.sqrt(omega_c)
         self.evaluations = 0
 

@@ -4,12 +4,13 @@ The chain is: overlap coefficient ``c`` -> survival probability
 ``p = (1 - exp(-c - Gamma*T)) / 2`` -> noisy readout -> inverted estimate
 ``c_hat``.  :func:`measure_batch` runs the chain for a whole block of
 readouts with the exact vectorized stream of :mod:`noisespec.seeding`;
-:func:`measure` is its one-readout view.  The survival probability and the
-inversion use libm scalars (``math.exp``, ``math.log1p``), never numpy's
-vectorized ``exp``/``log1p``, which can differ from libm in the last bit
-and would move the written outputs.  The inversion maps ``math.log1p``
-over a readout block straight into an array (``np.fromiter``), with no
-Python list in between.
+:func:`measure` is its one-readout view.
+
+The package's float convention: elementwise kernels (here ``np.exp`` and
+``np.log1p``) are numpy ufuncs on whole arrays.  An entry's bits depend
+only on its inputs, not on its block or its position in it (tested entry
+by entry); bytes are per host and numpy build, as the filter samples and
+BLAS overlap products already are.
 
 The oracle recomputes ``chi = 4 * double-integral of y(t') y(t'')
 g(t' - t'')`` entirely in the time domain, with the autocorrelation ``g``
@@ -22,6 +23,7 @@ calls it, nor the tail and ML helpers that import scipy the same way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,7 @@ class NoiseModel:
     shots : int or None
         When set, the deterministic probability is replaced by a binomial
         frequency over this many shots before detector error is added.
+        Must be a positive integer.
     seed : int
         Master seed; per-filter streams derive from it by the documented
         XOR/splitmix64 rule, so parallel runs reproduce serial ones.
@@ -65,8 +68,10 @@ class NoiseModel:
             raise ValueError(f"dp_max must be in [0, 0.5), got {self.dp_max}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
-        if self.shots is not None and self.shots <= 0:
-            raise ValueError(f"shots must be positive, got {self.shots}")
+        if self.shots is not None:
+            require_finite(shots=self.shots)
+            if not isinstance(self.shots, numbers.Integral) or self.shots <= 0:
+                raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
 
 
 @dataclass(frozen=True)
@@ -84,12 +89,15 @@ class MeasurementRecord:
     stream_seed: int
 
 
-def survival_probability(c: float, gamma: float, operation_time: float) -> float:
-    """Probability ``(1 - exp(-c - gamma*T)) / 2`` of surviving readout;
-    ``c = inf`` saturates, and NaN fails every check."""
-    if not (c >= 0 and 0 <= gamma < math.inf and 0 <= operation_time < math.inf):
+def survival_probability(c, gamma: float, operation_time: float):
+    """Probability ``(1 - exp(-c - gamma*T)) / 2`` of surviving readout, of
+    a scalar ``c`` or of every entry of an array; ``c = inf`` saturates,
+    and a NaN entry fails every check."""
+    c_arr = np.asarray(c, dtype=float)
+    if not (np.all(c_arr >= 0) and 0 <= gamma < math.inf and 0 <= operation_time < math.inf):
         raise ValueError(f"need c >= 0, finite gamma, T >= 0: {c}, {gamma}, {operation_time}")
-    return 0.5 * (1.0 - math.exp(-c - gamma * operation_time))
+    p = 0.5 * (1.0 - np.exp(-c_arr - gamma * operation_time))
+    return p if c_arr.ndim else float(p)
 
 
 def invert_probability(p_measured: float, gamma: float,
@@ -109,15 +117,12 @@ def invert_probability(p_measured: float, gamma: float,
 
 
 def _invert(p: np.ndarray, gamma: float, operation_time: float):
-    """:func:`invert_probability` of every entry of ``p``, with libm's
-    scalar ``math.log1p`` (see the module docstring)."""
+    """:func:`invert_probability` of every entry of ``p``."""
     saturated = p >= 0.5 - _SATURATION_MARGIN
     c_hat = np.full(p.shape, math.inf)
     free = ~saturated
-    x = (-2.0 * p[free]).tolist()
-    logs = np.fromiter(map(math.log1p, x), dtype=float, count=len(x))
-    c_free = -logs - gamma * operation_time
-    # max(0.0, c) as Python takes it: 0.0 unless c > 0.0 (NaN and -0.0 give 0.0)
+    c_free = -np.log1p(-2.0 * p[free]) - gamma * operation_time
+    # 0.0 unless c > 0.0: NaN and -0.0 give 0.0
     c_hat[free] = np.where(c_free > 0.0, c_free, 0.0)
     return c_hat, saturated
 
@@ -125,27 +130,20 @@ def _invert(p: np.ndarray, gamma: float, operation_time: float):
 def _readouts(c, noise: NoiseModel, operation_time: float, seeds):
     """``(p_measured, c_hat, saturated)`` arrays over ``broadcast(c, seeds)``;
     the readout of each entry draws from the stream of its seed."""
-    c = np.asarray(c, dtype=float)
-    seeds = np.asarray(seeds)
-    shape = np.broadcast_shapes(c.shape, seeds.shape)
-    p_true = np.array([survival_probability(x, noise.gamma, operation_time)
-                       for x in c.ravel().tolist()], dtype=float).reshape(c.shape)
-    p_true = np.broadcast_to(p_true, shape)
-    seeds = np.broadcast_to(seeds, shape)
+    p_true, seeds = np.broadcast_arrays(survival_probability(c, noise.gamma, operation_time),
+                                        seeds)
     dp = noise.dp_max
     if noise.shots is None:
         p = p_true + first_uniform(seeds, -dp, dp) if dp > 0 else p_true
     else:
         # the binomial sampler is not reproduced: one generator per readout,
         # drawing the shot frequency first, then the detector error
-        p = np.empty(shape)
-        for ix in np.ndindex(shape):
+        p = np.empty(p_true.shape)
+        for ix in np.ndindex(p_true.shape):
             rng = make_rng(int(seeds[ix]))
             value = rng.binomial(noise.shots, float(p_true[ix])) / noise.shots
             p[ix] = value + rng.uniform(-dp, dp) if dp > 0 else value
-    # min(1.0, max(0.0, p)) as Python takes it
-    p = np.where(p > 0.0, p, 0.0)
-    p = np.where(p < 1.0, p, 1.0)
+    p = np.clip(p, 0.0, 1.0)
     c_hat, saturated = _invert(p, noise.gamma, operation_time)
     return p, c_hat, saturated
 
@@ -159,8 +157,7 @@ def measure_batch(c, noise: NoiseModel, operation_time: float,
     of that shape.  Entry ``[r, k]`` equals :func:`measure` of ``c[..., k]``
     on the stream ``seeds[r, k]`` bit for bit: the detector error is the
     stream's first uniform draw (computed for all seeds at once by
-    :func:`~noisespec.seeding.first_uniform`), and the inversion uses
-    libm scalars.
+    :func:`~noisespec.seeding.first_uniform`).
     """
     _, c_hat, saturated = _readouts(c, noise, operation_time, seeds)
     return c_hat, saturated

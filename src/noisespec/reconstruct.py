@@ -52,6 +52,9 @@ TAU_GRID = tuple(10.0 ** -e for e in range(1, 9))
 DEFAULT_TAU = 2e-3
 _COND_LIMIT = 1e12
 
+#: an fo filter set spans ``[0, FO_BAND_MARGIN * omega_c]`` by default
+FO_BAND_MARGIN = 1.15
+
 
 @dataclass(eq=False)
 class ReconstructionResult:
@@ -373,10 +376,9 @@ class ProtocolContext:
     finite estimates) and the retention rule fixed, a repetition's estimate
     at the fidelity points is ``c @ W``, with zeros in ``c`` where a readout
     saturated: "fo" ``U_r diag(1/lam_r) U_r^T G[kept]`` from the kept
-    overlap matrix; "as" ``M^-T G``, ``lstsq(M[kept]^T, G)`` for a subset,
-    or with ``as_delta`` ``G[kept] / diag(M)[kept]``.  A subset's condition
-    number comes from the singular values of its own ``lstsq``, so it is
-    factorized once; only the full set's ``solve`` takes an ``svd``.  A
+    overlap matrix; "as" ``lstsq(M[kept]^T, G)``, or with ``as_delta``
+    ``G[kept] / diag(M)[kept]``.  A kept set's condition number comes from
+    the singular values of its own ``lstsq``, so it is factorized once.  A
     block builds each distinct map once and keeps none.  A repetition's
     fidelity is a fixed-order sum, the same in any block and on any BLAS,
     and agrees with :func:`fidelity` of :func:`fo_reconstruct` or
@@ -395,7 +397,7 @@ class ProtocolContext:
         if protocol == "as" and n_qubits != 1:
             raise ValueError("the pointwise protocol is defined for one qubit")
         if omega_max is None:
-            omega_max = 1.15 * omega_c if protocol == "fo" else omega_c
+            omega_max = FO_BAND_MARGIN * omega_c if protocol == "fo" else omega_c
         require_finite(operation_time=operation_time, omega_c=omega_c, omega_max=omega_max)
         for name, value in (("omega_c", omega_c), ("omega_max", omega_max),
                             ("operation_time", operation_time)):
@@ -506,11 +508,7 @@ class ProtocolContext:
             return self._G[idx] / np.diag(self.bins)[idx, None]
         try:
             if self.protocol == "as":
-                M_kept = self.bins[idx, :]
-                if idx.size == self.K:
-                    _checked_condition(np.linalg.svd(M_kept, compute_uv=False))
-                    return np.linalg.solve(M_kept.T, self._G)
-                W, _, _, svals = np.linalg.lstsq(M_kept.T, self._G, rcond=None)
+                W, _, _, svals = np.linalg.lstsq(self.bins[idx, :].T, self._G, rcond=None)
                 _checked_condition(svals)
                 return W
             lam_r, U_r = _retained_basis(self.overlap[np.ix_(idx, idx)], rule)

@@ -90,21 +90,17 @@ def _track(method: str, signal: CompositeSignal, G: np.ndarray, T: float,
     if n_samples == 0:
         raise ValueError(f"horizon shorter than one sample of {k} filters")
 
-    # scalar weights per filter midpoint: a vectorized sin may differ from
-    # the scalar one in the last bit, which would move the estimates
-    c_true = np.empty((n_samples, k))
-    for n in range(n_samples):
-        for i in range(k):
-            s1_m, s2_m = signal.weights(n * block + (i + 0.5) * T)
-            c_true[n, i] = s1_m * G[i, 0] + s2_m * G[i, 1]
+    s1_m, s2_m = signal.weights(np.arange(n_samples)[:, None] * block
+                                + (np.arange(k) + 0.5) * T)
+    c_true = s1_m * G[:, 0] + s2_m * G[:, 1]
     seeds = derive_seed_array(noise.seed, np.arange(n_samples)[:, None], np.arange(k))
     c_hats, _ = measure_batch(c_true, noise, T, seeds)
     est = np.array([estimate(c_hat) for c_hat in c_hats], dtype=float)
     times = np.arange(n_samples) * block + 0.5 * block
-    truth = np.array([signal.weights(t) for t in times])
+    s1_true, s2_true = signal.weights(times)
     return TrackingRun(method=method, sample_times=times,
                        s1_estimate=est[:, 0], s2_estimate=est[:, 1],
-                       s1_true=truth[:, 0], s2_true=truth[:, 1],
+                       s1_true=s1_true, s2_true=s2_true,
                        block_duration=block, omega_osc=signal.omega_osc)
 
 

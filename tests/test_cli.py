@@ -130,6 +130,10 @@ class TestExitCodes:
         (_ini("reconstruction", protocol="eig_keep = 7"), "protocol.eig_keep"),
         (_ini("tracking", tracking="omega_osc = 0.01\neig_keep = 2",
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.eig_keep"),
+        (_ini("tracking", tracking="omega_osc = 0.01\nhorizon = 20",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.horizon"),
+        (_ini("tracking", tracking="omega_osc = 0.01\nhorizon = 9.9\nk_block = 1",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.horizon"),
     ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values",
             "T-nan", "T-inf", "T-negative", "T-zero", "omega-c-nan", "K-zero", "eig-keep-nan",
             "candidates-inf", "candidates-zero", "T-values-negative", "ocf-candidates",
@@ -140,7 +144,8 @@ class TestExitCodes:
             "time-scan-as-two-qubits", "random-directions-negative", "grid-spacing-zero",
             "grid-spacing-negative", "grid-span-zero", "ocf-grid-spacing-zero",
             "ocf-grid-span-negative", "eig-keep-negative", "eig-keep-above-one",
-            "tracking-eig-keep-above-one"])
+            "tracking-eig-keep-above-one", "horizon-below-one-block",
+            "horizon-below-one-pair"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, text, location)
 
@@ -202,6 +207,22 @@ class TestExitCodes:
 
     def test_ocf_has_no_grid_section(self, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, _ini("ocf", grid="spacing = 0.005"), "grid")
+
+    @pytest.mark.parametrize("scenario, sections", [
+        ("ocf", {"spectrum": "components =\n  0.0 2.0 1.0"}),
+        ("tracking", {"spectrum": "components =\n  0.0 2.0 1.0",
+                      "spectrum2": "components =\n  1.0 2.0 1.0",
+                      "tracking": "omega_osc = 0.01"}),
+        ("tracking", {"spectrum2": "components =\n  0.0 2.0 1.0",
+                      "tracking": "omega_osc = 0.01"}),
+    ], ids=["ocf", "tracking", "tracking-spectrum2"])
+    def test_zero_in_band_spectrum(self, scenario, sections, tmp_path, capsys):
+        path = tmp_path / "zero.ini"
+        path.write_text(_ini(scenario, **sections))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--quick", "--out-dir", str(out)]) == 3
+        assert "CalibrationError" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_numerical_error(self, tmp_path, capsys):
         # a spectrum sampled up to 15 cannot cover the integration grid, which

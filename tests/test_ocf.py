@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from noisespec import (ModulationSet, NonFiniteInputError, SpectralDensity,
-                       UndefinedObjectiveError, staircase_split, xi_normalized)
+from noisespec import (CalibrationError, ModulationSet, NonFiniteInputError,
+                       SpectralDensity, UndefinedObjectiveError, staircase_split,
+                       xi_normalized)
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                                 filter_function, filter_values)
 from noisespec.modulation import PulseSequence, repair_trains
@@ -51,6 +52,16 @@ class TestObjective:
                               generator=None, operation_time=5.0)
         with pytest.raises(UndefinedObjectiveError):
             xi_normalized(filt, LORENTZIAN, 10.0)
+
+    @pytest.mark.parametrize("call", [
+        lambda zero: xi_normalized(staircase_split(2.0, 1, 5.0), zero, 10.0),
+        lambda zero: optimize_discrete(OcfProblem(spectrum=zero, duration=5.0, n_qubits=1,
+                                                  superiterations=1, seed=5))],
+        ids=["xi-normalized", "optimize-discrete"])
+    def test_zero_in_band_spectrum_refused(self, call):
+        zero = SpectralDensity.lorentzian_mixture([(0.0, 2.0, 1.0)])
+        with pytest.raises(CalibrationError, match="vanishes"):
+            call(zero)
 
     def test_cauchy_schwarz_ceiling(self):
         grid = ocf_grid(10.0)

@@ -38,6 +38,26 @@ class TestSurvivalProbability:
     def test_strictly_increasing(self, c, extra):
         assert survival_probability(c + extra, 0.0, 1.0) > survival_probability(c, 0.0, 1.0)
 
+    def test_array_bits_equal_scalar_entries(self):
+        c = np.concatenate(([0.0, 1e-300, 5e-324, math.inf],
+                            np.random.default_rng(6).uniform(0.0, 40.0, 996))).reshape(25, 40)
+        got = survival_probability(c, 0.3, 2.0)
+        assert got.shape == c.shape
+        expected = [survival_probability(x, 0.3, 2.0) for x in c.ravel().tolist()]
+        assert got.ravel().tobytes() == np.array(expected).tobytes()
+        assert isinstance(survival_probability(0.5, 0.3, 2.0), float)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-300, -math.inf])
+    @pytest.mark.parametrize("at", [0, 17, -1])
+    def test_array_refuses_any_bad_entry(self, bad, at):
+        c = np.linspace(0.0, 3.0, 24).reshape(4, 6)
+        c.flat[at] = bad
+        with pytest.raises(ValueError, match="c >= 0"):
+            survival_probability(c, 0.1, 5.0)
+        seeds = derive_seed_array(3, np.arange(4)[:, None], np.arange(6))
+        with pytest.raises(ValueError, match="c >= 0"):
+            measure_batch(c, NoiseModel(dp_max=0.01, seed=3), 5.0, seeds)
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("c, gamma, T", [
@@ -46,6 +66,17 @@ class TestNonFiniteInput:
     def test_survival_rejects(self, c, gamma, T):
         with pytest.raises(ValueError):
             survival_probability(c, gamma, T)
+
+    @pytest.mark.parametrize("shots, error", [
+        (2.5, ValueError), (100.0, ValueError), (0, ValueError), (-3, ValueError),
+        ("10", TypeError), (math.nan, NonFiniteInputError), (math.inf, NonFiniteInputError)])
+    def test_shots_must_be_a_positive_integer(self, shots, error):
+        with pytest.raises(error):
+            NoiseModel(shots=shots)
+
+    @pytest.mark.parametrize("shots", [1, 500, np.int64(7)])
+    def test_integer_shots_accepted(self, shots):
+        assert NoiseModel(shots=shots).shots == shots
 
     def test_nan_coefficient_rejected_by_measure(self):
         with pytest.raises(ValueError):
@@ -71,15 +102,21 @@ class TestNonFiniteInput:
         assert isinstance(info.value, ValueError)
 
 
+def _one(ufunc, x):
+    """``ufunc`` of the one-element array ``[x]``, as a Python float."""
+    return float(ufunc(np.array([x]))[0])
+
+
 def _reference_readout(c, gamma, T, dp, stream_seed):
-    """One readout spelled out with numpy's generator and libm scalars."""
-    p = 0.5 * (1.0 - math.exp(-c - gamma * T))
+    """One readout spelled out with numpy's generator and one-element ufunc
+    calls."""
+    p = 0.5 * (1.0 - _one(np.exp, -c - gamma * T))
     if dp > 0:
         p = p + make_rng(stream_seed).uniform(-dp, dp)
     p = min(1.0, max(0.0, p))
     if p >= 0.5 - 1e-9:
         return math.inf, True
-    return max(0.0, -math.log1p(-2.0 * p) - gamma * T), False
+    return max(0.0, -_one(np.log1p, -2.0 * p) - gamma * T), False
 
 
 def _bits(x):
@@ -205,13 +242,13 @@ class TestInversion:
 
     @staticmethod
     def _entry_by_entry(p, gamma, T):
-        """``_invert`` one readout at a time, with libm's ``math.log1p``."""
+        """``_invert`` one readout at a time, each a one-element ``np.log1p``."""
         out = []
         for x in p.ravel().tolist():
             if x >= 0.5 - _SATURATION_MARGIN:
                 out.append(math.inf)
             else:
-                out.append(max(0.0, -math.log1p(-2.0 * x) - gamma * T))
+                out.append(max(0.0, -_one(np.log1p, -2.0 * x) - gamma * T))
         return np.array(out, dtype=float).reshape(p.shape)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.2])

@@ -150,6 +150,15 @@ class TestSampler:
                                          filter_index=i).c_estimate
         np.testing.assert_array_equal(c_hats, expected)
 
+    def test_truth_is_weights_at_sample_midpoints(self, setup, block):
+        grid, s_one, s_two = setup
+        sig = CompositeSignal(0.01 * math.pi, s_one, s_two)
+        run = track_fo(sig, block, 200.0, NoiseModel(seed=2))
+        for n, t in enumerate(run.sample_times.tolist()):
+            assert t == n * 50.0 + 25.0
+            s1, s2 = sig.weights(t)
+            assert (run.s1_true[n], run.s2_true[n]) == (s1, s2)
+
     def test_mismatched_operation_times_rejected(self, setup, block):
         grid, s_one, s_two = setup
         sig = CompositeSignal(0.01, s_one, s_two)
