@@ -24,7 +24,7 @@ from .reconstruct import (ProtocolContext, ReconstructionResult,
 from .fisher import (FisherOperator, build_fio, cramer_rao,
                      directional_fisher, fio_rank, ml_deviation_estimate)
 from .ocf import (OcfProblem, OcfSolution, optimize_continuous,
-                  optimize_discrete, solution_filter, xi_normalized)
+                  optimize_discrete, xi_normalized)
 from .tracking import TrackingRun, track_fo, track_ocf
 from .seeding import derive_seed, derive_seed_array, make_rng
 

@@ -6,8 +6,10 @@ location.  Scenarios, presets and budgets are data in this module:
 
 - ``SCHEMA`` holds each scenario's sections and its keys' kinds and
   defaults (``run.repetitions`` too); ``_KINDS`` parses and formats a kind.
-- ``PRESETS`` holds each preset's description, scenario and sections;
-  ``_QUICK`` holds each scenario's quick budget as sections to merge.
+- ``PRESETS`` holds each preset's description, scenario and sections.
+  ``--quick`` merges ``_QUICK``'s budget into a config after validation
+  (so a value it replaces is still checked), keeps a nqubit scan's first
+  two qubit counts with their per-N values and one tracking sample at least.
 - ``_RUNNERS`` maps a scenario to a runner that only computes and returns
   its summary and CSV tables; ``run_scenario`` writes them.  ``_context``
   builds every :class:`ProtocolContext` a runner needs, with the retention
@@ -37,7 +39,7 @@ from .errors import CalibrationError, ConfigError, NoiseSpecError
 from .filterfn import continuous_norm, default_grid, filter_function, signal_overlaps
 from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
 from .modulation import fo_sequence
-from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete, solution_filter
+from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete
 from .probe import NoiseModel, survival_probability
 from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, fidelity, mean_se,
                           run_jobs, run_repetitions, scan_optimal_time)
@@ -241,6 +243,11 @@ _KINDS = {
 }
 
 
+def _one_sample(tracking: dict) -> float:
+    """Time of one tracking sample: an fo block or an OCF pair of filters."""
+    return max(tracking["k_block"], 2) * tracking["T"]
+
+
 def validate_config(raw: dict) -> dict:
     """Typed, defaulted configuration from a nested dict of raw strings
     (or already-typed values).  Unknown sections/keys are rejected."""
@@ -271,6 +278,8 @@ def validate_config(raw: dict) -> dict:
                         value = _KINDS[kind][0](value)
                     except ValueError as exc:
                         raise ConfigError(str(exc), location=location) from exc
+                elif kind == "retention" and value != "cv":
+                    value = float(value)  # a config has no retained counts
                 out[key] = value
             elif default is _REQUIRED:
                 raise ConfigError("missing required key", location=location)
@@ -309,9 +318,9 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("the pointwise protocol is defined for one qubit",
                           location="protocol.n_qubits")
     tr = cfg.get("tracking")
-    if tr and tr["horizon"] < max(tr["k_block"], 2) * tr["T"]:
+    if tr and tr["horizon"] < _one_sample(tr):
         raise ConfigError(f"shorter than one sample, max(k_block, 2) * T = "
-                          f"{max(tr['k_block'], 2) * tr['T']}", location="tracking.horizon")
+                          f"{_one_sample(tr)}", location="tracking.horizon")
     for key in _NONEMPTY.get(scenario, ()):
         if not pro[key]:
             raise ConfigError("needs at least one value", location=f"protocol.{key}")
@@ -573,7 +582,7 @@ def _run_ocf(cfg, workers):
         """Fidelity mean and se, and mean normalized objective, over the
         restarts of one discrete design."""
         runs = [sols[(*seed_path, r)] for r in range(oc["restarts"])]
-        fids = np.array([fidelity(spectrum, solution_filter(sol), fid_points) for sol in runs])
+        fids = np.array([fidelity(spectrum, sol.filter, fid_points) for sol in runs])
         return (*mean_se(fids), float(np.mean([sol.normalized_fidelity for sol in runs])))
 
     summary, tables = {}, {}
@@ -600,7 +609,7 @@ def _run_ocf(cfg, workers):
     if oc["continuous"]:
         sol = sols[(3,)]
         summary["continuous_xi_normalized"] = sol.normalized_fidelity
-        filt = solution_filter(sol)
+        filt = sol.filter
         norm_f = continuous_norm(filt, oc["omega_c"])
         norm_s = continuous_norm(spectrum, oc["omega_c"], grid)
         tables["ocf_best_filter.csv"] = (
@@ -651,10 +660,10 @@ def _run_tracking(cfg, workers):
 
     def design(i):  # component i % 2 of qubit count i // 2
         ni, ci = divmod(i, 2)
-        return solution_filter(optimize_discrete(OcfProblem(
+        return optimize_discrete(OcfProblem(
             spectrum=(s_one, s_two)[ci], duration=tr["T"], n_qubits=tr["nqubit_values"][ni],
             omega_c=omega_c, superiterations=tr["superiterations"], inner_evals=tr["inner_evals"],
-            basis_size=tr["basis_size"], seed=derive_seed(seed, 20, ni, ci), grid=o_grid)))
+            basis_size=tr["basis_size"], seed=derive_seed(seed, 20, ni, ci), grid=o_grid)).filter
 
     filters = run_jobs(design, 2 * len(tr["nqubit_values"]), workers)
     for ni, n_q in enumerate(tr["nqubit_values"]):
@@ -813,7 +822,7 @@ _QUICK = {
                    "protocol": {"gamma_values": [0.0, 0.4], "fo_candidates": [2.0, 5.0],
                                 "as_candidates": [10.0, 25.0]}},
     "reconstruction": {"run": {"repetitions": 3}},
-    "nqubit-scan": {"run": {"repetitions": 3}, "protocol": {"nqubit_values": [1, 2]}},
+    "nqubit-scan": {"run": {"repetitions": 3}},
     "ocf": {"ocf": {"restarts": 1, "superiterations": 2, "inner_evals": 10,
                     "T_candidates": [], "nqubit_values": [1, 2]}},
     "tracking": {"tracking": {"horizon": 100.0, "superiterations": 2, "inner_evals": 10,
@@ -824,13 +833,15 @@ _QUICK = {
 
 def _apply_quick(cfg: dict) -> None:
     """Shrink the budgets of a validated config in place."""
-    for section, values in copy.deepcopy(_QUICK[cfg["run"]["scenario"]]).items():
+    scenario = cfg["run"]["scenario"]
+    for section, values in copy.deepcopy(_QUICK[scenario]).items():
         cfg[section].update(values)
-    # quick nqubit scans must keep per-N lists consistent
-    if cfg["run"]["scenario"] == "nqubit-scan":
-        n = len(cfg["protocol"]["nqubit_values"])
-        for key in ("T_values", "dp_values", "gamma_values"):
-            cfg["protocol"][key] = cfg["protocol"][key][:n]
+    if scenario == "nqubit-scan":
+        for key in ("nqubit_values", "T_values", "dp_values", "gamma_values"):
+            cfg["protocol"][key] = cfg["protocol"][key][:2]
+    if scenario == "tracking":
+        cfg["tracking"]["horizon"] = max(cfg["tracking"]["horizon"],
+                                         _one_sample(cfg["tracking"]))
 
 
 def _preset_sections(name: str) -> dict:

@@ -118,13 +118,19 @@ class ContinuousModulation:
 # protocol sequence generators
 # ---------------------------------------------------------------------------
 
-def _cosine_zero_times(rate: float, duration: float) -> np.ndarray:
-    # zeros of cos(rate * t): t = (n + 1/2) pi / rate
-    if rate <= 0:
-        return np.array([])
-    n_max = int(np.floor(rate * duration / np.pi + 0.5)) + 1
-    times = (np.arange(n_max) + 0.5) * np.pi / rate
-    return times[(times > 0) & (times < duration)]
+def _zero_train(k: int, K: int, omega_max: float, duration: float, shift: int,
+                offset: float) -> PulseSequence:
+    """Pulses at ``(n + offset) pi / rate`` inside ``(0, duration)``, with
+    ``rate = omega_max (k - shift) / K``; none at rate 0."""
+    if not 1 <= k <= K:
+        raise ValueError(f"k must be in 1..{K}, got {k}")
+    if omega_max <= 0 or duration <= 0:
+        raise ValueError("omega_max and duration must be > 0")
+    rate = omega_max * (k - shift) / K
+    if rate == 0:
+        return PulseSequence(np.array([]), duration)
+    times = (np.arange(int(rate * duration / np.pi) + 1) + offset) * np.pi / rate
+    return PulseSequence(times[times < duration], duration)
 
 
 def fo_sequence(k: int, K: int, omega_max: float, duration: float) -> PulseSequence:
@@ -134,12 +140,7 @@ def fo_sequence(k: int, K: int, omega_max: float, duration: float) -> PulseSeque
     ``omega' = omega_max * (k - 1) / K``; ``k = 1`` yields free evolution
     (no pulses), the filter sensitive at zero frequency.
     """
-    if not 1 <= k <= K:
-        raise ValueError(f"k must be in 1..{K}, got {k}")
-    if omega_max <= 0 or duration <= 0:
-        raise ValueError("omega_max and duration must be > 0")
-    rate = omega_max * (k - 1) / K
-    return PulseSequence(_cosine_zero_times(rate, duration), duration)
+    return _zero_train(k, K, omega_max, duration, 1, 0.5)
 
 
 def as_sequence(k: int, K: int, omega_max: float, duration: float) -> PulseSequence:
@@ -149,15 +150,7 @@ def as_sequence(k: int, K: int, omega_max: float, duration: float) -> PulseSeque
     ``omega'' = omega_max * k / K``; the filter peaks at ``omega''`` and the
     finest resolvable spacing (k = K) is ``pi / omega_max``.
     """
-    if not 1 <= k <= K:
-        raise ValueError(f"k must be in 1..{K}, got {k}")
-    if omega_max <= 0 or duration <= 0:
-        raise ValueError("omega_max and duration must be > 0")
-    rate = omega_max * k / K
-    n_max = int(np.floor(rate * duration / np.pi)) + 1
-    times = np.arange(1, n_max + 1) * np.pi / rate
-    times = times[times < duration]
-    return PulseSequence(times, duration)
+    return _zero_train(k, K, omega_max, duration, 0, 1)
 
 
 def staircase_split(target_frequency: float, n_qubits: int, duration: float) -> ModulationSet:

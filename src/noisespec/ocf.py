@@ -6,7 +6,8 @@ randomized-basis derivative-free loop: every superiteration draws a few
 random trigonometric basis frequencies, runs a bounded Nelder-Mead search
 over their coefficients, and keeps the candidate only if it improves the
 best objective so far.  Out-of-band filter weight is discouraged by a
-penalty on the normalized filter (see ``_Objective``).
+penalty on the normalized filter (see ``_Objective``).  A design owns one
+read-only :class:`FilterFunction`, scored once, when its state was accepted.
 
 The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 308 (1965)) is written
 here rather than taken from ``scipy.optimize``, whose import costs more than
@@ -24,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, UndefinedObjectiveError
+from .errors import CalibrationError, UndefinedObjectiveError, require_finite
 from .filterfn import (FilterFunction, FrequencyGrid, _pulse_transform, default_grid,
                        filter_values)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
@@ -56,8 +57,10 @@ class OcfProblem:
     grid: FrequencyGrid | None = None
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ValueError("duration must be > 0")
+        require_finite(duration=self.duration, omega_c=self.omega_c,
+                       penalty_weight=self.penalty_weight)
+        if self.duration <= 0 or self.omega_c <= 0:
+            raise ValueError("duration and omega_c must be > 0")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if self.superiterations < 0 or self.inner_evals < 1 or self.basis_size < 1:
@@ -66,18 +69,17 @@ class OcfProblem:
             object.__setattr__(self, "grid", ocf_grid(self.omega_c))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class OcfSolution:
-    """Best modulation found, with its objective values and search trace."""
+    """Best modulation found, with its objective values, its search trace
+    and ``filter``: the read-only :class:`FilterFunction` on the problem grid
+    that the search scored when it accepted ``modulation``, its generator."""
 
     modulation: object
-    xi: float
     normalized_fidelity: float
     evaluations: int
     trace: tuple
-    filter_values: np.ndarray
-    grid: FrequencyGrid
-    seed: int
+    filter: FilterFunction
 
 
 class _Objective:
@@ -221,12 +223,13 @@ def _solve(problem: OcfProblem, initial, candidate_from, values_of=filter_values
     candidate state from the current state, the superiteration index and
     the coefficient vector; ``values_of(state, grid)`` gives a state's
     filter samples and ``finish(state)`` the modulation of the accepted
-    state."""
+    state.  The accepted state's samples and xi are those of the
+    evaluation that accepted it, so no state is transformed twice."""
     objective = _Objective(problem.spectrum, problem.grid, problem.omega_c,
                            problem.penalty_weight)
     state = initial
     best_vals = values_of(state, problem.grid)
-    best_obj, _ = objective.from_values(best_vals)
+    best_obj, best_xi = objective.from_values(best_vals)
     trace = [best_obj]
     dim = 2 * problem.basis_size
 
@@ -245,21 +248,20 @@ def _solve(problem: OcfProblem, initial, candidate_from, values_of=filter_values
         x_best = _inner_search(neg_obj, dim, step=0.6, max_evals=problem.inner_evals)
         cand = candidate_from(state, s, freqs, x_best)
         try:
-            cand_obj, _ = objective.from_values(values_of(cand, problem.grid))
+            cand_vals = values_of(cand, problem.grid)
+            cand_obj, cand_xi = objective.from_values(cand_vals)
         except UndefinedObjectiveError:
             cand_obj = -math.inf
         if cand_obj > best_obj:
-            best_obj = cand_obj
-            state = cand
+            best_obj, best_xi, best_vals, state = cand_obj, cand_xi, cand_vals, cand
         trace.append(best_obj)
 
-    best_vals = values_of(state, problem.grid)
-    _, xi = objective.from_values(best_vals)
-    return OcfSolution(modulation=finish(state), xi=xi,
-                       normalized_fidelity=xi / objective.s_norm,
-                       evaluations=objective.evaluations, trace=tuple(trace),
-                       filter_values=best_vals, grid=problem.grid,
-                       seed=problem.seed)
+    modulation = finish(state)
+    best_vals.setflags(write=False)
+    filt = FilterFunction(grid=problem.grid, values=best_vals, generator=modulation,
+                          operation_time=modulation.duration)
+    return OcfSolution(modulation=modulation, normalized_fidelity=best_xi / objective.s_norm,
+                       evaluations=objective.evaluations, trace=tuple(trace), filter=filt)
 
 
 class _Trains:
@@ -365,12 +367,3 @@ def optimize_continuous(problem: OcfProblem) -> OcfSolution:
         return replace(state, terms=state.terms + new_terms)
 
     return _solve(problem, initial, candidate_from)
-
-
-def solution_filter(solution: OcfSolution) -> FilterFunction:
-    """Package the solution's modulation as a FilterFunction on its grid,
-    over a read-only view of the filter values the search stored."""
-    values = solution.filter_values.view()
-    values.setflags(write=False)
-    return FilterFunction(grid=solution.grid, values=values, generator=solution.modulation,
-                          operation_time=solution.modulation.duration)

@@ -108,10 +108,12 @@ def invert_probability(p_measured: float, gamma: float,
     (``p >= 1/2 - 1e-9``) carry no spectral information: ``c_hat`` is
     ``inf`` and the flag is set, so callers can drop them.  Negative
     estimates from noise are clamped to zero (c is an integral of
-    nonnegative quantities).
+    nonnegative quantities).  A NaN or out-of-range ``p`` and a negative
+    or non-finite ``gamma`` or ``T`` are refused.
     """
-    if gamma < 0 or operation_time < 0:
-        raise ValueError("gamma and T must be >= 0")
+    if not (0 <= p_measured <= 1 and 0 <= gamma < math.inf and 0 <= operation_time < math.inf):
+        raise ValueError(f"need p in [0, 1], finite gamma, T >= 0: "
+                         f"{p_measured}, {gamma}, {operation_time}")
     c_hat, saturated = _invert(np.array([p_measured], dtype=float), gamma, operation_time)
     return float(c_hat[0]), bool(saturated[0])
 

@@ -293,6 +293,48 @@ def test_worker_count_keeps_time_scan_bytes(tmp_path, capsys):
 
 
 
+def test_typed_zero_threshold_is_a_float(tmp_path, capsys):
+    """A typed ``eig_keep = 0`` is the threshold 0.0, not a count of zero
+    retained terms, and the config it writes reproduces its run."""
+    outputs = []
+    for value in (0, 0.0):
+        cfg = cli.preset_config("fig5-dephasing04", quick=True)
+        cfg["protocol"]["eig_keep"] = value
+        cfg = cli.validate_config(cfg)
+        assert type(cfg["protocol"]["eig_keep"]) is float
+        cli.run_scenario(cfg, str(tmp_path / f"typed-{value!r}"))
+        outputs.append(_outputs(tmp_path / f"typed-{value!r}"))
+    assert outputs[0] == outputs[1]
+    assert cli.main(["run", str(tmp_path / "typed-0" / "config.ini"),
+                     "--out-dir", str(tmp_path / "rerun")]) == 0
+    capsys.readouterr()
+    assert _outputs(tmp_path / "rerun" / "fig5-dephasing04") == outputs[0]
+    assert "fo_fidelity_mean = 0.0\n" not in outputs[0]["summary.txt"].decode()
+
+
+def test_quick_tracking_keeps_one_sample(tmp_path, capsys):
+    """A tracking sample longer than the quick horizon of 100 runs as one
+    sample under ``--quick``."""
+    path = tmp_path / "long.ini"
+    path.write_text(_ini("tracking", tracking="omega_osc = 0.01\nT = 20",
+                         spectrum2="components =\n  0.7 6.0 2.0"))
+    assert cli.main(["run", str(path), "--quick", "--out-dir", str(tmp_path / "out")]) == 0
+    assert "fo_samples = 1\n" in capsys.readouterr().out
+
+
+def test_quick_nqubit_scan_keeps_its_pairs(tmp_path, capsys):
+    """Quick keeps the first two qubit counts with their own T and dp."""
+    path = tmp_path / "pairs.ini"
+    path.write_text(_ini("nqubit-scan", protocol="nqubit_values = 4 6\nT_values = 2 3\n"
+                                                 "dp_values = 0.04 0.1"))
+    assert cli.main(["run", str(path), "--quick", "--out-dir", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    text = (tmp_path / "out" / "bad" / "fidelity_vs_nqubits.csv").read_text()
+    header, *rows = [line.split(",") for line in text.splitlines() if line[0] != "#"]
+    assert [[row[header.index(key)] for key in ("n_qubits", "T", "dp_max")]
+            for row in rows] == [["4", "2.0", "0.04"], ["6", "3.0", "0.1"]]
+
+
 @pytest.mark.parametrize("name", ["ion-chain", "fig2-fidelity-vs-time"])
 def test_quick_config_file_matches_quick_preset(name, tmp_path, capsys):
     assert cli.main(["export-config", name]) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from noisespec import (CalibrationError, ModulationSet, NonFiniteInputError,
                        SpectralDensity, UndefinedObjectiveError, staircase_split,
                        xi_normalized)
+from noisespec import filterfn
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
-                                filter_function, filter_values)
+                                filter_function, filter_values, transform_continuous)
 from noisespec.modulation import PulseSequence, repair_trains
 from noisespec.ocf import (OcfProblem, _inner_search, _solve, _Trains,
-                           ocf_grid, optimize_continuous, optimize_discrete,
-                           solution_filter)
+                           OcfSolution, ocf_grid, optimize_continuous, optimize_discrete)
 from noisespec.seeding import derive_seed
 
 LORENTZIAN = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
@@ -139,13 +140,40 @@ class TestOptimizers:
         prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=2,
                           superiterations=2, inner_evals=10, seed=4)
         sol = (optimize_continuous if continuous else optimize_discrete)(prob)
-        filt = solution_filter(sol)
-        fresh = filter_function(sol.modulation, sol.grid)
+        filt = sol.filter
+        fresh = filter_function(sol.modulation, prob.grid)
         assert filt.values.tobytes() == fresh.values.tobytes()
-        assert filt.grid is sol.grid and filt.generator is sol.modulation
+        assert filt.grid is prob.grid and filt.generator is sol.modulation
         assert filt.operation_time == fresh.operation_time == 5.0
-        assert np.shares_memory(filt.values, sol.filter_values)
-        assert not filt.values.flags.writeable and sol.filter_values.flags.writeable
+        assert not filt.values.flags.writeable
+
+    def test_solution_fields(self):
+        assert [f.name for f in dataclasses.fields(OcfSolution)] == [
+            "modulation", "normalized_fidelity", "evaluations", "trace", "filter"]
+
+    def test_zero_budget_transforms_once(self, monkeypatch):
+        # the initial state's evaluation is the accepted one: no re-transform
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return transform_continuous(*args)
+
+        monkeypatch.setattr(filterfn, "transform_continuous", counted)
+        sol = optimize_continuous(OcfProblem(spectrum=LORENTZIAN, duration=5.0,
+                                             superiterations=0, seed=4))
+        assert len(calls) == 1 and sol.evaluations == 1
+        assert sol.filter.values.tobytes() == filter_values(sol.modulation,
+                                                            ocf_grid(10.0)).tobytes()
+
+    @pytest.mark.parametrize("field, value", [
+        ("duration", math.nan), ("duration", math.inf), ("omega_c", math.nan),
+        ("omega_c", math.inf), ("omega_c", 0.0), ("omega_c", -1.0),
+        ("penalty_weight", math.inf), ("penalty_weight", math.nan)])
+    def test_bad_problem_refused(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            OcfProblem(spectrum=LORENTZIAN, grid=ocf_grid(10.0),
+                       **{"duration": 5.0, field: value})
 
 
 def _object_candidate(mset, target, freqs, x):

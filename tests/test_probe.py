@@ -235,6 +235,14 @@ class TestInversion:
         c_hat, saturated = invert_probability(0.0, 0.7, 4.0)
         assert (c_hat, saturated) == (0.0, False)
 
+    @pytest.mark.parametrize("p, gamma, T", [
+        (math.nan, 0.1, 5.0), (-0.3, 0.1, 5.0), (1.2, 0.1, 5.0), (0.2, math.nan, 5.0),
+        (0.2, math.inf, 5.0), (0.2, -0.1, 5.0), (0.2, 0.1, math.inf), (0.2, 0.1, math.nan),
+        (0.2, 0.1, -1.0)])
+    def test_bad_input_refused(self, p, gamma, T):
+        with pytest.raises(ValueError, match="need p in \\[0, 1\\]"):
+            invert_probability(p, gamma, T)
+
     def test_saturation_flag(self):
         c_hat, saturated = invert_probability(0.499999999, 0.0, 1.0)
         assert saturated

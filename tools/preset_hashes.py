@@ -31,7 +31,10 @@ one run that writes a least-squares ``as_estimate.csv``, a cross-validated
 (finite-precision measurements); and quick fig5 at ``repetitions = 1100``
 with one and with two workers, the one run whose cells span several
 repetition blocks (every other run has at most 100 repetitions a cell,
-which is one block), so its bytes cross block edges.  Each line
+which is one block), so its bytes cross block edges; and fig6 with
+``nqubit_values = 4 6``, ``T_values = 2 3`` and ``dp_values = 0.04 0.1``
+run with ``--quick``, the one run whose quick budget cuts a nqubit scan's
+per-N lists, so its rows show which T and dp each qubit count keeps.  Each line
 is ``sha256  path`` with the path relative to ``OUT``; a run that exits
 nonzero is reported on stderr and makes the script exit 1.
 
@@ -64,8 +67,8 @@ FULL_SKIP = {"fig8-ocf-lorentzian"}
 
 def quick_config(path, preset, **sections) -> str:
     """Write the quick budget of ``preset``, with each of ``sections``
-    updated by its dict of values, to ``path`` as an INI config, run
-    without ``--quick``."""
+    updated by its dict of values, to ``path`` as an INI config; the
+    matrix runs it without ``--quick`` unless the run tests that flag."""
     cfg = cli.preset_config(preset, quick=True)
     for section, values in sections.items():
         cfg[section].update(values)
@@ -111,6 +114,10 @@ def matrix(config_dir):
                               "fig5-dephasing04", run={"repetitions": 1100})
     yield "quick-reps-multiblock", [multiblock]
     yield "quick-reps-multiblock-w2", [multiblock, "--workers", "2"]
+    yield "quick-nqubit-pairs", [quick_config(
+        os.path.join(config_dir, "nqubit-pairs.ini"), "fig6-leakage-vs-nqubits",
+        protocol={"nqubit_values": [4, 6], "T_values": [2.0, 3.0],
+                  "dp_values": [0.04, 0.1]}), "--quick"]
 
 
 def _fields(path) -> dict:
