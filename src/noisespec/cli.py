@@ -235,11 +235,13 @@ _KINDS = {
     "floats": (lambda raw: [_parse_float(tok) for tok in raw.split()],
                lambda v: " " + " ".join(repr(float(x)) for x in v)),
     "ints": (lambda raw: [int(tok) for tok in raw.split()],
-             lambda v: " " + " ".join(str(int(x)) for x in v)),
-    "retention": (lambda raw: "cv" if raw.strip() == "cv" else _parse_float(raw),
+             lambda v: " " + " ".join(str(x) for x in v)),
+    # a NaN or infinite threshold is refused by the [0, 1] range check
+    "retention": (lambda raw: "cv" if raw.strip() == "cv" else float(raw),
                   lambda v: f" {v if isinstance(v, str) else repr(float(v))}"),
     "components": (_parse_components,
-                   lambda v: "".join(f"\n  {a!r} {c!r} {w!r}" for a, c, w in v)),
+                   lambda v: "".join(f"\n  {float(a)!r} {float(c)!r} {float(w)!r}"
+                                     for a, c, w in v)),
 }
 
 
@@ -273,13 +275,14 @@ def validate_config(raw: dict) -> dict:
             location = f"{section}.{key}"
             if key in raw.get(section, {}):
                 value = raw[section][key]
-                if isinstance(value, str):
+                if value is not None:
+                    # a typed value is parsed from the text it is written as,
+                    # so a config validates as its own config.ini reruns
+                    parse, fmt = _KINDS[kind]
                     try:
-                        value = _KINDS[kind][0](value)
-                    except ValueError as exc:
+                        value = parse(value if isinstance(value, str) else fmt(value))
+                    except (TypeError, ValueError) as exc:
                         raise ConfigError(str(exc), location=location) from exc
-                elif kind == "retention" and value != "cv":
-                    value = float(value)  # a config has no retained counts
                 out[key] = value
             elif default is _REQUIRED:
                 raise ConfigError("missing required key", location=location)

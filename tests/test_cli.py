@@ -312,6 +312,59 @@ def test_typed_zero_threshold_is_a_float(tmp_path, capsys):
     assert "fo_fidelity_mean = 0.0\n" not in outputs[0]["summary.txt"].decode()
 
 
+def test_typed_float_written_as_its_config_reruns(tmp_path, capsys):
+    """A typed ``T_fo = 2`` runs as the float 2.0, so its outputs equal
+    those of the config.ini it writes (before, ``fo_T = 2`` against the
+    rerun's ``fo_T = 2.0``)."""
+    cfg = cli.preset_config("fig5-dephasing04", quick=True)
+    cfg["protocol"]["T_fo"] = 2
+    cfg = cli.validate_config(cfg)
+    assert type(cfg["protocol"]["T_fo"]) is float
+    cli.run_scenario(cfg, str(tmp_path / "typed"))
+    typed = _outputs(tmp_path / "typed")
+    assert "fo_T = 2.0\n" in typed["summary.txt"].decode()
+    assert cli.main(["run", str(tmp_path / "typed" / "config.ini"),
+                     "--out-dir", str(tmp_path / "rerun")]) == 0
+    capsys.readouterr()
+    assert _outputs(tmp_path / "rerun" / "fig5-dephasing04") == typed
+
+
+class TestTypedValues:
+    """A typed value is parsed from the text it is written as."""
+
+    @pytest.mark.parametrize("preset, section, key, value, parsed", [
+        ("fig5-dephasing04", "protocol", "T_fo", np.float32(2.5), 2.5),
+        ("fig5-dephasing04", "run", "repetitions", np.int64(7), 7),
+        ("fig5-dephasing04", "protocol", "protocols", ("fo",), ["fo"]),
+        ("fig5-dephasing04", "spectrum", "components", [(1, 2, np.float64(1))],
+         [(1.0, 2.0, 1.0)]),
+        ("fig6-leakage-vs-nqubits", "protocol", "nqubit_values", (np.int64(2), 3), [2, 3]),
+        ("fig6-leakage-vs-nqubits", "protocol", "T_values", [2], [2.0]),
+    ], ids=["float", "int", "strs", "components", "ints", "floats"])
+    def test_typed_value_takes_its_kind(self, preset, section, key, value, parsed):
+        cfg = cli.preset_config(preset, quick=True)
+        cfg[section][key] = value
+        # repr tells 2 from 2.0, np.int64(7) from 7 and a tuple from a list
+        assert repr(cli.validate_config(cfg)[section][key]) == repr(parsed)
+
+    @pytest.mark.parametrize("preset, section, key, value", [
+        ("fig5-dephasing04", "run", "repetitions", 2.5),
+        ("fig5-dephasing04", "run", "repetitions", 3.0),
+        ("fig5-dephasing04", "protocol", "n_qubits", True),
+        ("fig6-leakage-vs-nqubits", "protocol", "nqubit_values", [1, 2.5]),
+        ("fig5-dephasing04", "noise", "gamma", float("nan")),
+        ("fig6-leakage-vs-nqubits", "protocol", "T_values", [2.0, float("inf")]),
+        ("fig5-dephasing04", "spectrum", "components", [(1.0, 2.0)]),
+    ], ids=["int-fraction", "int-float", "int-bool", "ints-fraction", "float-nan",
+            "floats-inf", "components-short"])
+    def test_typed_value_refused(self, preset, section, key, value):
+        cfg = cli.preset_config(preset, quick=True)
+        cfg[section][key] = value
+        with pytest.raises(noisespec.ConfigError) as exc:
+            cli.validate_config(cfg)
+        assert exc.value.location == f"{section}.{key}"
+
+
 def test_quick_tracking_keeps_one_sample(tmp_path, capsys):
     """A tracking sample longer than the quick horizon of 100 runs as one
     sample under ``--quick``."""

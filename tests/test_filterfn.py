@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError, GridRangeError,
-                       PulseSequence, SpectralDensity, as_sequence,
+                       NonFiniteInputError, PulseSequence, SpectralDensity, as_sequence,
                        continuous_norm, default_grid, filter_function,
                        fo_sequence, fourier_piecewise, overlap_matrix,
                        signal_overlap, signal_overlaps, staircase_split,
@@ -100,17 +103,60 @@ class TestFilterFunction:
                                    rtol=1e-9, atol=1e-9)
 
     def test_continuous_transform_against_quadrature(self):
-        from scipy.integrate import quad
-        mod = ContinuousModulation(duration=3.0, linear_rate=2.0,
-                                   terms=((1.7, 0.4, -0.3), (5.1, -0.2, 0.6)))
-        for omega in (0.0, 1.3, 7.9):
-            Y, Z = transform_continuous(mod, omega)
-            for target, part in ((Y, np.cos), (Z, np.sin)):
-                re, _ = quad(lambda t: part(mod.phase(t)) * math.cos(omega * t),
-                             0, 3.0, limit=300)
-                im, _ = quad(lambda t: part(mod.phase(t)) * math.sin(omega * t),
-                             0, 3.0, limit=300)
-                assert target == pytest.approx(complex(re, im), abs=1e-9)
+        """Against adaptive quadrature in time, which shares nothing with
+        the Gauss panels: the fixed phase at T = 3 and seeded random phases
+        (0-3 terms, coefficients of order 1-3) at T = 1, 5 and 25, up to
+        the top of ``ocf_grid(10)``, where the panels are widest in phase."""
+        cases = [(ContinuousModulation(duration=3.0, linear_rate=2.0,
+                                       terms=((1.7, 0.4, -0.3), (5.1, -0.2, 0.6))),
+                  (0.0, 1.3, 7.9))]
+        rng = np.random.default_rng(8)
+        for T in (1.0, 5.0, 25.0):
+            cases += [(mod, (0.0, float(rng.uniform(0.0, 30.0)), 30.0))
+                      for mod in _random_phases(T, rng)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the oracle met its own tolerance
+            for mod, omegas in cases:
+                for omega in omegas:
+                    Y, Z = transform_continuous(mod, omega)
+                    Y_quad, Z_quad = _quad_transform(mod, omega)
+                    assert abs(Y - Y_quad) <= 1e-10 * mod.duration
+                    assert abs(Z - Z_quad) <= 1e-10 * mod.duration
+
+
+def _random_phases(T, rng):
+    """One phase of each term count 0-3, as the OCF search builds them:
+    a linear rate below omega_c = 10, term frequencies below 1.2 omega_c and
+    coefficients of magnitude 1-3, which Nelder-Mead steps of 0.6 reach."""
+    def term():
+        a, b = rng.uniform(1.0, 3.0, 2) * rng.choice([-1.0, 1.0], 2)
+        return rng.uniform(0.0, 12.0), a, b
+
+    return [ContinuousModulation(duration=T, linear_rate=rng.uniform(0.0, 10.0),
+                                 terms=tuple(term() for _ in range(n_terms)))
+            for n_terms in range(4)]
+
+
+def _quad_transform(mod, omega):
+    """``(Y, Z)`` at one frequency by ``scipy.integrate.quad`` on pieces of
+    [0, T] that each span at most 20 radians of the fastest oscillation,
+    with the phase summed in scalar ``math``."""
+    from scipy.integrate import quad
+
+    def phi(t):
+        return mod.linear_rate * t + sum(a * math.cos(nu * t) + b * math.sin(nu * t)
+                                         for nu, a, b in mod.terms)
+
+    T = mod.duration
+    edges = np.linspace(0.0, T, math.ceil((mod.phase_rate_bound() + omega) * T / 20.0) + 2)
+    parts = []
+    for part in (math.cos, math.sin):
+        re, im = (sum(quad(lambda t: part(phi(t)) * osc(omega * t), lo, hi,
+                           epsabs=1e-13, epsrel=0.0, limit=200)[0]
+                      for lo, hi in zip(edges[:-1], edges[1:]))
+                  for osc in (math.cos, math.sin))
+        parts.append(complex(re, im))
+    return tuple(parts)
 
 
 # grid sizes that are not multiples of the 64-node block, plus the
@@ -164,6 +210,106 @@ class TestGridKernel:
         # an equal grid built anew reuses its plan
         filter_values(mod, FrequencyGrid(29.0, 3001))
         assert _gauss_plan.cache_info().hits == 1
+
+
+class TestContinuousPanels:
+    """The Gauss panel rule of continuous transforms: each panel spans at
+    most 12 radians of the fastest oscillation, and more panels change
+    nothing."""
+
+    @pytest.mark.parametrize("T", [1.0, 5.0, 25.0])
+    def test_values_equal_four_times_the_panels(self, T, monkeypatch):
+        grid = ocf_grid(10.0)
+        mods = _random_phases(T, np.random.default_rng(int(T)))
+        values = [filter_values(mod, grid) for mod in mods]
+        plan = _gauss_plan.__wrapped__
+        monkeypatch.setattr(filterfn, "_gauss_plan",
+                            lambda duration, n_panels, spacing, size:
+                            plan(duration, 4 * n_panels, spacing, size))
+        for mod, on_plan in zip(mods, values):
+            refined = filter_values(mod, grid)
+            assert np.max(np.abs(on_plan - refined)) <= 1e-13 * np.max(refined)
+
+    @settings(max_examples=60, deadline=None)
+    @given(T=st.floats(0.1, 30.0), linear_rate=st.floats(-10.0, 10.0),
+           terms=st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(-3.0, 3.0),
+                                    st.floats(-3.0, 3.0)), max_size=3),
+           omega_max=st.floats(0.5, 40.0), size=st.integers(2, 400),
+           on_grid=st.booleans())
+    def test_panel_spans_at_most_12_radians(self, T, linear_rate, terms, omega_max, size,
+                                            on_grid):
+        mod = ContinuousModulation(duration=T, linear_rate=linear_rate, terms=tuple(terms))
+        grid = FrequencyGrid(omega_max, size)
+        top_rate = omega_max + mod.phase_rate_bound()
+        panels = []
+        panels_of = filterfn._gauss_panels
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(filterfn, "_gauss_panels", lambda duration, n_panels:
+                       panels.append(n_panels) or panels_of(duration, n_panels))
+            if on_grid:
+                _gauss_plan.cache_clear()
+            transform_continuous(mod, grid if on_grid else grid.omegas)
+        assert len(panels) == 1
+        (n_panels,) = panels
+        assert T / n_panels * top_rate <= 12.0
+        # one spare panel, rounded up to a multiple of 4
+        assert n_panels % 4 == 0 and n_panels < top_rate * T / 12.0 + 5
+
+    @pytest.mark.parametrize("preset", ["fig8-ocf-lorentzian", "fig10-ocf-double"])
+    def test_design_builds_each_plan_once(self, preset):
+        from noisespec import cli
+        from noisespec.ocf import OcfProblem, optimize_continuous
+        cfg = cli.preset_config(preset, quick=True)
+        oc = cfg["ocf"]
+        problem = OcfProblem(
+            spectrum=cli._spectrum_from(cfg["spectrum"]), duration=oc["T"],
+            omega_c=oc["omega_c"], penalty_weight=oc["penalty_weight"],
+            superiterations=oc["superiterations"], inner_evals=oc["inner_evals"],
+            basis_size=oc["basis_size"],
+            grid=ocf_grid(oc["omega_c"], oc["grid_spacing"], oc["grid_span_factor"]))
+        _gauss_plan.cache_clear()
+        optimize_continuous(problem)
+        info = _gauss_plan.cache_info()
+        # no plan was built twice, so none was evicted
+        assert info.hits > 0 and info.misses == info.currsize <= info.maxsize
+
+
+class TestFrequencyInput:
+    """Both transforms check their frequencies the same way."""
+
+    GENERATORS = [PulseSequence([0.5, 1.2], 2.0), staircase_split(4.6, 2, 2.0),
+                  ContinuousModulation(duration=2.0, linear_rate=3.0,
+                                       terms=((1.7, 0.4, -0.3),))]
+    IDS = ["train", "staircase", "continuous"]
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=IDS)
+    def test_empty_array_gives_empty_transforms(self, gen):
+        if isinstance(gen, ContinuousModulation):
+            transforms = transform_continuous(gen, np.array([]))
+        else:
+            transforms = (fourier_piecewise(gen, np.array([])),)
+        for out in transforms:
+            assert out.shape == (0,) and out.dtype == complex
+        assert filter_values(gen, []).shape == (0,)
+
+    @pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan,
+                                       np.array([1.0, math.nan]), np.array([math.inf, 2.0])],
+                             ids=["inf", "-inf", "nan", "nan-in-array", "inf-in-array"])
+    @pytest.mark.parametrize("gen", GENERATORS, ids=IDS)
+    def test_non_finite_refused(self, gen, omega):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInputError, match="omega must be finite"):
+                filter_values(gen, omega)
+            transform = (transform_continuous if isinstance(gen, ContinuousModulation)
+                         else fourier_piecewise)
+            with pytest.raises(NonFiniteInputError, match="omega must be finite"):
+                transform(gen, omega)
+
+    @pytest.mark.parametrize("gen", GENERATORS, ids=IDS)
+    def test_negative_refused(self, gen):
+        with pytest.raises(ValueError, match="omega must be >= 0"):
+            filter_values(gen, np.array([1.0, -0.5]))
 
 
 class TestParseval:
