@@ -43,7 +43,7 @@ from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete
 from .probe import NoiseModel, survival_probability
 from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, fidelity, mean_se,
                           run_jobs, run_repetitions, scan_optimal_time)
-from .seeding import derive_seed
+from .seeding import derive_seed, make_rng
 from .spectra import CompositeSignal, SpectralDensity
 from .tracking import track_fo, track_ocf
 
@@ -176,10 +176,18 @@ SCHEMA = {
         }),
 }
 
-# [protocol] lists a scenario cannot run without
-_NONEMPTY = {"time-scan": ("T_candidates",),
-             "gamma-scan": ("gamma_values", "fo_candidates", "as_candidates"),
-             "nqubit-scan": ("nqubit_values",)}
+# (section, key) of each list a scenario cannot run without
+_NONEMPTY = {"reconstruction": (("protocol", "protocols"),),
+             "time-scan": (("protocol", "T_candidates"),),
+             "gamma-scan": (("protocol", "gamma_values"), ("protocol", "fo_candidates"),
+                            ("protocol", "as_candidates")),
+             "nqubit-scan": (("protocol", "nqubit_values"),),
+             "ocf": (("ocf", "nqubit_values"),)}
+
+# (section, key) of each list whose values name outputs, so a repeated value
+# would overwrite an earlier one's
+_DISTINCT = (("protocol", "protocols"), ("tracking", "nqubit_values"),
+             ("ocf", "sweep_nqubits"))
 
 # keys, in any section, whose values (each value of a list) must be > 0:
 # operation times, band cutoffs, the tracking horizon and grid sizes
@@ -187,10 +195,11 @@ _POSITIVE = ("T", "T_fo", "T_as", "T_candidates", "fo_candidates", "as_candidate
              "T_values", "omega_c", "horizon", "spacing", "span_factor", "grid_spacing",
              "grid_span_factor")
 
-# counts, in any section, and the least value each (each value of a list) may take
+# counts and spectrum scales, in any section, and the least value each (each
+# value of a list) may take
 _AT_LEAST = {"repetitions": 1, "K": 1, "n_qubits": 1, "nqubit_values": 1,
              "sweep_nqubits": 1, "restarts": 1, "k_block": 1, "inner_evals": 1,
-             "basis_size": 1, "superiterations": 0, "n_random_directions": 0}
+             "basis_size": 1, "superiterations": 0, "n_random_directions": 0, "scale": 0}
 
 # [protocol] lists whose values each replace one [noise] field
 _NOISE_LISTS = {"gamma-scan": {"gamma_values": "gamma"},
@@ -198,12 +207,11 @@ _NOISE_LISTS = {"gamma-scan": {"gamma_values": "gamma"},
 
 
 def _parse_bool(raw):
-    lowered = raw.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    text = raw.strip()
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
 
 
 def _parse_float(raw):
@@ -225,23 +233,28 @@ def _parse_components(raw):
     return rows
 
 
-# schema kind -> (parse raw text, format a value as the text after "key =")
+def _fmt_one(value) -> str:
+    return f" {_fmt(value)}"
+
+
+def _fmt_list(values) -> str:
+    return " " + " ".join(map(_fmt, values))
+
+
+# schema kind -> (parse raw text, format a value as the text after "key =");
+# every kind writes its scalars through _fmt, as summary.txt and the CSVs do
 _KINDS = {
-    "int": (int, lambda v: f" {v}"),
-    "float": (_parse_float, lambda v: f" {float(v)!r}"),
-    "bool": (_parse_bool, lambda v: " true" if v else " false"),
-    "str": (str.strip, lambda v: f" {v}"),
-    "strs": (str.split, lambda v: " " + " ".join(v)),
-    "floats": (lambda raw: [_parse_float(tok) for tok in raw.split()],
-               lambda v: " " + " ".join(repr(float(x)) for x in v)),
-    "ints": (lambda raw: [int(tok) for tok in raw.split()],
-             lambda v: " " + " ".join(str(x) for x in v)),
+    "int": (int, _fmt_one),
+    "float": (_parse_float, _fmt_one),
+    "bool": (_parse_bool, _fmt_one),
+    "str": (str.strip, _fmt_one),
+    "strs": (str.split, _fmt_list),
+    "floats": (lambda raw: [_parse_float(tok) for tok in raw.split()], _fmt_list),
+    "ints": (lambda raw: [int(tok) for tok in raw.split()], _fmt_list),
     # a NaN or infinite threshold is refused by the [0, 1] range check
-    "retention": (lambda raw: "cv" if raw.strip() == "cv" else float(raw),
-                  lambda v: f" {v if isinstance(v, str) else repr(float(v))}"),
+    "retention": (lambda raw: "cv" if raw.strip() == "cv" else float(raw), _fmt_one),
     "components": (_parse_components,
-                   lambda v: "".join(f"\n  {float(a)!r} {float(c)!r} {float(w)!r}"
-                                     for a, c, w in v)),
+                   lambda v: "".join(f"\n {_fmt_list(row)}" for row in v)),
 }
 
 
@@ -288,17 +301,6 @@ def validate_config(raw: dict) -> dict:
                 raise ConfigError("missing required key", location=location)
             else:
                 out[key] = copy.deepcopy(default)
-    for section in ("spectrum", "spectrum2"):
-        if section not in cfg:
-            continue
-        key = "csv" if cfg[section]["components"] is None else "components"
-        if cfg[section][key] is None:
-            raise ConfigError("need either components or csv",
-                              location=f"{section}.components")
-        try:
-            _spectrum_from(cfg[section])
-        except (ValueError, OSError) as exc:
-            raise ConfigError(str(exc), location=f"{section}.{key}") from exc
     for section, values in cfg.items():
         for key, value in values.items():
             if key in _POSITIVE and min(np.atleast_1d(value), default=1.0) <= 0:
@@ -310,6 +312,17 @@ def validate_config(raw: dict) -> dict:
             if key == "eig_keep" and value != "cv" and not 0 <= value <= 1:
                 raise ConfigError(f"must be cv or a threshold in [0, 1], got {value}",
                                   location=f"{section}.{key}")
+    for section in ("spectrum", "spectrum2"):
+        if section not in cfg:
+            continue
+        key = "csv" if cfg[section]["components"] is None else "components"
+        if cfg[section][key] is None:
+            raise ConfigError("need either components or csv",
+                              location=f"{section}.components")
+        try:
+            _spectrum_from(cfg[section])
+        except (ValueError, OSError) as exc:
+            raise ConfigError(str(exc), location=f"{section}.{key}") from exc
     pro = cfg.get("protocol", {})
     for key in ("protocols", "kind"):
         names = pro.get(key, [])
@@ -324,9 +337,14 @@ def validate_config(raw: dict) -> dict:
     if tr and tr["horizon"] < _one_sample(tr):
         raise ConfigError(f"shorter than one sample, max(k_block, 2) * T = "
                           f"{_one_sample(tr)}", location="tracking.horizon")
-    for key in _NONEMPTY.get(scenario, ()):
-        if not pro[key]:
-            raise ConfigError("needs at least one value", location=f"protocol.{key}")
+    for section, key in _NONEMPTY.get(scenario, ()):
+        if not cfg[section][key]:
+            raise ConfigError("needs at least one value", location=f"{section}.{key}")
+    for section, key in _DISTINCT:
+        values = cfg.get(section, {}).get(key, [])
+        if len(set(values)) < len(values):
+            raise ConfigError(f"values must be distinct, got {values}",
+                              location=f"{section}.{key}")
     if scenario == "nqubit-scan":
         for key in ("T_values", "dp_values", "gamma_values"):
             if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):
@@ -688,7 +706,7 @@ def _run_fisher(cfg, workers):
     rank = fio_rank(fio)
     directions = [("component_mix", ctx.spectrum)]
     for d in range(fi["n_random_directions"]):
-        rng = np.random.default_rng(derive_seed(cfg["run"]["seed"], 40, d))
+        rng = make_rng(derive_seed(cfg["run"]["seed"], 40, d))
         comps = [(float(rng.uniform(0.2, 1.5)), float(rng.uniform(0.0, fi["omega_c"])),
                   float(rng.uniform(0.5, 3.0))) for _ in range(2)]
         directions.append((f"random_{d}", SpectralDensity.lorentzian_mixture(comps)))

@@ -95,8 +95,6 @@ class _Objective:
 
     def __init__(self, spectrum, grid: FrequencyGrid, omega_c: float,
                  penalty_weight: float):
-        self.grid = grid
-        self.omega_c = omega_c
         self.penalty_weight = penalty_weight
         self.w_full = grid.trap_weights()
         self.w_band = grid.trap_weights(omega_c)
@@ -115,8 +113,6 @@ class _Objective:
         if norm <= 0.0:
             raise UndefinedObjectiveError("filter vanishes on the analysis band")
         xi = float(np.sum(self.w_full * self.s_vals * f_vals)) / norm
-        if self.penalty_weight == 0.0:
-            return xi, xi
         out = float(np.sum(self.w_out * f_vals)) / norm
         return xi - self.penalty_weight * self.s_rms * out, xi
 

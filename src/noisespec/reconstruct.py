@@ -38,7 +38,7 @@ from .errors import (CalibrationError, DegenerateBasisError, GridRangeError,
                      IllConditionedInversionError, UndefinedFidelityError, require_finite)
 from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
                        signal_overlaps)
-from .modulation import as_sequence, fo_sequence, staircase_split
+from .modulation import as_sequence, staircase_split
 from .probe import NoiseModel, measure_batch
 from .seeding import derive_seed, derive_seed_array
 from .spectra import SpectralDensity, calibrate_amplitude
@@ -361,13 +361,14 @@ def _cosine_rows(s_true: np.ndarray, n_true: float, c_rows: np.ndarray,
 class ProtocolContext:
     """Noise-independent state for repeated runs of one (protocol, T) cell.
 
-    Builds the filter set, calibrates the spectrum scale so the median
-    overlap coefficient is one (one spectrum sample on the grid for the
-    calibration, one for ``c_true``), and keeps what no repetition
-    changes: the overlap ("fo") or bin ("as") matrix, the true spectrum
-    with its norm at the fidelity points, and ``G``, whose row k is basis
-    function k at the fidelity points (filter k for "fo", the hat of
-    pointwise node k for "as").  The cell's inversion is fixed too: the
+    Builds the filter set (fo filter k is the :func:`staircase_split` of
+    ``cos(omega_max (k - 1) t / K)`` for every qubit count), calibrates the
+    spectrum scale so the median overlap coefficient is one (one spectrum
+    sample on the grid for the calibration, one for ``c_true``), and keeps
+    what no repetition changes: the overlap ("fo") or bin ("as") matrix, the
+    true spectrum with its norm at the fidelity points, and ``G``, whose row
+    k is basis function k at the fidelity points (filter k for "fo", the hat
+    of pointwise node k for "as").  The cell's inversion is fixed too: the
     "fo" retention rule ``eig_keep`` (checked here) and the "as" delta
     approximation ``as_delta``, as in :func:`fo_reconstruct` and
     :func:`as_reconstruct`.
@@ -415,23 +416,18 @@ class ProtocolContext:
         self.as_delta = as_delta
         self.grid = grid if grid is not None else default_grid(self.omega_max)
 
-        gens = []
-        for k in range(1, K + 1):
-            if protocol == "fo":
-                if n_qubits == 1:
-                    gens.append(fo_sequence(k, K, self.omega_max, operation_time))
-                else:
-                    rate = self.omega_max * (k - 1) / K
-                    gens.append(staircase_split(rate, n_qubits, operation_time))
-            else:
-                gens.append(as_sequence(k, K, self.omega_max, operation_time))
+        if protocol == "fo":
+            gens = [staircase_split(self.omega_max * (k - 1) / K, n_qubits, operation_time)
+                    for k in range(1, K + 1)]
+        else:
+            gens = [as_sequence(k, K, self.omega_max, operation_time) for k in range(1, K + 1)]
         self.filters = [filter_function(g, self.grid) for g in gens]
 
         unit = spectrum.with_scale(1.0)
         self.scale = calibrate_amplitude(unit, self.filters)
         self.spectrum = spectrum.with_scale(self.scale)
         self.c_true = signal_overlaps(self.spectrum, self.filters)
-        self.fidelity_points = omega_c * np.arange(1, K + 1) / K
+        self.fidelity_points = _pointwise_omegas(omega_c, K)
         self.overlap = overlap_matrix(self.filters, omega_c) if protocol == "fo" else None
         self.bins = bin_matrix(self.filters, self.omega_max) if protocol == "as" else None
         self._s_true = np.asarray(self.spectrum.evaluate(self.fidelity_points), dtype=float)

@@ -134,6 +134,15 @@ class TestExitCodes:
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.horizon"),
         (_ini("tracking", tracking="omega_osc = 0.01\nhorizon = 9.9\nk_block = 1",
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.horizon"),
+        (_ini("reconstruction", spectrum="components =\n  1.0 2.0 1.0\nscale = -1"),
+         "spectrum.scale"),
+        (_ini("tracking", tracking="omega_osc = 0.01",
+              spectrum2="components =\n  1.0 2.0 1.0\nscale = -1"), "spectrum2.scale"),
+        # each value names an output, which a repeated value would overwrite
+        (_ini("reconstruction", protocol="protocols = fo fo"), "protocol.protocols"),
+        (_ini("tracking", tracking="omega_osc = 0.01\nnqubit_values = 1 1",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.nqubit_values"),
+        (_ini("ocf", ocf="T_candidates = 2\nsweep_nqubits = 1 1"), "ocf.sweep_nqubits"),
     ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values",
             "T-nan", "T-inf", "T-negative", "T-zero", "omega-c-nan", "K-zero", "eig-keep-nan",
             "candidates-inf", "candidates-zero", "T-values-negative", "ocf-candidates",
@@ -145,7 +154,9 @@ class TestExitCodes:
             "grid-spacing-negative", "grid-span-zero", "ocf-grid-spacing-zero",
             "ocf-grid-span-negative", "eig-keep-negative", "eig-keep-above-one",
             "tracking-eig-keep-above-one", "horizon-below-one-block",
-            "horizon-below-one-pair"])
+            "horizon-below-one-pair", "scale-negative", "spectrum2-scale-negative",
+            "protocols-repeated", "tracking-nqubit-values-repeated",
+            "ocf-sweep-nqubits-repeated"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, text, location)
 
@@ -176,14 +187,18 @@ class TestExitCodes:
         _assert_rejected(tmp_path, capsys, _ini(scenario, **{section: f"{key} = {value}"}),
                          f"{section}.{key}")
 
-    @pytest.mark.parametrize("scenario, key", [
-        ("time-scan", "T_candidates"), ("gamma-scan", "gamma_values"),
-        ("gamma-scan", "fo_candidates"), ("gamma-scan", "as_candidates"),
-        ("nqubit-scan", "nqubit_values")])
-    def test_empty_list_rejected(self, scenario, key, tmp_path, capsys):
+    @pytest.mark.parametrize("scenario, section, key", [
+        ("time-scan", "protocol", "T_candidates"), ("gamma-scan", "protocol", "gamma_values"),
+        ("gamma-scan", "protocol", "fo_candidates"), ("gamma-scan", "protocol", "as_candidates"),
+        ("nqubit-scan", "protocol", "nqubit_values"), ("ocf", "ocf", "nqubit_values"),
+        ("reconstruction", "protocol", "protocols")],
+        ids=["time-scan-T_candidates", "gamma-scan-gamma_values", "gamma-scan-fo_candidates",
+             "gamma-scan-as_candidates", "nqubit-scan-nqubit_values", "ocf-nqubit_values",
+             "reconstruction-protocols"])
+    def test_empty_list_rejected(self, scenario, section, key, tmp_path, capsys):
         # without --quick, which would replace the candidate lists
-        _assert_rejected(tmp_path, capsys, _ini(scenario, protocol=f"{key} ="),
-                         f"protocol.{key}", flags=("--repetitions", "1"))
+        _assert_rejected(tmp_path, capsys, _ini(scenario, **{section: f"{key} ="}),
+                         f"{section}.{key}", flags=("--repetitions", "1"))
 
     @pytest.mark.parametrize("text, location", [
         (_ini("reconstruction", spectrum="components =\n  nan 2.0 1.0"),
@@ -355,8 +370,10 @@ class TestTypedValues:
         ("fig5-dephasing04", "noise", "gamma", float("nan")),
         ("fig6-leakage-vs-nqubits", "protocol", "T_values", [2.0, float("inf")]),
         ("fig5-dephasing04", "spectrum", "components", [(1.0, 2.0)]),
+        ("fig10-ocf-double", "ocf", "continuous", 0.5),
+        ("fig10-ocf-double", "ocf", "continuous", 2),
     ], ids=["int-fraction", "int-float", "int-bool", "ints-fraction", "float-nan",
-            "floats-inf", "components-short"])
+            "floats-inf", "components-short", "bool-fraction", "bool-int"])
     def test_typed_value_refused(self, preset, section, key, value):
         cfg = cli.preset_config(preset, quick=True)
         cfg[section][key] = value

@@ -284,6 +284,17 @@ class TestContextInput:
             ProtocolContext("fo", spec, 2.0, K=K)
 
 
+@pytest.mark.parametrize("K, T", [(20, 2.0), (20, 5.0), (7, 7.3), (1, 3.0)])
+def test_one_qubit_fo_filters_are_fo_sequences(K, T):
+    """A one-qubit fo context builds its filters as staircase splits, with
+    the bytes of the :func:`fo_sequence` square waves."""
+    spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+    ctx = ProtocolContext("fo", spec, T, K=K)
+    for k, filt in enumerate(ctx.filters, start=1):
+        ref = filter_function(fo_sequence(k, K, ctx.omega_max, T), ctx.grid)
+        assert filt.values.tobytes() == ref.values.tobytes()
+
+
 def _fo_scan(spec, gamma, times, seed):
     """fo contexts at ``times`` under detector error 0.01 and ``gamma``."""
     return ([ProtocolContext("fo", spec, T) for T in times],
