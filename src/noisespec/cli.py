@@ -4,8 +4,8 @@ Configs are INI files (sections of key=value lines) validated against a
 per-scenario schema; unknown sections or keys are rejected with their
 location.  Scenarios, presets and budgets are data in this module:
 
-- ``SCHEMA`` holds each scenario's sections and its keys' kinds and
-  defaults (``run.repetitions`` too); ``_KINDS`` parses and formats a kind.
+- ``SCHEMA`` holds each scenario's sections and each key's kind, default
+  and rules (``run.repetitions`` too); ``_KINDS`` parses and formats a kind.
 - ``PRESETS`` holds each preset's description, scenario and sections.
   ``--quick`` merges ``_QUICK``'s budget into a config after validation
   (so a value it replaces is still checked), keeps a nqubit scan's first
@@ -53,21 +53,20 @@ _REQUIRED = object()
 # configuration schema
 # ---------------------------------------------------------------------------
 
+# An entry is (kind, default, *rules).  A rule is a least value ("> 0",
+# ">= 0" or ">= 1", held by each value of a list), "nonempty", "distinct",
+# "protocol" (each value is fo or as) or "noise.<field>" (each value
+# replaces that [noise] field, so NoiseModel checks it).  The rules between
+# keys, [noise] as one NoiseModel among them, close validate_config.
 _COMMON = {
-    "run": {
-        "scenario": ("str", _REQUIRED),
-        "name": ("str", _REQUIRED),
-        "repetitions": ("int", 100),
-        "seed": ("int", 20260810),
-    },
     "spectrum": {
         "components": ("components", None),
         "csv": ("str", None),
-        "scale": ("float", 1.0),
+        "scale": ("float", 1.0, ">= 0"),
     },
     "grid": {
-        "spacing": ("float", 0.005),
-        "span_factor": ("float", 5.0),
+        "spacing": ("float", 0.005, "> 0"),
+        "span_factor": ("float", 5.0, "> 0"),
     },
     "units": {
         "time_unit": ("str", ""),
@@ -82,38 +81,39 @@ _NOISE = {
     "shots": ("int", None),
 }
 
-_BAND = {"K": ("int", 20), "omega_c": ("float", 10.0)}
-_OPTIMIZER = {"superiterations": ("int", 10), "inner_evals": ("int", 60),
-              "basis_size": ("int", 3)}
+_BAND = {"K": ("int", 20, ">= 1"), "omega_c": ("float", 10.0, "> 0")}
+_OPTIMIZER = {"superiterations": ("int", 10, ">= 0"), "inner_evals": ("int", 60, ">= 1"),
+              "basis_size": ("int", 3, ">= 1")}
 
 
 def _scenario(repetitions=100, without=(), **sections):
-    """Schema of one scenario: the common sections less ``without``, with the
-    scenario's own ``run.repetitions`` default, then its own sections."""
-    common = {**_COMMON, "run": {**_COMMON["run"], "repetitions": ("int", repetitions)}}
-    return {**{name: keys for name, keys in common.items() if name not in without},
-            **sections}
+    """Schema of one scenario: ``[run]`` with the scenario's own repetitions
+    default, the common sections less ``without``, then its own sections."""
+    run = {"scenario": ("str", _REQUIRED), "name": ("str", _REQUIRED),
+           "repetitions": ("int", repetitions, ">= 1"), "seed": ("int", 20260810)}
+    return {"run": run, **{name: keys for name, keys in _COMMON.items()
+                           if name not in without}, **sections}
 
 
 SCHEMA = {
     "reconstruction": _scenario(
         noise=_NOISE,
         protocol={
-            "protocols": ("strs", ["fo", "as"]),
+            "protocols": ("strs", ["fo", "as"], "protocol", "nonempty", "distinct"),
             **_BAND,
-            "T_fo": ("float", 2.0),
-            "T_as": ("float", 25.0),
-            "n_qubits": ("int", 1),
+            "T_fo": ("float", 2.0, "> 0"),
+            "T_as": ("float", 25.0, "> 0"),
+            "n_qubits": ("int", 1, ">= 1"),
             "eig_keep": ("retention", DEFAULT_TAU),
             "as_delta_approx": ("bool", False),
         }),
     "time-scan": _scenario(
         noise=_NOISE,
         protocol={
-            "kind": ("str", "fo"),
+            "kind": ("str", "fo", "protocol"),
             **_BAND,
-            "T_candidates": ("floats", [1.0, 2.0, 3.0, 5.0, 7.0, 10.0]),
-            "n_qubits": ("int", 1),
+            "T_candidates": ("floats", [1.0, 2.0, 3.0, 5.0, 7.0, 10.0], "> 0", "nonempty"),
+            "n_qubits": ("int", 1, ">= 1"),
             "eig_keep": ("retention", DEFAULT_TAU),
         }),
     "gamma-scan": _scenario(
@@ -121,36 +121,37 @@ SCHEMA = {
         noise={key: _NOISE[key] for key in ("dp_max", "shots")},
         protocol={
             **_BAND,
-            "gamma_values": ("floats", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]),
-            "fo_candidates": ("floats", [1.0, 2.0, 3.0, 5.0, 7.0, 10.0]),
-            "as_candidates": ("floats", [5.0, 10.0, 15.0, 20.0, 25.0]),
+            "gamma_values": ("floats", [0.0, 0.1, 0.2, 0.3, 0.4, 0.5], "noise.gamma",
+                             "nonempty"),
+            "fo_candidates": ("floats", [1.0, 2.0, 3.0, 5.0, 7.0, 10.0], "> 0", "nonempty"),
+            "as_candidates": ("floats", [5.0, 10.0, 15.0, 20.0, 25.0], "> 0", "nonempty"),
             "eig_keep": ("retention", DEFAULT_TAU),
         }),
     "nqubit-scan": _scenario(
         noise=_NOISE,
         protocol={
             **_BAND,
-            "nqubit_values": ("ints", [1, 2, 3, 4, 5, 6]),
-            "T_values": ("floats", [2.0]),
-            "dp_values": ("floats", []),
-            "gamma_values": ("floats", []),
+            "nqubit_values": ("ints", [1, 2, 3, 4, 5, 6], ">= 1", "nonempty"),
+            "T_values": ("floats", [2.0], "> 0"),
+            "dp_values": ("floats", [], "noise.dp_max"),
+            "gamma_values": ("floats", [], "noise.gamma"),
             "eig_keep": ("retention", DEFAULT_TAU),
         }),
     # the optimization grid is [ocf] grid_spacing and grid_span_factor
     "ocf": _scenario(
         repetitions=1, without=("grid",),
         ocf={
-            "omega_c": ("float", 10.0),
-            "T": ("float", 5.0),
-            "T_candidates": ("floats", []),
-            "nqubit_values": ("ints", [1, 2, 3, 4, 6]),
-            "sweep_nqubits": ("ints", [1, 4]),
-            "restarts": ("int", 3),
+            "omega_c": ("float", 10.0, "> 0"),
+            "T": ("float", 5.0, "> 0"),
+            "T_candidates": ("floats", [], "> 0"),
+            "nqubit_values": ("ints", [1, 2, 3, 4, 6], ">= 1", "nonempty"),
+            "sweep_nqubits": ("ints", [1, 4], ">= 1", "distinct"),
+            "restarts": ("int", 3, ">= 1"),
             **_OPTIMIZER,
-            "penalty_weight": ("float", 1.0),
+            "penalty_weight": ("float", 1.0, ">= 0"),
             "continuous": ("bool", True),
-            "grid_spacing": ("float", 0.01),
-            "grid_span_factor": ("float", 3.0),
+            "grid_spacing": ("float", 0.01, "> 0"),
+            "grid_span_factor": ("float", 3.0, "> 0"),
         }),
     "tracking": _scenario(
         repetitions=1,
@@ -158,11 +159,11 @@ SCHEMA = {
         spectrum2=_COMMON["spectrum"],
         tracking={
             "omega_osc": ("float", _REQUIRED),
-            "k_block": ("int", 10),
-            "T": ("float", 5.0),
-            "horizon": ("float", 500.0),
-            "omega_c": ("float", 10.0),
-            "nqubit_values": ("ints", [1, 6]),
+            "k_block": ("int", 10, ">= 1"),
+            "T": ("float", 5.0, "> 0"),
+            "horizon": ("float", 500.0, "> 0"),
+            "omega_c": ("float", 10.0, "> 0"),
+            "nqubit_values": ("ints", [1, 6], ">= 1", "distinct"),
             **_OPTIMIZER,
             "eig_keep": ("retention", DEFAULT_TAU),
         }),
@@ -171,39 +172,29 @@ SCHEMA = {
         noise={"gamma": _NOISE["gamma"]},
         fisher={
             **_BAND,
-            "T": ("float", 5.0),
-            "n_random_directions": ("int", 3),
+            "T": ("float", 5.0, "> 0"),
+            "n_random_directions": ("int", 3, ">= 0"),
         }),
 }
 
-# (section, key) of each list a scenario cannot run without
-_NONEMPTY = {"reconstruction": (("protocol", "protocols"),),
-             "time-scan": (("protocol", "T_candidates"),),
-             "gamma-scan": (("protocol", "gamma_values"), ("protocol", "fo_candidates"),
-                            ("protocol", "as_candidates")),
-             "nqubit-scan": (("protocol", "nqubit_values"),),
-             "ocf": (("ocf", "nqubit_values"),)}
+_LEAST = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
 
-# (section, key) of each list whose values name outputs, so a repeated value
-# would overwrite an earlier one's
-_DISTINCT = (("protocol", "protocols"), ("tracking", "nqubit_values"),
-             ("ocf", "sweep_nqubits"))
 
-# keys, in any section, whose values (each value of a list) must be > 0:
-# operation times, band cutoffs, the tracking horizon and grid sizes
-_POSITIVE = ("T", "T_fo", "T_as", "T_candidates", "fo_candidates", "as_candidates",
-             "T_values", "omega_c", "horizon", "spacing", "span_factor", "grid_spacing",
-             "grid_span_factor")
-
-# counts and spectrum scales, in any section, and the least value each (each
-# value of a list) may take
-_AT_LEAST = {"repetitions": 1, "K": 1, "n_qubits": 1, "nqubit_values": 1,
-             "sweep_nqubits": 1, "restarts": 1, "k_block": 1, "inner_evals": 1,
-             "basis_size": 1, "superiterations": 0, "n_random_directions": 0, "scale": 0}
-
-# [protocol] lists whose values each replace one [noise] field
-_NOISE_LISTS = {"gamma-scan": {"gamma_values": "gamma"},
-                "nqubit-scan": {"dp_values": "dp_max", "gamma_values": "gamma"}}
+def _check(rule: str, value) -> None:
+    """Raise ValueError where ``value`` (each value of a list) breaks ``rule``."""
+    values = value if isinstance(value, list) else [value]
+    if rule in _LEAST and not all(map(_LEAST[rule], values)):
+        raise ValueError(f"must be {rule}, got {value}")
+    if rule == "nonempty" and not values:
+        raise ValueError("needs at least one value")
+    # a repeated value would overwrite the output an earlier one names
+    if rule == "distinct" and len(set(values)) < len(values):
+        raise ValueError(f"values must be distinct, got {value}")
+    for one in values:
+        if rule == "protocol" and one not in ("fo", "as"):
+            raise ValueError(f"unknown protocol {one!r}")
+        if rule.startswith("noise."):
+            NoiseModel(**{rule.removeprefix("noise."): one})
 
 
 def _parse_bool(raw):
@@ -218,6 +209,17 @@ def _parse_float(raw):
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
+def _parse_retention(raw):
+    if raw.strip() == "cv":
+        return "cv"
+    # a config has no retained counts: a threshold above 1 retains nothing,
+    # and a NaN or infinite one is out of range too
+    value = float(raw)
+    if not 0 <= value <= 1:
+        raise ValueError(f"must be cv or a threshold in [0, 1], got {value}")
     return value
 
 
@@ -251,8 +253,7 @@ _KINDS = {
     "strs": (str.split, _fmt_list),
     "floats": (lambda raw: [_parse_float(tok) for tok in raw.split()], _fmt_list),
     "ints": (lambda raw: [int(tok) for tok in raw.split()], _fmt_list),
-    # a NaN or infinite threshold is refused by the [0, 1] range check
-    "retention": (lambda raw: "cv" if raw.strip() == "cv" else float(raw), _fmt_one),
+    "retention": (_parse_retention, _fmt_one),
     "components": (_parse_components,
                    lambda v: "".join(f"\n {_fmt_list(row)}" for row in v)),
 }
@@ -265,7 +266,8 @@ def _one_sample(tracking: dict) -> float:
 
 def validate_config(raw: dict) -> dict:
     """Typed, defaulted configuration from a nested dict of raw strings
-    (or already-typed values).  Unknown sections/keys are rejected."""
+    (or already-typed values).  Unknown sections/keys are rejected; each
+    value meets its entry's rules, then the rules between keys apply."""
     run = raw.get("run", {})
     scenario = run.get("scenario")
     if scenario is None:
@@ -274,7 +276,6 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError(f"unknown scenario {scenario!r}; valid: "
                           f"{sorted(SCHEMA)}", location="run.scenario")
     schema = SCHEMA[scenario]
-    cfg = {}
     for section, content in raw.items():
         if section not in schema:
             raise ConfigError(f"unknown section [{section}] for scenario "
@@ -282,36 +283,27 @@ def validate_config(raw: dict) -> dict:
         for key in content:
             if key not in schema[section]:
                 raise ConfigError("unknown key", location=f"{section}.{key}")
+    cfg = {}
     for section, keys in schema.items():
+        given = raw.get(section, {})
         out = cfg[section] = {}
-        for key, (kind, default) in keys.items():
+        for key, (kind, default, *rules) in keys.items():
             location = f"{section}.{key}"
-            if key in raw.get(section, {}):
-                value = raw[section][key]
-                if value is not None:
-                    # a typed value is parsed from the text it is written as,
-                    # so a config validates as its own config.ini reruns
-                    parse, fmt = _KINDS[kind]
-                    try:
-                        value = parse(value if isinstance(value, str) else fmt(value))
-                    except (TypeError, ValueError) as exc:
-                        raise ConfigError(str(exc), location=location) from exc
-                out[key] = value
-            elif default is _REQUIRED:
+            value = given.get(key, default)
+            if value is _REQUIRED:
                 raise ConfigError("missing required key", location=location)
-            else:
-                out[key] = copy.deepcopy(default)
-    for section, values in cfg.items():
-        for key, value in values.items():
-            if key in _POSITIVE and min(np.atleast_1d(value), default=1.0) <= 0:
-                raise ConfigError(f"must be > 0, got {value}", location=f"{section}.{key}")
-            if key in _AT_LEAST and min(np.atleast_1d(value), default=1) < _AT_LEAST[key]:
-                raise ConfigError(f"must be >= {_AT_LEAST[key]}, got {value}",
-                                  location=f"{section}.{key}")
-            # a config has no retained counts: a threshold above 1 retains nothing
-            if key == "eig_keep" and value != "cv" and not 0 <= value <= 1:
-                raise ConfigError(f"must be cv or a threshold in [0, 1], got {value}",
-                                  location=f"{section}.{key}")
+            try:
+                if value is not None:
+                    # a typed value or default is parsed from the text it is
+                    # written as, so a config validates as its config.ini reruns
+                    parse, fmt = _KINDS[kind]
+                    value = parse(value if isinstance(value, str) else fmt(value))
+                for rule in rules:
+                    _check(rule, value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(str(exc), location=location) from exc
+            out[key] = value
+    # the rules between keys
     for section in ("spectrum", "spectrum2"):
         if section not in cfg:
             continue
@@ -324,12 +316,6 @@ def validate_config(raw: dict) -> dict:
         except (ValueError, OSError) as exc:
             raise ConfigError(str(exc), location=f"{section}.{key}") from exc
     pro = cfg.get("protocol", {})
-    for key in ("protocols", "kind"):
-        names = pro.get(key, [])
-        for protocol in [names] if isinstance(names, str) else names:
-            if protocol not in ("fo", "as"):
-                raise ConfigError(f"unknown protocol {protocol!r}",
-                                  location=f"protocol.{key}")
     if pro.get("kind") == "as" and pro["n_qubits"] != 1:
         raise ConfigError("the pointwise protocol is defined for one qubit",
                           location="protocol.n_qubits")
@@ -337,27 +323,16 @@ def validate_config(raw: dict) -> dict:
     if tr and tr["horizon"] < _one_sample(tr):
         raise ConfigError(f"shorter than one sample, max(k_block, 2) * T = "
                           f"{_one_sample(tr)}", location="tracking.horizon")
-    for section, key in _NONEMPTY.get(scenario, ()):
-        if not cfg[section][key]:
-            raise ConfigError("needs at least one value", location=f"{section}.{key}")
-    for section, key in _DISTINCT:
-        values = cfg.get(section, {}).get(key, [])
-        if len(set(values)) < len(values):
-            raise ConfigError(f"values must be distinct, got {values}",
-                              location=f"{section}.{key}")
     if scenario == "nqubit-scan":
         for key in ("T_values", "dp_values", "gamma_values"):
             if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):
                 raise ConfigError("length must be 0, 1 or that of nqubit_values",
                                   location=f"protocol.{key}")
-    noises = [(cfg["noise"], "noise")] if "noise" in cfg else []
-    noises += [({**cfg["noise"], field: value}, f"protocol.{key}")
-               for key, field in _NOISE_LISTS.get(scenario, {}).items() for value in pro[key]]
-    for fields, location in noises:
+    if "noise" in cfg:
         try:
-            NoiseModel(**fields)
+            NoiseModel(**cfg["noise"])
         except ValueError as exc:
-            raise ConfigError(str(exc), location=location) from exc
+            raise ConfigError(str(exc), location="noise") from exc
     return cfg
 
 
@@ -384,7 +359,7 @@ def format_config(cfg: dict) -> str:
     lines = []
     for section in schema:
         keys = []
-        for key, (kind, _) in schema[section].items():
+        for key, (kind, *_) in schema[section].items():
             value = cfg[section][key]
             if value is not None and value != "":
                 keys.append(f"{key} ={_KINDS[kind][1](value)}")

@@ -39,9 +39,10 @@ Conventions:
 * A sum repeats bit for bit for a fixed order of terms, but splitting its
   terms into partial sums changes the result by a few ulps.
 
-scipy is imported only when :meth:`FilterFunction.tail_integral` runs (the
-sine integral).  No preset run calls it, nor the oracle and ML helpers that
-import scipy the same way, so a run loads numpy alone.
+scipy, the ``oracle`` extra (``pip install noisespec[oracle]``), is imported
+only when :meth:`FilterFunction.tail_integral` runs (the sine integral).  No
+preset run calls it, nor the oracle and ML helpers that import scipy the
+same way, so a run loads numpy alone.
 """
 
 from __future__ import annotations

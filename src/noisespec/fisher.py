@@ -10,10 +10,12 @@ with ``p_k = (1 - exp(-x_k)) / 2``, ``x_k = c_k + gamma*T``, so a change
 ``p <= 0`` (``x = 0``) makes the weight diverge and ``p >= 1/2`` carries no
 information; both are excluded.  Directional information along a trial
 spectrum gives the Cramer-Rao lower bound on the deviation coefficient in
-that direction.
-scipy is imported only when :func:`ml_deviation_estimate` runs (its root
-finder).  No preset run calls it, nor the oracle and tail helpers that
-import scipy the same way.
+that direction.  The bound models Bernoulli shot noise (``shots``
+readouts of each filter); it does not cover the uniform detector error
+``dp_max`` that the presets draw without ``shots``.
+scipy, the ``oracle`` extra (``pip install noisespec[oracle]``), is imported
+only when :func:`ml_deviation_estimate` runs (its root finder).  No preset
+run calls it, nor the oracle and tail helpers that import scipy the same way.
 """
 
 from __future__ import annotations

@@ -61,6 +61,9 @@ class OcfProblem:
                        penalty_weight=self.penalty_weight)
         if self.duration <= 0 or self.omega_c <= 0:
             raise ValueError("duration and omega_c must be > 0")
+        # a negative weight would reward out-of-band filter weight
+        if self.penalty_weight < 0:
+            raise ValueError(f"penalty_weight must be >= 0, got {self.penalty_weight}")
         if self.n_qubits < 1:
             raise ValueError("n_qubits must be >= 1")
         if self.superiterations < 0 or self.inner_evals < 1 or self.basis_size < 1:

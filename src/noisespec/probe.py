@@ -15,7 +15,8 @@ BLAS overlap products already are.
 The oracle recomputes ``chi = 4 * double-integral of y(t') y(t'')
 g(t' - t'')`` entirely in the time domain, with the autocorrelation ``g``
 of the even spectral extension in closed form, so it shares nothing with
-the frequency-grid pipeline it cross-checks.  scipy is imported only when
+the frequency-grid pipeline it cross-checks.  scipy, the ``oracle`` extra
+(``pip install noisespec[oracle]``), is imported only when
 :func:`autocorrelation` runs (the exponential integral).  No preset run
 calls it, nor the tail and ML helpers that import scipy the same way.
 """

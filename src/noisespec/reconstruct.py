@@ -362,8 +362,8 @@ class ProtocolContext:
     """Noise-independent state for repeated runs of one (protocol, T) cell.
 
     Builds the filter set (fo filter k is the :func:`staircase_split` of
-    ``cos(omega_max (k - 1) t / K)`` for every qubit count), calibrates the
-    spectrum scale so the median overlap coefficient is one (one spectrum
+    ``cos(omega_max (k - 1) t / K)`` for every qubit count), calibrates its
+    own amplitude so that the median overlap coefficient is one (one spectrum
     sample on the grid for the calibration, one for ``c_true``), and keeps
     what no repetition changes: the overlap ("fo") or bin ("as") matrix, the
     true spectrum with its norm at the fidelity points, and ``G``, whose row
@@ -371,7 +371,9 @@ class ProtocolContext:
     of pointwise node k for "as").  The cell's inversion is fixed too: the
     "fo" retention rule ``eig_keep`` (checked here) and the "as" delta
     approximation ``as_delta``, as in :func:`fo_reconstruct` and
-    :func:`as_reconstruct`.
+    :func:`as_reconstruct`.  The input spectrum's amplitude drops out: its
+    ``scale`` changes neither ``c_true`` nor a score, and contexts at other
+    times or qubit counts each run at their own amplitude.
 
     :meth:`_score_block` scores every repetition.  With the kept set (the
     finite estimates) and the retention rule fixed, a repetition's estimate

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import noisespec
 from noisespec import cli
@@ -143,6 +146,8 @@ class TestExitCodes:
         (_ini("tracking", tracking="omega_osc = 0.01\nnqubit_values = 1 1",
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.nqubit_values"),
         (_ini("ocf", ocf="T_candidates = 2\nsweep_nqubits = 1 1"), "ocf.sweep_nqubits"),
+        # a negative weight would reward out-of-band filter weight
+        (_ini("ocf", ocf="penalty_weight = -1"), "ocf.penalty_weight"),
     ], ids=["nqubit-dp", "time-scan-kind", "protocols", "nqubit-lengths", "gamma-values",
             "T-nan", "T-inf", "T-negative", "T-zero", "omega-c-nan", "K-zero", "eig-keep-nan",
             "candidates-inf", "candidates-zero", "T-values-negative", "ocf-candidates",
@@ -156,7 +161,7 @@ class TestExitCodes:
             "tracking-eig-keep-above-one", "horizon-below-one-block",
             "horizon-below-one-pair", "scale-negative", "spectrum2-scale-negative",
             "protocols-repeated", "tracking-nqubit-values-repeated",
-            "ocf-sweep-nqubits-repeated"])
+            "ocf-sweep-nqubits-repeated", "penalty-weight-negative"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, text, location)
 
@@ -514,6 +519,169 @@ class TestCodec:
             "components"])
     def test_malformed_value(self, scenario, section, body, location, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, _ini(scenario, **{section: body}), location)
+
+
+def test_scipy_is_the_oracle_extra():
+    """numpy is the one runtime dependency; scipy is the ``oracle`` extra
+    and a test dependency."""
+    import tomllib
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    extras = project["optional-dependencies"]
+    assert [dep.split(">")[0] for dep in extras["oracle"]] == ["scipy"]
+    assert "scipy" in [dep.split(">")[0] for dep in extras["test"]]
+
+
+# ---------------------------------------------------------------------------
+# the rules of every SCHEMA entry
+# ---------------------------------------------------------------------------
+
+RULES = {"> 0", ">= 0", ">= 1", "nonempty", "distinct", "protocol", "noise.gamma",
+         "noise.dp_max"}
+
+
+def _entries(*rules):
+    """(scenario, section, key, kind, rule) of each rule in ``rules`` that a
+    SCHEMA entry carries."""
+    return [(scenario, section, key, kind, rule)
+            for scenario, schema in cli.SCHEMA.items()
+            for section, keys in schema.items()
+            for key, (kind, _, *entry_rules) in keys.items()
+            for rule in entry_rules if rule in rules]
+
+
+def _ids(entries):
+    return [f"{scenario}-{section}.{key}" + ("" if rule[0] in "<>" else f"-{rule}")
+            for scenario, section, key, _, rule in entries]
+
+
+def _base(scenario):
+    """Raw text sections of a valid ``scenario`` config."""
+    sections = {"run": f"scenario = {scenario}\nname = bad",
+                "spectrum": "components =\n  1.0 2.0 1.0"}
+    if scenario == "tracking":
+        sections.update(tracking="omega_osc = 0.01", spectrum2="components =\n  1.0 2.0 1.0")
+    return sections
+
+
+def _assert_refused(tmp_path, capsys, scenario, section, key, kind, value):
+    """``value`` of ``section.key`` is refused at its key, written as text
+    (exit 2) and given typed."""
+    sections = _base(scenario)
+    line = f"{key} ={cli._KINDS[kind][1](value)}"
+    sections[section] = "\n".join(filter(None, [sections.get(section), line]))
+    _assert_rejected(tmp_path, capsys, _ini(scenario, **sections), f"{section}.{key}")
+    cfg = cli.validate_config(cli._ini_sections(_ini(scenario, **_base(scenario))))
+    cfg[section][key] = value
+    with pytest.raises(noisespec.ConfigError) as exc:
+        cli.validate_config(cfg)
+    assert exc.value.location == f"{section}.{key}"
+
+
+def test_every_rule_is_known():
+    """Each rule an entry carries is one of the closed set, and each of the
+    set is used."""
+    assert {rule for schema in cli.SCHEMA.values() for keys in schema.values()
+            for _, _, *rules in keys.values() for rule in rules} == RULES
+
+
+LEAST = _entries("> 0", ">= 0", ">= 1")
+
+
+@pytest.mark.parametrize("scenario, section, key, kind, rule", LEAST, ids=_ids(LEAST))
+def test_value_past_least_refused(scenario, section, key, kind, rule, tmp_path, capsys):
+    """The value just past an entry's least value (in a list, as its one
+    value) is refused at the key."""
+    bound = int(rule.split()[-1])
+    if rule.startswith(">="):
+        past = bound - 1 if kind.startswith("int") else math.nextafter(bound, -math.inf)
+    else:
+        past = float(bound) if kind.startswith("float") else bound
+    _assert_refused(tmp_path, capsys, scenario, section, key, kind,
+                    [past] if kind.endswith("s") else past)
+
+
+LISTS = _entries("nonempty", "distinct")
+
+
+@pytest.mark.parametrize("scenario, section, key, kind, rule", LISTS, ids=_ids(LISTS))
+def test_empty_or_repeated_list_refused(scenario, section, key, kind, rule, tmp_path,
+                                        capsys):
+    default = cli.SCHEMA[scenario][section][key][1]
+    value = [] if rule == "nonempty" else default[:1] * 2
+    _assert_refused(tmp_path, capsys, scenario, section, key, kind, value)
+
+
+_TEXT = st.text("abcXYZ019 _-./", min_size=1, max_size=12).map(str.strip).filter(bool)
+_NOISE_FIELD = {"gamma": st.floats(0.0, 5.0), "dp_max": st.floats(0.0, 0.49),
+                "shots": st.integers(1, 10 ** 4)}
+
+
+def _one_value(section, key, kind, rules):
+    """A strategy of one value (one value of a list) that meets ``rules``."""
+    noise = [rule.removeprefix("noise.") for rule in rules if rule.startswith("noise.")]
+    if section == "noise" or noise:
+        return _NOISE_FIELD[noise[0] if noise else key]
+    if "protocol" in rules:
+        return st.sampled_from(["fo", "as"])
+    least = {"> 0": 1e-3, ">= 0": 0, ">= 1": 1}.get(rules[0] if rules else None)
+    if kind.startswith("int"):
+        return st.integers(0, 2 ** 40) if least is None else st.integers(least, 6)
+    if kind.startswith("float"):
+        return st.floats(-1e3 if least is None else least, 1e3)
+    return {"bool": st.booleans(), "str": _TEXT,
+            "retention": st.one_of(st.just("cv"), st.floats(0.0, 1.0))}[kind]
+
+
+@st.composite
+def _typed_configs(draw):
+    """Typed sections of a valid config: each key of a drawn scenario is
+    left out or drawn from its kind and rules; then the rules between keys
+    are met."""
+    scenario = draw(st.sampled_from(sorted(cli.SCHEMA)))
+    sections = {"run": {"scenario": scenario, "name": draw(_TEXT)},
+                "spectrum": {"components": [(1.0, 2.0, 1.0)]}}
+    if scenario == "tracking":
+        sections.update(tracking={"omega_osc": 0.01}, spectrum2={"components": [(0.7, 6.0, 2.0)]})
+    for section, keys in cli.SCHEMA[scenario].items():
+        for key, (kind, _, *rules) in keys.items():
+            if kind == "components" or key in ("scenario", "csv") or not draw(st.booleans()):
+                continue
+            one = _one_value(section, key, kind, rules)
+            sections.setdefault(section, {})[key] = draw(
+                st.lists(one, min_size="nonempty" in rules, max_size=4,
+                         unique="distinct" in rules) if kind.endswith("s") else one)
+    # the values as they validate, defaults included
+    cfg = {section: {**{key: entry[1] for key, entry in keys.items()},
+                     **sections.get(section, {})}
+           for section, keys in cli.SCHEMA[scenario].items()}
+    pro = cfg.get("protocol", {})
+    if pro.get("kind") == "as":
+        sections["protocol"]["n_qubits"] = 1
+    if scenario == "tracking":
+        sections["tracking"]["horizon"] = max(cfg["tracking"]["horizon"],
+                                              cli._one_sample(cfg["tracking"]))
+    for key in ("T_values", "dp_values", "gamma_values") if scenario == "nqubit-scan" else ():
+        if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):
+            sections["protocol"][key] = pro[key][:1]
+    return sections
+
+
+@settings(max_examples=150, deadline=None)
+@given(_typed_configs())
+def test_typed_and_written_configs_validate_equal(sections):
+    """A valid config drawn from the SCHEMA entries validates equal given
+    typed and written as INI text, and its config.ini reruns equal."""
+    typed = cli.validate_config(copy.deepcopy(sections))
+    scenario = sections["run"]["scenario"]
+    text = "".join(f"[{section}]\n" + "".join(
+        f"{key} ={cli._KINDS[cli.SCHEMA[scenario][section][key][0]][1](value)}\n"
+        for key, value in values.items()) for section, values in sections.items())
+    assert cli.validate_config(cli._ini_sections(text)) == typed
+    assert cli.validate_config(cli._ini_sections(cli.format_config(typed))) == typed
 
 
 def _per_cell_csv(meta, columns) -> bytes:

@@ -8,9 +8,9 @@ from noisespec import (EmptyOperatorError, FrequencyGrid, SpectralDensity,
                        filter_function, fio_rank, fo_sequence)
 from noisespec.filterfn import FilterFunction
 from noisespec.fisher import ml_deviation_estimate
-from noisespec.probe import survival_probability
+from noisespec.probe import NoiseModel, _readouts, survival_probability
 from noisespec.reconstruct import ProtocolContext
-from noisespec.seeding import derive_seed, make_rng
+from noisespec.seeding import derive_seed
 
 
 #: survival probability of unit information per shot:
@@ -147,26 +147,33 @@ class TestRank:
 
 
 class TestMonteCarloBound:
-    def test_ml_estimator_respects_bound(self):
+    @pytest.mark.parametrize("gamma, shots", [(0.0, 2000), (0.0, 8000), (0.4, 2000),
+                                              (0.4, 8000)],
+                             ids=["gamma0-2000", "gamma0-8000", "gamma0.4-2000",
+                                  "gamma0.4-8000"])
+    def test_ml_estimator_respects_bound(self, gamma, shots):
+        """The spread of the ML estimate from the probe's own shot readouts
+        (raw frequencies, no detector error) meets the Cramer-Rao bound."""
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)])
-        ctx = ProtocolContext("fo", spec, 5.0)
+        T = 5.0
+        ctx = ProtocolContext("fo", spec, T)
         direction = SpectralDensity.lorentzian_mixture([(0.6, 4.0, 1.2)])
-        shots = 2000
         repeats = 300
         c_base = ctx.c_true
-        probs = np.array([survival_probability(c, 0.0, 5.0) for c in c_base])
+        probs = survival_probability(c_base, gamma, T)
         fio = build_fio(ctx.filters, probs)
         from noisespec.fisher import directional_overlaps
         d = directional_overlaps(fio, direction)
         info = float(np.sum(fio.weights * d ** 2))
         bound = 1.0 / math.sqrt(shots * info)
-        estimates = np.zeros(repeats)
-        for rep in range(repeats):
-            rng = make_rng(derive_seed(55, rep))
-            counts = rng.binomial(shots, probs)
-            estimates[rep] = ml_deviation_estimate(c_base, d, counts, shots)
+        seeds = np.array([[derive_seed(55, rep, k) for k in range(ctx.K)]
+                          for rep in range(repeats)], dtype=np.uint64)
+        freqs, _, _ = _readouts(c_base, NoiseModel(gamma=gamma, shots=shots), T, seeds)
+        estimates = np.array([ml_deviation_estimate(c_base, d, counts, shots, gamma=gamma,
+                                                    operation_time=T)
+                              for counts in np.rint(freqs * shots)])
         sd = estimates.std(ddof=1)
         se_sd = sd / math.sqrt(2 * (repeats - 1))
-        # the ML estimate is efficient at this shot count: its spread lies
+        # the ML estimate is efficient at these shot counts: its spread lies
         # within 3 se of the bound, on either side
         assert abs(sd - bound) <= 3 * se_sd

@@ -169,7 +169,8 @@ class TestOptimizers:
     @pytest.mark.parametrize("field, value", [
         ("duration", math.nan), ("duration", math.inf), ("omega_c", math.nan),
         ("omega_c", math.inf), ("omega_c", 0.0), ("omega_c", -1.0),
-        ("penalty_weight", math.inf), ("penalty_weight", math.nan)])
+        ("penalty_weight", math.inf), ("penalty_weight", math.nan),
+        ("penalty_weight", -1.0)])
     def test_bad_problem_refused(self, field, value):
         with pytest.raises(ValueError, match=field):
             OcfProblem(spectrum=LORENTZIAN, grid=ocf_grid(10.0),

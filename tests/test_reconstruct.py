@@ -295,6 +295,25 @@ def test_one_qubit_fo_filters_are_fo_sequences(K, T):
         assert filt.values.tobytes() == ref.values.tobytes()
 
 
+@pytest.mark.parametrize("factor", [0.37, 5.0])
+@pytest.mark.parametrize("protocol, T", [("fo", 2.0), ("as", 5.0)])
+def test_input_amplitude_drops_out(protocol, T, factor):
+    """A context calibrates its own amplitude, so a rescaled input spectrum
+    (its scale or its line amplitudes times ``factor``) leaves ``c_true``
+    and the scores of fixed readouts unchanged."""
+    lines = [(1.0, 2.0, 1.0), (0.7, 6.0, 2.0)]
+    base = ProtocolContext(protocol, SpectralDensity.lorentzian_mixture(lines), T)
+    rows = base.c_true * (1.0 + 0.05 * np.random.default_rng(3).standard_normal((8, base.K)))
+    fids, degenerate = base._score_block(rows)
+    for spec in (SpectralDensity.lorentzian_mixture(lines, scale=factor),
+                 SpectralDensity.lorentzian_mixture([(factor * a, c, w) for a, c, w in lines])):
+        ctx = ProtocolContext(protocol, spec, T)
+        np.testing.assert_allclose(ctx.c_true, base.c_true, rtol=1e-12, atol=0)
+        scaled_fids, scaled_degenerate = ctx._score_block(rows)
+        np.testing.assert_allclose(scaled_fids, fids, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(scaled_degenerate, degenerate)
+
+
 def _fo_scan(spec, gamma, times, seed):
     """fo contexts at ``times`` under detector error 0.01 and ``gamma``."""
     return ([ProtocolContext("fo", spec, T) for T in times],
