@@ -5,7 +5,11 @@ per-scenario schema; unknown sections or keys are rejected with their
 location.  Scenarios, presets and budgets are data in this module:
 
 - ``SCHEMA`` holds each scenario's sections and each key's kind, default
-  and rules (``run.repetitions`` too); ``_KINDS`` parses and formats a kind.
+  and rules (a least value, nonempty, distinct, protocol, dirname or
+  noise.<field>); ``_KINDS`` parses and formats a kind.  A value that
+  breaks a rule is refused at its ``section.key``.  Four rules between
+  keys follow: a spectrum's source, one-qubit as, the tracking horizon and
+  the lengths of a nqubit scan's per-N lists.
 - ``PRESETS`` holds each preset's description, scenario and sections.
   ``--quick`` merges ``_QUICK``'s budget into a config after validation
   (so a value it replaces is still checked), keeps a nqubit scan's first
@@ -38,11 +42,11 @@ from . import __version__
 from .errors import CalibrationError, ConfigError, NoiseSpecError
 from .filterfn import continuous_norm, default_grid, filter_function, signal_overlaps
 from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
-from .modulation import fo_sequence
+from .modulation import staircase_split
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete
 from .probe import NoiseModel, survival_probability
-from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, fidelity, mean_se,
-                          run_jobs, run_repetitions, scan_optimal_time)
+from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, _pointwise_omegas,
+                          fidelity, mean_se, run_jobs, run_repetitions, scan_optimal_time)
 from .seeding import derive_seed, make_rng
 from .spectra import CompositeSignal, SpectralDensity
 from .tracking import track_fo, track_ocf
@@ -55,9 +59,12 @@ _REQUIRED = object()
 
 # An entry is (kind, default, *rules).  A rule is a least value ("> 0",
 # ">= 0" or ">= 1", held by each value of a list), "nonempty", "distinct",
-# "protocol" (each value is fo or as) or "noise.<field>" (each value
-# replaces that [noise] field, so NoiseModel checks it).  The rules between
-# keys, [noise] as one NoiseModel among them, close validate_config.
+# "protocol" (each value is fo or as), "dirname" (one directory: not "",
+# "." or ".." and no path separator) or "noise.<field>" (each value replaces
+# that [noise] field; NoiseModel checks it).  Four rules between keys close
+# validate_config: a spectrum has components or a csv and builds, "as" runs
+# one qubit, a tracking horizon holds one sample, and a nqubit scan's per-N
+# lists have 0, 1 or one value per qubit count.
 _COMMON = {
     "spectrum": {
         "components": ("components", None),
@@ -76,9 +83,9 @@ _COMMON = {
 }
 
 _NOISE = {
-    "dp_max": ("float", 0.01),
-    "gamma": ("float", 0.0),
-    "shots": ("int", None),
+    "dp_max": ("float", 0.01, "noise.dp_max"),
+    "gamma": ("float", 0.0, "noise.gamma"),
+    "shots": ("int", None, "noise.shots"),
 }
 
 _BAND = {"K": ("int", 20, ">= 1"), "omega_c": ("float", 10.0, "> 0")}
@@ -89,7 +96,7 @@ _OPTIMIZER = {"superiterations": ("int", 10, ">= 0"), "inner_evals": ("int", 60,
 def _scenario(repetitions=100, without=(), **sections):
     """Schema of one scenario: ``[run]`` with the scenario's own repetitions
     default, the common sections less ``without``, then its own sections."""
-    run = {"scenario": ("str", _REQUIRED), "name": ("str", _REQUIRED),
+    run = {"scenario": ("str", _REQUIRED), "name": ("str", _REQUIRED, "dirname"),
            "repetitions": ("int", repetitions, ">= 1"), "seed": ("int", 20260810)}
     return {"run": run, **{name: keys for name, keys in _COMMON.items()
                            if name not in without}, **sections}
@@ -193,6 +200,9 @@ def _check(rule: str, value) -> None:
     for one in values:
         if rule == "protocol" and one not in ("fo", "as"):
             raise ValueError(f"unknown protocol {one!r}")
+        # a run writes into --out-dir/name, so the name is one directory
+        if rule == "dirname" and (one in ("", ".", "..") or set(one) & set("/\\\0")):
+            raise ValueError(f"must name one directory, got {one!r}")
         if rule.startswith("noise."):
             NoiseModel(**{rule.removeprefix("noise."): one})
 
@@ -304,9 +314,7 @@ def validate_config(raw: dict) -> dict:
                 raise ConfigError(str(exc), location=location) from exc
             out[key] = value
     # the rules between keys
-    for section in ("spectrum", "spectrum2"):
-        if section not in cfg:
-            continue
+    for section in [name for name in ("spectrum", "spectrum2") if name in cfg]:
         key = "csv" if cfg[section]["components"] is None else "components"
         if cfg[section][key] is None:
             raise ConfigError("need either components or csv",
@@ -328,11 +336,6 @@ def validate_config(raw: dict) -> dict:
             if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):
                 raise ConfigError("length must be 0, 1 or that of nqubit_values",
                                   location=f"protocol.{key}")
-    if "noise" in cfg:
-        try:
-            NoiseModel(**cfg["noise"])
-        except ValueError as exc:
-            raise ConfigError(str(exc), location="noise") from exc
     return cfg
 
 
@@ -555,7 +558,7 @@ def _run_ocf(cfg, workers):
     oc = cfg["ocf"]
     seed = cfg["run"]["seed"]
     grid = ocf_grid(oc["omega_c"], oc["grid_spacing"], oc["grid_span_factor"])
-    fid_points = oc["omega_c"] * np.arange(1, 21) / 20
+    fid_points = _pointwise_omegas(oc["omega_c"], 20)
 
     # (qubits, T, seed path) of every design, the longest (continuous) first
     designs = [(1, oc["T"], (3,))] if oc["continuous"] else []
@@ -631,8 +634,8 @@ def _run_tracking(cfg, workers):
     if min(norms) == 0.0:
         raise CalibrationError("a tracking component vanishes on [0, omega_c]")
     s_one, s_two = (s.with_scale(s.scale / norm) for s, norm in zip(comps, norms))
-    block_filters = [filter_function(fo_sequence(k, tr["k_block"], omega_max, tr["T"]), grid)
-                     for k in range(1, tr["k_block"] + 1)]
+    block_filters = [filter_function(staircase_split(omega_max * k / tr["k_block"], 1, tr["T"]),
+                                     grid) for k in range(tr["k_block"])]
     overlaps = (0.5 * signal_overlaps(s_one, block_filters)
                 + 0.5 * signal_overlaps(s_two, block_filters))
     alpha = 1.0 / float(np.median(overlaps))
@@ -840,19 +843,29 @@ def _apply_quick(cfg: dict) -> None:
                                          _one_sample(cfg["tracking"]))
 
 
-def _preset_sections(name: str) -> dict:
-    """A preset's sections, not yet validated."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; see 'noisespec list'")
-    _, scenario, sections = PRESETS[name]
-    return {"run": {"scenario": scenario, "name": name}, **copy.deepcopy(sections)}
+def _load(target: str, quick: bool = False, **run) -> dict:
+    """The config of a preset name or an INI file path with the ``[run]``
+    values ``run``, validated once (which reads a CSV spectrum and copies
+    every value); the quick budget then shrinks it, and ``run`` beats it."""
+    if target in PRESETS:
+        _, scenario, sections = PRESETS[target]
+        raw = {"run": {"scenario": scenario, "name": target}, **sections}
+    elif os.path.exists(target):
+        raw = _file_sections(target)
+    else:
+        raise ConfigError(f"{target!r} is neither a preset nor a file")
+    raw.setdefault("run", {}).update(run)
+    cfg = validate_config(raw)
+    if quick:
+        _apply_quick(cfg)
+        cfg["run"].update(run)
+    return cfg
 
 
 def preset_config(name: str, quick: bool = False) -> dict:
-    cfg = validate_config(_preset_sections(name))
-    if quick:
-        _apply_quick(cfg)
-    return cfg
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; see 'noisespec list'")
+    return _load(name, quick)
 
 
 # ---------------------------------------------------------------------------
@@ -896,23 +909,9 @@ def main(argv=None) -> int:
             return 0
         if args.workers < 1:
             raise ConfigError(f"must be >= 1, got {args.workers}", location="--workers")
-        # run: the sections with the flags' overrides are validated once (a
-        # CSV spectrum is read there and by the runner); the quick budget
-        # then shrinks the config, as it does a validated preset's
-        if args.target in PRESETS:
-            raw = _preset_sections(args.target)
-        elif os.path.exists(args.target):
-            raw = _file_sections(args.target)
-        else:
-            raise ConfigError(f"{args.target!r} is neither a preset nor a file")
-        overrides = {key: value for key, value in (("seed", args.seed),
-                                                   ("repetitions", args.repetitions))
-                     if value is not None}
-        raw.setdefault("run", {}).update(overrides)
-        cfg = validate_config(raw)
-        if args.quick:
-            _apply_quick(cfg)
-            cfg["run"].update(overrides)  # the flags beat the quick budget
+        flags = {"seed": args.seed, "repetitions": args.repetitions}
+        cfg = _load(args.target, args.quick,
+                    **{key: value for key, value in flags.items() if value is not None})
         out_dir = os.path.join(args.out_dir, cfg["run"]["name"])
         summary = run_scenario(cfg, out_dir, workers=args.workers)
         for key in sorted(summary):

@@ -1,5 +1,6 @@
 """Exception types raised by the noisespec package."""
 
+import importlib
 import math
 
 
@@ -17,6 +18,17 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise NonFiniteInputError(f"{name} must be finite, got {value}")
+
+
+def require_scipy(module: str, name: str):
+    """``name`` from ``scipy.<module>``, imported when called.  scipy is the
+    ``oracle`` extra: only the analytic filter tail, the time-domain oracle
+    and the ML estimator need it, and no preset run calls them, so a run
+    loads numpy alone.  Without scipy the error names the extra's install."""
+    try:
+        return getattr(importlib.import_module(f"scipy.{module}"), name)
+    except ModuleNotFoundError as exc:
+        raise ModuleNotFoundError(f"{name} needs scipy: pip install noisespec[oracle]") from exc
 
 
 class GridRangeError(NoiseSpecError, ValueError):

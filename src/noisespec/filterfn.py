@@ -39,10 +39,8 @@ Conventions:
 * A sum repeats bit for bit for a fixed order of terms, but splitting its
   terms into partial sums changes the result by a few ulps.
 
-scipy, the ``oracle`` extra (``pip install noisespec[oracle]``), is imported
-only when :meth:`FilterFunction.tail_integral` runs (the sine integral).  No
-preset run calls it, nor the oracle and ML helpers that import scipy the
-same way, so a run loads numpy alone.
+:meth:`FilterFunction.tail_integral` takes the sine integral from scipy
+through :func:`~noisespec.errors.require_scipy`.
 """
 
 from __future__ import annotations
@@ -55,7 +53,8 @@ import numpy as np
 # loaded here so a run's first Gauss panel does not pay numpy's lazy import
 import numpy.polynomial.legendre  # noqa: F401
 
-from .errors import GridMismatchError, GridRangeError, NonFiniteInputError, require_finite
+from .errors import (GridMismatchError, GridRangeError, NonFiniteInputError, require_finite,
+                     require_scipy)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          to_step_function)
 
@@ -309,15 +308,13 @@ class FilterFunction:
             raise ValueError("analytic tail requires a pulse-train generator")
         if omega_from <= 0:
             raise ValueError("omega_from must be > 0")
-        from scipy.special import sici
-
         bounds, values = to_step_function(self.generator)
         points, coeffs = bounds, _boundary_coefficients(bounds, values)
         total = float(np.sum(coeffs ** 2)) / omega_from
         ii, jj = np.triu_indices(points.size, k=1)
         d = points[jj] - points[ii]
         cc = coeffs[ii] * coeffs[jj]
-        si = sici(omega_from * d)[0]
+        si = require_scipy("special", "sici")(omega_from * d)[0]
         cross = cc * (np.cos(omega_from * d) / omega_from - d * (0.5 * np.pi - si))
         total += 2.0 * float(np.sum(cross))
         return (4.0 / np.pi) * total
@@ -402,19 +399,13 @@ def continuous_norm(obj, omega_c: float, grid: FrequencyGrid | None = None) -> f
     ``grid``.
     """
     if isinstance(obj, FilterFunction):
-        grid = obj.grid
-        values = obj.values
-        w = grid.trap_weights(omega_c)
-    elif hasattr(obj, "evaluate"):
-        if grid is None:
-            raise ValueError("a grid is required to evaluate a spectral density")
-        w = grid.trap_weights(omega_c)
-        values = np.zeros(grid.size)
-        active = w > 0
-        values[active] = obj.evaluate(grid.omegas[active])
-    else:
-        if grid is None:
-            raise ValueError("a grid is required for raw sample arrays")
-        values = np.asarray(obj, dtype=float)
-        w = grid.trap_weights(omega_c)
+        obj, grid = obj.values, obj.grid
+    spectral = hasattr(obj, "evaluate")
+    if grid is None:
+        raise ValueError("a grid is required to evaluate a spectral density" if spectral
+                         else "a grid is required for raw sample arrays")
+    w = grid.trap_weights(omega_c)
+    values = np.zeros(grid.size) if spectral else np.asarray(obj, dtype=float)
+    if spectral:  # sampled where it has weight, zero elsewhere
+        values[w > 0] = obj.evaluate(grid.omegas[w > 0])
     return float(math.sqrt(np.sum(w * values ** 2)))

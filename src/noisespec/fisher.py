@@ -13,9 +13,8 @@ spectrum gives the Cramer-Rao lower bound on the deviation coefficient in
 that direction.  The bound models Bernoulli shot noise (``shots``
 readouts of each filter); it does not cover the uniform detector error
 ``dp_max`` that the presets draw without ``shots``.
-scipy, the ``oracle`` extra (``pip install noisespec[oracle]``), is imported
-only when :func:`ml_deviation_estimate` runs (its root finder).  No preset
-run calls it, nor the oracle and tail helpers that import scipy the same way.
+:func:`ml_deviation_estimate` takes its root finder from scipy through
+:func:`~noisespec.errors.require_scipy`.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOperatorError
+from .errors import EmptyOperatorError, require_scipy
 from .filterfn import FilterFunction, overlap_matrix, signal_overlaps
 
 
@@ -138,7 +137,6 @@ def ml_deviation_estimate(c_base, d_overlaps, counts, shots: int,
     if s_lo * s_hi > 0:
         # score monotone side: estimate pinned at the admissible boundary
         return lo if abs(s_lo) < abs(s_hi) else hi
-    from scipy.optimize import brentq
-
+    brentq = require_scipy("optimize", "brentq")
     return float(brentq(score, lo, hi, xtol=1e-12, rtol=1e-12))
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CalibrationError, UndefinedObjectiveError, require_finite
-from .filterfn import (FilterFunction, FrequencyGrid, _pulse_transform, default_grid,
-                       filter_values)
+from .filterfn import (FilterFunction, FrequencyGrid, _pulse_transform, continuous_norm,
+                       default_grid, filter_values)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          merge_trains, repair_trains, staircase_split)
 from .seeding import derive_seed, make_rng
@@ -103,7 +103,7 @@ class _Objective:
         self.w_band = grid.trap_weights(omega_c)
         self.w_out = self.w_full - self.w_band
         self.s_vals = spectrum.evaluate(grid.omegas)
-        self.s_norm = float(math.sqrt(np.sum(self.w_band * self.s_vals ** 2)))
+        self.s_norm = continuous_norm(spectrum, omega_c, grid)
         if self.s_norm == 0.0:
             raise CalibrationError("spectrum vanishes on [0, omega_c]; nothing to match")
         self.s_rms = self.s_norm / math.sqrt(omega_c)

@@ -15,10 +15,9 @@ BLAS overlap products already are.
 The oracle recomputes ``chi = 4 * double-integral of y(t') y(t'')
 g(t' - t'')`` entirely in the time domain, with the autocorrelation ``g``
 of the even spectral extension in closed form, so it shares nothing with
-the frequency-grid pipeline it cross-checks.  scipy, the ``oracle`` extra
-(``pip install noisespec[oracle]``), is imported only when
-:func:`autocorrelation` runs (the exponential integral).  No preset run
-calls it, nor the tail and ML helpers that import scipy the same way.
+the frequency-grid pipeline it cross-checks.  :func:`autocorrelation`
+takes the exponential integral from scipy through
+:func:`~noisespec.errors.require_scipy`.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedOracleError, require_finite
+from .errors import UnsupportedOracleError, require_finite, require_scipy
 from .modulation import to_step_function
 from .seeding import derive_seed, first_uniform, make_rng
 from .spectra import SpectralDensity
@@ -207,7 +206,7 @@ def autocorrelation(spectrum: SpectralDensity, tau) -> np.ndarray:
     if not spectrum.is_analytic:
         raise UnsupportedOracleError(
             "time-domain oracle supports analytic (Lorentzian mixture) spectra only")
-    from scipy.special import exp1
+    exp1 = require_scipy("special", "exp1")
 
     tau_arr = np.abs(np.atleast_1d(np.asarray(tau, dtype=float)))
     out = np.zeros(tau_arr.shape)

@@ -163,18 +163,11 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
         Precomputed ``overlap_matrix(filters, omega_c)`` (full set) to avoid
         recomputation in repeated runs.
     """
-    filters = list(filters)
-    c = np.asarray(c_estimates, dtype=float)
-    if len(filters) != c.size:
-        raise ValueError("filters and coefficient estimates differ in length")
-    kept = np.flatnonzero(np.isfinite(c))
-    if kept.size == 0:
-        raise DegenerateBasisError("every measurement is saturated; nothing to invert")
+    filters, kept, c_kept = _kept_estimates(filters, c_estimates)
     if overlap is None:
         A = overlap_matrix([filters[i] for i in kept], omega_c)
     else:
         A = overlap[np.ix_(kept, kept)]
-    c_kept = c[kept]
     rule = _resolve_rule(A, c_kept, eig_keep)
     lam_r, U_r = _retained_basis(A, rule)
 
@@ -189,6 +182,18 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
         retained_count=lam_r.size, kept_indices=kept,
         params={"omega_c": omega_c, "eig_keep": eig_keep,
                 "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
+
+
+def _kept_estimates(filters, c_estimates):
+    """The prologue of both reconstructions: (filters, kept, finite estimates)."""
+    filters = list(filters)
+    c = np.asarray(c_estimates, dtype=float)
+    if len(filters) != c.size:
+        raise ValueError("filters and coefficient estimates differ in length")
+    kept = np.flatnonzero(np.isfinite(c))
+    if kept.size == 0:
+        raise DegenerateBasisError("every measurement is saturated; nothing to invert")
+    return filters, kept, c[kept]
 
 
 def _eigh_descending(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -246,7 +251,7 @@ def bin_matrix(filters, omega_max: float) -> np.ndarray:
     K = len(filters)
     grid = filters[0].grid
     delta = omega_max / K
-    centers = omega_max * np.arange(1, K + 1) / K
+    centers = _pointwise_omegas(omega_max, K)
     stacked = np.vstack([f.values for f in filters])
     cols = []
     for center in centers:
@@ -265,16 +270,9 @@ def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = 
     filters; ``delta_approx=True`` falls back to the idealized narrow-filter
     division ``s_k = c_k / M_kk`` for comparison.
     """
-    filters = list(filters)
-    c = np.asarray(c_estimates, dtype=float)
-    if c.size != len(filters):
-        raise ValueError("filters and coefficient estimates differ in length")
+    filters, kept, c_kept = _kept_estimates(filters, c_estimates)
     M = bin_matrix(filters, omega_max) if bins is None else bins
     K = M.shape[0]
-    kept = np.flatnonzero(np.isfinite(c))
-    if kept.size == 0:
-        raise DegenerateBasisError("every measurement is saturated; nothing to invert")
-    c_kept = c[kept]
 
     if delta_approx:
         # saturated rows carry no information; their points report zero
@@ -292,11 +290,16 @@ def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = 
         params={"omega_max": omega_max, "delta_approx": delta_approx})
 
 
-def _checked_condition(svals: np.ndarray) -> float:
+def _condition_number(svals: np.ndarray) -> float:
     """Condition number of a matrix from its descending singular values
-    ``svals``; :class:`IllConditionedInversionError` when it is not finite
-    or exceeds ``_COND_LIMIT``."""
-    cond = float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+    ``svals``, inf where the smallest is not positive."""
+    return float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+
+
+def _checked_condition(svals: np.ndarray) -> float:
+    """The :func:`_condition_number` of ``svals``; raises
+    :class:`IllConditionedInversionError` where it is not finite or > ``_COND_LIMIT``."""
+    cond = _condition_number(svals)
     if not math.isfinite(cond) or cond > _COND_LIMIT:
         raise IllConditionedInversionError(
             f"bin system is rank deficient (condition number {cond:.3e})",

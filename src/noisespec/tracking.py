@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DegenerateBasisError, DegenerateComponentsError
 from .filterfn import overlap_matrix, signal_overlaps
 from .probe import NoiseModel, measure_batch
-from .reconstruct import _COND_LIMIT, DEFAULT_TAU, _resolve_rule, _retained_basis
+from .reconstruct import (_COND_LIMIT, DEFAULT_TAU, _condition_number, _resolve_rule,
+                          _retained_basis)
 from .seeding import derive_seed_array
 from .spectra import CompositeSignal
 
@@ -139,12 +140,8 @@ def _fit_block(A, c_hat, c_one, c_two, eig_keep):
         return np.nan, np.nan
     P = (U_r / lam_r) @ U_r.T          # truncated pseudoinverse of sub
     b_hat, *comps = (P @ vec[kept] for vec in (c_hat, c_one, c_two))
-    gram = np.empty((2, 2))
-    for i in range(2):
-        for j in range(2):
-            gram[i, j] = comps[i] @ sub @ comps[j]
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
+    gram = np.array([[a @ sub @ b for b in comps] for a in comps])
+    if _condition_number(np.linalg.svd(gram, compute_uv=False)) > _COND_LIMIT:
         raise DegenerateComponentsError(
             "signal components are proportional within the filter span")
     sol = np.linalg.solve(gram, np.array([b @ sub @ b_hat for b in comps]))
@@ -172,8 +169,7 @@ def track_ocf(signal: CompositeSignal, filter_pair, horizon: float,
         raise DegenerateComponentsError(
             "a filter has no overlap with its matched component")
     G = G / diag[:, None]
-    svals = np.linalg.svd(G, compute_uv=False)
-    if svals[-1] <= 0 or svals[0] / svals[-1] > _COND_LIMIT:
+    if _condition_number(np.linalg.svd(G, compute_uv=False)) > _COND_LIMIT:
         raise DegenerateComponentsError(
             "component overlap matrix is singular; filters cannot separate them")
     return _track("ocf-pair", signal, G, T, horizon, noise,

@@ -83,7 +83,7 @@ class TestExitCodes:
                         "[noise]\ndp_max = 0.7\n")
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert "noise" in err and "dp_max" in err
+        assert "noise.dp_max:" in err
 
     @pytest.mark.parametrize("text, location", [
         (_ini("nqubit-scan", protocol="nqubit_values = 1 2\ndp_values = 0.01 0.7"),
@@ -539,8 +539,8 @@ def test_scipy_is_the_oracle_extra():
 # the rules of every SCHEMA entry
 # ---------------------------------------------------------------------------
 
-RULES = {"> 0", ">= 0", ">= 1", "nonempty", "distinct", "protocol", "noise.gamma",
-         "noise.dp_max"}
+RULES = {"> 0", ">= 0", ">= 1", "nonempty", "distinct", "protocol", "dirname",
+         "noise.gamma", "noise.dp_max", "noise.shots"}
 
 
 def _entries(*rules):
@@ -615,7 +615,48 @@ def test_empty_or_repeated_list_refused(scenario, section, key, kind, rule, tmp_
     _assert_refused(tmp_path, capsys, scenario, section, key, kind, value)
 
 
+NOISE = _entries("noise.dp_max", "noise.gamma", "noise.shots")
+# the value next to each field's range that NoiseModel refuses
+_PAST_NOISE = {"dp_max": 0.5, "gamma": math.nextafter(0.0, -math.inf), "shots": 0}
+
+
+@pytest.mark.parametrize("scenario, section, key, kind, rule", NOISE, ids=_ids(NOISE))
+def test_noise_value_refused_at_key(scenario, section, key, kind, rule, tmp_path, capsys):
+    """A value that NoiseModel refuses (in a list, as its one value) is
+    refused at its key, not at the section."""
+    past = _PAST_NOISE[rule.removeprefix("noise.")]
+    _assert_refused(tmp_path, capsys, scenario, section, key, kind,
+                    [past] if kind.endswith("s") else past)
+
+
+@pytest.mark.parametrize("key", ["dp_max", "gamma"])
+def test_typed_none_noise_refused_at_key(key):
+    cfg = cli.preset_config("fig4-dephasing0", quick=True)
+    cfg["noise"][key] = None
+    with pytest.raises(noisespec.ConfigError) as exc:
+        cli.validate_config(cfg)
+    assert exc.value.location == f"noise.{key}"
+
+
+@pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "/abs", "a\\b"],
+                         ids=["empty", "dot", "dotdot", "slash", "up", "absolute", "backslash"])
+def test_name_is_one_directory(name, tmp_path, capsys):
+    """A run writes into ``--out-dir/name``, so a name that is not one
+    directory is refused at ``run.name``, as text and typed, and nothing
+    is written anywhere."""
+    _assert_rejected(tmp_path, capsys, _ini("fisher", run=f"scenario = fisher\nname = {name}"),
+                     "run.name")
+    assert os.listdir(tmp_path) == ["bad.ini"]
+    cfg = cli.preset_config("fisher-cr-bound", quick=True)
+    cfg["run"]["name"] = name
+    with pytest.raises(noisespec.ConfigError, match="must name one directory") as exc:
+        cli.validate_config(cfg)
+    assert exc.value.location == "run.name"
+
+
 _TEXT = st.text("abcXYZ019 _-./", min_size=1, max_size=12).map(str.strip).filter(bool)
+# a run's name is one directory
+_NAME = _TEXT.filter(lambda name: name not in (".", "..") and "/" not in name)
 _NOISE_FIELD = {"gamma": st.floats(0.0, 5.0), "dp_max": st.floats(0.0, 0.49),
                 "shots": st.integers(1, 10 ** 4)}
 
@@ -627,6 +668,8 @@ def _one_value(section, key, kind, rules):
         return _NOISE_FIELD[noise[0] if noise else key]
     if "protocol" in rules:
         return st.sampled_from(["fo", "as"])
+    if "dirname" in rules:
+        return _NAME
     least = {"> 0": 1e-3, ">= 0": 0, ">= 1": 1}.get(rules[0] if rules else None)
     if kind.startswith("int"):
         return st.integers(0, 2 ** 40) if least is None else st.integers(least, 6)
@@ -642,7 +685,7 @@ def _typed_configs(draw):
     left out or drawn from its kind and rules; then the rules between keys
     are met."""
     scenario = draw(st.sampled_from(sorted(cli.SCHEMA)))
-    sections = {"run": {"scenario": scenario, "name": draw(_TEXT)},
+    sections = {"run": {"scenario": scenario, "name": draw(_NAME)},
                 "spectrum": {"components": [(1.0, 2.0, 1.0)]}}
     if scenario == "tracking":
         sections.update(tracking={"omega_osc": 0.01}, spectrum2={"components": [(0.7, 6.0, 2.0)]})

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -326,6 +327,15 @@ class TestParseval:
         main = float(np.sum(grid.trap_weights() * filt.values))
         total = main + filt.tail_integral(omega_from)
         assert total == pytest.approx(filt.energy_time_domain(), rel=5e-3)
+
+
+def test_missing_scipy_names_the_extra(monkeypatch):
+    """scipy is the oracle extra: without it, the analytic tail names the
+    install that brings it."""
+    filt = filter_function(fo_sequence(13, 20, 11.5, 5.0), FrequencyGrid(40.0, 801))
+    monkeypatch.setitem(sys.modules, "scipy.special", None)
+    with pytest.raises(ModuleNotFoundError, match=r"pip install noisespec\[oracle\]"):
+        filt.tail_integral(40.0)
 
 
 class TestOverlapMatrix:

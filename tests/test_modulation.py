@@ -61,12 +61,17 @@ class TestStaircase:
                                    [math.pi / 2, 3 * math.pi / 2])
 
     def test_single_qubit_matches_fo_sequence_exactly(self):
-        for k in (2, 5, 11, 20):
-            rate = 11.5 * (k - 1) / 20
-            mset = staircase_split(rate, 1, 5.0)
-            seq = fo_sequence(k, 20, 11.5, 5.0)
-            assert np.array_equal(mset.sequences[0].switch_times,
-                                  seq.switch_times)
+        """Every one-qubit fo train, the tracking blocks' (K = 10 and 6 at
+        omega_max = 11.5) included, is the staircase split of its
+        frequency, switch times bit for bit."""
+        for K in (1, 6, 10, 20, 33):
+            for omega_max in (1.0, 7.3, 11.5, 23.0):
+                for T in (0.5, 2.0, 5.0, 7.3, 10.0):
+                    for k in range(1, K + 1):
+                        train, = staircase_split(omega_max * (k - 1) / K, 1, T).sequences
+                        seq = fo_sequence(k, K, omega_max, T)
+                        assert train.switch_times.tobytes() == seq.switch_times.tobytes()
+                        assert train.initial_sign == seq.initial_sign
 
     def test_two_qubit_levels(self):
         mset = staircase_split(1.3, 2, 8.0)

@@ -284,7 +284,10 @@ class TestContextInput:
             ProtocolContext("fo", spec, 2.0, K=K)
 
 
-@pytest.mark.parametrize("K, T", [(20, 2.0), (20, 5.0), (7, 7.3), (1, 3.0)])
+# (10, 5.0) and (6, 5.0) are the fo blocks of the tracking presets at
+# omega_max = 11.5
+@pytest.mark.parametrize("K, T", [(20, 2.0), (20, 5.0), (7, 7.3), (1, 3.0), (10, 5.0),
+                                  (6, 5.0)])
 def test_one_qubit_fo_filters_are_fo_sequences(K, T):
     """A one-qubit fo context builds its filters as staircase splits, with
     the bytes of the :func:`fo_sequence` square waves."""
