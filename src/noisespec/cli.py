@@ -15,12 +15,14 @@ location.  Scenarios, presets and budgets are data in this module:
   (so a value it replaces is still checked), keeps a nqubit scan's first
   two qubit counts with their per-N values and one tracking sample at least.
 - ``_RUNNERS`` maps a scenario to a runner that only computes and returns
-  its summary and CSV tables; ``run_scenario`` writes them.  ``_context``
+  its summary and CSV tables; ``run_scenario`` builds each spectrum section
+  once, hands it to the runner and writes what it returns.  ``_context``
   builds every :class:`ProtocolContext` a runner needs, with the retention
-  rule and pointwise variant of its section.  Every repetition runs on a
-  ``(context, noise)`` cell: the time scan and the gamma scan both go
-  through ``scan_optimal_time``, one scan per protocol and dephasing rate,
-  all in one repetition run.
+  rule and pointwise variant of its section, and ``_ocf_problem`` every OCF
+  problem from its section.  Every repetition runs on a ``(context, noise)``
+  cell: the time scan and the gamma scan both go through
+  ``scan_optimal_time``, one scan per protocol and dephasing rate, all in
+  one repetition run.
 
 Every stochastic quantity derives from the master seed, so a rerun of the
 same config is byte-identical, its repetitions and designs serial or parallel.
@@ -302,6 +304,9 @@ def validate_config(raw: dict) -> dict:
             value = given.get(key, default)
             if value is _REQUIRED:
                 raise ConfigError("missing required key", location=location)
+            # None means "not given" only where it is the default
+            if value is None and default is not None:
+                raise ConfigError("needs a value, got None", location=location)
             try:
                 if value is not None:
                     # a typed value or default is parsed from the text it is
@@ -350,11 +355,6 @@ def _ini_sections(text: str) -> dict:
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 
-def _file_sections(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return _ini_sections(fh.read())
-
-
 def format_config(cfg: dict) -> str:
     """Canonical INI text for a validated config (round-trips exactly)."""
     scenario = cfg["run"]["scenario"]
@@ -395,22 +395,16 @@ def _fmt(value) -> str:
 
 
 def _cells(col: np.ndarray):
-    """The cells of a 1-D column as :func:`_fmt` writes them, converted in
-    one pass per column and yielded lazily."""
-    kind = col.dtype.kind
-    if kind == "f":
+    """The cells of a 1-D column as :func:`_fmt` writes them, yielded lazily;
+    a float column is converted in one pass."""
+    if col.dtype.kind == "f":
         return map(repr, col.astype(float).tolist())
-    if kind in "iu":
-        return map(str, col.tolist())
-    if kind == "b":
-        return ("true" if v else "false" for v in col.tolist())
     return map(_fmt, col)
 
 
 def write_csv(path, meta: dict, columns: dict) -> None:
     """CSV with '#'-prefixed metadata lines; floats use shortest repr.
-    Each column is formatted in one conversion, and a shorter column's
-    missing cells are empty."""
+    A shorter column's missing cells are empty."""
     arrays = {name: np.atleast_1d(np.asarray(col)) for name, col in columns.items()}
     rows = itertools.zip_longest(*map(_cells, arrays.values()), fillvalue="")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -449,8 +443,15 @@ def _noise(cfg, seed, **changes) -> NoiseModel:
     return NoiseModel(**{**cfg["noise"], **changes}, seed=seed)
 
 
-def _run_reconstruction(cfg, workers):
-    spectrum = _spectrum_from(cfg["spectrum"])
+def _ocf_problem(cfg, section, spectrum, T, n_qubits, path, grid) -> OcfProblem:
+    """The OCF problem of ``spectrum`` at ``T`` on ``n_qubits``, seeded at ``path``,
+    with the ``omega_c``, optimizer budget and any ``penalty_weight`` of ``section``."""
+    return OcfProblem(spectrum, T, n_qubits, seed=derive_seed(cfg["run"]["seed"], *path),
+                      grid=grid, **{key: value for key, value in cfg[section].items()
+                                    if key in ("omega_c", *_OPTIMIZER, "penalty_weight")})
+
+
+def _run_reconstruction(cfg, workers, spectrum):
     pro = cfg["protocol"]
     noise = cfg["noise"]
     cells = [(_context(cfg, spectrum, protocol, pro[f"T_{protocol}"],
@@ -478,8 +479,7 @@ def _run_reconstruction(cfg, workers):
     return summary, tables
 
 
-def _run_time_scan(cfg, workers):
-    spectrum = _spectrum_from(cfg["spectrum"])
+def _run_time_scan(cfg, workers, spectrum):
     pro = cfg["protocol"]
     noise = cfg["noise"]
     reps = cfg["run"]["repetitions"]
@@ -494,8 +494,7 @@ def _run_time_scan(cfg, workers):
             {"fidelity_vs_time.csv": table})
 
 
-def _run_gamma_scan(cfg, workers):
-    spectrum = _spectrum_from(cfg["spectrum"])
+def _run_gamma_scan(cfg, workers, spectrum):
     pro = cfg["protocol"]
     reps = cfg["run"]["repetitions"]
     gammas = pro["gamma_values"]
@@ -528,8 +527,7 @@ def _per_n(values, n, default):
     return list(values) if len(values) == n else [values[0]] * n
 
 
-def _run_nqubit_scan(cfg, workers):
-    spectrum = _spectrum_from(cfg["spectrum"])
+def _run_nqubit_scan(cfg, workers, spectrum):
     pro = cfg["protocol"]
     noise = cfg["noise"]
     reps = cfg["run"]["repetitions"]
@@ -553,10 +551,8 @@ def _run_nqubit_scan(cfg, workers):
             {"fidelity_vs_nqubits.csv": table})
 
 
-def _run_ocf(cfg, workers):
-    spectrum = _spectrum_from(cfg["spectrum"])
+def _run_ocf(cfg, workers, spectrum):
     oc = cfg["ocf"]
-    seed = cfg["run"]["seed"]
     grid = ocf_grid(oc["omega_c"], oc["grid_spacing"], oc["grid_span_factor"])
     fid_points = _pointwise_omegas(oc["omega_c"], 20)
 
@@ -569,11 +565,8 @@ def _run_ocf(cfg, workers):
 
     def design(i):
         n_q, T, path = designs[i]
-        return (optimize_continuous if path == (3,) else optimize_discrete)(OcfProblem(
-            spectrum=spectrum, duration=T, n_qubits=n_q,
-            omega_c=oc["omega_c"], penalty_weight=oc["penalty_weight"],
-            superiterations=oc["superiterations"], inner_evals=oc["inner_evals"],
-            basis_size=oc["basis_size"], seed=derive_seed(seed, *path), grid=grid))
+        return (optimize_continuous if path == (3,) else optimize_discrete)(
+            _ocf_problem(cfg, "ocf", spectrum, T, n_q, path, grid))
 
     sols = dict(zip([path for *_, path in designs], run_jobs(design, len(designs), workers)))
 
@@ -620,7 +613,7 @@ def _run_ocf(cfg, workers):
     return summary, tables
 
 
-def _run_tracking(cfg, workers):
+def _run_tracking(cfg, workers, *comps):
     tr = cfg["tracking"]
     seed = cfg["run"]["seed"]
     omega_c = tr["omega_c"]
@@ -629,7 +622,6 @@ def _run_tracking(cfg, workers):
 
     # equal component norms keep the pair system symmetric (sum-to-one drift
     # then only excites its well-conditioned direction)
-    comps = [_spectrum_from(cfg[section]) for section in ("spectrum", "spectrum2")]
     norms = [continuous_norm(s, omega_c, grid) for s in comps]
     if min(norms) == 0.0:
         raise CalibrationError("a tracking component vanishes on [0, omega_c]")
@@ -659,10 +651,8 @@ def _run_tracking(cfg, workers):
 
     def design(i):  # component i % 2 of qubit count i // 2
         ni, ci = divmod(i, 2)
-        return optimize_discrete(OcfProblem(
-            spectrum=(s_one, s_two)[ci], duration=tr["T"], n_qubits=tr["nqubit_values"][ni],
-            omega_c=omega_c, superiterations=tr["superiterations"], inner_evals=tr["inner_evals"],
-            basis_size=tr["basis_size"], seed=derive_seed(seed, 20, ni, ci), grid=o_grid)).filter
+        return optimize_discrete(_ocf_problem(cfg, "tracking", (s_one, s_two)[ci], tr["T"],
+                                              tr["nqubit_values"][ni], (20, ni, ci), o_grid)).filter
 
     filters = run_jobs(design, 2 * len(tr["nqubit_values"]), workers)
     for ni, n_q in enumerate(tr["nqubit_values"]):
@@ -674,9 +664,8 @@ def _run_tracking(cfg, workers):
     return summary, tables
 
 
-def _run_fisher(cfg, workers):
+def _run_fisher(cfg, workers, spectrum):
     del workers
-    spectrum = _spectrum_from(cfg["spectrum"])
     fi = cfg["fisher"]
     ctx = _context(cfg, spectrum, "fo", fi["T"], band="fisher")
     probs = survival_probability(ctx.c_true, cfg["noise"]["gamma"], fi["T"])
@@ -712,7 +701,9 @@ def run_scenario(cfg: dict, out_dir: str, workers: int = 1) -> dict:
     a config echo into ``out_dir`` and returns the summary dict."""
     scenario = cfg["run"]["scenario"]
     seed = cfg["run"]["seed"]
-    summary, tables = _RUNNERS[scenario](cfg, workers)
+    spectra = [_spectrum_from(cfg[section]) for section in ("spectrum", "spectrum2")
+               if section in cfg]
+    summary, tables = _RUNNERS[scenario](cfg, workers, *spectra)
     os.makedirs(out_dir, exist_ok=True)
     for name, (meta, columns) in tables.items():
         write_csv(os.path.join(out_dir, name),
@@ -851,7 +842,12 @@ def _load(target: str, quick: bool = False, **run) -> dict:
         _, scenario, sections = PRESETS[target]
         raw = {"run": {"scenario": scenario, "name": target}, **sections}
     elif os.path.exists(target):
-        raw = _file_sections(target)
+        try:
+            with open(target, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {target!r}: {exc}") from exc
+        raw = _ini_sections(text)
     else:
         raise ConfigError(f"{target!r} is neither a preset nor a file")
     raw.setdefault("run", {}).update(run)

@@ -70,14 +70,9 @@ def build_fio(filters, probabilities) -> FisherOperator:
                           excluded=tuple(excluded))
 
 
-def directional_overlaps(fio: FisherOperator, direction) -> np.ndarray:
-    """Overlaps ``d_k = integral direction * F_k`` for every retained filter."""
-    return signal_overlaps(direction, fio.filters)
-
-
 def directional_fisher(fio: FisherOperator, direction) -> float:
     """Information ``sum_k w_k (integral direction * F_k)**2`` (>= 0)."""
-    d = directional_overlaps(fio, direction)
+    d = signal_overlaps(direction, fio.filters)
     return float(np.sum(fio.weights * d ** 2))
 
 

@@ -96,23 +96,10 @@ def _retained_count(lam: np.ndarray, eig_keep) -> int:
     return int(np.count_nonzero(positive & (lam >= tau * lam[0])))
 
 
-def select_retention_threshold(A: np.ndarray, c_hat: np.ndarray) -> float:
-    """Pick the relative eigenvalue threshold by leave-one-filter-out
-    cross-validation.
-
-    For every held-out filter j the spectrum is reconstructed from the
-    remaining filters at each candidate threshold and used to predict the
-    held-out coefficient; the threshold with the smallest summed squared
-    prediction error wins (ties go to the largest, i.e. most truncating,
-    threshold).
-    """
-    return _cv_threshold(_cv_folds(A), c_hat)
-
-
 def _cv_folds(A: np.ndarray):
-    """The part of :func:`select_retention_threshold` that depends on the
-    overlap matrix ``A`` alone: the thresholds, most truncating first, and
-    per held-out filter j the mask of the other filters, the descending
+    """The part of the ``"cv"`` rule of :func:`_resolve_rule` that depends on
+    the overlap matrix ``A`` alone: the thresholds, most truncating first,
+    and per held-out filter j the mask of the other filters, the descending
     eigenpairs of their overlap matrix, the projection of ``A[keep, j]``
     and the count each threshold retains."""
     K = A.shape[0]
@@ -230,10 +217,12 @@ def _check_rule(eig_keep):
 
 def _resolve_rule(A: np.ndarray, c_kept: np.ndarray, eig_keep):
     """The retention rule applied to the kept overlap matrix ``A``:
-    ``eig_keep`` itself, or for ``"cv"`` the threshold that
-    :func:`select_retention_threshold` picks for ``c_kept``."""
+    ``eig_keep`` itself, or for ``"cv"`` the relative eigenvalue threshold
+    whose reconstruction from the other filters best predicts each held-out
+    coefficient of ``c_kept`` (leave-one-filter-out cross-validation; ties
+    go to the most truncating threshold)."""
     if isinstance(_check_rule(eig_keep), str):
-        return select_retention_threshold(A, c_kept)
+        return _cv_threshold(_cv_folds(A), c_kept)
     return eig_keep
 
 

@@ -47,7 +47,7 @@ def test_quick_preset_runs(name, tmp_path):
     files = os.listdir(tmp_path)
     assert {"summary.txt", "config.ini"} <= set(files)
     assert any(f.endswith(".csv") for f in files)
-    assert cli.validate_config(cli._file_sections(str(tmp_path / "config.ini"))) == cfg
+    assert cli.validate_config(cli._ini_sections((tmp_path / "config.ini").read_text())) == cfg
 
 
 @pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
@@ -68,6 +68,21 @@ class TestExitCodes:
                         "[protocol]\nno_such_key = 1\n")
         assert cli.main(["run", str(path), "--out-dir", str(tmp_path)]) == 2
         assert "no_such_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "latin-1"])
+    def test_unreadable_config_is_config_error(self, kind, tmp_path, capsys):
+        """A config path that names a directory, or a file that is not
+        UTF-8, exits 2 naming the path and writes nothing."""
+        path = tmp_path / "bad.ini"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes("[run]\nscenario = fisher\nname = caf\xe9\n".encode("latin-1"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(path) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("reps", ["-1", "0"])
     def test_repetitions_below_one(self, reps, tmp_path, capsys):
@@ -636,6 +651,23 @@ def test_typed_none_noise_refused_at_key(key):
     with pytest.raises(noisespec.ConfigError) as exc:
         cli.validate_config(cfg)
     assert exc.value.location == f"noise.{key}"
+
+
+# every entry whose default is not None, required entries included
+NOT_NONE = [(scenario, section, key) for scenario, schema in cli.SCHEMA.items()
+            for section, keys in schema.items()
+            for key, (_, default, *_) in keys.items() if default is not None]
+
+
+@pytest.mark.parametrize("scenario, section, key", NOT_NONE,
+                         ids=[f"{scenario}-{section}.{key}" for scenario, section, key in NOT_NONE])
+def test_typed_none_refused_at_key(scenario, section, key):
+    """A typed None is refused at its key wherever None is not the default."""
+    cfg = cli.validate_config(cli._ini_sections(_ini(scenario, **_base(scenario))))
+    cfg[section][key] = None
+    with pytest.raises(noisespec.ConfigError) as exc:
+        cli.validate_config(cfg)
+    assert exc.value.location == f"{section}.{key}"
 
 
 @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../up", "/abs", "a\\b"],

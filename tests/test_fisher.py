@@ -6,7 +6,7 @@ import pytest
 from noisespec import (EmptyOperatorError, FrequencyGrid, SpectralDensity,
                        build_fio, cramer_rao, default_grid, directional_fisher,
                        filter_function, fio_rank, fo_sequence)
-from noisespec.filterfn import FilterFunction
+from noisespec.filterfn import FilterFunction, signal_overlaps
 from noisespec.fisher import ml_deviation_estimate
 from noisespec.probe import NoiseModel, _readouts, survival_probability
 from noisespec.reconstruct import ProtocolContext
@@ -162,8 +162,7 @@ class TestMonteCarloBound:
         c_base = ctx.c_true
         probs = survival_probability(c_base, gamma, T)
         fio = build_fio(ctx.filters, probs)
-        from noisespec.fisher import directional_overlaps
-        d = directional_overlaps(fio, direction)
+        d = signal_overlaps(direction, fio.filters)
         info = float(np.sum(fio.weights * d ** 2))
         bound = 1.0 / math.sqrt(shots * info)
         seeds = np.array([[derive_seed(55, rep, k) for k in range(ctx.K)]

@@ -232,8 +232,8 @@ class TestRetention:
         ctx._score_block(rows)
         assert len(folds) == len(kept_sets)
         monkeypatch.undo()
-        assert rules == [reconstruct.select_retention_threshold(
-            ctx.overlap[np.ix_(m, m)], row[m]) for row, m in zip(rows, kept)]
+        assert rules == [reconstruct._resolve_rule(
+            ctx.overlap[np.ix_(m, m)], row[m], "cv") for row, m in zip(rows, kept)]
 
     def test_unknown_rule_rejected(self):
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
