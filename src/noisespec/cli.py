@@ -10,7 +10,8 @@ location.  Scenarios, presets and budgets are data in this module:
   breaks a rule is refused at its ``section.key``.  Four rules between
   keys follow: a spectrum's source, one-qubit as, the tracking horizon and
   the lengths of a nqubit scan's per-N lists.
-- ``PRESETS`` holds each preset's description, scenario and sections.
+- ``PRESETS`` holds each preset's description, scenario and the values
+  that differ from its scenario's defaults.
   ``--quick`` merges ``_QUICK``'s budget into a config after validation
   (so a value it replaces is still checked), keeps a nqubit scan's first
   two qubit counts with their per-N values and one tracking sample at least.
@@ -42,13 +43,13 @@ import numpy as np
 
 from . import __version__
 from .errors import CalibrationError, ConfigError, NoiseSpecError
-from .filterfn import continuous_norm, default_grid, filter_function, signal_overlaps
+from .filterfn import continuous_norm, default_grid, signal_overlaps
 from .fisher import build_fio, cramer_rao, directional_fisher, fio_rank
-from .modulation import staircase_split
 from .ocf import OcfProblem, ocf_grid, optimize_continuous, optimize_discrete
 from .probe import NoiseModel, survival_probability
-from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, _pointwise_omegas,
-                          fidelity, mean_se, run_jobs, run_repetitions, scan_optimal_time)
+from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, _fo_filters,
+                          _pointwise_omegas, fidelity, mean_se, run_jobs, run_repetitions,
+                          scan_optimal_time)
 from .seeding import derive_seed, make_rng
 from .spectra import CompositeSignal, SpectralDensity
 from .tracking import track_fo, track_ocf
@@ -60,13 +61,16 @@ _REQUIRED = object()
 # ---------------------------------------------------------------------------
 
 # An entry is (kind, default, *rules).  A rule is a least value ("> 0",
-# ">= 0" or ">= 1", held by each value of a list), "nonempty", "distinct",
-# "protocol" (each value is fo or as), "dirname" (one directory: not "",
-# "." or ".." and no path separator) or "noise.<field>" (each value replaces
-# that [noise] field; NoiseModel checks it).  Four rules between keys close
-# validate_config: a spectrum has components or a csv and builds, "as" runs
-# one qubit, a tracking horizon holds one sample, and a nqubit scan's per-N
-# lists have 0, 1 or one value per qubit count.
+# ">= 0", ">= 1" or ">= 2", held by each value of a list), "nonempty",
+# "distinct", "protocol" (each value is fo or as), "dirname" (one directory:
+# not "", "." or ".." and no path separator) or "noise.<field>" (each value
+# replaces that [noise] field; NoiseModel checks it).  Four rules between keys
+# close validate_config: a spectrum has components or a csv and builds, "as"
+# runs one qubit, a tracking horizon holds one sample, and a nqubit scan's
+# per-N lists have 0, 1 or one value per qubit count.  Defaults are the paper
+# figures' values where a figure sets one: the time-scan T_candidates, the
+# gamma-scan gamma_values, the nqubit-scan nqubit_values and T_values, and the
+# ocf nqubit_values and sweep_nqubits.
 _COMMON = {
     "spectrum": {
         "components": ("components", None),
@@ -75,7 +79,7 @@ _COMMON = {
     },
     "grid": {
         "spacing": ("float", 0.005, "> 0"),
-        "span_factor": ("float", 5.0, "> 0"),
+        "span_factor": ("float", 5.0, ">= 1"),
     },
     "units": {
         "time_unit": ("str", ""),
@@ -160,7 +164,7 @@ SCHEMA = {
             "penalty_weight": ("float", 1.0, ">= 0"),
             "continuous": ("bool", True),
             "grid_spacing": ("float", 0.01, "> 0"),
-            "grid_span_factor": ("float", 3.0, "> 0"),
+            "grid_span_factor": ("float", 3.0, ">= 1"),
         }),
     "tracking": _scenario(
         repetitions=1,
@@ -168,7 +172,7 @@ SCHEMA = {
         spectrum2=_COMMON["spectrum"],
         tracking={
             "omega_osc": ("float", _REQUIRED),
-            "k_block": ("int", 10, ">= 1"),
+            "k_block": ("int", 10, ">= 2"),
             "T": ("float", 5.0, "> 0"),
             "horizon": ("float", 500.0, "> 0"),
             "omega_c": ("float", 10.0, "> 0"),
@@ -186,7 +190,8 @@ SCHEMA = {
         }),
 }
 
-_LEAST = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+_LEAST = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1,
+          ">= 2": lambda v: v >= 2}
 
 
 def _check(rule: str, value) -> None:
@@ -271,11 +276,6 @@ _KINDS = {
 }
 
 
-def _one_sample(tracking: dict) -> float:
-    """Time of one tracking sample: an fo block or an OCF pair of filters."""
-    return max(tracking["k_block"], 2) * tracking["T"]
-
-
 def validate_config(raw: dict) -> dict:
     """Typed, defaulted configuration from a nested dict of raw strings
     (or already-typed values).  Unknown sections/keys are rejected; each
@@ -333,9 +333,9 @@ def validate_config(raw: dict) -> dict:
         raise ConfigError("the pointwise protocol is defined for one qubit",
                           location="protocol.n_qubits")
     tr = cfg.get("tracking")
-    if tr and tr["horizon"] < _one_sample(tr):
-        raise ConfigError(f"shorter than one sample, max(k_block, 2) * T = "
-                          f"{_one_sample(tr)}", location="tracking.horizon")
+    if tr and tr["horizon"] < tr["k_block"] * tr["T"]:
+        raise ConfigError(f"shorter than one sample, k_block * T = "
+                          f"{tr['k_block'] * tr['T']}", location="tracking.horizon")
     if scenario == "nqubit-scan":
         for key in ("T_values", "dp_values", "gamma_values"):
             if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):
@@ -626,8 +626,7 @@ def _run_tracking(cfg, workers, *comps):
     if min(norms) == 0.0:
         raise CalibrationError("a tracking component vanishes on [0, omega_c]")
     s_one, s_two = (s.with_scale(s.scale / norm) for s, norm in zip(comps, norms))
-    block_filters = [filter_function(staircase_split(omega_max * k / tr["k_block"], 1, tr["T"]),
-                                     grid) for k in range(tr["k_block"])]
+    block_filters = _fo_filters(omega_max, tr["k_block"], 1, tr["T"], grid)
     overlaps = (0.5 * signal_overlaps(s_one, block_filters)
                 + 0.5 * signal_overlaps(s_two, block_filters))
     alpha = 1.0 / float(np.median(overlaps))
@@ -731,13 +730,13 @@ _ION = [(1.0, 2.0, 1.0), (0.7, 6.0, 2.0), (5.0, 20.0, _PI * _PI)]
 
 _FIG5 = {
     "spectrum": {"components": _DOUBLE_LORENTZIAN},
-    "noise": {"gamma": 0.4, "dp_max": 0.01},
-    "protocol": {"T_fo": 2.0, "T_as": 5.0, "as_delta_approx": True},
+    "noise": {"gamma": 0.4},
+    "protocol": {"T_as": 5.0, "as_delta_approx": True},
 }
 _FIG12 = {
     "spectrum": {"components": [(1.0, 2.0, 1.0)]},
     "spectrum2": {"components": _DOUBLE_LORENTZIAN},
-    "noise": {"dp_max": 0.002, "gamma": 0.0},
+    "noise": {"dp_max": 0.002},
     "tracking": {"omega_osc": 0.004 * _PI},
 }
 
@@ -747,35 +746,25 @@ PRESETS = {
     "fig2-fidelity-vs-time": (
         "fidelity vs filter operation time, orthogonalization protocol at gamma=0.4",
         "time-scan",
-        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
-         "noise": {"gamma": 0.4, "dp_max": 0.01},
-         "protocol": {"kind": "fo", "T_candidates": [1.0, 2.0, 3.0, 5.0, 7.0, 10.0]}}),
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN}, "noise": {"gamma": 0.4}}),
     "fig3-fidelity-vs-gamma": (
         "optimal-time fidelity of both protocols across dephasing rates", "gamma-scan",
-        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
-         "noise": {"dp_max": 0.01},
-         "protocol": {"gamma_values": [0.0, 0.1, 0.2, 0.3, 0.4, 0.5]}}),
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN}}),
     "fig4-dephasing0": (
         "spectrum reconstruction by both protocols, detector noise only", "reconstruction",
-        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
-         "noise": {"gamma": 0.0, "dp_max": 0.01},
-         "protocol": {"T_fo": 2.0, "T_as": 25.0, "as_delta_approx": True}}),
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN}, "protocol": {"as_delta_approx": True}}),
     "fig5-dephasing04": (
         "spectrum reconstruction by both protocols at gamma=0.4", "reconstruction", _FIG5),
     "fig6-leakage-vs-nqubits": (
         "leakage suppression: fidelity vs entangled-probe size", "nqubit-scan",
-        {"spectrum": {"components": _LEAKAGE},
-         "noise": {"gamma": 0.0, "dp_max": 0.01},
-         "protocol": {"nqubit_values": [1, 2, 3, 4, 5, 6], "T_values": [2.0]}}),
+        {"spectrum": {"components": _LEAKAGE}}),
     "fig8-ocf-lorentzian": (
         "optimal-control filters for a single Lorentzian line", "ocf",
         {"spectrum": {"components": [(1.0, 2.0, 1.0)]},
-         "ocf": {"T": 5.0, "T_candidates": [float(t) for t in range(1, 11)],
-                 "nqubit_values": [1, 2, 3, 4, 6], "sweep_nqubits": [1, 4]}}),
+         "ocf": {"T_candidates": [float(t) for t in range(1, 11)]}}),
     "fig10-ocf-double": (
         "optimal-control filters for the double-Lorentzian target", "ocf",
-        {"spectrum": {"components": _DOUBLE_LORENTZIAN},
-         "ocf": {"T": 5.0, "nqubit_values": [1, 6]}}),
+        {"spectrum": {"components": _DOUBLE_LORENTZIAN}, "ocf": {"nqubit_values": [1, 6]}}),
     "fig12-tracking-slow": (
         "time-resolved coefficient tracking, slow oscillation", "tracking", _FIG12),
     "fig13-tracking-fast": (
@@ -830,8 +819,8 @@ def _apply_quick(cfg: dict) -> None:
         for key in ("nqubit_values", "T_values", "dp_values", "gamma_values"):
             cfg["protocol"][key] = cfg["protocol"][key][:2]
     if scenario == "tracking":
-        cfg["tracking"]["horizon"] = max(cfg["tracking"]["horizon"],
-                                         _one_sample(cfg["tracking"]))
+        tr = cfg["tracking"]
+        tr["horizon"] = max(tr["horizon"], tr["k_block"] * tr["T"])
 
 
 def _load(target: str, quick: bool = False, **run) -> dict:
@@ -909,6 +898,12 @@ def main(argv=None) -> int:
         cfg = _load(args.target, args.quick,
                     **{key: value for key, value in flags.items() if value is not None})
         out_dir = os.path.join(args.out_dir, cfg["run"]["name"])
+        # the run writes only after computing: check where it writes first
+        existing = out_dir
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if not os.path.isdir(existing or os.curdir):
+            raise ConfigError(f"{existing!r} is not a directory", location="--out-dir")
         summary = run_scenario(cfg, out_dir, workers=args.workers)
         for key in sorted(summary):
             print(f"{key} = {_fmt(summary[key])}")

@@ -19,6 +19,7 @@ readouts of each filter); it does not cover the uniform detector error
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -53,21 +54,18 @@ def build_fio(filters, probabilities) -> FisherOperator:
     probs = np.asarray(probabilities, dtype=float)
     if len(filters) != probs.size:
         raise ValueError("filters and probabilities differ in length")
-    kept = []
-    weights = []
-    excluded = []
-    for k, (f, p) in enumerate(zip(filters, probs)):
-        if not math.isfinite(p) or p <= 0.0:
-            excluded.append((k, "divergent-weight"))
-        elif p >= 0.5:
-            excluded.append((k, "zero-weight"))
-        else:
-            kept.append(f)
-            weights.append((1.0 - 2.0 * p) ** 2 / (4.0 * p * (1.0 - p)))
-    if not kept:
+    divergent = ~(np.isfinite(probs) & (probs > 0.0))
+    keep = ~divergent & (probs < 0.5)
+    if not keep.any():
         raise EmptyOperatorError("all probabilities degenerate; empty operator")
-    return FisherOperator(filters=tuple(kept), weights=np.asarray(weights),
-                          excluded=tuple(excluded))
+    p = probs[keep]
+    out = np.flatnonzero(~keep)
+    reasons = np.where(divergent[out], "divergent-weight", "zero-weight")
+    # float_power is C pow, as a Python float's ** is, so each weight has the
+    # bits of the scalar formula (d * d differs in the last bit for ~0.1% of d)
+    return FisherOperator(filters=tuple(itertools.compress(filters, keep)),
+                          weights=np.float_power(1.0 - 2.0 * p, 2) / (4.0 * p * (1.0 - p)),
+                          excluded=tuple(zip(out.tolist(), reasons.tolist())))
 
 
 def directional_fisher(fio: FisherOperator, direction) -> float:

@@ -296,6 +296,13 @@ def _checked_condition(svals: np.ndarray) -> float:
     return cond
 
 
+def _fo_filters(omega_max: float, K: int, n_qubits: int, T: float, grid) -> list:
+    """The fo basis: filter k is the :func:`staircase_split` of
+    ``cos(omega_max k t / K)`` on ``n_qubits`` over ``T``, k = 0 ... K - 1."""
+    return [filter_function(staircase_split(omega_max * k / K, n_qubits, T), grid)
+            for k in range(K)]
+
+
 def _pointwise_omegas(omega_max: float, K: int) -> np.ndarray:
     """The K frequencies ``omega_max * k / K`` of a pointwise estimate."""
     return omega_max * np.arange(1, K + 1) / K
@@ -353,10 +360,9 @@ def _cosine_rows(s_true: np.ndarray, n_true: float, c_rows: np.ndarray,
 class ProtocolContext:
     """Noise-independent state for repeated runs of one (protocol, T) cell.
 
-    Builds the filter set (fo filter k is the :func:`staircase_split` of
-    ``cos(omega_max (k - 1) t / K)`` for every qubit count), calibrates its
-    own amplitude so that the median overlap coefficient is one (one spectrum
-    sample on the grid for the calibration, one for ``c_true``), and keeps
+    Builds the filter set (the fo basis from :func:`_fo_filters`), calibrates
+    its own amplitude so that the median overlap coefficient is one (one
+    spectrum sample on the grid for the calibration, one for ``c_true``), and keeps
     what no repetition changes: the overlap ("fo") or bin ("as") matrix, the
     true spectrum with its norm at the fidelity points, and ``G``, whose row
     k is basis function k at the fidelity points (filter k for "fo", the hat
@@ -411,11 +417,10 @@ class ProtocolContext:
         self.grid = grid if grid is not None else default_grid(self.omega_max)
 
         if protocol == "fo":
-            gens = [staircase_split(self.omega_max * (k - 1) / K, n_qubits, operation_time)
-                    for k in range(1, K + 1)]
+            self.filters = _fo_filters(self.omega_max, K, n_qubits, operation_time, self.grid)
         else:
-            gens = [as_sequence(k, K, self.omega_max, operation_time) for k in range(1, K + 1)]
-        self.filters = [filter_function(g, self.grid) for g in gens]
+            self.filters = [filter_function(as_sequence(k, K, self.omega_max, operation_time),
+                                            self.grid) for k in range(1, K + 1)]
 
         unit = spectrum.with_scale(1.0)
         self.scale = calibrate_amplitude(unit, self.filters)

@@ -57,6 +57,14 @@ def test_config_round_trip(name, quick):
     assert cli.validate_config(cli._ini_sections(cli.format_config(cfg))) == cfg
 
 
+def test_preset_restates_no_default():
+    """A preset holds only the values that differ from its scenario's defaults."""
+    restated = [f"{name}: {section}.{key}" for name, (_, scenario, sections) in cli.PRESETS.items()
+                for section, values in sections.items() for key, value in values.items()
+                if value == cli.SCHEMA[scenario][section][key][1]]
+    assert restated == []
+
+
 class TestExitCodes:
     def test_unknown_target_is_config_error(self, tmp_path, capsys):
         assert cli.main(["run", "no-such-preset", "--out-dir", str(tmp_path)]) == 2
@@ -150,8 +158,14 @@ class TestExitCodes:
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.eig_keep"),
         (_ini("tracking", tracking="omega_osc = 0.01\nhorizon = 20",
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.horizon"),
-        (_ini("tracking", tracking="omega_osc = 0.01\nhorizon = 9.9\nk_block = 1",
+        (_ini("tracking", tracking="omega_osc = 0.01\nhorizon = 9.9\nk_block = 2",
               spectrum2="components =\n  1.0 2.0 1.0"), "tracking.horizon"),
+        # one filter cannot separate the two components
+        (_ini("tracking", tracking="omega_osc = 0.01\nk_block = 1",
+              spectrum2="components =\n  1.0 2.0 1.0"), "tracking.k_block"),
+        # a grid that stops below the band its filters are built for
+        (_ini("reconstruction", grid="span_factor = 0.5"), "grid.span_factor"),
+        (_ini("ocf", ocf="grid_span_factor = 0.99"), "ocf.grid_span_factor"),
         (_ini("reconstruction", spectrum="components =\n  1.0 2.0 1.0\nscale = -1"),
          "spectrum.scale"),
         (_ini("tracking", tracking="omega_osc = 0.01",
@@ -174,7 +188,8 @@ class TestExitCodes:
             "grid-spacing-negative", "grid-span-zero", "ocf-grid-spacing-zero",
             "ocf-grid-span-negative", "eig-keep-negative", "eig-keep-above-one",
             "tracking-eig-keep-above-one", "horizon-below-one-block",
-            "horizon-below-one-pair", "scale-negative", "spectrum2-scale-negative",
+            "horizon-below-one-pair", "k-block-one", "span-below-one",
+            "ocf-grid-span-below-one", "scale-negative", "spectrum2-scale-negative",
             "protocols-repeated", "tracking-nqubit-values-repeated",
             "ocf-sweep-nqubits-repeated", "penalty-weight-negative"])
     def test_rejected_before_run(self, text, location, tmp_path, capsys):
@@ -195,6 +210,20 @@ class TestExitCodes:
                          "--out-dir", str(tmp_path / "out")]) == 2
         assert "--workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("blocker", ["out", "out/fisher-cr-bound"],
+                             ids=["out-dir-is-a-file", "run-dir-is-a-file"])
+    def test_out_dir_that_cannot_hold_the_run(self, blocker, tmp_path, capsys, monkeypatch):
+        """A file where the run directory or one of its parents would go is
+        refused at --out-dir before the run computes or writes anything."""
+        monkeypatch.setattr(cli, "run_scenario", lambda *args, **kwargs: pytest.fail("ran"))
+        (tmp_path / blocker).parent.mkdir(exist_ok=True)
+        (tmp_path / blocker).write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        assert cli.main(["run", "fisher-cr-bound", "--quick",
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert "config error: --out-dir: " in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("scenario, section, key, value", [
         ("fisher", "fisher", "shots", "10000"),
@@ -554,7 +583,7 @@ def test_scipy_is_the_oracle_extra():
 # the rules of every SCHEMA entry
 # ---------------------------------------------------------------------------
 
-RULES = {"> 0", ">= 0", ">= 1", "nonempty", "distinct", "protocol", "dirname",
+RULES = {"> 0", ">= 0", ">= 1", ">= 2", "nonempty", "distinct", "protocol", "dirname",
          "noise.gamma", "noise.dp_max", "noise.shots"}
 
 
@@ -603,7 +632,7 @@ def test_every_rule_is_known():
             for _, _, *rules in keys.values() for rule in rules} == RULES
 
 
-LEAST = _entries("> 0", ">= 0", ">= 1")
+LEAST = _entries("> 0", ">= 0", ">= 1", ">= 2")
 
 
 @pytest.mark.parametrize("scenario, section, key, kind, rule", LEAST, ids=_ids(LEAST))
@@ -702,7 +731,7 @@ def _one_value(section, key, kind, rules):
         return st.sampled_from(["fo", "as"])
     if "dirname" in rules:
         return _NAME
-    least = {"> 0": 1e-3, ">= 0": 0, ">= 1": 1}.get(rules[0] if rules else None)
+    least = {"> 0": 1e-3, ">= 0": 0, ">= 1": 1, ">= 2": 2}.get(rules[0] if rules else None)
     if kind.startswith("int"):
         return st.integers(0, 2 ** 40) if least is None else st.integers(least, 6)
     if kind.startswith("float"):
@@ -738,7 +767,7 @@ def _typed_configs(draw):
         sections["protocol"]["n_qubits"] = 1
     if scenario == "tracking":
         sections["tracking"]["horizon"] = max(cfg["tracking"]["horizon"],
-                                              cli._one_sample(cfg["tracking"]))
+                                              cfg["tracking"]["k_block"] * cfg["tracking"]["T"])
     for key in ("T_values", "dp_values", "gamma_values") if scenario == "nqubit-scan" else ():
         if len(pro[key]) not in (0, 1, len(pro["nqubit_values"])):
             sections["protocol"][key] = pro[key][:1]
