@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import EmptyOperatorError, require_scipy
 from .filterfn import FilterFunction, overlap_matrix, signal_overlaps
+from .reconstruct import _retained_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +86,13 @@ def cramer_rao(fio: FisherOperator, direction) -> float:
 
 def fio_rank(fio: FisherOperator, tolerance: float = 1e-10) -> int:
     """Numerical rank of the operator: rank of the Gram matrix of weighted
-    directions, counting singular values ``>= tolerance * largest``."""
+    directions, counting positive singular values ``>= tolerance * largest``."""
     if fio.n_terms == 0:
         return 0
     gram = overlap_matrix(fio.filters, fio.filters[0].grid.omega_max_grid)
     root_w = np.sqrt(fio.weights)
     gram = gram * np.outer(root_w, root_w)
-    svals = np.linalg.svd(gram, compute_uv=False)
-    if svals[0] <= 0:
-        return 0
-    return int(np.count_nonzero(svals >= tolerance * svals[0]))
+    return _retained_count(np.linalg.svd(gram, compute_uv=False), float(tolerance))
 
 
 def ml_deviation_estimate(c_base, d_overlaps, counts, shots: int,

@@ -43,7 +43,7 @@ from .probe import NoiseModel, measure_batch
 from .seeding import derive_seed, derive_seed_array
 from .spectra import SpectralDensity, calibrate_amplitude
 
-#: candidate relative eigenvalue thresholds scanned by the "cv" retention rule
+#: candidate relative eigenvalue thresholds of the "cv" rule, most truncating first
 TAU_GRID = tuple(10.0 ** -e for e in range(1, 9))
 
 #: default relative eigenvalue threshold; calibrated so that the retained
@@ -98,26 +98,23 @@ def _retained_count(lam: np.ndarray, eig_keep) -> int:
 
 def _cv_folds(A: np.ndarray):
     """The part of the ``"cv"`` rule of :func:`_resolve_rule` that depends on
-    the overlap matrix ``A`` alone: the thresholds, most truncating first,
-    and per held-out filter j the mask of the other filters, the descending
-    eigenpairs of their overlap matrix, the projection of ``A[keep, j]``
-    and the count each threshold retains."""
+    the overlap matrix ``A`` alone: per held-out filter j the mask of the other
+    filters, the descending eigenpairs of their overlap matrix, the projection
+    of ``A[keep, j]`` and the count each threshold of ``TAU_GRID`` retains."""
     K = A.shape[0]
-    taus = sorted(TAU_GRID, reverse=True)
     folds = []
     for j in range(K):
         keep = np.arange(K) != j
         lam, U = _eigh_descending(A[np.ix_(keep, keep)])
         folds.append((keep, lam, U, U.T @ A[keep, j],
-                      [_retained_count(lam, tau) for tau in taus]))
-    return taus, folds
+                      [_retained_count(lam, tau) for tau in TAU_GRID]))
+    return folds
 
 
-def _cv_threshold(cv_folds, c_hat: np.ndarray) -> float:
-    """The threshold of :func:`_cv_folds` output ``cv_folds`` that best
-    predicts each held-out coefficient of ``c_hat``."""
-    taus, folds = cv_folds
-    residuals = np.zeros(len(taus))
+def _cv_threshold(folds, c_hat: np.ndarray) -> float:
+    """The threshold of ``TAU_GRID`` that best predicts each held-out
+    coefficient of ``c_hat`` from the :func:`_cv_folds` output ``folds``."""
+    residuals = np.zeros(len(TAU_GRID))
     for j, (keep, lam, U, proj_a, counts) in enumerate(folds):
         proj_c = U.T @ c_hat[keep]
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -125,7 +122,7 @@ def _cv_threshold(cv_folds, c_hat: np.ndarray) -> float:
         for ti, r in enumerate(counts):
             pred = float(np.sum(terms[:r]))
             residuals[ti] += (pred - c_hat[j]) ** 2
-    return taus[int(np.argmin(residuals))]
+    return TAU_GRID[int(np.argmin(residuals))]
 
 
 def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
@@ -156,17 +153,13 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
     else:
         A = overlap[np.ix_(kept, kept)]
     rule = _resolve_rule(A, c_kept, eig_keep)
-    lam_r, U_r = _retained_basis(A, rule)
-
-    inv_sqrt = 1.0 / np.sqrt(lam_r)
-    c_tilde = (U_r.T @ c_kept) * inv_sqrt
-    beta = U_r @ (c_tilde * inv_sqrt)
+    beta, retained = _retained_solve(A, rule, c_kept)
     n_r = _cutoff_size(filters[0].grid, omega_c)
     estimate = beta @ np.vstack([filters[i].values[:n_r] for i in kept])
 
     return ReconstructionResult(
         protocol="fo", omegas=filters[0].grid.omegas[:n_r], values=estimate,
-        retained_count=lam_r.size, kept_indices=kept,
+        retained_count=retained, kept_indices=kept,
         params={"omega_c": omega_c, "eig_keep": eig_keep,
                 "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
 
@@ -190,18 +183,20 @@ def _eigh_descending(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam[::-1], U[:, ::-1]
 
 
-def _retained_basis(A: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """``(lam_r, U_r)``: the leading eigenpairs of the overlap matrix ``A``
-    that the resolved retention ``rule`` (a count or a threshold) keeps,
-    eigenvalues descending.  :class:`DegenerateBasisError` when no
-    eigenvalue is positive or the rule keeps none."""
+def _retained_solve(A: np.ndarray, rule, X: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(P @ X, retained)``: every fo estimate's truncated pseudo-inverse
+    ``P = U_r diag(1/lam_r) U_r^T`` of the overlap matrix ``A``, over the
+    ``retained`` leading eigenpairs that the resolved ``rule`` (a count or a
+    threshold) keeps.  :class:`DegenerateBasisError` when no eigenvalue is
+    positive or the rule keeps none."""
     lam, U = _eigh_descending(A)
     if not np.isfinite(lam[0]) or lam[0] <= 0:
         raise DegenerateBasisError("overlap matrix has no positive eigenvalues")
     retained = _retained_count(lam, rule)
     if retained == 0:
         raise DegenerateBasisError("retention rule dropped every eigenvalue")
-    return lam[:retained], U[:, :retained]
+    U_r = U[:, :retained]
+    return (U_r / lam[:retained]) @ (U_r.T @ X), retained
 
 
 def _check_rule(eig_keep):
@@ -432,8 +427,7 @@ class ProtocolContext:
         self._s_true = np.asarray(self.spectrum.evaluate(self.fidelity_points), dtype=float)
         self._n_true = float(np.linalg.norm(self._s_true))
         if protocol == "fo":
-            n_r = _cutoff_size(self.grid, omega_c)
-            rows = [(self.grid.omegas[:n_r], f.values[:n_r]) for f in self.filters]
+            rows = [(self.grid.omegas, f.values) for f in self.filters]
         else:
             omega_points = _pointwise_omegas(self.omega_max, K)
             rows = [(omega_points, unit) for unit in np.eye(K)]
@@ -506,10 +500,9 @@ class ProtocolContext:
                 W, _, _, svals = np.linalg.lstsq(self.bins[idx, :].T, self._G, rcond=None)
                 _checked_condition(svals)
                 return W
-            lam_r, U_r = _retained_basis(self.overlap[np.ix_(idx, idx)], rule)
+            return _retained_solve(self.overlap[np.ix_(idx, idx)], rule, self._G[idx])[0]
         except (DegenerateBasisError, IllConditionedInversionError):
             return None
-        return (U_r / lam_r) @ (U_r.T @ self._G[idx])
 
 
 # ---------------------------------------------------------------------------

@@ -104,10 +104,13 @@ class SpectralDensity:
 
     @classmethod
     def from_csv(cls, path, scale: float = 1.0) -> "SpectralDensity":
-        """Load a two-column CSV (frequency, value); '#' lines are comments."""
+        """Load a two-column CSV (frequency, value); '#' lines are comments.
+        A negative power is refused: the file is a spectrum, not an estimate."""
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         if data.shape[1] != 2:
             raise ValueError(f"{path}: expected two columns, got {data.shape[1]}")
+        if np.any(data[:, 1] < 0):
+            raise ValueError(f"{path}: spectral power must be >= 0, got {data[:, 1].min()}")
         return cls.from_grid(data[:, 0], data[:, 1], scale=scale)
 
     # -- queries -------------------------------------------------------------

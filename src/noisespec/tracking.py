@@ -20,7 +20,7 @@ from .errors import DegenerateBasisError, DegenerateComponentsError
 from .filterfn import overlap_matrix, signal_overlaps
 from .probe import NoiseModel, measure_batch
 from .reconstruct import (_COND_LIMIT, DEFAULT_TAU, _condition_number, _resolve_rule,
-                          _retained_basis)
+                          _retained_solve)
 from .seeding import derive_seed_array
 from .spectra import CompositeSignal
 
@@ -119,32 +119,30 @@ def track_fo(signal: CompositeSignal, filters, horizon: float, noise: NoiseModel
     G, T = _component_overlaps(signal, filters)
     A = overlap_matrix(filters, omega_c)
     return _track("fo-block", signal, G, T, horizon, noise,
-                  lambda c_hat: _fit_block(A, c_hat, G[:, 0], G[:, 1], eig_keep))
+                  lambda c_hat: _fit_block(A, c_hat, G, eig_keep))
 
 
-def _fit_block(A, c_hat, c_one, c_two, eig_keep):
+def _fit_block(A, c_hat, G, eig_keep):
     """LS fit of the block reconstruction against the projected components.
 
-    All three reconstructions share the retained basis chosen for the
-    finite readouts, so the fit reduces to overlap-matrix algebra on the
-    kept block of ``A``.  NaN where no readout is finite, the basis
-    degenerates or the rule retains nothing.
+    The readouts and both component columns of ``G`` share the truncated
+    pseudo-inverse ``P`` of the kept block of ``A``, and ``P A P = P``, so
+    the fit is ``G^T P G s = G^T P c_hat`` on the kept rows.  NaN where no
+    readout is finite, the basis degenerates or the rule retains nothing.
     """
     kept = np.flatnonzero(np.isfinite(c_hat))
     if kept.size == 0:
         return np.nan, np.nan
-    sub = A[np.ix_(kept, kept)]
+    sub, G = A[np.ix_(kept, kept)], G[kept]
     try:
-        lam_r, U_r = _retained_basis(sub, _resolve_rule(sub, c_hat[kept], eig_keep))
+        PG = _retained_solve(sub, _resolve_rule(sub, c_hat[kept], eig_keep), G)[0]
     except DegenerateBasisError:
         return np.nan, np.nan
-    P = (U_r / lam_r) @ U_r.T          # truncated pseudoinverse of sub
-    b_hat, *comps = (P @ vec[kept] for vec in (c_hat, c_one, c_two))
-    gram = np.array([[a @ sub @ b for b in comps] for a in comps])
+    gram = G.T @ PG
     if _condition_number(np.linalg.svd(gram, compute_uv=False)) > _COND_LIMIT:
         raise DegenerateComponentsError(
             "signal components are proportional within the filter span")
-    sol = np.linalg.solve(gram, np.array([b @ sub @ b_hat for b in comps]))
+    sol = np.linalg.solve(gram, PG.T @ c_hat[kept])
     return float(sol[0]), float(sol[1])
 
 

@@ -269,6 +269,19 @@ class TestExitCodes:
         _assert_rejected(tmp_path, capsys, _ini("reconstruction", spectrum=f"csv = {spectrum}"),
                          "spectrum.csv")
 
+    @pytest.mark.parametrize("scenario, section, sections", [
+        ("reconstruction", "spectrum", {}), ("fisher", "spectrum", {}),
+        ("tracking", "spectrum2", {"tracking": "omega_osc = 0.01"})],
+        ids=["reconstruction", "fisher", "tracking-spectrum2"])
+    def test_spectrum_csv_negative_power(self, scenario, section, sections, tmp_path, capsys):
+        # 1/(1 + (w - 2)^2) - 0.05 dips below zero; before the check at the
+        # key it ended in a ValueError traceback from the readout
+        spectrum = tmp_path / "negative.csv"
+        spectrum.write_text("".join(f"{w},{1.0 / (1.0 + (w - 2.0) ** 2) - 0.05}\n"
+                                    for w in np.linspace(0.0, 80.0, 161)))
+        text = _ini(scenario, **sections, **{section: f"csv = {spectrum}"})
+        _assert_rejected(tmp_path, capsys, text, f"{section}.csv")
+
     def test_ocf_has_no_grid_section(self, tmp_path, capsys):
         _assert_rejected(tmp_path, capsys, _ini("ocf", grid="spacing = 0.005"), "grid")
 

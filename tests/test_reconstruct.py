@@ -257,6 +257,37 @@ class TestRetention:
             fo_reconstruct(filters, np.ones(20), OMEGA_C, eig_keep=eig_keep, overlap=A)
 
 
+def _spd(eigenvalues, seed=0):
+    """A symmetric matrix with the given eigenvalues and random eigenvectors."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((len(eigenvalues),) * 2))
+    return (Q * np.asarray(eigenvalues)) @ Q.T
+
+
+class TestRetainedSolve:
+    def test_untruncated_is_the_inverse(self):
+        A = _spd(np.linspace(1.0, 0.2, 8))
+        X = np.random.default_rng(1).standard_normal((8, 3))
+        PX, retained = reconstruct._retained_solve(A, 0.0, X)
+        assert retained == 8
+        np.testing.assert_allclose(PX, np.linalg.solve(A, X), rtol=1e-10)
+
+    @pytest.mark.parametrize("rule", [DEFAULT_TAU, 0.1, 3])
+    def test_truncated_is_a_pseudo_inverse(self, rule):
+        # P A P = P for the truncated pseudo-inverse P of A
+        A = _spd(np.logspace(0.0, -10.0, 10))
+        P, retained = reconstruct._retained_solve(A, rule, np.eye(10))
+        assert 1 <= retained < 10
+        np.testing.assert_allclose(P @ A @ P, P, rtol=0, atol=1e-12 * np.abs(P).max())
+
+    @pytest.mark.parametrize("A, rule", [
+        (np.zeros((4, 4)), DEFAULT_TAU), (-np.eye(4), 0.0), (_spd([1.0, 0.5, 0.1, 0.01]), 0),
+        (_spd([1.0, 0.5, 0.1, 0.01]), 2.0)],
+        ids=["zero-matrix", "negative-definite", "count-zero", "threshold-above-one"])
+    def test_degenerate_refused(self, A, rule):
+        with pytest.raises(DegenerateBasisError):
+            reconstruct._retained_solve(A, rule, np.ones(4))
+
+
 class TestContextInput:
     @pytest.mark.parametrize("kwargs", [{"operation_time": math.nan},
                                         {"operation_time": math.inf},

@@ -73,6 +73,12 @@ class TestGridForm:
         assert spec.evaluate(5.0) == pytest.approx(2.0)
         assert not spec.is_analytic
 
+    def test_csv_negative_power_refused(self, tmp_path):
+        path = tmp_path / "spec.csv"
+        path.write_text("0.0,1.0\n5.0,-0.05\n10.0,0.5\n")
+        with pytest.raises(ValueError, match="spectral power must be >= 0, got -0.05"):
+            SpectralDensity.from_csv(path)
+
 
 class TestComponentValidation:
     @pytest.mark.parametrize("amp,center,width", [

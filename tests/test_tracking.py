@@ -5,9 +5,11 @@ import pytest
 
 from noisespec import (CompositeSignal, DegenerateComponentsError, NoiseModel,
                        SpectralDensity, default_grid, filter_function,
-                       fo_sequence, track_fo, track_ocf, tracking)
+                       fo_sequence, overlap_matrix, reconstruct, track_fo, track_ocf,
+                       tracking)
 from noisespec.filterfn import FilterFunction, continuous_norm, signal_overlap
 from noisespec.probe import measure, measure_batch
+from noisespec.reconstruct import DEFAULT_TAU
 from noisespec.seeding import derive_seed
 from noisespec.spectra import calibrate_amplitude
 
@@ -204,3 +206,46 @@ class TestSampler:
         sig = CompositeSignal(0.01, s_one, s_two)
         with pytest.raises(ValueError, match="^(unknown retention rule|retention rule must)"):
             track_fo(sig, block, 100.0, NoiseModel(seed=1), eig_keep=eig_keep)
+
+
+def _three_reconstruction_fit(A, c_hat, G, eig_keep):
+    """The block fit as three reconstructions: ``P`` from the retained
+    eigenpairs of the kept block, ``b = P c``, ``b_i = P G[:, i]``, and the
+    least squares of ``b`` against the ``b_i`` in the metric of the block."""
+    kept = np.flatnonzero(np.isfinite(c_hat))
+    sub = A[np.ix_(kept, kept)]
+    rule = reconstruct._resolve_rule(sub, c_hat[kept], eig_keep)
+    lam, U = np.linalg.eigh(sub)
+    lam, U = lam[::-1], U[:, ::-1]
+    r = reconstruct._retained_count(lam, rule)
+    P = (U[:, :r] / lam[:r]) @ U[:, :r].T
+    b = P @ c_hat[kept]
+    bs = [P @ G[kept, i] for i in range(2)]
+    gram = np.array([[b_i @ sub @ b_j for b_j in bs] for b_i in bs])
+    return np.linalg.solve(gram, np.array([b_i @ sub @ b for b_i in bs]))
+
+
+class TestFitBlock:
+    @pytest.mark.parametrize("eig_keep", [DEFAULT_TAU, "cv"])
+    @pytest.mark.parametrize("saturated", [False, True], ids=["finite", "one-inf"])
+    @pytest.mark.parametrize("K", [6, 10])
+    def test_is_the_three_reconstruction_fit(self, setup, K, saturated, eig_keep):
+        grid, s_one, s_two = setup
+        filters = [filter_function(fo_sequence(k, K, 11.5, 5.0), grid) for k in range(1, K + 1)]
+        G = np.array([[signal_overlap(s, f) for s in (s_one, s_two)] for f in filters])
+        A = overlap_matrix(filters, 10.0)
+        rng = np.random.default_rng(K)
+        for s1 in np.linspace(0.0, 1.0, 6):
+            c_hat = (G @ [s1, 1.0 - s1]) * (1.0 + 0.05 * rng.standard_normal(K))
+            if saturated:
+                c_hat[rng.integers(K)] = math.inf
+            np.testing.assert_allclose(tracking._fit_block(A, c_hat, G, eig_keep),
+                                       _three_reconstruction_fit(A, c_hat, G, eig_keep),
+                                       rtol=1e-11, atol=1e-12)
+
+    @pytest.mark.parametrize("eig_keep", [0, 2.0])
+    def test_rule_retaining_nothing_gives_nan(self, setup, block, eig_keep):
+        grid, s_one, s_two = setup
+        G = np.array([[signal_overlap(s, f) for s in (s_one, s_two)] for f in block])
+        fit = tracking._fit_block(overlap_matrix(block, 10.0), G.sum(axis=1), G, eig_keep)
+        assert np.isnan(fit).all()
