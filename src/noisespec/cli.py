@@ -252,6 +252,14 @@ def _parse_components(raw):
     return rows
 
 
+def _parse_line(raw):
+    # config.ini holds a value on its key's line; a line break would not load back
+    text = raw.strip()
+    if len(text.splitlines()) > 1:
+        raise ValueError(f"must be one line, got {text!r}")
+    return text
+
+
 def _fmt_one(value) -> str:
     return f" {_fmt(value)}"
 
@@ -266,7 +274,7 @@ _KINDS = {
     "int": (int, _fmt_one),
     "float": (_parse_float, _fmt_one),
     "bool": (_parse_bool, _fmt_one),
-    "str": (str.strip, _fmt_one),
+    "str": (_parse_line, _fmt_one),
     "strs": (str.split, _fmt_list),
     "floats": (lambda raw: [_parse_float(tok) for tok in raw.split()], _fmt_list),
     "ints": (lambda raw: [int(tok) for tok in raw.split()], _fmt_list),

@@ -66,10 +66,10 @@ _CHUNK = 1 << 22  # complex workspace cap per exp() block
 _BLOCK = 64  # grid nodes per block of the factored kernel
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform angular-frequency grid on ``[0, omega_max_grid]`` with
-    ``size >= 2`` samples."""
+    ``size >= 2`` samples; grids with equal fields are equal."""
 
     omega_max_grid: float
     size: int
@@ -91,22 +91,19 @@ class FrequencyGrid:
         om.setflags(write=False)
         return om
 
-    def compatible(self, other: "FrequencyGrid") -> bool:
-        return self is other or (self.size == other.size
-                                 and self.omega_max_grid == other.omega_max_grid)
-
     def trap_weights(self, omega_cut: float | None = None) -> np.ndarray:
         """Trapezoid quadrature weights over ``[0, min(omega_cut, max)]``.
 
         A cut between nodes contributes the partial final cell with a
-        linearly interpolated endpoint.
+        linearly interpolated endpoint; a cut outside the range (or NaN)
+        raises :class:`GridRangeError`.
         """
         d = self.spacing
         if omega_cut is None:
             omega_cut = self.omega_max_grid
-        if omega_cut > self.omega_max_grid + 1e-9 * self.omega_max_grid:
+        if not 0 <= omega_cut <= self.omega_max_grid + 1e-9 * self.omega_max_grid:
             raise GridRangeError(
-                f"cutoff {omega_cut} beyond grid range {self.omega_max_grid}")
+                f"cutoff {omega_cut} outside grid range [0, {self.omega_max_grid}]")
         w = np.zeros(self.size)
         pos = omega_cut / d
         idx = int(math.floor(pos + 1e-9))
@@ -346,7 +343,7 @@ def filter_function(generator, grid: FrequencyGrid) -> FilterFunction:
 def _common_grid(filters) -> FrequencyGrid:
     grid = filters[0].grid
     for f in filters[1:]:
-        if not grid.compatible(f.grid):
+        if f.grid != grid:
             raise GridMismatchError("filters do not share a frequency grid")
     return grid
 

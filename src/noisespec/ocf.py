@@ -110,14 +110,14 @@ class _Objective:
         self.evaluations = 0
 
     def from_values(self, f_vals: np.ndarray) -> tuple[float, float]:
-        """Return (penalized objective, raw xi)."""
+        """Return (penalized objective, normalized xi ``xi / ||S||_c``)."""
         self.evaluations += 1
         norm = math.sqrt(float(np.sum(self.w_band * f_vals ** 2)))
         if norm <= 0.0:
             raise UndefinedObjectiveError("filter vanishes on the analysis band")
         xi = float(np.sum(self.w_full * self.s_vals * f_vals)) / norm
         out = float(np.sum(self.w_out * f_vals)) / norm
-        return xi - self.penalty_weight * self.s_rms * out, xi
+        return xi - self.penalty_weight * self.s_rms * out, xi / self.s_norm
 
 
 def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
@@ -137,8 +137,7 @@ def xi_normalized(modulation_or_filter, spectrum, omega_c: float,
         if grid is None:
             grid = ocf_grid(omega_c)
         f_vals = filter_values(modulation_or_filter, grid)
-    obj = _Objective(spectrum, grid, omega_c, 0.0)
-    return obj.from_values(f_vals)[1] / obj.s_norm
+    return _Objective(spectrum, grid, omega_c, 0.0).from_values(f_vals)[1]
 
 
 class _BudgetSpent(Exception):
@@ -222,35 +221,32 @@ def _solve(problem: OcfProblem, initial, candidate_from, values_of=filter_values
     candidate state from the current state, the superiteration index and
     the coefficient vector; ``values_of(state, grid)`` gives a state's
     filter samples and ``finish(state)`` the modulation of the accepted
-    state.  The accepted state's samples and xi are those of the
-    evaluation that accepted it, so no state is transformed twice."""
+    state.  One ``score`` rates every state, and the accepted state keeps
+    the samples and xi of its scoring, so no state is transformed twice."""
     objective = _Objective(problem.spectrum, problem.grid, problem.omega_c,
                            problem.penalty_weight)
+
+    def score(state):
+        """(penalized objective, normalized xi, samples) of ``state``; the
+        objective is -inf where it is undefined."""
+        vals = values_of(state, problem.grid)
+        try:
+            return (*objective.from_values(vals), vals)
+        except UndefinedObjectiveError:
+            return -math.inf, math.nan, vals
+
     state = initial
-    best_vals = values_of(state, problem.grid)
-    best_obj, best_xi = objective.from_values(best_vals)
+    best_obj, best_xi, best_vals = score(state)
     trace = [best_obj]
     dim = 2 * problem.basis_size
 
     for s in range(problem.superiterations):
         rng = make_rng(derive_seed(problem.seed, s))
         freqs = rng.uniform(0.0, 1.2 * problem.omega_c, problem.basis_size)
-
-        def neg_obj(x, _s=s, _freqs=freqs, _state=state):
-            try:
-                cand = candidate_from(_state, _s, _freqs, x)
-                val, _ = objective.from_values(values_of(cand, problem.grid))
-            except UndefinedObjectiveError:
-                return math.inf
-            return -val
-
-        x_best = _inner_search(neg_obj, dim, step=0.6, max_evals=problem.inner_evals)
+        x_best = _inner_search(lambda x: -score(candidate_from(state, s, freqs, x))[0],
+                               dim, step=0.6, max_evals=problem.inner_evals)
         cand = candidate_from(state, s, freqs, x_best)
-        try:
-            cand_vals = values_of(cand, problem.grid)
-            cand_obj, cand_xi = objective.from_values(cand_vals)
-        except UndefinedObjectiveError:
-            cand_obj = -math.inf
+        cand_obj, cand_xi, cand_vals = score(cand)
         if cand_obj > best_obj:
             best_obj, best_xi, best_vals, state = cand_obj, cand_xi, cand_vals, cand
         trace.append(best_obj)
@@ -259,7 +255,7 @@ def _solve(problem: OcfProblem, initial, candidate_from, values_of=filter_values
     best_vals.setflags(write=False)
     filt = FilterFunction(grid=problem.grid, values=best_vals, generator=modulation,
                           operation_time=modulation.duration)
-    return OcfSolution(modulation=modulation, normalized_fidelity=best_xi / objective.s_norm,
+    return OcfSolution(modulation=modulation, normalized_fidelity=best_xi,
                        evaluations=objective.evaluations, trace=tuple(trace), filter=filt)
 
 

@@ -145,13 +145,11 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
         and ``"cv"`` selects the threshold by leave-one-out cross-validation.
     overlap : ndarray, optional
         Precomputed ``overlap_matrix(filters, omega_c)`` (full set) to avoid
-        recomputation in repeated runs.
+        recomputation in repeated runs; the kept block is sliced from it or
+        from the matrix computed here, so it changes no result.
     """
     filters, kept, c_kept = _kept_estimates(filters, c_estimates)
-    if overlap is None:
-        A = overlap_matrix([filters[i] for i in kept], omega_c)
-    else:
-        A = overlap[np.ix_(kept, kept)]
+    A = (overlap if overlap is not None else overlap_matrix(filters, omega_c))[np.ix_(kept, kept)]
     rule = _resolve_rule(A, c_kept, eig_keep)
     beta, retained = _retained_solve(A, rule, c_kept)
     n_r = _cutoff_size(filters[0].grid, omega_c)

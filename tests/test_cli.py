@@ -728,6 +728,28 @@ def test_name_is_one_directory(name, tmp_path, capsys):
     assert exc.value.location == "run.name"
 
 
+@pytest.mark.parametrize("section, body, location", [
+    ("units", "note = first line\n  second line", "units.note"),
+    ("run", "scenario = fisher\nname = a\n  b", "run.name")], ids=["units-note", "run-name"])
+def test_continued_str_refused(section, body, location, tmp_path, capsys):
+    """An INI continuation line gives a str value a line break, which the
+    config.ini a run writes could not load back: it is refused at its key,
+    and nothing is written anywhere."""
+    _assert_rejected(tmp_path, capsys, _ini("fisher", **{section: body}), location)
+    assert os.listdir(tmp_path) == ["bad.ini"]
+
+
+@pytest.mark.parametrize("section, key", [("run", "name"), ("units", "note"),
+                                          ("spectrum", "csv")])
+@pytest.mark.parametrize("value", ["inj\nseed = 7", "a\rb"], ids=["newline", "return"])
+def test_typed_line_break_refused(section, key, value):
+    cfg = cli.preset_config("fisher-cr-bound", quick=True)
+    cfg[section][key] = value
+    with pytest.raises(noisespec.ConfigError, match="must be one line") as exc:
+        cli.validate_config(cfg)
+    assert exc.value.location == f"{section}.{key}"
+
+
 _TEXT = st.text("abcXYZ019 _-./", min_size=1, max_size=12).map(str.strip).filter(bool)
 # a run's name is one directory
 _NAME = _TEXT.filter(lambda name: name not in (".", "..") and "/" not in name)

@@ -521,3 +521,41 @@ class TestGridInput:
         span = span_factor * omega_c
         grid = ocf_grid(omega_c, spacing, span_factor)
         assert (grid.omega_max_grid, grid.size) == (span, int(math.ceil(span / spacing)) + 1)
+
+    @pytest.mark.parametrize("cut", [-0.5, -1e-300, math.nan, 10.0 * (1 + 2e-9), 11.0],
+                             ids=["negative", "tiny-negative", "nan", "past-tolerance", "above"])
+    def test_cut_outside_grid(self, cut):
+        """A cut outside ``[0, omega_max_grid]`` raises GridRangeError, in
+        trap_weights and in each band integral built on it; a negative cut
+        would otherwise index the grid's top nodes."""
+        grid = FrequencyGrid(10.0, 11)
+        filt = box_filter(grid, 0.0, 10.0)
+        spectrum = SpectralDensity.from_grid([0.0, 10.0], [1.0, 1.0])
+        for call in (lambda: grid.trap_weights(cut), lambda: overlap_matrix([filt], cut),
+                     lambda: signal_overlaps(spectrum, [filt], cut)):
+            with pytest.raises(GridRangeError, match="outside grid range"):
+                call()
+
+    @pytest.mark.parametrize("cut, total", [(0.0, 0.0), (10.0 * (1 + 5e-10), 10.0)],
+                             ids=["zero", "within-tolerance"])
+    def test_cut_at_the_range_ends(self, cut, total):
+        assert FrequencyGrid(10.0, 11).trap_weights(cut).sum() == pytest.approx(total)
+
+
+class TestGridEquality:
+    def test_equal_fields_equal_grids(self):
+        a, b = FrequencyGrid(10.0, 11), FrequencyGrid(10.0, 11)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    @pytest.mark.parametrize("other", [FrequencyGrid(10.0, 12), FrequencyGrid(11.0, 11)],
+                             ids=["size", "span"])
+    def test_different_fields_differ(self, other):
+        assert FrequencyGrid(10.0, 11) != other
+
+    def test_filters_on_equal_grids_share_an_overlap_matrix(self):
+        a, b = FrequencyGrid(10.0, 1001), FrequencyGrid(10.0, 1001)
+        filters = [box_filter(a, 0.0, 3.0), box_filter(b, 2.0, 8.0)]
+        same = overlap_matrix([filters[0], box_filter(a, 2.0, 8.0)], 10.0)
+        assert overlap_matrix(filters, 10.0).tobytes() == same.tobytes()
+        assert same[0, 1] > 0

@@ -7,7 +7,7 @@ import pytest
 from noisespec import (CalibrationError, ModulationSet, NonFiniteInputError,
                        SpectralDensity, UndefinedObjectiveError, staircase_split,
                        xi_normalized)
-from noisespec import filterfn
+from noisespec import filterfn, ocf
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                                 filter_function, filter_values, transform_continuous)
 from noisespec.modulation import PulseSequence, repair_trains
@@ -165,6 +165,34 @@ class TestOptimizers:
         assert len(calls) == 1 and sol.evaluations == 1
         assert sol.filter.values.tobytes() == filter_values(sol.modulation,
                                                             ocf_grid(10.0)).tobytes()
+
+    def test_vanishing_candidate_never_accepted(self, monkeypatch):
+        """A candidate whose filter vanishes on the band is undefined: the
+        search sees +inf for it, it is never accepted, the trace keeps the
+        initial objective, and every scoring counts as an evaluation."""
+        searched = []
+        inner = ocf._inner_search
+
+        def recording(fun, *args, **kwargs):
+            return inner(lambda x: searched.append(fun(x)) or searched[-1], *args, **kwargs)
+
+        monkeypatch.setattr(ocf, "_inner_search", recording)
+        prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, superiterations=3,
+                          inner_evals=12, seed=4)
+        initial = staircase_split(2.0, 1, 5.0)
+        scored = []
+
+        def values(state, grid):
+            scored.append(state)
+            return filter_values(initial, grid) if state is initial else np.zeros(grid.size)
+
+        sol = _solve(prob, initial, lambda state, s, freqs, x: ("vanishing", s), values)
+        assert searched == [math.inf] * 3 * 12
+        assert sol.modulation is initial
+        assert math.isfinite(sol.trace[0]) and sol.trace == (sol.trace[0],) * 4
+        assert sol.evaluations == len(scored) == 1 + 3 * (12 + 1)
+        assert sol.normalized_fidelity == xi_normalized(initial, LORENTZIAN, 10.0,
+                                                        grid=prob.grid)
 
     @pytest.mark.parametrize("field, value", [
         ("duration", math.nan), ("duration", math.inf), ("omega_c", math.nan),

@@ -56,3 +56,14 @@ class TestCompare:
         a, b = _tree(tmp_path / "a"), _tree(tmp_path / "b", mean=float("nan"))
         assert preset_hashes.compare(a, b, rtol=1.0) == 1
         assert "largest relative gap inf" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("made, message", [
+        ((), "not a directory"), (("a",), "not a directory"), (("a", "b"), "no file in")],
+        ids=["neither-exists", "one-missing", "both-empty"])
+    def test_missing_or_empty_trees_fail(self, tmp_path, capsys, made, message):
+        """A mistyped or never-written tree does not compare equal."""
+        for name in made:
+            (tmp_path / name).mkdir()
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        assert preset_hashes.main(["--compare", a, b]) == 1
+        assert message in capsys.readouterr().out

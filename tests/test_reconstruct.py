@@ -640,6 +640,24 @@ class TestCachedDecomposition:
             assert abs(fid - fidelity(ctx.spectrum, ref, ctx.fidelity_points)) <= 1e-12
             assert result.fidelity == fid
 
+    def test_overlap_cache_changes_no_bit(self, two_line_spectrum):
+        """``fo_reconstruct`` slices its kept block from one overlap matrix,
+        the cached one or its own, so rows with saturated readouts give
+        the same bytes with and without ``overlap``."""
+        saturated = 0
+        for T in (2.0, 5.0):
+            ctx = ProtocolContext("fo", two_line_spectrum, T)
+            for row in _estimate_rows(ctx, _SATURATING, 200):
+                if np.isfinite(row).all():
+                    continue
+                saturated += 1
+                ref = fo_reconstruct(ctx.filters, row, OMEGA_C, overlap=ctx.overlap)
+                own = fo_reconstruct(ctx.filters, row, OMEGA_C)
+                assert own.values.tobytes() == ref.values.tobytes()
+                assert own.retained_count == ref.retained_count
+                np.testing.assert_array_equal(own.kept_indices, ref.kept_indices)
+        assert saturated == 87
+
     def test_fo_readouts_that_saturate(self, two_line_spectrum):
         ctx = ProtocolContext("fo", two_line_spectrum, 5.0)
         rows = _estimate_rows(ctx, _SATURATING, 40)

@@ -43,7 +43,9 @@ the summary keys, CSV metadata keys and CSV columns whose values differ,
 each with its largest relative gap ``|a - b| / max(|a|, |b|)``, and then
 any difference that is not a number: a file on one side only, a key or
 column on one side only, a row count, a text value, or other bytes.  It
-exits 1 if a gap exceeds ``R`` (default 0) or any such difference exists.
+exits 1 if a gap exceeds ``R`` (default 0) or any such difference exists,
+and also when a root is not a directory or neither root holds a file, so
+a mistyped or never-written tree does not compare equal.
 """
 
 from __future__ import annotations
@@ -161,12 +163,20 @@ def _gap(a, b) -> float | None:
 
 def compare(out_a, out_b, rtol: float = 0.0) -> int:
     """Print the value differences between two output trees; 1 if a
-    relative gap exceeds ``rtol`` or any non-numeric difference exists."""
+    relative gap exceeds ``rtol`` or any non-numeric difference exists, or
+    if a root is not a directory or neither root holds a file."""
     def files(root):
         return {os.path.relpath(os.path.join(d, f), root)
                 for d, _, names in os.walk(root) for f in names}
 
+    missing = [root for root in (out_a, out_b) if not os.path.isdir(root)]
+    if missing:
+        print(f"not a directory: {', '.join(missing)}")
+        return 1
     in_a, in_b = files(out_a), files(out_b)
+    if not in_a | in_b:
+        print(f"no file in {out_a} or {out_b}")
+        return 1
     worst, textual, changed = 0.0, 0, 0
     for rel in sorted(in_a | in_b):
         if rel not in in_a or rel not in in_b:
