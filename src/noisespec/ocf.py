@@ -99,10 +99,11 @@ class _Objective:
     def __init__(self, spectrum, grid: FrequencyGrid, omega_c: float,
                  penalty_weight: float):
         self.penalty_weight = penalty_weight
-        self.w_full = grid.trap_weights()
+        w_full = grid.trap_weights()
         self.w_band = grid.trap_weights(omega_c)
-        self.w_out = self.w_full - self.w_band
-        self.s_vals = spectrum.evaluate(grid.omegas)
+        self.w_out = w_full - self.w_band
+        # the numerator's weights, so each evaluation makes one product less
+        self.ws_full = w_full * spectrum.evaluate(grid.omegas)
         self.s_norm = continuous_norm(spectrum, omega_c, grid)
         if self.s_norm == 0.0:
             raise CalibrationError("spectrum vanishes on [0, omega_c]; nothing to match")
@@ -115,7 +116,7 @@ class _Objective:
         norm = math.sqrt(float(np.sum(self.w_band * f_vals ** 2)))
         if norm <= 0.0:
             raise UndefinedObjectiveError("filter vanishes on the analysis band")
-        xi = float(np.sum(self.w_full * self.s_vals * f_vals)) / norm
+        xi = float(np.sum(self.ws_full * f_vals)) / norm
         out = float(np.sum(self.w_out * f_vals)) / norm
         return xi - self.penalty_weight * self.s_rms * out, xi / self.s_norm
 

@@ -15,6 +15,7 @@ from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError, G
                        transform_continuous)
 from noisespec import filterfn
 from noisespec.filterfn import FilterFunction, _gauss_plan, filter_values
+from noisespec.modulation import to_step_function
 from noisespec.ocf import ocf_grid
 
 
@@ -211,6 +212,55 @@ class TestGridKernel:
         # an equal grid built anew reuses its plan
         filter_values(mod, FrequencyGrid(29.0, 3001))
         assert _gauss_plan.cache_info().hits == 1
+
+
+def _factor_points():
+    """Named point sets of the kernel: the switch times of every pulse
+    generator and the Gauss nodes of the continuous one."""
+    points = {}
+    for name, gen in KERNEL_GENERATORS.items():
+        if isinstance(gen, ContinuousModulation):
+            points[name] = filterfn._gauss_panels(gen.duration, 12)[0]
+        else:
+            points[name] = to_step_function(gen)[0]
+    return points
+
+
+class TestBlockFactors:
+    """The running-product factor tables: a column depends only on its own
+    point, grids far larger than the presets' stay within the kernel's
+    bound, and the small-phase moments come from one product."""
+
+    @pytest.mark.parametrize("grid", KERNEL_GRIDS, ids=lambda g: f"n{g.size}")
+    def test_columns_equal_points_built_alone(self, grid):
+        for name, points in _factor_points().items():
+            tables = filterfn._block_factors(grid.spacing, grid.size, points)
+            for i in range(points.size):
+                alone = filterfn._block_factors(grid.spacing, grid.size, points[i:i + 1])
+                for table, one in zip(tables, alone):
+                    assert table[:, i].tobytes() == one[:, 0].tobytes(), (name, i)
+
+    def test_large_grid_agrees_with_direct_form(self):
+        # 1563 blocks, so the coarse running products are 1562 rows deep;
+        # the direct form runs on every fifth node, which meets every block
+        # and each filter's peak (nodes 690, 1300 and 920)
+        grid = FrequencyGrid(500.0, 100_001)
+        for gen in (fo_sequence(7, 20, 11.5, 25.0), as_sequence(13, 20, 10.0, 25.0),
+                    staircase_split(4.6, 6, 25.0)):
+            on_grid = filter_values(gen, grid)[::5]
+            direct = filter_values(gen, grid.omegas[::5])
+            assert np.max(np.abs(on_grid - direct)) <= 1e-12 * np.max(direct)
+
+    @pytest.mark.parametrize("name", [k for k, g in KERNEL_GENERATORS.items()
+                                      if not isinstance(g, ContinuousModulation)])
+    def test_moments_equal_three_dots(self, name):
+        bounds, values = to_step_function(KERNEL_GENERATORS[name])
+        moments = filterfn._moments(bounds, values)
+        for k, scale in enumerate((1.0, 2.0, 6.0)):
+            powers = np.diff(bounds ** (k + 1))
+            three_dots = float(values @ powers) / scale
+            # relative to the integral of |y| t^k / k!, which bounds the rounding
+            assert abs(moments[k] - three_dots) <= 1e-15 * float(np.abs(values) @ powers) / scale
 
 
 class TestContinuousPanels:
@@ -504,11 +554,23 @@ class TestGridInput:
             FrequencyGrid(omega_max_grid, size)
 
     @pytest.mark.parametrize("kwargs", [{"spacing": 0.0}, {"spacing": -0.005},
-                                        {"spacing": math.nan}, {"span_factor": 0.0},
+                                        {"spacing": -1e-300}, {"span_factor": 0.0},
                                         {"span_factor": -1.0}])
     def test_default_grid(self, kwargs):
         with pytest.raises(GridRangeError):
             default_grid(11.5, **kwargs)
+
+    @pytest.mark.parametrize("make", [default_grid, ocf_grid])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", ["omega_max", "span_factor", "spacing"])
+    def test_non_finite_refused(self, make, name, value):
+        """Each non-finite argument is named, where a non-finite omega_max
+        or span_factor raised a bare ValueError or an OverflowError and an
+        infinite spacing a size error."""
+        kwargs = {"span_factor": 5.0, "spacing": 0.01, name: value}
+        omega_max = kwargs.pop("omega_max", 1.0)
+        with pytest.raises(NonFiniteInputError, match=f"^{name} must be finite"):
+            make(omega_max, **kwargs)
 
     @pytest.mark.parametrize("spacing, span_factor", [(0.0, 3.0), (0.01, -1.0)])
     def test_ocf_grid(self, spacing, span_factor):
