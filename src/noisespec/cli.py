@@ -51,7 +51,7 @@ from .reconstruct import (DEFAULT_TAU, FO_BAND_MARGIN, ProtocolContext, _fo_filt
                           _pointwise_omegas, fidelity, mean_se, run_jobs, run_repetitions,
                           scan_optimal_time)
 from .seeding import derive_seed, make_rng
-from .spectra import CompositeSignal, SpectralDensity
+from .spectra import CompositeSignal, SpectralDensity, _median
 from .tracking import track_fo, track_ocf
 
 _REQUIRED = object()
@@ -65,12 +65,12 @@ _REQUIRED = object()
 # "distinct", "protocol" (each value is fo or as), "dirname" (one directory:
 # not "", "." or ".." and no path separator) or "noise.<field>" (each value
 # replaces that [noise] field; NoiseModel checks it).  Four rules between keys
-# close validate_config: a spectrum has components or a csv and builds, "as"
-# runs one qubit, a tracking horizon holds one sample, and a nqubit scan's
-# per-N lists have 0, 1 or one value per qubit count.  Defaults are the paper
-# figures' values where a figure sets one: the time-scan T_candidates, the
-# gamma-scan gamma_values, the nqubit-scan nqubit_values and T_values, and the
-# ocf nqubit_values and sweep_nqubits.
+# close validate_config: a spectrum has components or a csv (run_scenario
+# builds it), "as" runs one qubit, a tracking horizon holds one sample, and a
+# nqubit scan's per-N lists have 0, 1 or one value per qubit count.  Defaults
+# are the paper figures' values where a figure sets one: the time-scan
+# T_candidates, the gamma-scan gamma_values, the nqubit-scan nqubit_values and
+# T_values, and the ocf nqubit_values and sweep_nqubits.
 _COMMON = {
     "spectrum": {
         "components": ("components", None),
@@ -328,14 +328,9 @@ def validate_config(raw: dict) -> dict:
             out[key] = value
     # the rules between keys
     for section in [name for name in ("spectrum", "spectrum2") if name in cfg]:
-        key = "csv" if cfg[section]["components"] is None else "components"
-        if cfg[section][key] is None:
+        if cfg[section]["components"] is None and cfg[section]["csv"] is None:
             raise ConfigError("need either components or csv",
                               location=f"{section}.components")
-        try:
-            _spectrum_from(cfg[section])
-        except (ValueError, OSError) as exc:
-            raise ConfigError(str(exc), location=f"{section}.{key}") from exc
     pro = cfg.get("protocol", {})
     if pro.get("kind") == "as" and pro["n_qubits"] != 1:
         raise ConfigError("the pointwise protocol is defined for one qubit",
@@ -381,11 +376,15 @@ def format_config(cfg: dict) -> str:
     return "\n".join(lines)
 
 
-def _spectrum_from(cfg_section) -> SpectralDensity:
-    if cfg_section["components"] is not None:
-        return SpectralDensity.lorentzian_mixture(
-            cfg_section["components"], scale=cfg_section["scale"])
-    return SpectralDensity.from_csv(cfg_section["csv"], scale=cfg_section["scale"])
+def _spectrum_from(cfg: dict, section: str) -> SpectralDensity:
+    """The spectrum of ``cfg[section]``; a value that builds none is refused at its key."""
+    sec = cfg[section]
+    key = "csv" if sec["components"] is None else "components"
+    build = SpectralDensity.from_csv if key == "csv" else SpectralDensity.lorentzian_mixture
+    try:
+        return build(sec[key], scale=sec["scale"])
+    except (ValueError, OSError) as exc:
+        raise ConfigError(str(exc), location=f"{section}.{key}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -637,7 +636,7 @@ def _run_tracking(cfg, workers, *comps):
     block_filters = _fo_filters(omega_max, tr["k_block"], 1, tr["T"], grid)
     overlaps = (0.5 * signal_overlaps(s_one, block_filters)
                 + 0.5 * signal_overlaps(s_two, block_filters))
-    alpha = 1.0 / float(np.median(overlaps))
+    alpha = 1.0 / _median(overlaps)
     s_one, s_two = (s.with_scale(s.scale * alpha) for s in (s_one, s_two))
     signal = CompositeSignal(tr["omega_osc"], s_one, s_two)
 
@@ -708,7 +707,7 @@ def run_scenario(cfg: dict, out_dir: str, workers: int = 1) -> dict:
     a config echo into ``out_dir`` and returns the summary dict."""
     scenario = cfg["run"]["scenario"]
     seed = cfg["run"]["seed"]
-    spectra = [_spectrum_from(cfg[section]) for section in ("spectrum", "spectrum2")
+    spectra = [_spectrum_from(cfg, section) for section in ("spectrum", "spectrum2")
                if section in cfg]
     summary, tables = _RUNNERS[scenario](cfg, workers, *spectra)
     os.makedirs(out_dir, exist_ok=True)
@@ -833,8 +832,8 @@ def _apply_quick(cfg: dict) -> None:
 
 def _load(target: str, quick: bool = False, **run) -> dict:
     """The config of a preset name or an INI file path with the ``[run]``
-    values ``run``, validated once (which reads a CSV spectrum and copies
-    every value); the quick budget then shrinks it, and ``run`` beats it."""
+    values ``run``, validated once (which copies every value and builds no
+    spectrum); the quick budget then shrinks it, and ``run`` beats it."""
     if target in PRESETS:
         _, scenario, sections = PRESETS[target]
         raw = {"run": {"scenario": scenario, "name": target}, **sections}

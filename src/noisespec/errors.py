@@ -67,7 +67,7 @@ class UnsupportedOracleError(NoiseSpecError, ValueError):
     """The time-domain cross-check requires an analytic spectral density."""
 
 
-class DegenerateComponentsError(NoiseSpecError, ValueError):
+class DegenerateComponentsError(IllConditionedInversionError):
     """The signal components are (numerically) proportional; the fit is singular."""
 
 

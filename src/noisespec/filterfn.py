@@ -128,8 +128,9 @@ def default_grid(omega_max: float, span_factor: float = 5.0,
     if not spacing > 0:
         raise GridRangeError(f"spacing must be > 0, got {spacing}")
     span = span_factor * omega_max
-    size = int(math.ceil(span / spacing)) + 1
-    return FrequencyGrid(span, size)
+    if not math.isfinite(span / spacing):
+        raise GridRangeError(f"span {span} at spacing {spacing} needs too many nodes")
+    return FrequencyGrid(span, int(math.ceil(span / spacing)) + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -76,17 +76,11 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One simulated filter measurement."""
+    """One simulated filter measurement: readout probability, estimate, saturation."""
 
-    filter_index: int
-    c_true: float
     p_measured: float
     c_estimate: float
     saturated: bool
-    dp_max: float
-    gamma: float
-    shots: int | None
-    stream_seed: int
 
 
 def survival_probability(c, gamma: float, operation_time: float):
@@ -175,14 +169,9 @@ def measure(c: float, noise: NoiseModel, operation_time: float,
     clamped to ``[0, 1]`` and inverted.  This is the one-readout view of
     :func:`measure_batch`.
     """
-    stream_seed = derive_seed(noise.seed, filter_index)
-    p, c_hat, saturated = _readouts([c], noise, operation_time,
-                                    np.array([stream_seed], dtype=np.uint64))
-    return MeasurementRecord(filter_index=filter_index, c_true=c,
-                             p_measured=float(p[0]), c_estimate=float(c_hat[0]),
-                             saturated=bool(saturated[0]), dp_max=noise.dp_max,
-                             gamma=noise.gamma, shots=noise.shots,
-                             stream_seed=stream_seed)
+    p, c_hat, saturated = _readouts([c], noise, operation_time, np.array(
+        [derive_seed(noise.seed, filter_index)], dtype=np.uint64))
+    return MeasurementRecord(float(p[0]), float(c_hat[0]), bool(saturated[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ retaining terms down to 1e-9 and 1e-14 of the largest eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,12 +60,13 @@ FO_BAND_MARGIN = 1.15
 class ReconstructionResult:
     """Estimated spectrum: grid samples ("fo") or pointwise values ("as")."""
 
-    protocol: str
     omegas: np.ndarray
     values: np.ndarray
     retained_count: int
     kept_indices: np.ndarray
-    params: dict = field(default_factory=dict)
+    #: the retention rule an fo estimate applied ("cv" resolved to its
+    #: threshold); None for the pointwise protocol
+    rule: float | int | None = None
     condition_number: float | None = None
     fidelity: float | None = None
 
@@ -155,11 +156,8 @@ def fo_reconstruct(filters, c_estimates, omega_c: float, eig_keep=DEFAULT_TAU,
     n_r = _cutoff_size(filters[0].grid, omega_c)
     estimate = beta @ np.vstack([filters[i].values[:n_r] for i in kept])
 
-    return ReconstructionResult(
-        protocol="fo", omegas=filters[0].grid.omegas[:n_r], values=estimate,
-        retained_count=retained, kept_indices=kept,
-        params={"omega_c": omega_c, "eig_keep": eig_keep,
-                "tau_used": rule if not isinstance(rule, (int, np.integer)) else None})
+    return ReconstructionResult(omegas=filters[0].grid.omegas[:n_r], values=estimate,
+                                retained_count=retained, kept_indices=kept, rule=rule)
 
 
 def _kept_estimates(filters, c_estimates):
@@ -266,10 +264,8 @@ def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = 
         cond = _checked_condition(svals)
 
     return ReconstructionResult(
-        protocol="as", omegas=_pointwise_omegas(omega_max, K),
-        values=np.asarray(values, dtype=float), retained_count=kept.size,
-        kept_indices=kept, condition_number=cond,
-        params={"omega_max": omega_max, "delta_approx": delta_approx})
+        omegas=_pointwise_omegas(omega_max, K), values=np.asarray(values, dtype=float),
+        retained_count=kept.size, kept_indices=kept, condition_number=cond)
 
 
 def _condition_number(svals: np.ndarray) -> float:
@@ -278,14 +274,14 @@ def _condition_number(svals: np.ndarray) -> float:
     return float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
 
 
-def _checked_condition(svals: np.ndarray) -> float:
-    """The :func:`_condition_number` of ``svals``; raises
-    :class:`IllConditionedInversionError` where it is not finite or > ``_COND_LIMIT``."""
+def _checked_condition(svals: np.ndarray, error=IllConditionedInversionError,
+                       what: str = "bin system is rank deficient") -> float:
+    """The :func:`_condition_number` of ``svals``, the one inversion guard:
+    raises ``error`` (an :class:`IllConditionedInversionError`) saying
+    ``what`` where it is not finite or > ``_COND_LIMIT``."""
     cond = _condition_number(svals)
     if not math.isfinite(cond) or cond > _COND_LIMIT:
-        raise IllConditionedInversionError(
-            f"bin system is rank deficient (condition number {cond:.3e})",
-            condition_number=cond)
+        raise error(f"{what} (condition number {cond:.3e})", condition_number=cond)
     return cond
 
 

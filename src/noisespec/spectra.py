@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-# np.median's NaN check loads numpy.ma lazily; load it with the package
-import numpy.ma  # noqa: F401
 
 from .errors import CalibrationError, GridRangeError, require_finite
 
@@ -193,7 +191,14 @@ def calibrate_amplitude(spectrum: SpectralDensity, filters) -> float:
     overlaps = signal_overlaps(spectrum, filters)
     if overlaps.size == 0:
         raise CalibrationError("no filters supplied")
-    median = float(np.median(overlaps))
+    median = _median(overlaps)
     if median <= 0 or not math.isfinite(median):
         raise CalibrationError("all filter overlaps vanish; cannot calibrate S0")
     return spectrum.scale / median
+
+
+def _median(values) -> float:
+    """``np.median`` of nonempty ``values`` bit for bit, without loading
+    ``numpy.ma``: the mean of the sorted middle pair, NaN where one is NaN."""
+    ordered, n = np.sort(values, axis=None), np.size(values)
+    return math.nan if np.isnan(ordered[-1]) else float(np.mean(ordered[(n - 1) // 2:n // 2 + 1]))

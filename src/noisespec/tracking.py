@@ -19,8 +19,7 @@ import numpy as np
 from .errors import DegenerateBasisError, DegenerateComponentsError
 from .filterfn import overlap_matrix, signal_overlaps
 from .probe import NoiseModel, measure_batch
-from .reconstruct import (_COND_LIMIT, DEFAULT_TAU, _condition_number, _resolve_rule,
-                          _retained_solve)
+from .reconstruct import DEFAULT_TAU, _checked_condition, _resolve_rule, _retained_solve
 from .seeding import derive_seed_array
 from .spectra import CompositeSignal
 
@@ -139,9 +138,8 @@ def _fit_block(A, c_hat, G, eig_keep):
     except DegenerateBasisError:
         return np.nan, np.nan
     gram = G.T @ PG
-    if _condition_number(np.linalg.svd(gram, compute_uv=False)) > _COND_LIMIT:
-        raise DegenerateComponentsError(
-            "signal components are proportional within the filter span")
+    _checked_condition(np.linalg.svd(gram, compute_uv=False), DegenerateComponentsError,
+                       "signal components are proportional within the filter span")
     sol = np.linalg.solve(gram, PG.T @ c_hat[kept])
     return float(sol[0]), float(sol[1])
 
@@ -167,9 +165,8 @@ def track_ocf(signal: CompositeSignal, filter_pair, horizon: float,
         raise DegenerateComponentsError(
             "a filter has no overlap with its matched component")
     G = G / diag[:, None]
-    if _condition_number(np.linalg.svd(G, compute_uv=False)) > _COND_LIMIT:
-        raise DegenerateComponentsError(
-            "component overlap matrix is singular; filters cannot separate them")
+    _checked_condition(np.linalg.svd(G, compute_uv=False), DegenerateComponentsError,
+                       "component overlap matrix is singular; filters cannot separate them")
     return _track("ocf-pair", signal, G, T, horizon, noise,
                   lambda c_hat: np.linalg.solve(G, c_hat) if np.all(np.isfinite(c_hat))
                   else (np.nan, np.nan))

@@ -301,6 +301,16 @@ class TestExitCodes:
         assert "CalibrationError" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_grid_node_count_overflow(self, tmp_path, capsys):
+        # the node count 57.5 / 1e-310 overflows; it ended in an OverflowError
+        path = tmp_path / "fine.ini"
+        path.write_text(_ini("reconstruction", grid="spacing = 1e-310"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--quick", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "GridRangeError" in err and "at spacing 1e-310" in err
+        assert not out.exists()
+
     def test_numerical_error(self, tmp_path, capsys):
         # a spectrum sampled up to 15 cannot cover the integration grid, which
         # reaches 57.5 by default; the message names both spans
@@ -320,8 +330,7 @@ class TestExitCodes:
 @pytest.mark.parametrize("flags", [(), ("--quick", "--seed", "3", "--repetitions", "2")],
                          ids=["plain", "overrides"])
 def test_csv_spectrum_read_once_before_run(flags, tmp_path, monkeypatch, capsys):
-    """One validation after the flags' overrides reads a CSV spectrum, and
-    the runner reads it once more."""
+    """The run reads a CSV spectrum once, after the flags' overrides."""
     spectrum = tmp_path / "spectrum.csv"
     spectrum.write_text("".join(f"{0.5 * i},{1.0 / (1.0 + 0.25 * i * i)}\n"
                                 for i in range(121)))
@@ -334,7 +343,7 @@ def test_csv_spectrum_read_once_before_run(flags, tmp_path, monkeypatch, capsys)
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: reads.append(a) or loadtxt(*a, **k))
     assert cli.main(["run", str(path), *flags, "--out-dir", str(tmp_path / "out")]) == 0
     capsys.readouterr()
-    assert len(reads) == 2
+    assert len(reads) == 1
 
 
 def _outputs_by_workers(target, name, tmp_path, capsys, *flags):
@@ -507,6 +516,18 @@ def test_runs_import_nothing_new(tmp_path):
     assert result["codes"] == {name: 0 for name in PRESET_NAMES}
     assert result["scipy"] == []
     assert result["new"] == []
+
+
+def test_import_loads_no_numpy_ma_nor_scipy():
+    """The working-point median sorts in place of np.median, whose NaN
+    check would load numpy.ma; the import loads neither it nor scipy."""
+    script = ("import sys, noisespec\n"
+              "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith("
+              "('numpy.ma.', 'scipy'))))")
+    src = os.path.dirname(os.path.dirname(noisespec.__file__))
+    proc = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

@@ -313,7 +313,7 @@ class TestContinuousPanels:
         cfg = cli.preset_config(preset, quick=True)
         oc = cfg["ocf"]
         problem = OcfProblem(
-            spectrum=cli._spectrum_from(cfg["spectrum"]), duration=oc["T"],
+            spectrum=cli._spectrum_from(cfg, "spectrum"), duration=oc["T"],
             omega_c=oc["omega_c"], penalty_weight=oc["penalty_weight"],
             superiterations=oc["superiterations"], inner_evals=oc["inner_evals"],
             basis_size=oc["basis_size"],
@@ -571,6 +571,14 @@ class TestGridInput:
         omega_max = kwargs.pop("omega_max", 1.0)
         with pytest.raises(NonFiniteInputError, match=f"^{name} must be finite"):
             make(omega_max, **kwargs)
+
+    @pytest.mark.parametrize("args, span", [((1e200, 1e200), "inf"), ((1.0, 5.0, 1e-310), "5.0")],
+                             ids=["span", "spacing"])
+    def test_node_count_overflow_refused(self, args, span):
+        """A node count past the float range names the span and the
+        spacing, where it raised a bare OverflowError."""
+        with pytest.raises(GridRangeError, match=f"^span {span} at spacing "):
+            default_grid(*args)
 
     @pytest.mark.parametrize("spacing, span_factor", [(0.0, 3.0), (0.01, -1.0)])
     def test_ocf_grid(self, spacing, span_factor):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 from noisespec import (ContinuousModulation, FrequencyGrid, LorentzianComponent,
-                       NoiseModel, NoiseSpecError, NonFiniteInputError,
+                       MeasurementRecord, NoiseModel, NoiseSpecError, NonFiniteInputError,
                        SpectralDensity, UnsupportedOracleError, as_sequence,
                        autocorrelation, chi_time_domain, default_grid, filter_function,
                        fo_sequence, invert_probability, measure, measure_batch,
@@ -300,6 +301,10 @@ class TestMeasure:
             for rep in range(2000)])
         expected = math.sqrt(p0 * (1 - p0) / shots)
         assert draws.std(ddof=1) == pytest.approx(expected, rel=0.1)
+
+    def test_record_holds_what_was_computed(self):
+        assert [f.name for f in dataclasses.fields(MeasurementRecord)] == [
+            "p_measured", "c_estimate", "saturated"]
 
     def test_seed_determinism(self):
         a = measure(1.0, NoiseModel(dp_max=0.01, seed=42), 5.0, filter_index=3)

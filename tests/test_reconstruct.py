@@ -140,6 +140,21 @@ class TestPointwise:
         assert fid > 0.99
 
 
+class TestResultRule:
+    """A result names the retention rule its estimate applied, and the
+    pointwise protocol none."""
+
+    @pytest.mark.parametrize("eig_keep", [DEFAULT_TAU, 1e-6, 12])
+    def test_fo(self, fo_setup, eig_keep):
+        grid, filters, A = fo_setup
+        c = np.diag(A)
+        assert fo_reconstruct(filters, c, OMEGA_C, eig_keep=eig_keep).rule == eig_keep
+
+    def test_as(self, fo_setup):
+        grid, filters, A = fo_setup
+        assert as_reconstruct(filters, np.diag(A), OMEGA_C).rule is None
+
+
 class TestFidelity:
     def simple(self):
         return SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
@@ -887,7 +902,7 @@ class TestSingleKeptReadout:
         c[6] = 0.8
         rec = fo_reconstruct(filters, c, OMEGA_C, eig_keep="cv")
         assert rec.kept_indices.tolist() == [6] and rec.retained_count == 1
-        assert rec.params["tau_used"] == max(reconstruct.TAU_GRID)
+        assert rec.rule == max(reconstruct.TAU_GRID)
         np.testing.assert_allclose(rec.values, 0.8 / A[6, 6] * filters[6].values[:rec.omegas.size],
                                    rtol=1e-12)
 

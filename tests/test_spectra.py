@@ -10,6 +10,7 @@ from noisespec import (CalibrationError, CompositeSignal, GridMismatchError, Gri
                        calibrate_amplitude)
 from noisespec.filterfn import FrequencyGrid, FilterFunction, default_grid, filter_function, signal_overlap
 from noisespec.modulation import fo_sequence
+from noisespec import spectra
 
 
 def double_lorentzian(scale=1.0):
@@ -124,6 +125,17 @@ class TestCalibration:
         flat = SpectralDensity.from_grid([0.0, 10.0], [1.0, 1.0])
         filt = self.box_filter(0.0, 2.0, 1.0, grid)  # raw overlap 2
         assert calibrate_amplitude(flat, [filt]) == pytest.approx(0.5, rel=5e-3)
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 7, 8, 20, 21])
+    def test_median_is_np_median_bit_for_bit(self, size):
+        rng = np.random.default_rng(size)
+        for _ in range(300):
+            values = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9)
+            if size > 2:
+                values[1] = values[0]  # a tie
+            assert spectra._median(values).hex() == float(np.median(values)).hex()
+        values[-1] = math.nan
+        assert math.isnan(spectra._median(values)) and math.isnan(np.median(values))
 
     def test_median_of_three(self):
         grid = FrequencyGrid(10.0, 10001)

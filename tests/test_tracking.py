@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from noisespec import (CompositeSignal, DegenerateComponentsError, NoiseModel,
+from noisespec import (CompositeSignal, DegenerateComponentsError,
+                       IllConditionedInversionError, NoiseModel,
                        SpectralDensity, default_grid, filter_function,
                        fo_sequence, overlap_matrix, reconstruct, track_fo, track_ocf,
                        tracking)
@@ -102,6 +103,20 @@ class TestDegenerate:
         filt = filter_function(fo_sequence(3, 10, 11.5, 5.0), grid)
         with pytest.raises(DegenerateComponentsError):
             track_ocf(sig, [filt, filt], 100.0, NoiseModel(seed=1))
+
+    @pytest.mark.parametrize("method", ["fo", "ocf"])
+    def test_proportional_components_carry_condition(self, setup, block, method):
+        """Both trackers refuse through the one inversion guard: the error
+        is an IllConditionedInversionError with its condition number."""
+        grid, s_one, _ = setup
+        sig = CompositeSignal(0.01, s_one, s_one.with_scale(2.0 * s_one.scale))
+        with pytest.raises(DegenerateComponentsError) as info:
+            if method == "fo":
+                track_fo(sig, block, 100.0, NoiseModel(seed=1))
+            else:
+                track_ocf(sig, pair_of(grid), 100.0, NoiseModel(seed=1))
+        assert isinstance(info.value, IllConditionedInversionError)
+        assert info.value.condition_number > reconstruct._COND_LIMIT
 
 
 class TestDenseRms:
