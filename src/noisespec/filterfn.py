@@ -65,12 +65,15 @@ _SMALL_PHASE = 1e-6
 
 _CHUNK = 1 << 22  # complex workspace cap per exp() block
 _BLOCK = 64  # grid nodes per block of the factored kernel
+#: most nodes a grid may have: one float sample array of 134 MB
+MAX_GRID_NODES = 2 ** 24
 
 
 @dataclass(frozen=True)
 class FrequencyGrid:
     """Uniform angular-frequency grid on ``[0, omega_max_grid]`` with
-    ``size >= 2`` samples; grids with equal fields are equal."""
+    ``2 <= size <= MAX_GRID_NODES`` samples; grids with equal fields are
+    equal."""
 
     omega_max_grid: float
     size: int
@@ -81,6 +84,9 @@ class FrequencyGrid:
             raise GridRangeError(f"omega_max_grid must be > 0, got {self.omega_max_grid}")
         if self.size < 2:
             raise GridRangeError(f"size must be >= 2, got {self.size}")
+        if self.size > MAX_GRID_NODES:
+            raise GridRangeError(f"size {self.size} exceeds the {MAX_GRID_NODES} nodes a grid "
+                                 "may have")
 
     @property
     def spacing(self) -> float:

@@ -23,8 +23,10 @@ with the per-row reference ``fidelity(spectrum, fo_reconstruct(...) /
 as_reconstruct(...), points)`` within 1e-12 where the inverted system is
 well conditioned, as under ``DEFAULT_TAU`` (condition number at most 1/tau
 = 500).  The two round differently, so the gap grows with the condition
-number: measured 1e-12 for an as system at 5e6, 7e-13 and 2e-10 for fo
-retaining terms down to 1e-9 and 1e-14 of the largest eigenvalue.
+number: measured 2e-12 for an as system at 5e6 (400 rows at T = 5, the
+kernel's maps by QR against the reference's least squares), 7e-13 and
+2e-10 for fo retaining terms down to 1e-9 and 1e-14 of the largest
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -248,7 +250,10 @@ def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = 
     Solves the binned linear system ``M s = c`` by least squares (the
     default), which keeps the harmonic and finite-width structure of the
     filters; ``delta_approx=True`` falls back to the idealized narrow-filter
-    division ``s_k = c_k / M_kk`` for comparison.
+    division ``s_k = c_k / M_kk`` for comparison.  The least-squares solve
+    is ``lstsq`` of the kept rows, the per-row reference of the stacked QR
+    that :class:`ProtocolContext` scores with, and its singular values give
+    the reported condition number.
     """
     filters, kept, c_kept = _kept_estimates(filters, c_estimates)
     M = bin_matrix(filters, omega_max) if bins is None else bins
@@ -268,10 +273,13 @@ def as_reconstruct(filters, c_estimates, omega_max: float, delta_approx: bool = 
         retained_count=kept.size, kept_indices=kept, condition_number=cond)
 
 
-def _condition_number(svals: np.ndarray) -> float:
-    """Condition number of a matrix from its descending singular values
-    ``svals``, inf where the smallest is not positive."""
-    return float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf
+def _condition_number(svals: np.ndarray) -> np.ndarray:
+    """Condition numbers of matrices from their descending singular values
+    along the last axis of ``svals``, inf where the smallest is not
+    positive."""
+    smallest = svals[..., -1]
+    return np.divide(svals[..., 0], smallest, out=np.full(smallest.shape, math.inf),
+                     where=smallest > 0)
 
 
 def _checked_condition(svals: np.ndarray, error=IllConditionedInversionError,
@@ -279,8 +287,8 @@ def _checked_condition(svals: np.ndarray, error=IllConditionedInversionError,
     """The :func:`_condition_number` of ``svals``, the one inversion guard:
     raises ``error`` (an :class:`IllConditionedInversionError`) saying
     ``what`` where it is not finite or > ``_COND_LIMIT``."""
-    cond = _condition_number(svals)
-    if not math.isfinite(cond) or cond > _COND_LIMIT:
+    cond = float(_condition_number(svals))
+    if not cond <= _COND_LIMIT:  # also refuses inf and NaN
         raise error(f"{what} (condition number {cond:.3e})", condition_number=cond)
     return cond
 
@@ -366,16 +374,18 @@ class ProtocolContext:
     finite estimates) and the retention rule fixed, a repetition's estimate
     at the fidelity points is ``c @ W``, with zeros in ``c`` where a readout
     saturated: "fo" ``U_r diag(1/lam_r) U_r^T G[kept]`` from the kept
-    overlap matrix; "as" ``lstsq(M[kept]^T, G)``, or with ``as_delta``
-    ``G[kept] / diag(M)[kept]``.  A kept set's condition number comes from
-    the singular values of its own ``lstsq``, so it is factorized once.  A
-    block builds each distinct map once and keeps none.  A repetition's
-    fidelity is a fixed-order sum, the same in any block and on any BLAS,
-    and agrees with :func:`fidelity` of :func:`fo_reconstruct` or
-    :func:`as_reconstruct` within 1e-12 where the inverted system is well
-    conditioned (see the module docstring).  A repetition without a map (a
-    degenerate basis, a rule that retains nothing, an as system past the
-    condition limit) or with a zero estimate scores 0.
+    overlap matrix; "as" the least-squares solution of ``M[kept]^T W = G``
+    by one stacked QR per kept-set size (:meth:`_as_maps`), or with
+    ``as_delta`` ``G[kept] / diag(M)[kept]``.  The "as" condition guard is
+    taken once, here, from the full bin matrix, which by interlacing bounds
+    every kept subset's condition number.  A block builds each distinct map
+    once and keeps none.  A repetition's fidelity is a fixed-order sum, the
+    same in any block and on any BLAS, and agrees with :func:`fidelity` of
+    :func:`fo_reconstruct` or :func:`as_reconstruct` within 1e-12 where the
+    inverted system is well conditioned (see the module docstring).  A
+    repetition without a map (a degenerate basis, a rule that retains
+    nothing, an as system past the condition limit) or with a zero estimate
+    scores 0.
     """
 
     def __init__(self, protocol: str, spectrum: SpectralDensity, operation_time: float,
@@ -418,6 +428,9 @@ class ProtocolContext:
         self.fidelity_points = _pointwise_omegas(omega_c, K)
         self.overlap = overlap_matrix(self.filters, omega_c) if protocol == "fo" else None
         self.bins = bin_matrix(self.filters, self.omega_max) if protocol == "as" else None
+        # whether every kept subset passes the guard (see _as_maps)
+        self._subsets_pass = protocol == "as" and bool(
+            _condition_number(np.linalg.svd(self.bins, compute_uv=False)) <= _COND_LIMIT)
         self._s_true = np.asarray(self.spectrum.evaluate(self.fidelity_points), dtype=float)
         self._n_true = float(np.linalg.norm(self._s_true))
         if protocol == "fo":
@@ -460,7 +473,8 @@ class ProtocolContext:
         each group's map is built once into a (K, P, groups) stack, and
         one :func:`_cosine_rows` call scores them all, gathering each
         term's maps per row.  Under ``"cv"`` each kept set is decomposed
-        once.  An empty block scores two empty arrays."""
+        once; "as" maps come from one :meth:`_as_maps` call, one stacked QR
+        per kept-set size.  An empty block scores two empty arrays."""
         kept = np.isfinite(c_hat)
         rules = [self.eig_keep] * len(c_hat)
         if self.protocol == "fo" and isinstance(self.eig_keep, str):
@@ -472,31 +486,66 @@ class ProtocolContext:
         groups = {}
         index = np.array([groups.setdefault((m.tobytes(), rule), len(groups))
                           for m, rule in zip(kept, rules)], dtype=np.intp)
-        maps = np.zeros((self.K, self.fidelity_points.size, len(groups)))
-        for (m, rule), g in groups.items():
-            m = np.frombuffer(m, dtype=bool)
-            W = self._linear_map(np.flatnonzero(m), rule)
-            if W is not None:
-                maps[m, :, g] = W
+        if self.protocol == "as" and not self.as_delta:
+            masks = np.frombuffer(b"".join(m for m, _ in groups), dtype=bool)
+            maps = self._as_maps(masks.reshape(len(groups), self.K))[0]
+        else:
+            maps = np.zeros((self.K, self.fidelity_points.size, len(groups)))
+            for (m, rule), g in groups.items():
+                m = np.frombuffer(m, dtype=bool)
+                W = self._linear_map(np.flatnonzero(m), rule)
+                if W is not None:
+                    maps[m, :, g] = W
         return _cosine_rows(self._s_true, self._n_true, np.where(kept, c_hat, 0.0),
                             maps, index)
 
     def _linear_map(self, idx: np.ndarray, rule) -> np.ndarray | None:
         """The map (kept x P) from the estimates ``idx`` of a row to its
         estimate at the fidelity points under the "fo" retention ``rule``
-        (a count or threshold); None where the inversion degenerates."""
+        (a count or threshold); None where the inversion degenerates.  An
+        "as" map is :meth:`_as_maps` of a stack of one kept set."""
         if idx.size == 0:
             return None
         if self.protocol == "as" and self.as_delta:
             return self._G[idx] / np.diag(self.bins)[idx, None]
+        if self.protocol == "as":
+            mask = np.zeros((1, self.K), dtype=bool)
+            mask[0, idx] = True
+            maps, built = self._as_maps(mask)
+            return maps[idx, :, 0] if built[0] else None
         try:
-            if self.protocol == "as":
-                W, _, _, svals = np.linalg.lstsq(self.bins[idx, :].T, self._G, rcond=None)
-                _checked_condition(svals)
-                return W
             return _retained_solve(self.overlap[np.ix_(idx, idx)], rule, self._G[idx])[0]
-        except (DegenerateBasisError, IllConditionedInversionError):
+        except DegenerateBasisError:
             return None
+
+    def _as_maps(self, masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The "as" maps of the kept sets ``masks`` (G x K) as a (K, P, G)
+        stack, and the mask of kept sets that have one.  Map g holds the
+        least-squares solution ``W`` of ``M[kept_g]^T W = G`` in the rows
+        of kept_g; it is all zero where kept_g is empty or fails the
+        condition guard.  The kept sets of one size are solved together,
+        by one stacked Householder QR ``M[kept]^T = Q R`` and one stacked
+        ``solve(R, Q^T G)``; both factor each matrix on its own, so a map's
+        bits do not depend on its stack-mates.  Where the full bin system
+        passes the guard, every kept subset does (Cauchy interlacing: no
+        column subset is worse conditioned), so none is checked; otherwise
+        one stacked ``svd`` per size drops the subsets past the limit, so
+        no singular ``R`` reaches ``solve``."""
+        maps = np.zeros((self.K, self.fidelity_points.size, len(masks)))
+        built = np.zeros(len(masks), dtype=bool)
+        sizes = masks.sum(axis=1)
+        for k in sorted(set(sizes.tolist()) - {0}):
+            at = np.flatnonzero(sizes == k)
+            idx = masks[at].nonzero()[1].reshape(-1, k)
+            A = self.bins[idx].transpose(0, 2, 1)  # stack of M[kept]^T, K x k each
+            if not self._subsets_pass:
+                ok = _condition_number(np.linalg.svd(A, compute_uv=False)) <= _COND_LIMIT
+                at, idx, A = at[ok], idx[ok], A[ok]
+            Q, R = np.linalg.qr(A)
+            # the (n, k, P) solutions land in rows idx of maps at[:, None]
+            maps[idx, :, at[:, None]] = np.linalg.solve(R, Q.transpose(0, 2, 1) @ self._G)
+            built[at] = True
+        return maps, built
 
 
 # ---------------------------------------------------------------------------

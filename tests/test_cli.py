@@ -311,6 +311,17 @@ class TestExitCodes:
         assert "GridRangeError" in err and "at spacing 1e-310" in err
         assert not out.exists()
 
+    def test_grid_node_count_past_cap(self, tmp_path, capsys):
+        # 57.5 / 1e-12 nodes fit a float but not memory; it ended in an
+        # _ArrayMemoryError for 418 TiB
+        path = tmp_path / "fine.ini"
+        path.write_text(_ini("reconstruction", grid="spacing = 1e-12"))
+        out = tmp_path / "out"
+        assert cli.main(["run", str(path), "--quick", "--out-dir", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "GridRangeError" in err and "size 57500000000001 exceeds" in err
+        assert not out.exists()
+
     def test_numerical_error(self, tmp_path, capsys):
         # a spectrum sampled up to 15 cannot cover the integration grid, which
         # reaches 57.5 by default; the message names both spans

@@ -14,7 +14,7 @@ from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError, G
                        signal_overlap, signal_overlaps, staircase_split,
                        transform_continuous)
 from noisespec import filterfn
-from noisespec.filterfn import FilterFunction, _gauss_plan, filter_values
+from noisespec.filterfn import MAX_GRID_NODES, FilterFunction, _gauss_plan, filter_values
 from noisespec.modulation import to_step_function
 from noisespec.ocf import ocf_grid
 
@@ -579,6 +579,15 @@ class TestGridInput:
         spacing, where it raised a bare OverflowError."""
         with pytest.raises(GridRangeError, match=f"^span {span} at spacing "):
             default_grid(*args)
+
+    def test_node_count_cap(self):
+        """A finite node count past ``MAX_GRID_NODES`` is named, where it
+        ended in a 418 TiB allocation once the nodes were built."""
+        with pytest.raises(GridRangeError, match="^size 57500000000001 exceeds the 16777216 "):
+            default_grid(11.5, 5.0, 1e-12)
+        with pytest.raises(GridRangeError, match="^size 16777217 exceeds"):
+            FrequencyGrid(1.0, MAX_GRID_NODES + 1)
+        assert FrequencyGrid(1.0, MAX_GRID_NODES).size == MAX_GRID_NODES
 
     @pytest.mark.parametrize("spacing, span_factor", [(0.0, 3.0), (0.01, -1.0)])
     def test_ocf_grid(self, spacing, span_factor):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import multiprocessing
 import multiprocessing.pool
@@ -917,8 +918,10 @@ class TestSingleKeptReadout:
 
 
 class TestWorkDoneOnce:
-    """A context samples its spectrum once per filter set, and an "as" kept
-    subset is factorized once, by its own ``lstsq``."""
+    """A context samples its spectrum once per filter set, and a block
+    factorizes each "as" kept set once, by one matrix of a stacked QR per
+    kept-set size; the full bin system's condition number, taken once at
+    build, stands for every kept subset's."""
 
     @pytest.mark.parametrize("protocol, n_qubits", [("fo", 1), ("fo", 2), ("as", 1)])
     def test_context_overlaps_equal_per_filter(self, two_line_spectrum, protocol, n_qubits):
@@ -942,19 +945,21 @@ class TestWorkDoneOnce:
         assert calls.count(ctx.grid.size) == 2 and len(calls) == 3
 
     @staticmethod
-    def _counted_factorizations(monkeypatch):
-        counts = {"lstsq": 0, "svd": 0}
-        for name in counts:
+    def _recorded_factorizations(monkeypatch):
+        """The shape of the first argument of every ``lstsq``, ``svd`` and
+        ``qr`` call, by function."""
+        shapes = {"lstsq": [], "svd": [], "qr": []}
+        for name in shapes:
             original = getattr(np.linalg, name)
 
-            def counted(*args, _name=name, _original=original, **kwargs):
-                counts[_name] += 1
-                return _original(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
-        return counts
+            def recorded(a, *args, _name=name, _original=original, **kwargs):
+                shapes[_name].append(np.shape(a))
+                return _original(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, recorded)
+        return shapes
 
     @pytest.mark.parametrize("with_full_set", [False, True])
-    def test_one_lstsq_per_kept_subset(self, two_line_spectrum, monkeypatch, with_full_set):
+    def test_one_qr_per_kept_set(self, two_line_spectrum, monkeypatch, with_full_set):
         ctx = ProtocolContext("as", two_line_spectrum, 10.0)
         rows = _estimate_rows(ctx, NoiseModel(dp_max=0.01, seed=25), 12)
         rows[0::3, 4] = math.inf
@@ -962,10 +967,12 @@ class TestWorkDoneOnce:
         if not with_full_set:
             rows[2::3, 19] = math.inf
         expected = [_reference_score(ctx, row) for row in rows]
-        counts = self._counted_factorizations(monkeypatch)
+        shapes = self._recorded_factorizations(monkeypatch)
         fids, degenerate = ctx._score_block(rows)
-        # one factorization per kept set, the full set included
-        assert counts == {"lstsq": 3, "svd": 0}
+        # one QR matrix per kept set, the full set included, and no subset
+        # condition check: the full system passes the guard
+        assert shapes["lstsq"] == shapes["svd"] == []
+        assert sum(math.prod(shape[:-2]) for shape in shapes["qr"]) == 3
         np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
         assert not degenerate.any()
 
@@ -984,3 +991,64 @@ class TestWorkDoneOnce:
         assert [expected[i] for i in range(0, 9, 3)] == [0.0] * 3
         np.testing.assert_allclose(fids, expected, rtol=0, atol=1e-12)
         assert min(fids[1::3]) > 0.5
+
+
+def _random_masks(K, n, seed):
+    """``n`` random kept sets of K readouts, each keeping at least one."""
+    rng = np.random.default_rng(seed)
+    masks = rng.random((n, K)) < rng.uniform(0.2, 1.0, (n, 1))
+    masks[~masks.any(axis=1), 0] = True
+    return masks
+
+
+class TestStackedAsMaps:
+    """The "as" maps come from one stacked QR per kept-set size; the full
+    bin system's guard stands for every kept subset's."""
+
+    @pytest.mark.parametrize("T", [5.0, 10.0, 25.0])
+    def test_subsets_no_worse_conditioned(self, two_line_spectrum, T):
+        """Cauchy interlacing, as computed: a kept subset's condition number
+        exceeds the full system's by rounding at most (worst seen at T = 5,
+        condition number 5.4e6: 1 + 3.5e-10 of it)."""
+        ctx = ProtocolContext("as", two_line_spectrum, T)
+        cond_full = float(reconstruct._condition_number(np.linalg.svd(ctx.bins, compute_uv=False)))
+        assert ctx._subsets_pass
+        for m in _random_masks(ctx.K, 500, seed=int(T)):
+            svals = np.linalg.svd(ctx.bins[m].T, compute_uv=False)
+            assert reconstruct._condition_number(svals) <= cond_full * (1 + 1e-13 * cond_full)
+
+    @pytest.mark.parametrize("T", [3.5, 10.0], ids=["guard-per-subset", "guard-from-full"])
+    def test_bits_independent_of_stack(self, two_line_spectrum, T):
+        """A kept set's map alone equals its map in a stack of two and in
+        the stack of every kept set of its size, 19 or 18 of 20, byte for
+        byte.  At T = 3.5 the full system fails the guard, so each stack is
+        checked per subset and loses members (3 of 20 and 1 of 190)."""
+        ctx = ProtocolContext("as", two_line_spectrum, T)
+        assert ctx._subsets_pass == (T == 10.0)
+        for drop in (1, 2):
+            stack = np.ones((math.comb(ctx.K, drop), ctx.K), dtype=bool)
+            for g, out in enumerate(itertools.combinations(range(ctx.K), drop)):
+                stack[g, list(out)] = False
+            maps, built = ctx._as_maps(stack)
+            assert built.any() and built.all() == ctx._subsets_pass
+            assert not maps[:, :, ~built].any()
+            for g, m in enumerate(stack):
+                alone, built_alone = ctx._as_maps(m[None])
+                pair, built_pair = ctx._as_maps(stack[[g, g - 1]])
+                assert built_alone[0] == built_pair[0] == built[g]
+                assert alone[:, :, 0].tobytes() == maps[:, :, g].tobytes()
+                assert pair[:, :, 0].tobytes() == maps[:, :, g].tobytes()
+
+    @pytest.mark.parametrize("T, bound", [(5.0, 1e-9), (10.0, 5e-14)])
+    def test_agrees_with_lstsq(self, two_line_spectrum, T, bound):
+        """Largest entry gap over the largest entry of the ``lstsq`` map:
+        measured 3.5e-10 at T = 5 (condition number 5.4e6) and 6.3e-15 at
+        T = 10 (2.2)."""
+        ctx = ProtocolContext("as", two_line_spectrum, T)
+        masks = _random_masks(ctx.K, 500, seed=7)
+        maps, built = ctx._as_maps(masks)
+        assert built.all()
+        for g, m in enumerate(masks):
+            W = np.linalg.lstsq(ctx.bins[m].T, ctx._G, rcond=None)[0]
+            assert np.max(np.abs(maps[m, :, g] - W)) <= bound * np.max(np.abs(W))
+            assert not maps[~m, :, g].any()

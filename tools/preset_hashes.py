@@ -18,7 +18,11 @@ and with two workers; quick fig8 at ``T_candidates = 10`` with 4 and 6
 swept qubits, whose long multi-qubit trains carry many switch times
 through the discrete search; and fig3 at 20 repetitions with
 ``eig_keep = cv``, the one run that scores saturated readouts under the
-cross-validated retention rule; and quick fig13 with 6-filter fo blocks
+cross-validated retention rule; and fig3 at 20 repetitions with
+``as_candidates = 4 5`` and ``gamma_values = 0 0.4 0.8``, the one run whose
+full pointwise bin system (at T = 4) fails the condition guard, so each
+kept subset is checked on its own: at gamma 0.8 the readouts saturate and
+19 of 20 kept sets pass; and quick fig13 with 6-filter fo blocks
 under ``eig_keep = cv`` at ``gamma = 0.6`` and ``dp_max = 0.02``, where
 saturated readouts leave fo blocks fitted on a kept subset and OCF pair
 samples NaN; and quick fig3 at two workers with three fo candidates, one
@@ -100,6 +104,10 @@ def matrix(config_dir):
     yield "quick-cv", [quick_config(
         os.path.join(config_dir, "cv.ini"), "fig3-fidelity-vs-gamma",
         run={"repetitions": 20}, protocol={"eig_keep": "cv"})]
+    yield "quick-as-subset-guard", [quick_config(
+        os.path.join(config_dir, "as-subset-guard.ini"), "fig3-fidelity-vs-gamma",
+        run={"repetitions": 20},
+        protocol={"as_candidates": [4.0, 5.0], "gamma_values": [0.0, 0.4, 0.8]})]
     yield "quick-tracking-cv", [quick_config(
         os.path.join(config_dir, "tracking-cv.ini"), "fig13-tracking-fast",
         tracking={"k_block": 6, "eig_keep": "cv"}, noise={"gamma": 0.6, "dp_max": 0.02})]
