@@ -4,7 +4,7 @@ from .errors import (CalibrationError, ConfigError, DegenerateBasisError,
                      DegenerateComponentsError, EmptyOperatorError,
                      GridMismatchError, GridRangeError,
                      IllConditionedInversionError, NoiseSpecError,
-                     NonFiniteInputError, UndefinedFidelityError,
+                     NonFiniteInputError, OutOfRangeError, UndefinedFidelityError,
                      UndefinedObjectiveError, UnsupportedOracleError)
 from .spectra import (CompositeSignal, LorentzianComponent, SpectralDensity,
                       calibrate_amplitude)

@@ -31,6 +31,10 @@ def require_scipy(module: str, name: str):
         raise ModuleNotFoundError(f"{name} needs scipy: pip install noisespec[oracle]") from exc
 
 
+class OutOfRangeError(NoiseSpecError, ValueError):
+    """A constructor argument is out of range, or a count is not an integer."""
+
+
 class GridRangeError(NoiseSpecError, ValueError):
     """A frequency or time argument lies outside the supported range."""
 

@@ -20,10 +20,17 @@ one continuous design builds (the fig10 preset's, at full budget).  The grid pat
 direct ``e^{i omega t}`` form, which serves arbitrary frequencies, within
 1e-12 of max F.
 
-One kernel, ``_pulse_transform(bounds, values, omega)``, transforms every
-pulse train: :func:`fourier_piecewise` feeds it the merged step function
+One kernel, ``_pulse_filter(bounds, values, omega)``, gives the filter of
+every pulse train: :func:`filter_values` feeds it the merged step function
 of a modulation object, and the discrete OCF search feeds it the step
-function merged from its candidate arrays, with no object built.
+function merged from its candidate arrays, with no object built.  From
+the phase sums ``S = sum_b C_b e^{i omega P_b}`` (``i omega Y = S``) it
+takes ``F = (S.real**2 + S.imag**2) * (4/pi) / omega**2``, the scale read
+on a grid from a read-only table cached by grid value.  Below phase
+``|omega| T < 1e-6``, where that quotient cancels catastrophically, Y
+comes from its 3-term moment series and ``F = (4/pi) |Y|**2``; on a grid
+those nodes are a prefix.  ``Y`` itself is built only by the public
+:func:`fourier_piecewise`, under the same small-phase rule.
 
 Conventions:
 
@@ -211,31 +218,62 @@ def _nodes(omega):
     return omega_arr, np.ndim(omega) == 0
 
 
+_POWERS = np.array([[1.0], [2.0], [3.0]])
+_FACTORIALS = np.array([1.0, 2.0, 6.0])
+
+
 def _moments(bounds, values) -> np.ndarray:
     """``integral_0^T y t^k dt / k!`` for k = 0, 1, 2, in one product."""
-    return np.diff(bounds ** [[1], [2], [3]], axis=1) @ values / (1, 2, 6)
+    powers = bounds ** _POWERS
+    return (powers[:, 1:] - powers[:, :-1]) @ values / _FACTORIALS
 
 
-def _pulse_transform(bounds, values, omega) -> np.ndarray:
-    """``Y(omega)`` of the step function ``(bounds, values)`` on a
-    :class:`FrequencyGrid` or at a 1-d array of frequencies ``>= 0``.
-
-    On a grid the nodes ascend, so the small-phase nodes are a prefix and
-    the quotient runs over a slice; other arrays select both by mask.
-    """
-    out = _phase_sums(_boundary_coefficients(bounds, values)[None, :], bounds, omega)[0]
+def _small_phase(omega, duration: float):
+    """``(nodes, small, rest)``: the frequencies of a :class:`FrequencyGrid`
+    or 1-d array and the selectors of the nodes below and above phase
+    ``omega * duration = 1e-6``.  A grid's nodes ascend, so its small-phase
+    nodes are a prefix and both selectors are slices; an array's are masks."""
     if isinstance(omega, FrequencyGrid):
         omega = omega.omegas
-        n = int(np.searchsorted(omega * bounds[-1], _SMALL_PHASE))
-        small, large = slice(0, n), slice(n, None)
-    else:
-        small = omega * bounds[-1] < _SMALL_PHASE
-        large = ~small
-    out[large] /= 1j * omega[large]
+        n = int(np.searchsorted(omega * duration, _SMALL_PHASE))
+        return omega, slice(0, n), slice(n, None)
+    small = omega * duration < _SMALL_PHASE
+    return omega, small, ~small
+
+
+def _filter_scale(omegas: np.ndarray) -> np.ndarray:
+    """``(4/pi) / omega**2`` at every frequency, 0 where ``omega == 0`` (a
+    small-phase node, whatever the duration)."""
+    scale = np.zeros(omegas.size)
+    np.divide(4.0 / np.pi, omegas ** 2, out=scale, where=omegas > 0)
+    return scale
+
+
+@lru_cache(maxsize=8)
+def _grid_scale(grid: FrequencyGrid) -> np.ndarray:
+    """:func:`_filter_scale` of the nodes of ``grid``: read-only, one float
+    per node, cached by grid value."""
+    scale = _filter_scale(grid.omegas)
+    scale.setflags(write=False)
+    return scale
+
+
+def _pulse_filter(bounds, values, omega) -> np.ndarray:
+    """``F(omega)`` of the step function ``(bounds, values)`` on a
+    :class:`FrequencyGrid` or at a 1-d array of frequencies ``>= 0``, by the
+    rule of the module docstring.  A node's value does not depend on
+    whether it came from a grid or an array, given the same phase sums."""
+    sums = _phase_sums(_boundary_coefficients(bounds, values)[None, :], bounds, omega)[0]
+    scale = (_grid_scale(omega) if isinstance(omega, FrequencyGrid)
+             else _filter_scale(omega))
+    out = sums.real ** 2
+    out += sums.imag ** 2
+    out *= scale
+    omega, small, _ = _small_phase(omega, bounds[-1])
     om = omega[small]
-    if om.size:
+    if om.size:  # |Y|^2 of the series, its real and imaginary parts apart
         m0, m1, m2 = _moments(bounds, values)
-        out[small] = m0 + 1j * om * m1 - om ** 2 * m2
+        out[small] = (4.0 / np.pi) * ((m0 - om ** 2 * m2) ** 2 + (om * m1) ** 2)
     return out
 
 
@@ -243,14 +281,21 @@ def fourier_piecewise(seq_or_set, omega) -> np.ndarray:
     """Exact transform of a piecewise-constant modulation at ``omega >= 0``.
 
     ``omega`` is a :class:`FrequencyGrid`, an array or a scalar.  Uses the
-    closed form ``sum_j v_j (e^{i w t_{j+1}} - e^{i w t_j}) / (i w)`` with a
-    3-term series below phase ``|w| T < 1e-6`` where the quotient cancels
-    catastrophically.  A :class:`ModulationSet` transforms to the sum of its
-    per-qubit transforms.
+    closed form ``sum_j v_j (e^{i w t_{j+1}} - e^{i w t_j}) / (i w)``, and
+    the moment series at small phase (module docstring).  A
+    :class:`ModulationSet` transforms to the sum of its per-qubit
+    transforms.
     """
     omega_arr, scalar = _nodes(omega)
-    out = _pulse_transform(*to_step_function(seq_or_set),
-                           omega if isinstance(omega, FrequencyGrid) else omega_arr)
+    bounds, values = to_step_function(seq_or_set)
+    nodes = omega if isinstance(omega, FrequencyGrid) else omega_arr
+    out = _phase_sums(_boundary_coefficients(bounds, values)[None, :], bounds, nodes)[0]
+    nodes, small, large = _small_phase(nodes, bounds[-1])
+    out[large] /= 1j * nodes[large]
+    om = nodes[small]
+    if om.size:
+        m0, m1, m2 = _moments(bounds, values)
+        out[small] = m0 + 1j * om * m1 - om ** 2 * m2
     return complex(out[0]) if scalar else out
 
 
@@ -351,9 +396,12 @@ def filter_values(generator, omega) -> np.ndarray:
     frequencies ``omega``."""
     if isinstance(generator, ContinuousModulation):
         Y, Z = transform_continuous(generator, omega)
-        return (4.0 / np.pi) * (np.abs(Y) ** 2 + np.abs(Z) ** 2)
+        return (4.0 / np.pi) * (Y.real ** 2 + Y.imag ** 2 + Z.real ** 2 + Z.imag ** 2)
     if isinstance(generator, (PulseSequence, ModulationSet)):
-        return (4.0 / np.pi) * np.abs(fourier_piecewise(generator, omega)) ** 2
+        omega_arr, scalar = _nodes(omega)
+        out = _pulse_filter(*to_step_function(generator),
+                            omega if isinstance(omega, FrequencyGrid) else omega_arr)
+        return out[0] if scalar else out
     raise TypeError(f"unsupported generator type {type(generator)!r}")
 
 

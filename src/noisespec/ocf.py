@@ -21,12 +21,14 @@ bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, UndefinedObjectiveError, require_finite
-from .filterfn import (FilterFunction, FrequencyGrid, _pulse_transform, continuous_norm,
+from .errors import (CalibrationError, GridRangeError, OutOfRangeError,
+                     UndefinedObjectiveError, require_finite)
+from .filterfn import (FilterFunction, FrequencyGrid, _pulse_filter, continuous_norm,
                        default_grid, filter_values)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          merge_trains, repair_trains, staircase_split)
@@ -57,19 +59,28 @@ class OcfProblem:
     grid: FrequencyGrid | None = None
 
     def __post_init__(self):
+        """Refuse each bad field with a :class:`NoiseSpecError` naming it."""
         require_finite(duration=self.duration, omega_c=self.omega_c,
                        penalty_weight=self.penalty_weight)
-        if self.duration <= 0 or self.omega_c <= 0:
-            raise ValueError("duration and omega_c must be > 0")
+        for name in ("duration", "omega_c"):
+            if getattr(self, name) <= 0:
+                raise OutOfRangeError(f"{name} must be > 0, got {getattr(self, name)}")
         # a negative weight would reward out-of-band filter weight
         if self.penalty_weight < 0:
-            raise ValueError(f"penalty_weight must be >= 0, got {self.penalty_weight}")
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be >= 1")
-        if self.superiterations < 0 or self.inner_evals < 1 or self.basis_size < 1:
-            raise ValueError("optimizer budget must be positive")
+            raise OutOfRangeError(f"penalty_weight must be >= 0, got {self.penalty_weight}")
+        for name, least in (("n_qubits", 1), ("superiterations", 0), ("inner_evals", 1),
+                            ("basis_size", 1), ("seed", None)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or least is not None and value < least):
+                rule = "an integer" if least is None else f"an integer >= {least}"
+                raise OutOfRangeError(f"{name} must be {rule}, got {value!r}")
         if self.grid is None:
             object.__setattr__(self, "grid", ocf_grid(self.omega_c))
+        # the rule of FrequencyGrid.trap_weights, which every search applies
+        elif not self.omega_c <= self.grid.omega_max_grid + 1e-9 * self.grid.omega_max_grid:
+            raise GridRangeError(f"grid ends at {self.grid.omega_max_grid}, below "
+                                 f"omega_c = {self.omega_c}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +105,10 @@ class _Objective:
     makes the penalty invariant under filter rescaling (otherwise it would
     dwarf or vanish against xi depending on qubit number and duration).
     A spectrum that vanishes on the band raises :class:`CalibrationError`.
+
+    An evaluation makes two products with the samples f: the band norm
+    ``w_band @ (f*f)``, and the numerator and out-of-band integral together
+    as ``rows @ f`` against the rows ``(w_full * S, w_out)`` built here.
     """
 
     def __init__(self, spectrum, grid: FrequencyGrid, omega_c: float,
@@ -101,9 +116,7 @@ class _Objective:
         self.penalty_weight = penalty_weight
         w_full = grid.trap_weights()
         self.w_band = grid.trap_weights(omega_c)
-        self.w_out = w_full - self.w_band
-        # the numerator's weights, so each evaluation makes one product less
-        self.ws_full = w_full * spectrum.evaluate(grid.omegas)
+        self.rows = np.stack((w_full * spectrum.evaluate(grid.omegas), w_full - self.w_band))
         self.s_norm = continuous_norm(spectrum, omega_c, grid)
         if self.s_norm == 0.0:
             raise CalibrationError("spectrum vanishes on [0, omega_c]; nothing to match")
@@ -113,11 +126,11 @@ class _Objective:
     def from_values(self, f_vals: np.ndarray) -> tuple[float, float]:
         """Return (penalized objective, normalized xi ``xi / ||S||_c``)."""
         self.evaluations += 1
-        norm = math.sqrt(float(np.sum(self.w_band * f_vals ** 2)))
+        norm = math.sqrt(float(self.w_band @ (f_vals * f_vals)))
         if norm <= 0.0:
             raise UndefinedObjectiveError("filter vanishes on the analysis band")
-        xi = float(np.sum(self.ws_full * f_vals)) / norm
-        out = float(np.sum(self.w_out * f_vals)) / norm
+        xi, out = (self.rows @ f_vals).tolist()
+        xi, out = xi / norm, out / norm
         return xi - self.penalty_weight * self.s_rms * out, xi / self.s_norm
 
 
@@ -264,7 +277,9 @@ class _Trains:
     """Discrete-search states of the pulse trains of ``modulation``: every
     switch time and its qubit label as two flat arrays sorted by (qubit,
     time).  The initial signs and the duration stay those of
-    ``modulation``."""
+    ``modulation``.  A candidate is warped (one outer product of phases),
+    repaired, merged into one step function and scored through the pulse
+    filter kernel ``filterfn._pulse_filter``, with no object built."""
 
     def __init__(self, modulation: ModulationSet):
         self.duration = modulation.duration
@@ -273,13 +288,18 @@ class _Trains:
         self.amp = self.duration / 12.0
 
     def warp(self, times, freqs, x):
-        """``t + sum_j amp (a_j sin(nu_j t) + b_j (1 - cos(nu_j t)))``."""
-        out = times
-        for j, nu in enumerate(freqs):
-            phase = nu * times
-            out = out + self.amp * x[2 * j] * np.sin(phase) \
-                      + self.amp * x[2 * j + 1] * (1.0 - np.cos(phase))
-        return out
+        """``t + sum_j amp (a_j sin(nu_j t) + b_j (1 - cos(nu_j t)))`` with
+        ``x = (a_0, b_0, a_1, ...)``: the rows ``[t, amp a_0 sin_0,
+        amp b_0 (1 - cos_0), ...]`` from one outer product of the phases,
+        summed in that order, so each time carries the same bits as the
+        loop ``out = out + amp a_j sin_j + amp b_j (1 - cos_j)``."""
+        phase = np.multiply.outer(np.asarray(freqs, dtype=float), times)
+        ax = self.amp * np.asarray(x, dtype=float)
+        rows = np.empty((2 * phase.shape[0] + 1, times.size))
+        rows[0] = times
+        np.multiply(ax[0::2, None], np.sin(phase), out=rows[1::2])
+        np.multiply(ax[1::2, None], 1.0 - np.cos(phase), out=rows[2::2])
+        return np.add.reduce(rows, axis=0)
 
     def candidate(self, state, target, freqs, x):
         """Warp the times of qubit ``target`` (every qubit if None), then
@@ -296,7 +316,7 @@ class _Trains:
     def values(self, state, grid):
         """Filter samples of the summed trains on ``grid``."""
         bounds, values = merge_trains(*state, self.signs, self.duration)
-        return (4.0 / np.pi) * np.abs(_pulse_transform(bounds, values, grid)) ** 2
+        return _pulse_filter(bounds, values, grid)
 
     def modulation(self, state) -> ModulationSet:
         """The state as one PulseSequence per qubit."""

@@ -4,14 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from noisespec import (CalibrationError, ModulationSet, NonFiniteInputError,
-                       SpectralDensity, UndefinedObjectiveError, staircase_split,
-                       xi_normalized)
+from noisespec import (CalibrationError, GridRangeError, ModulationSet, NoiseSpecError,
+                       NonFiniteInputError, SpectralDensity, UndefinedObjectiveError,
+                       staircase_split, xi_normalized)
 from noisespec import filterfn, ocf
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                                 filter_function, filter_values, transform_continuous)
 from noisespec.modulation import PulseSequence, repair_trains
-from noisespec.ocf import (OcfProblem, _inner_search, _solve, _Trains,
+from noisespec.ocf import (OcfProblem, _inner_search, _Objective, _solve, _Trains,
                            OcfSolution, ocf_grid, optimize_continuous, optimize_discrete)
 from noisespec.seeding import derive_seed
 
@@ -90,6 +90,27 @@ class TestObjective:
         # S vanishes beyond omega_c, so the full-range xi numerator equals the
         # band inner product and the identity holds to rounding
         assert resid == pytest.approx(math.sqrt(2 * (1 - fid)), abs=1e-12)
+
+
+    def test_products_match_three_sums(self):
+        """The objective's two dot products against the three ``np.sum``
+        forms of each integral, on random pulse-train filters: within 32
+        ulp relative to the terms' scale (3.1e-15 measured over 600)."""
+        rng = np.random.default_rng(12)
+        grid = ocf_grid(10.0)
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0), (0.4, 6.0, 0.5)])
+        obj = _Objective(spec, grid, 10.0, 1.0)
+        w_full, w_band = grid.trap_weights(), grid.trap_weights(10.0)
+        tol = 32 * np.finfo(float).eps
+        for _ in range(40):
+            T = float(rng.uniform(0.5, 25.0))
+            f = filter_values(_random_trains(rng, int(rng.integers(1, 7)), T), grid)
+            norm = math.sqrt(float(np.sum(w_band * f ** 2)))
+            xi = float(np.sum(w_full * spec.evaluate(grid.omegas) * f)) / norm
+            out = float(np.sum((w_full - w_band) * f)) / norm
+            penalized, normalized = obj.from_values(f)
+            assert abs(penalized - (xi - obj.s_rms * out)) <= tol * (xi + obj.s_rms * out)
+            assert abs(normalized - xi / obj.s_norm) <= tol * xi / obj.s_norm
 
 
 class TestOptimizers:
@@ -204,6 +225,33 @@ class TestOptimizers:
             OcfProblem(spectrum=LORENTZIAN, grid=ocf_grid(10.0),
                        **{"duration": 5.0, field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("superiterations", 1.5), ("superiterations", -1), ("n_qubits", 2.5),
+        ("n_qubits", 0), ("n_qubits", True), ("inner_evals", 2.5), ("inner_evals", 0),
+        ("basis_size", 1.5), ("basis_size", 0), ("seed", 0.5), ("seed", "1")])
+    def test_bad_count_refused(self, field, value):
+        # before, 1.5 superiterations or 2.5 qubits ended in a TypeError
+        # inside the search, and 2.5 inner evaluations ran three
+        with pytest.raises(NoiseSpecError, match=f"^{field} must be an integer") as info:
+            OcfProblem(spectrum=LORENTZIAN, duration=5.0, **{field: value})
+        assert isinstance(info.value, ValueError)
+
+    def test_counts_of_any_integer_type(self):
+        prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=np.int64(2),
+                          superiterations=np.uint8(0), inner_evals=np.int32(3), seed=2 ** 64 - 1)
+        assert optimize_discrete(prob).evaluations == 1
+
+    @pytest.mark.parametrize("grid", [FrequencyGrid(9.0, 901), FrequencyGrid(10.0 - 1e-6, 11)])
+    def test_grid_below_band_refused(self, grid):
+        # before, the search refused it only when it started
+        with pytest.raises(GridRangeError, match="^grid ends at") as info:
+            OcfProblem(spectrum=LORENTZIAN, duration=5.0, grid=grid)
+        assert isinstance(info.value, NoiseSpecError) and isinstance(info.value, ValueError)
+
+    def test_grid_ending_at_band_edge_accepted(self):
+        grid = FrequencyGrid(10.0, 1001)
+        assert OcfProblem(spectrum=LORENTZIAN, duration=5.0, grid=grid).grid is grid
+
 
 def _object_candidate(mset, target, freqs, x):
     """A search candidate built train by train: warp the times of qubit
@@ -317,6 +365,38 @@ class TestArrayCandidates:
         with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
             _solve(prob, trains.initial, nan_candidate, values, trains.modulation)
         assert len(scored) == 1  # the initial state alone
+
+
+def _loop_warp(amp, times, freqs, x):
+    """The time warp as a loop over basis frequencies, one sum per term."""
+    out = times
+    for j, nu in enumerate(freqs):
+        phase = nu * times
+        out = out + amp * x[2 * j] * np.sin(phase) + amp * x[2 * j + 1] * (1.0 - np.cos(phase))
+    return out
+
+
+class TestWarp:
+    """The warp's one outer product and ordered row sum against the loop."""
+
+    def test_same_bits_as_loop(self):
+        rng = np.random.default_rng(21)
+        trains = _Trains(staircase_split(2.0, 2, 7.0))
+        for _ in range(400):
+            times = rng.uniform(0.0, 7.0, rng.integers(0, 22))
+            freqs = rng.uniform(0.0, 12.0, rng.integers(1, 5))
+            x = rng.normal(0.0, rng.choice([0.3, 3.0, 30.0]), 2 * freqs.size)
+            ref = _loop_warp(trains.amp, times, freqs, x)
+            for f in (freqs, freqs.tolist()):
+                got = trains.warp(times, f, x)
+                assert got.shape == times.shape and got.tobytes() == ref.tobytes()
+
+    def test_empty_qubit_slice(self):
+        trains = _Trains(ModulationSet((PulseSequence([], 3.0), PulseSequence([1.0], 3.0))))
+        times, qubits = trains.initial
+        lo, hi = np.searchsorted(qubits, (0, 1))
+        assert hi == lo
+        assert trains.warp(times[lo:hi], [2.0, 5.0], np.array([0.4, -0.2, 0.1, 0.3])).shape == (0,)
 
 
 def _bowl(x):
