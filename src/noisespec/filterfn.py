@@ -20,17 +20,16 @@ one continuous design builds (the fig10 preset's, at full budget).  The grid pat
 direct ``e^{i omega t}`` form, which serves arbitrary frequencies, within
 1e-12 of max F.
 
-One kernel, ``_pulse_filter(bounds, values, omega)``, gives the filter of
-every pulse train: :func:`filter_values` feeds it the merged step function
-of a modulation object, and the discrete OCF search feeds it the step
-function merged from its candidate arrays, with no object built.  From
-the phase sums ``S = sum_b C_b e^{i omega P_b}`` (``i omega Y = S``) it
-takes ``F = (S.real**2 + S.imag**2) * (4/pi) / omega**2``, the scale read
-on a grid from a read-only table cached by grid value.  Below phase
-``|omega| T < 1e-6``, where that quotient cancels catastrophically, Y
-comes from its 3-term moment series and ``F = (4/pi) |Y|**2``; on a grid
-those nodes are a prefix.  ``Y`` itself is built only by the public
-:func:`fourier_piecewise`, under the same small-phase rule.
+One rule, ``_filter_from``, gives the filter of every pulse train from its
+phase sums ``S = sum_b C_b e^{i omega P_b}`` (``i omega Y = S``): ``F =
+(S.real**2 + S.imag**2) * (4/pi) / omega**2``, the scale read on a grid
+from a read-only table cached by grid value.  Below phase ``|omega| T <
+1e-6``, where that quotient cancels catastrophically, Y comes from its
+3-term moment series and ``F = (4/pi) |Y|**2``; on a grid those nodes are
+a prefix.  :func:`filter_values` feeds it the sums of one merged step
+function (``_pulse_filter``); the discrete OCF search feeds it unmerged
+sums, held for the trains it leaves fixed.  ``Y`` itself is built only by
+the public :func:`fourier_piecewise`, under the same small-phase rule.
 
 Conventions:
 
@@ -168,13 +167,7 @@ def _block_factors(spacing: float, size: int, points: np.ndarray):
     depends only on its own point.  Row k carries k rounded products, so a
     grid phase's factors are off by about ``(blocks + 64) * 3u`` relative
     (u = 2^-53) at most, besides the rounding of the phase itself, which
-    the direct ``e^{i omega p}`` shares.  Measured against long-double
-    exponentials, the coarse factors were off by 3.6e-14 on 3001 nodes,
-    7.5e-14 on 11 501 and 7.3e-13 on 100 001 (phases to 12 500 rad),
-    against 8.7e-14, 1.8e-13 and 1.6e-12 for one exponential per entry.
-    Filters agree with the direct form within 3.1e-15 of max F on 100 001
-    nodes, and within 8.3e-14 over 600 random trains on ``ocf_grid(10)``
-    and ``default_grid(11.5)``.
+    the direct ``e^{i omega p}`` shares.
     """
     coarse = np.empty((-(-size // _BLOCK), points.size), dtype=complex)
     fine = np.empty((_BLOCK, points.size), dtype=complex)
@@ -228,6 +221,11 @@ def _moments(bounds, values) -> np.ndarray:
     return (powers[:, 1:] - powers[:, :-1]) @ values / _FACTORIALS
 
 
+def _point_moments(points, weights) -> np.ndarray:
+    """:func:`_moments` from phase-sum terms (weights summing to 0), linear in them."""
+    return (points ** _POWERS) @ weights / _FACTORIALS
+
+
 def _small_phase(omega, duration: float):
     """``(nodes, small, rest)``: the frequencies of a :class:`FrequencyGrid`
     or 1-d array and the selectors of the nodes below and above phase
@@ -258,23 +256,27 @@ def _grid_scale(grid: FrequencyGrid) -> np.ndarray:
     return scale
 
 
-def _pulse_filter(bounds, values, omega) -> np.ndarray:
-    """``F(omega)`` of the step function ``(bounds, values)`` on a
-    :class:`FrequencyGrid` or at a 1-d array of frequencies ``>= 0``, by the
-    rule of the module docstring.  A node's value does not depend on
-    whether it came from a grid or an array, given the same phase sums."""
-    sums = _phase_sums(_boundary_coefficients(bounds, values)[None, :], bounds, omega)[0]
+def _filter_from(sums, moments, omega, duration: float) -> np.ndarray:
+    """``F`` of a pulse train of length ``duration`` from its phase sums and
+    moments, on a :class:`FrequencyGrid` or at a 1-d array of frequencies
+    ``>= 0``; a node's value is the same from a grid or an array."""
     scale = (_grid_scale(omega) if isinstance(omega, FrequencyGrid)
              else _filter_scale(omega))
     out = sums.real ** 2
     out += sums.imag ** 2
     out *= scale
-    omega, small, _ = _small_phase(omega, bounds[-1])
+    omega, small, _ = _small_phase(omega, duration)
     om = omega[small]
     if om.size:  # |Y|^2 of the series, its real and imaginary parts apart
-        m0, m1, m2 = _moments(bounds, values)
+        m0, m1, m2 = moments
         out[small] = (4.0 / np.pi) * ((m0 - om ** 2 * m2) ** 2 + (om * m1) ** 2)
     return out
+
+
+def _pulse_filter(bounds, values, omega) -> np.ndarray:
+    """``F(omega)`` of the step function ``(bounds, values)``."""
+    sums = _phase_sums(_boundary_coefficients(bounds, values)[None, :], bounds, omega)[0]
+    return _filter_from(sums, _moments(bounds, values), omega, bounds[-1])
 
 
 def fourier_piecewise(seq_or_set, omega) -> np.ndarray:
@@ -395,14 +397,20 @@ def filter_values(generator, omega) -> np.ndarray:
     """``F(omega)`` of any modulation on a :class:`FrequencyGrid` or at
     frequencies ``omega``."""
     if isinstance(generator, ContinuousModulation):
-        Y, Z = transform_continuous(generator, omega)
-        return (4.0 / np.pi) * (Y.real ** 2 + Y.imag ** 2 + Z.real ** 2 + Z.imag ** 2)
+        return _continuous_filter(generator, omega)
     if isinstance(generator, (PulseSequence, ModulationSet)):
         omega_arr, scalar = _nodes(omega)
         out = _pulse_filter(*to_step_function(generator),
                             omega if isinstance(omega, FrequencyGrid) else omega_arr)
         return out[0] if scalar else out
     raise TypeError(f"unsupported generator type {type(generator)!r}")
+
+
+def _continuous_filter(mod, omega) -> np.ndarray:
+    """``F(omega)`` of anything with the ``duration``, ``phase_rate_bound()``
+    and ``phase(t)`` that :func:`transform_continuous` reads."""
+    Y, Z = transform_continuous(mod, omega)
+    return (4.0 / np.pi) * (Y.real ** 2 + Y.imag ** 2 + Z.real ** 2 + Z.imag ** 2)
 
 
 def filter_function(generator, grid: FrequencyGrid) -> FilterFunction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridRangeError, require_finite
+from .errors import GridRangeError, OutOfRangeError, require_finite
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,14 +33,14 @@ class PulseSequence:
         require_finite(duration=self.duration)
         times = _finite_times(self.switch_times)
         if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+            raise OutOfRangeError(f"duration must be > 0, got {self.duration}")
         if self.initial_sign not in (-1, 1):
-            raise ValueError("initial_sign must be +1 or -1")
+            raise OutOfRangeError("initial_sign must be +1 or -1")
         if times.size:
             if not np.all(np.diff(times) > 0):
-                raise ValueError("switch times must be strictly increasing")
+                raise OutOfRangeError("switch times must be strictly increasing")
             if times[0] <= 0 or times[-1] >= self.duration:
-                raise ValueError("switch times must lie strictly inside (0, T)")
+                raise OutOfRangeError("switch times must lie strictly inside (0, T)")
         object.__setattr__(self, "switch_times", times)
 
     @property
@@ -57,10 +57,10 @@ class ModulationSet:
     def __post_init__(self):
         seqs = tuple(self.sequences)
         if not seqs:
-            raise ValueError("need at least one sequence")
+            raise OutOfRangeError("need at least one sequence")
         T = seqs[0].duration
         if any(s.duration != T for s in seqs):
-            raise ValueError("all sequences must share the same duration")
+            raise OutOfRangeError("all sequences must share the same duration")
         object.__setattr__(self, "sequences", seqs)
 
     @property
@@ -95,7 +95,7 @@ class ContinuousModulation:
     def __post_init__(self):
         require_finite(duration=self.duration, linear_rate=self.linear_rate)
         if self.duration <= 0:
-            raise ValueError(f"duration must be > 0, got {self.duration}")
+            raise OutOfRangeError(f"duration must be > 0, got {self.duration}")
         object.__setattr__(self, "terms",
                            tuple((float(nu), float(a), float(b)) for nu, a, b in self.terms))
         for nu, a, b in self.terms:
@@ -123,9 +123,9 @@ def _zero_train(k: int, K: int, omega_max: float, duration: float, shift: int,
     """Pulses at ``(n + offset) pi / rate`` inside ``(0, duration)``, with
     ``rate = omega_max (k - shift) / K``; none at rate 0."""
     if not 1 <= k <= K:
-        raise ValueError(f"k must be in 1..{K}, got {k}")
+        raise OutOfRangeError(f"k must be in 1..{K}, got {k}")
     if omega_max <= 0 or duration <= 0:
-        raise ValueError("omega_max and duration must be > 0")
+        raise OutOfRangeError("omega_max and duration must be > 0")
     rate = omega_max * (k - shift) / K
     if rate == 0:
         return PulseSequence(np.array([]), duration)
@@ -163,11 +163,11 @@ def staircase_split(target_frequency: float, n_qubits: int, duration: float) -> 
     :func:`fo_sequence` at the same frequency.
     """
     if n_qubits < 1:
-        raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        raise OutOfRangeError(f"n_qubits must be >= 1, got {n_qubits}")
     if duration <= 0:
-        raise ValueError("duration must be > 0")
+        raise OutOfRangeError("duration must be > 0")
     if target_frequency < 0:
-        raise ValueError("target_frequency must be >= 0")
+        raise OutOfRangeError("target_frequency must be >= 0")
     sequences = []
     for j in range(1, n_qubits + 1):
         threshold = -n_qubits + 2 * j - 1

@@ -6,8 +6,11 @@ randomized-basis derivative-free loop: every superiteration draws a few
 random trigonometric basis frequencies, runs a bounded Nelder-Mead search
 over their coefficients, and keeps the candidate only if it improves the
 best objective so far.  Out-of-band filter weight is discouraged by a
-penalty on the normalized filter (see ``_Objective``).  A design owns one
-read-only :class:`FilterFunction`, scored once, when its state was accepted.
+penalty on the normalized filter (see ``_Objective``).  Each search ranks
+its candidates by a scorer built from what it holds fixed
+(``_Trains.search``, ``_continuous_search``); acceptance scores the best
+candidate's state as :func:`filter_values` would.  A design owns one
+read-only :class:`FilterFunction`, that scoring of its accepted state.
 
 The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 308 (1965)) is written
 here rather than taken from ``scipy.optimize``, whose import costs more than
@@ -23,12 +26,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (CalibrationError, GridRangeError, OutOfRangeError,
                      UndefinedObjectiveError, require_finite)
-from .filterfn import (FilterFunction, FrequencyGrid, _pulse_filter, continuous_norm,
+from .filterfn import (FilterFunction, FrequencyGrid, _continuous_filter, _filter_from,
+                       _phase_sums, _point_moments, _pulse_filter, continuous_norm,
                        default_grid, filter_values)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          merge_trains, repair_trains, staircase_split)
@@ -228,39 +233,37 @@ def _inner_search(fun, dim: int, step: float, max_evals: int) -> np.ndarray:
     return sim[0]
 
 
-def _solve(problem: OcfProblem, initial, candidate_from, values_of=filter_values,
+def _solve(problem: OcfProblem, initial, search, values_of=filter_values,
            finish=lambda state: state) -> OcfSolution:
     """Shared superiteration loop: draw a random basis, search coefficients,
-    accept if improved.  ``candidate_from(state, s, freqs, x)`` builds a
-    candidate state from the current state, the superiteration index and
-    the coefficient vector; ``values_of(state, grid)`` gives a state's
-    filter samples and ``finish(state)`` the modulation of the accepted
-    state.  One ``score`` rates every state, and the accepted state keeps
-    the samples and xi of its scoring, so no state is transformed twice."""
+    accept if improved.  ``search(state, s, freqs)`` gives one inner
+    search's ``(values(x), candidate(x))``: the candidate's filter samples on
+    the problem grid, and the candidate.  ``values_of(state, grid)`` scores
+    the state to accept, and ``finish(state)`` gives its modulation."""
     objective = _Objective(problem.spectrum, problem.grid, problem.omega_c,
                            problem.penalty_weight)
 
-    def score(state):
-        """(penalized objective, normalized xi, samples) of ``state``; the
+    def rate(vals):
+        """(penalized objective, normalized xi, samples) of ``vals``; the
         objective is -inf where it is undefined."""
-        vals = values_of(state, problem.grid)
         try:
             return (*objective.from_values(vals), vals)
         except UndefinedObjectiveError:
             return -math.inf, math.nan, vals
 
     state = initial
-    best_obj, best_xi, best_vals = score(state)
+    best_obj, best_xi, best_vals = rate(values_of(state, problem.grid))
     trace = [best_obj]
     dim = 2 * problem.basis_size
 
     for s in range(problem.superiterations):
         rng = make_rng(derive_seed(problem.seed, s))
         freqs = rng.uniform(0.0, 1.2 * problem.omega_c, problem.basis_size)
-        x_best = _inner_search(lambda x: -score(candidate_from(state, s, freqs, x))[0],
+        values, candidate = search(state, s, freqs)
+        x_best = _inner_search(lambda x: -rate(values(x))[0],
                                dim, step=0.6, max_evals=problem.inner_evals)
-        cand = candidate_from(state, s, freqs, x_best)
-        cand_obj, cand_xi, cand_vals = score(cand)
+        cand = candidate(x_best)
+        cand_obj, cand_xi, cand_vals = rate(values_of(cand, problem.grid))
         if cand_obj > best_obj:
             best_obj, best_xi, best_vals, state = cand_obj, cand_xi, cand_vals, cand
         trace.append(best_obj)
@@ -277,9 +280,9 @@ class _Trains:
     """Discrete-search states of the pulse trains of ``modulation``: every
     switch time and its qubit label as two flat arrays sorted by (qubit,
     time).  The initial signs and the duration stay those of
-    ``modulation``.  A candidate is warped (one outer product of phases),
-    repaired, merged into one step function and scored through the pulse
-    filter kernel ``filterfn._pulse_filter``, with no object built."""
+    ``modulation``.  A search scores its candidates by :meth:`search`, from
+    unmerged phase sums; acceptance scores a state by :meth:`values`, the
+    pulse filter kernel on the merged step function."""
 
     def __init__(self, modulation: ModulationSet):
         self.duration = modulation.duration
@@ -287,31 +290,61 @@ class _Trains:
         self.initial = (times, qubits)
         self.amp = self.duration / 12.0
 
-    def warp(self, times, freqs, x):
-        """``t + sum_j amp (a_j sin(nu_j t) + b_j (1 - cos(nu_j t)))`` with
-        ``x = (a_0, b_0, a_1, ...)``: the rows ``[t, amp a_0 sin_0,
-        amp b_0 (1 - cos_0), ...]`` from one outer product of the phases,
-        summed in that order, so each time carries the same bits as the
-        loop ``out = out + amp a_j sin_j + amp b_j (1 - cos_j)``."""
+    def warper(self, times, freqs):
+        """The warp ``x -> t + sum_j amp (a_j sin_j + b_j (1 - cos_j))`` of
+        ``times``, ``x = (a_0, b_0, a_1, ...)``, from ``sin_j`` and ``1 -
+        cos_j`` of ``nu_j t`` built once: it sums the rows ``[t, amp a_0 sin_0,
+        amp b_0 (1 - cos_0), ...]`` in order, so each time carries the bits
+        of the loop ``out = out + amp a_j sin_j + amp b_j (1 - cos_j)``."""
         phase = np.multiply.outer(np.asarray(freqs, dtype=float), times)
-        ax = self.amp * np.asarray(x, dtype=float)
         rows = np.empty((2 * phase.shape[0] + 1, times.size))
         rows[0] = times
-        np.multiply(ax[0::2, None], np.sin(phase), out=rows[1::2])
-        np.multiply(ax[1::2, None], 1.0 - np.cos(phase), out=rows[2::2])
-        return np.add.reduce(rows, axis=0)
+        basis = np.empty_like(rows[1:])
+        basis[0::2], basis[1::2] = np.sin(phase), 1.0 - np.cos(phase)
 
-    def candidate(self, state, target, freqs, x):
-        """Warp the times of qubit ``target`` (every qubit if None), then
-        repair every train."""
+        def warp(x):
+            np.multiply(self.amp * np.asarray(x, dtype=float)[:, None], basis, out=rows[1:])
+            return np.add.reduce(rows, axis=0)
+        return warp
+
+    def _coefficients(self, times, qubits):
+        """Phase-sum weight of each switch: minus its step, ``-2 sign (-1)**rank``."""
+        rank = np.arange(qubits.size) - np.searchsorted(qubits, qubits)
+        return np.where(rank % 2 == 1, -2.0, 2.0) * self.signs[qubits]
+
+    def search(self, state, target, freqs, grid):
+        """``(values(x), candidate(x))`` of a search that warps qubit
+        ``target`` (every qubit if None), ``values`` on ``grid``.  Phase sums
+        and moments are linear in the trains: the search holds those of t = 0
+        and of the unmoved switches, repaired as ``candidate`` repairs them,
+        and ``values`` adds those of the moved trains and of T (final level)."""
         times, qubits = state
-        if target is None:
-            warped = self.warp(times, freqs, x)
-        else:
-            lo, hi = np.searchsorted(qubits, (target, target + 1))
+        T = self.duration
+        lo, hi = ((0, times.size) if target is None
+                  else np.searchsorted(qubits, (target, target + 1)))
+        warp = self.warper(times[lo:hi], freqs)
+        held = repair_trains(np.delete(times, np.s_[lo:hi]), np.delete(qubits, np.s_[lo:hi]), T)
+        held_c = self._coefficients(*held)
+        points = np.append(0.0, held[0])
+        weights = np.append(-float(np.sum(self.signs)), held_c)
+        held_sums = _phase_sums(weights[None, :], points, grid)[0]
+        held_moments = _point_moments(points, weights)
+        end = float(np.sum(self.signs)) - float(np.sum(held_c))
+
+        def candidate(x):
             warped = times.copy()
-            warped[lo:hi] = self.warp(times[lo:hi], freqs, x)
-        return repair_trains(warped, qubits, self.duration)
+            warped[lo:hi] = warp(x)
+            return repair_trains(warped, qubits, T)
+
+        def values(x):
+            t, q = repair_trains(warp(x), qubits[lo:hi], T)
+            c = self._coefficients(t, q)
+            points = np.append(t, T)
+            weights = np.append(c, end - np.sum(c))
+            sums = _phase_sums(weights[None, :], points, grid)[0]
+            sums += held_sums
+            return _filter_from(sums, held_moments + _point_moments(points, weights), grid, T)
+        return values, candidate
 
     def values(self, state, grid):
         """Filter samples of the summed trains on ``grid``."""
@@ -338,10 +371,9 @@ def optimize_discrete(problem: OcfProblem) -> OcfSolution:
     disordered or out-of-range switch times are repaired by sorting,
     clipping into (0, T) and cancelling coincident flips.
 
-    Candidates are arrays: every switch time and its qubit label, sorted by
-    (qubit, time), are warped, repaired, merged into one step function and
-    transformed without building a modulation object.  Only the accepted
-    state becomes a :class:`ModulationSet`, once per design.
+    Candidates are arrays (``_Trains``), scored without building a
+    modulation object; only the accepted state becomes a
+    :class:`ModulationSet`, once per design.
     """
     T = problem.duration
     n_q = problem.n_qubits
@@ -357,12 +389,48 @@ def optimize_discrete(problem: OcfProblem) -> OcfSolution:
                       else seq.switch_times, T, seq.initial_sign)
         for seq in initial.sequences)))
 
-    def candidate_from(state, s, freqs, x):
+    def search(state, s, freqs):
         target = None if (n_q == 1 or s % 2 == 0) else (s // 2) % n_q
-        return trains.candidate(state, target, freqs, x)
+        return trains.search(state, target, freqs, problem.grid)
 
-    return _solve(problem, trains.initial, candidate_from, trains.values,
-                  trains.modulation)
+    return _solve(problem, trains.initial, search, trains.values, trains.modulation)
+
+
+def _continuous_search(state: ContinuousModulation, freqs, grid):
+    """``(values(x), candidate(x))`` of a continuous search whose candidate
+    appends the terms ``(nu_j, x_2j, x_2j+1)`` to ``state``.  ``values``
+    builds no modulation: it sums the candidate's phase-rate bound and its
+    phase at the Gauss nodes in :class:`ContinuousModulation`'s order from
+    parts held per search, so the panel count and F keep their bits."""
+    nus = [float(nu) for nu in freqs]
+    held_rate = sum(abs(nu) * (abs(a) + abs(b)) for nu, a, b in state.terms)
+    plans = {}  # node count -> (state's phase, cos rows, sin rows) at the nodes
+
+    def new_terms(x):
+        return tuple((nu, float(x[2 * j]), float(x[2 * j + 1])) for j, nu in enumerate(nus))
+
+    def candidate(x):
+        return replace(state, terms=state.terms + new_terms(x))
+
+    def values(x):
+        terms = new_terms(x)
+        rate = held_rate
+        for nu, a, b in terms:
+            require_finite(nu=nu, a=a, b=b)
+            rate = rate + abs(nu) * (abs(a) + abs(b))
+        bound = abs(state.linear_rate) + rate
+
+        def phase(t):
+            if t.size not in plans:  # one grid and duration: the count fixes the nodes
+                angles = np.multiply.outer(nus, t)
+                plans[t.size] = state.phase(t), np.cos(angles), np.sin(angles)
+            phi, cos, sin = plans[t.size]
+            for j, (_, a, b) in enumerate(terms):
+                phi = phi + a * cos[j] + b * sin[j]
+            return phi
+        return _continuous_filter(SimpleNamespace(
+            duration=state.duration, phase_rate_bound=lambda: bound, phase=phase), grid)
+    return values, candidate
 
 
 def optimize_continuous(problem: OcfProblem) -> OcfSolution:
@@ -375,11 +443,5 @@ def optimize_continuous(problem: OcfProblem) -> OcfSolution:
     T = problem.duration
     peak = problem.spectrum.peak_frequency(omega_max=problem.omega_c)
     initial = ContinuousModulation(duration=T, linear_rate=peak)
-
-    def candidate_from(state: ContinuousModulation, s, freqs, x):
-        del s
-        new_terms = tuple((float(nu), float(x[2 * j]), float(x[2 * j + 1]))
-                          for j, nu in enumerate(freqs))
-        return replace(state, terms=state.terms + new_terms)
-
-    return _solve(problem, initial, candidate_from)
+    return _solve(problem, initial,
+                  lambda state, s, freqs: _continuous_search(state, freqs, problem.grid))

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisespec import (ContinuousModulation, GridRangeError, ModulationSet,
-                       NonFiniteInputError, PulseSequence, as_sequence,
+from noisespec import (ContinuousModulation, GridRangeError, ModulationSet, NoiseSpecError,
+                       NonFiniteInputError, OutOfRangeError, PulseSequence, as_sequence,
                        eval_continuous, eval_modulation, fo_sequence,
                        staircase_split, to_step_function)
 from noisespec.modulation import merge_trains, repair_trains
@@ -52,6 +52,30 @@ class TestSequences:
     def test_non_finite_input_named(self, times, duration, field):
         with pytest.raises(NonFiniteInputError, match=f"^{field} must be finite"):
             PulseSequence(times, duration)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PulseSequence([1.0], 0.0), "duration must be > 0, got 0.0"),
+    (lambda: PulseSequence([1.0], 2.0, 0), r"initial_sign must be \+1 or -1"),
+    (lambda: PulseSequence([1.0, 1.0], 2.0), "switch times must be strictly increasing"),
+    (lambda: PulseSequence([2.0], 2.0), r"switch times must lie strictly inside \(0, T\)"),
+    (lambda: ModulationSet(()), "need at least one sequence"),
+    (lambda: ModulationSet((PulseSequence([], 1.0), PulseSequence([], 2.0))),
+     "all sequences must share the same duration"),
+    (lambda: ContinuousModulation(-1.0), "duration must be > 0, got -1.0"),
+    (lambda: fo_sequence(0, 5, 10.0, 1.0), "k must be in 1..5, got 0"),
+    (lambda: as_sequence(1, 5, 10.0, 0.0), "omega_max and duration must be > 0"),
+    (lambda: staircase_split(1.0, 0, 5.0), "n_qubits must be >= 1, got 0"),
+    (lambda: staircase_split(1.0, 2, -5.0), "duration must be > 0"),
+    (lambda: staircase_split(-1.0, 2, 5.0), "target_frequency must be >= 0")],
+    ids=["pulse-duration", "pulse-sign", "pulse-order", "pulse-inside", "set-empty",
+         "set-durations", "continuous-duration", "zero-train-k", "zero-train-range",
+         "staircase-qubits", "staircase-duration", "staircase-frequency"])
+def test_out_of_range_refused(call, message):
+    # before, each of these raised a bare ValueError, not a NoiseSpecError
+    with pytest.raises(OutOfRangeError, match=f"^{message}$") as info:
+        call()
+    assert isinstance(info.value, NoiseSpecError) and isinstance(info.value, ValueError)
 
 
 class TestStaircase:

@@ -10,9 +10,10 @@ from noisespec import (CalibrationError, GridRangeError, ModulationSet, NoiseSpe
 from noisespec import filterfn, ocf
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                                 filter_function, filter_values, transform_continuous)
-from noisespec.modulation import PulseSequence, repair_trains
-from noisespec.ocf import (OcfProblem, _inner_search, _Objective, _solve, _Trains,
-                           OcfSolution, ocf_grid, optimize_continuous, optimize_discrete)
+from noisespec.modulation import ContinuousModulation, PulseSequence, repair_trains
+from noisespec.ocf import (OcfProblem, _continuous_search, _inner_search, _Objective, _solve,
+                           _Trains, OcfSolution, ocf_grid, optimize_continuous,
+                           optimize_discrete)
 from noisespec.seeding import derive_seed
 
 LORENTZIAN = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
@@ -207,7 +208,8 @@ class TestOptimizers:
             scored.append(state)
             return filter_values(initial, grid) if state is initial else np.zeros(grid.size)
 
-        sol = _solve(prob, initial, lambda state, s, freqs, x: ("vanishing", s), values)
+        sol = _solve(prob, initial, lambda state, s, freqs: (
+            lambda x: values(("vanishing", s), prob.grid), lambda x: ("vanishing", s)), values)
         assert searched == [math.inf] * 3 * 12
         assert sol.modulation is initial
         assert math.isfinite(sol.trace[0]) and sol.trace == (sol.trace[0],) * 4
@@ -280,7 +282,7 @@ def _same_candidate(mset, target, freqs, x, grid):
     in its filter values and in the switch times of its modulation; the
     train-by-train candidate."""
     trains = _Trains(mset)
-    state = trains.candidate(trains.initial, target, freqs, np.asarray(x, dtype=float))
+    state = trains.search(trains.initial, target, freqs, grid)[1](np.asarray(x, dtype=float))
     ref = _object_candidate(mset, target, freqs, np.asarray(x, dtype=float))
     assert trains.values(state, grid).tobytes() == filter_values(ref, grid).tobytes()
     done = trains.modulation(state)
@@ -358,12 +360,13 @@ class TestArrayCandidates:
             scored.append(state)
             return trains.values(state, grid)
 
-        def nan_candidate(state, s, freqs, x):
-            x = np.where(np.arange(x.size) == 0, np.nan, x)
-            return trains.candidate(state, None, freqs, x)
+        def nan_search(state, s, freqs):
+            values, candidate = trains.search(state, None, freqs, prob.grid)
+            return (lambda x: values(np.where(np.arange(x.size) == 0, np.nan, x)),
+                    lambda x: candidate(np.where(np.arange(x.size) == 0, np.nan, x)))
 
         with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
-            _solve(prob, trains.initial, nan_candidate, values, trains.modulation)
+            _solve(prob, trains.initial, nan_search, values, trains.modulation)
         assert len(scored) == 1  # the initial state alone
 
 
@@ -388,7 +391,7 @@ class TestWarp:
             x = rng.normal(0.0, rng.choice([0.3, 3.0, 30.0]), 2 * freqs.size)
             ref = _loop_warp(trains.amp, times, freqs, x)
             for f in (freqs, freqs.tolist()):
-                got = trains.warp(times, f, x)
+                got = trains.warper(times, f)(x)
                 assert got.shape == times.shape and got.tobytes() == ref.tobytes()
 
     def test_empty_qubit_slice(self):
@@ -396,7 +399,132 @@ class TestWarp:
         times, qubits = trains.initial
         lo, hi = np.searchsorted(qubits, (0, 1))
         assert hi == lo
-        assert trains.warp(times[lo:hi], [2.0, 5.0], np.array([0.4, -0.2, 0.1, 0.3])).shape == (0,)
+        warp = trains.warper(times[lo:hi], [2.0, 5.0])
+        assert warp(np.array([0.4, -0.2, 0.1, 0.3])).shape == (0,)
+
+
+def _kernel_gap(mset, target, freqs, xs, grid):
+    """Largest ``|values(x) - F|`` over ``xs`` relative to max F, with F the
+    kernel's filter of ``candidate(x)`` on ``grid``.
+
+    The scorer's rounding scales with its terms, not with F: where the
+    trains nearly cancel (folded onto eps and T - eps, or opposite signs at
+    one time), max F falls to 1e-21 while the gap stays near 1e-25.  So max
+    F is floored at 1e-4 of ``(4/pi) (N T)**2``, the most F any N trains of
+    length T reach."""
+    trains = _Trains(mset)
+    values, candidate = trains.search(trains.initial, target, freqs, grid)
+    floor = 1e-4 * 4.0 / np.pi * (mset.n_qubits * mset.duration) ** 2
+    gap = 0.0
+    for x in xs:
+        ref = trains.values(candidate(x), grid)
+        gap = max(gap, float(np.max(np.abs(values(x) - ref)) / max(np.max(ref), floor)))
+    return gap
+
+
+class TestSearchScorer:
+    """Each search's scorer against the kernel's filter of its candidate."""
+
+    GRID = ocf_grid(10.0)
+
+    @pytest.mark.parametrize("target", ["all", "first", "middle", "last", "empty"])
+    @pytest.mark.parametrize("n_q", range(1, 7))
+    def test_discrete_within_rounding(self, n_q, target):
+        # the unmerged sums split the kernel's: over 300 random candidates
+        # each, gaps reached 6.2e-15 of max F for all-qubit warps and 5.1e-15
+        # for one-qubit warps
+        rng = np.random.default_rng(100 * n_q + len(target))
+        for _ in range(4):
+            T = float(rng.uniform(1.0, 10.0))
+            mset = _random_trains(rng, n_q, T)
+            q = {"all": None, "first": 0, "middle": n_q // 2, "last": n_q - 1,
+                 "empty": int(rng.integers(n_q))}[target]
+            if target == "empty":
+                seqs = list(mset.sequences)
+                seqs[q] = PulseSequence([], T, seqs[q].initial_sign)
+                mset = ModulationSet(tuple(seqs))
+            freqs = rng.uniform(0.0, 12.0, 3)
+            # large coefficients fold times past 0 and past T
+            xs = [rng.normal(0.0, scale, 6) for scale in (0.3, 3.0, 30.0) for _ in range(3)]
+            assert _kernel_gap(mset, q, freqs, xs, self.GRID) <= 1e-13
+
+    @pytest.mark.parametrize("target", [None, 0, 1, 2])
+    def test_discrete_coincident_and_cancelled_flips(self, target):
+        T = 5.0
+        mset = ModulationSet((
+            PulseSequence([0.05, 0.1, 2.0, 4.6, 4.8], T),
+            PulseSequence([2.0, 3.0], T, -1),
+            PulseSequence([4.6, 4.8], T)))
+        # a pulls switches below 0, b pushes them past T, where they fold
+        # onto eps and T - eps and cancel in pairs; x = 0 leaves coincident
+        # switches of different qubits
+        xs = [np.array([-100.0, 10.0]), np.zeros(2), np.array([0.3, -0.2])]
+        assert _kernel_gap(mset, target, [1.0], xs, self.GRID) <= 1e-13
+
+    def _continuous(self, monkeypatch):
+        """A state with terms, its search, and the modulations that
+        ``transform_continuous`` receives."""
+        state = ContinuousModulation(5.0, 2.0, ((3.0, 0.2, -0.1), (7.5, -0.05, 0.3)))
+        seen = []
+
+        def recording(mod, omega):
+            seen.append(mod)
+            return transform_continuous(mod, omega)
+
+        monkeypatch.setattr(filterfn, "transform_continuous", recording)
+        return state, _continuous_search(state, np.array([1.5, 4.0, 11.0]), self.GRID), seen
+
+    def test_continuous_same_bits(self, monkeypatch):
+        state, (values, candidate), seen = self._continuous(monkeypatch)
+        panels = []
+        plan = filterfn._gauss_plan
+        monkeypatch.setattr(filterfn, "_gauss_plan",
+                            lambda *key: panels.append(key[1]) or plan(*key))
+        rng = np.random.default_rng(8)
+        for scale in (0.3, 3.0, 0.3, 30.0, 3.0):
+            x = rng.normal(0.0, scale, 6)
+            got = values(x)
+            light = seen[-1]
+            ref = candidate(x)
+            assert ref.terms[:2] == state.terms and len(ref.terms) == 5
+            assert light.phase_rate_bound() == ref.phase_rate_bound()
+            assert got.tobytes() == filter_values(ref, self.GRID).tobytes()
+        # the large coefficients change the panel count, and scores at an
+        # earlier count reuse that count's held phase
+        assert panels[0::2] == panels[1::2] and len(set(panels)) > 2
+
+    def test_continuous_nan_refused_before_transform(self, monkeypatch):
+        _, (values, _), seen = self._continuous(monkeypatch)
+        with pytest.raises(NonFiniteInputError, match="^b must be finite"):
+            values(np.array([0.1, 0.2, 0.3, math.nan, 0.5, 0.6]))
+        assert seen == []
+
+    @pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
+    def test_search_as_by_kernel(self, monkeypatch, continuous):
+        """A search scored by its scorer keeps the evaluations, the trace
+        and the design of one that scores every candidate by the kernel."""
+        solve = ocf._solve
+
+        def by_kernel(problem, initial, search, values_of=filter_values, *rest):
+            def kernel_search(state, s, freqs):
+                candidate = search(state, s, freqs)[1]
+                return (lambda x: values_of(candidate(x), problem.grid)), candidate
+            return solve(problem, initial, kernel_search, values_of, *rest)
+
+        optimize = optimize_continuous if continuous else optimize_discrete
+        prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=3,
+                          superiterations=5, inner_evals=25, seed=11)
+        ours = optimize(prob)
+        monkeypatch.setattr(ocf, "_solve", by_kernel)
+        ref = optimize(prob)
+        assert ours.evaluations == ref.evaluations == 1 + 5 * 26
+        assert ours.trace == ref.trace and len(set(ours.trace)) > 1
+        assert ours.filter.values.tobytes() == ref.filter.values.tobytes()
+        if continuous:
+            assert ours.modulation.terms == ref.modulation.terms
+        else:
+            for a, b in zip(ours.modulation.sequences, ref.modulation.sequences, strict=True):
+                assert a.switch_times.tobytes() == b.switch_times.tobytes()
 
 
 def _bowl(x):
