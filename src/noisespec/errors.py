@@ -2,6 +2,7 @@
 
 import importlib
 import math
+import numbers
 
 
 class NoiseSpecError(Exception):
@@ -18,6 +19,15 @@ def require_finite(**values) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
             raise NonFiniteInputError(f"{name} must be finite, got {value}")
+
+
+def require_integer(name: str, value, least=None) -> None:
+    """Raise :class:`OutOfRangeError` naming ``name`` unless ``value`` is an
+    integer of any integral type but bool, and at least ``least`` if given."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or least is not None and value < least):
+        rule = "an integer" if least is None else f"an integer >= {least}"
+        raise OutOfRangeError(f"{name} must be {rule}, got {value!r}")
 
 
 def require_scipy(module: str, name: str):

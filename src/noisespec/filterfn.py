@@ -60,8 +60,8 @@ import numpy as np
 # loaded here so a run's first Gauss panel does not pay numpy's lazy import
 import numpy.polynomial.legendre  # noqa: F401
 
-from .errors import (GridMismatchError, GridRangeError, NonFiniteInputError, require_finite,
-                     require_scipy)
+from .errors import (GridMismatchError, GridRangeError, NonFiniteInputError, OutOfRangeError,
+                     require_finite, require_scipy)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
                          to_step_function)
 
@@ -207,7 +207,7 @@ def _nodes(omega):
     if not np.all(np.isfinite(omega_arr)):
         raise NonFiniteInputError("omega must be finite")
     if np.any(omega_arr < 0):
-        raise ValueError("omega must be >= 0")
+        raise GridRangeError("omega must be >= 0")
     return omega_arr, np.ndim(omega) == 0
 
 
@@ -378,9 +378,9 @@ class FilterFunction:
         in closed form via the sine integral.
         """
         if isinstance(self.generator, ContinuousModulation):
-            raise ValueError("analytic tail requires a pulse-train generator")
+            raise OutOfRangeError("analytic tail requires a pulse-train generator")
         if omega_from <= 0:
-            raise ValueError("omega_from must be > 0")
+            raise GridRangeError("omega_from must be > 0")
         bounds, values = to_step_function(self.generator)
         points, coeffs = bounds, _boundary_coefficients(bounds, values)
         total = float(np.sum(coeffs ** 2)) / omega_from
@@ -484,8 +484,8 @@ def continuous_norm(obj, omega_c: float, grid: FrequencyGrid | None = None) -> f
         obj, grid = obj.values, obj.grid
     spectral = hasattr(obj, "evaluate")
     if grid is None:
-        raise ValueError("a grid is required to evaluate a spectral density" if spectral
-                         else "a grid is required for raw sample arrays")
+        raise OutOfRangeError("a grid is required to evaluate a spectral density" if spectral
+                              else "a grid is required for raw sample arrays")
     w = grid.trap_weights(omega_c)
     values = np.zeros(grid.size) if spectral else np.asarray(obj, dtype=float)
     if spectral:  # sampled where it has weight, zero elsewhere

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyOperatorError, require_scipy
+from .errors import EmptyOperatorError, OutOfRangeError, require_scipy
 from .filterfn import FilterFunction, overlap_matrix, signal_overlaps
 from .reconstruct import _retained_count
 
@@ -54,7 +54,7 @@ def build_fio(filters, probabilities) -> FisherOperator:
     filters = list(filters)
     probs = np.asarray(probabilities, dtype=float)
     if len(filters) != probs.size:
-        raise ValueError("filters and probabilities differ in length")
+        raise OutOfRangeError("filters and probabilities differ in length")
     divergent = ~(np.isfinite(probs) & (probs > 0.0))
     keep = ~divergent & (probs < 0.5)
     if not keep.any():

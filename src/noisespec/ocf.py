@@ -6,10 +6,10 @@ randomized-basis derivative-free loop: every superiteration draws a few
 random trigonometric basis frequencies, runs a bounded Nelder-Mead search
 over their coefficients, and keeps the candidate only if it improves the
 best objective so far.  Out-of-band filter weight is discouraged by a
-penalty on the normalized filter (see ``_Objective``).  Each search ranks
-its candidates by a scorer built from what it holds fixed
-(``_Trains.search``, ``_continuous_search``); acceptance scores the best
-candidate's state as :func:`filter_values` would.  A design owns one
+penalty on the normalized filter (see ``_Objective``).  Every state is a
+modulation.  Each search ranks its candidates by a scorer built from what
+it holds fixed (``_discrete_search``, ``_continuous_search``); acceptance
+scores the best candidate by :func:`filter_values`.  A design owns one
 read-only :class:`FilterFunction`, that scoring of its accepted state.
 
 The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 308 (1965)) is written
@@ -24,19 +24,18 @@ bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (CalibrationError, GridRangeError, OutOfRangeError,
-                     UndefinedObjectiveError, require_finite)
+                     UndefinedObjectiveError, require_finite, require_integer)
 from .filterfn import (FilterFunction, FrequencyGrid, _continuous_filter, _filter_from,
-                       _phase_sums, _point_moments, _pulse_filter, continuous_norm,
-                       default_grid, filter_values)
-from .modulation import (ContinuousModulation, ModulationSet, PulseSequence,
-                         merge_trains, repair_trains, staircase_split)
+                       _phase_sums, _point_moments, continuous_norm, default_grid,
+                       filter_values)
+from .modulation import (ContinuousModulation, ModulationSet, PulseSequence, repair_trains,
+                         staircase_split)
 from .seeding import derive_seed, make_rng
 from .spectra import SpectralDensity
 
@@ -75,11 +74,7 @@ class OcfProblem:
             raise OutOfRangeError(f"penalty_weight must be >= 0, got {self.penalty_weight}")
         for name, least in (("n_qubits", 1), ("superiterations", 0), ("inner_evals", 1),
                             ("basis_size", 1), ("seed", None)):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or least is not None and value < least):
-                rule = "an integer" if least is None else f"an integer >= {least}"
-                raise OutOfRangeError(f"{name} must be {rule}, got {value!r}")
+            require_integer(name, getattr(self, name), least)
         if self.grid is None:
             object.__setattr__(self, "grid", ocf_grid(self.omega_c))
         # the rule of FrequencyGrid.trap_weights, which every search applies
@@ -233,13 +228,12 @@ def _inner_search(fun, dim: int, step: float, max_evals: int) -> np.ndarray:
     return sim[0]
 
 
-def _solve(problem: OcfProblem, initial, search, values_of=filter_values,
-           finish=lambda state: state) -> OcfSolution:
+def _solve(problem: OcfProblem, initial, search) -> OcfSolution:
     """Shared superiteration loop: draw a random basis, search coefficients,
     accept if improved.  ``search(state, s, freqs)`` gives one inner
     search's ``(values(x), candidate(x))``: the candidate's filter samples on
-    the problem grid, and the candidate.  ``values_of(state, grid)`` scores
-    the state to accept, and ``finish(state)`` gives its modulation."""
+    the problem grid, and the candidate modulation.  The initial state and
+    each superiteration's best candidate are scored by :func:`filter_values`."""
     objective = _Objective(problem.spectrum, problem.grid, problem.omega_c,
                            problem.penalty_weight)
 
@@ -252,7 +246,7 @@ def _solve(problem: OcfProblem, initial, search, values_of=filter_values,
             return -math.inf, math.nan, vals
 
     state = initial
-    best_obj, best_xi, best_vals = rate(values_of(state, problem.grid))
+    best_obj, best_xi, best_vals = rate(filter_values(state, problem.grid))
     trace = [best_obj]
     dim = 2 * problem.basis_size
 
@@ -263,100 +257,80 @@ def _solve(problem: OcfProblem, initial, search, values_of=filter_values,
         x_best = _inner_search(lambda x: -rate(values(x))[0],
                                dim, step=0.6, max_evals=problem.inner_evals)
         cand = candidate(x_best)
-        cand_obj, cand_xi, cand_vals = rate(values_of(cand, problem.grid))
+        cand_obj, cand_xi, cand_vals = rate(filter_values(cand, problem.grid))
         if cand_obj > best_obj:
             best_obj, best_xi, best_vals, state = cand_obj, cand_xi, cand_vals, cand
         trace.append(best_obj)
 
-    modulation = finish(state)
     best_vals.setflags(write=False)
-    filt = FilterFunction(grid=problem.grid, values=best_vals, generator=modulation,
-                          operation_time=modulation.duration)
-    return OcfSolution(modulation=modulation, normalized_fidelity=best_xi,
+    filt = FilterFunction(grid=problem.grid, values=best_vals, generator=state,
+                          operation_time=state.duration)
+    return OcfSolution(modulation=state, normalized_fidelity=best_xi,
                        evaluations=objective.evaluations, trace=tuple(trace), filter=filt)
 
 
-class _Trains:
-    """Discrete-search states of the pulse trains of ``modulation``: every
-    switch time and its qubit label as two flat arrays sorted by (qubit,
-    time).  The initial signs and the duration stay those of
-    ``modulation``.  A search scores its candidates by :meth:`search`, from
-    unmerged phase sums; acceptance scores a state by :meth:`values`, the
-    pulse filter kernel on the merged step function."""
+def _warper(times, freqs, amp: float):
+    """The warp ``x -> t + sum_j amp (a_j sin_j + b_j (1 - cos_j))`` of
+    ``times``, ``x = (a_0, b_0, a_1, ...)``, from ``sin_j`` and ``1 - cos_j``
+    of ``nu_j t`` built once: it sums the rows ``[t, amp a_0 sin_0, amp b_0
+    (1 - cos_0), ...]`` in order, so each time carries the bits of the loop
+    ``out = out + amp a_j sin_j + amp b_j (1 - cos_j)``."""
+    phase = np.multiply.outer(np.asarray(freqs, dtype=float), times)
+    rows = np.empty((2 * phase.shape[0] + 1, times.size))
+    rows[0] = times
+    basis = np.empty_like(rows[1:])
+    basis[0::2], basis[1::2] = np.sin(phase), 1.0 - np.cos(phase)
 
-    def __init__(self, modulation: ModulationSet):
-        self.duration = modulation.duration
-        times, qubits, self.signs = modulation.trains()
-        self.initial = (times, qubits)
-        self.amp = self.duration / 12.0
+    def warp(x):
+        np.multiply(amp * np.asarray(x, dtype=float)[:, None], basis, out=rows[1:])
+        return np.add.reduce(rows, axis=0)
+    return warp
 
-    def warper(self, times, freqs):
-        """The warp ``x -> t + sum_j amp (a_j sin_j + b_j (1 - cos_j))`` of
-        ``times``, ``x = (a_0, b_0, a_1, ...)``, from ``sin_j`` and ``1 -
-        cos_j`` of ``nu_j t`` built once: it sums the rows ``[t, amp a_0 sin_0,
-        amp b_0 (1 - cos_0), ...]`` in order, so each time carries the bits
-        of the loop ``out = out + amp a_j sin_j + amp b_j (1 - cos_j)``."""
-        phase = np.multiply.outer(np.asarray(freqs, dtype=float), times)
-        rows = np.empty((2 * phase.shape[0] + 1, times.size))
-        rows[0] = times
-        basis = np.empty_like(rows[1:])
-        basis[0::2], basis[1::2] = np.sin(phase), 1.0 - np.cos(phase)
 
-        def warp(x):
-            np.multiply(self.amp * np.asarray(x, dtype=float)[:, None], basis, out=rows[1:])
-            return np.add.reduce(rows, axis=0)
-        return warp
+def _discrete_search(state: ModulationSet, target, freqs, grid):
+    """``(values(x), candidate(x))`` of a search that warps the switches of
+    qubit ``target`` of ``state`` (every qubit if None) by :func:`_warper`
+    at ``amp = T / 12``; ``candidate`` repairs the trains and wraps them in
+    one :class:`ModulationSet`.  ``values`` builds none: phase sums and
+    moments are linear in the trains, so the search holds those of t = 0
+    and of the unmoved switches, repaired as ``candidate`` repairs them,
+    and ``values`` adds those of the moved trains and of T (final level)."""
+    times, qubits, signs = state.trains()
+    T = state.duration
+    lo, hi = ((0, times.size) if target is None
+              else np.searchsorted(qubits, (target, target + 1)))
+    warp = _warper(times[lo:hi], freqs, T / 12.0)
 
-    def _coefficients(self, times, qubits):
+    def coefficients(q):
         """Phase-sum weight of each switch: minus its step, ``-2 sign (-1)**rank``."""
-        rank = np.arange(qubits.size) - np.searchsorted(qubits, qubits)
-        return np.where(rank % 2 == 1, -2.0, 2.0) * self.signs[qubits]
+        rank = np.arange(q.size) - np.searchsorted(q, q)
+        return np.where(rank % 2 == 1, -2.0, 2.0) * signs[q]
 
-    def search(self, state, target, freqs, grid):
-        """``(values(x), candidate(x))`` of a search that warps qubit
-        ``target`` (every qubit if None), ``values`` on ``grid``.  Phase sums
-        and moments are linear in the trains: the search holds those of t = 0
-        and of the unmoved switches, repaired as ``candidate`` repairs them,
-        and ``values`` adds those of the moved trains and of T (final level)."""
-        times, qubits = state
-        T = self.duration
-        lo, hi = ((0, times.size) if target is None
-                  else np.searchsorted(qubits, (target, target + 1)))
-        warp = self.warper(times[lo:hi], freqs)
-        held = repair_trains(np.delete(times, np.s_[lo:hi]), np.delete(qubits, np.s_[lo:hi]), T)
-        held_c = self._coefficients(*held)
-        points = np.append(0.0, held[0])
-        weights = np.append(-float(np.sum(self.signs)), held_c)
-        held_sums = _phase_sums(weights[None, :], points, grid)[0]
-        held_moments = _point_moments(points, weights)
-        end = float(np.sum(self.signs)) - float(np.sum(held_c))
+    held_t, held_q = repair_trains(np.delete(times, np.s_[lo:hi]),
+                                   np.delete(qubits, np.s_[lo:hi]), T)
+    held_c = coefficients(held_q)
+    points = np.append(0.0, held_t)
+    weights = np.append(-float(np.sum(signs)), held_c)
+    held_sums = _phase_sums(weights[None, :], points, grid)[0]
+    held_moments = _point_moments(points, weights)
+    end = float(np.sum(signs)) - float(np.sum(held_c))
 
-        def candidate(x):
-            warped = times.copy()
-            warped[lo:hi] = warp(x)
-            return repair_trains(warped, qubits, T)
+    def candidate(x):
+        warped = times.copy()
+        warped[lo:hi] = warp(x)
+        t, q = repair_trains(warped, qubits, T)
+        return ModulationSet(tuple(PulseSequence(t[q == k], T, int(signs[k]))
+                                   for k in range(signs.size)))
 
-        def values(x):
-            t, q = repair_trains(warp(x), qubits[lo:hi], T)
-            c = self._coefficients(t, q)
-            points = np.append(t, T)
-            weights = np.append(c, end - np.sum(c))
-            sums = _phase_sums(weights[None, :], points, grid)[0]
-            sums += held_sums
-            return _filter_from(sums, held_moments + _point_moments(points, weights), grid, T)
-        return values, candidate
-
-    def values(self, state, grid):
-        """Filter samples of the summed trains on ``grid``."""
-        bounds, values = merge_trains(*state, self.signs, self.duration)
-        return _pulse_filter(bounds, values, grid)
-
-    def modulation(self, state) -> ModulationSet:
-        """The state as one PulseSequence per qubit."""
-        times, qubits = state
-        return ModulationSet(tuple(
-            PulseSequence(times[qubits == q], self.duration, int(self.signs[q]))
-            for q in range(self.signs.size)))
+    def values(x):
+        t, q = repair_trains(warp(x), qubits[lo:hi], T)
+        c = coefficients(q)
+        points = np.append(t, T)
+        weights = np.append(c, end - np.sum(c))
+        sums = _phase_sums(weights[None, :], points, grid)[0]
+        sums += held_sums
+        return _filter_from(sums, held_moments + _point_moments(points, weights), grid, T)
+    return values, candidate
 
 
 def optimize_discrete(problem: OcfProblem) -> OcfSolution:
@@ -371,29 +345,28 @@ def optimize_discrete(problem: OcfProblem) -> OcfSolution:
     disordered or out-of-range switch times are repaired by sorting,
     clipping into (0, T) and cancelling coincident flips.
 
-    Candidates are arrays (``_Trains``), scored without building a
-    modulation object; only the accepted state becomes a
-    :class:`ModulationSet`, once per design.
+    :func:`_discrete_search` scores candidates from arrays, without
+    building a modulation object; only each superiteration's best
+    candidate becomes a :class:`ModulationSet`.
     """
     T = problem.duration
     n_q = problem.n_qubits
     peak = problem.spectrum.peak_frequency(omega_max=problem.omega_c)
-    initial = staircase_split(peak, n_q, T)
     # the warp moves switches but cannot create them: give every qubit one
     # movable spare at the right boundary (a flip at T - eps is a no-op
     # until the search pulls it inward)
     spare = T * (1.0 - 1e-9)
-    trains = _Trains(ModulationSet(tuple(
+    initial = ModulationSet(tuple(
         PulseSequence(np.append(seq.switch_times, spare)
                       if seq.n_switches == 0 or seq.switch_times[-1] < spare
                       else seq.switch_times, T, seq.initial_sign)
-        for seq in initial.sequences)))
+        for seq in staircase_split(peak, n_q, T).sequences))
 
     def search(state, s, freqs):
         target = None if (n_q == 1 or s % 2 == 0) else (s // 2) % n_q
-        return trains.search(state, target, freqs, problem.grid)
+        return _discrete_search(state, target, freqs, problem.grid)
 
-    return _solve(problem, trains.initial, search, trains.values, trains.modulation)
+    return _solve(problem, initial, search)
 
 
 def _continuous_search(state: ContinuousModulation, freqs, grid):

@@ -23,12 +23,12 @@ takes the exponential integral from scipy through
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedOracleError, require_finite, require_scipy
+from .errors import (GridRangeError, OutOfRangeError, UnsupportedOracleError, require_finite,
+                     require_integer, require_scipy)
 from .modulation import to_step_function
 from .seeding import derive_seed, first_uniform, make_rng
 from .spectra import SpectralDensity
@@ -65,13 +65,12 @@ class NoiseModel:
     def __post_init__(self):
         require_finite(dp_max=self.dp_max, gamma=self.gamma)
         if not 0.0 <= self.dp_max < 0.5:
-            raise ValueError(f"dp_max must be in [0, 0.5), got {self.dp_max}")
+            raise OutOfRangeError(f"dp_max must be in [0, 0.5), got {self.dp_max}")
         if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+            raise OutOfRangeError(f"gamma must be >= 0, got {self.gamma}")
         if self.shots is not None:
             require_finite(shots=self.shots)
-            if not isinstance(self.shots, numbers.Integral) or self.shots <= 0:
-                raise ValueError(f"shots must be a positive integer, got {self.shots!r}")
+            require_integer("shots", self.shots, 1)
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def survival_probability(c, gamma: float, operation_time: float):
     and a NaN entry fails every check."""
     c_arr = np.asarray(c, dtype=float)
     if not (np.all(c_arr >= 0) and 0 <= gamma < math.inf and 0 <= operation_time < math.inf):
-        raise ValueError(f"need c >= 0, finite gamma, T >= 0: {c}, {gamma}, {operation_time}")
+        raise OutOfRangeError(f"need c >= 0, finite gamma, T >= 0: {c}, {gamma}, {operation_time}")
     p = 0.5 * (1.0 - np.exp(-c_arr - gamma * operation_time))
     return p if c_arr.ndim else float(p)
 
@@ -106,8 +105,8 @@ def invert_probability(p_measured: float, gamma: float,
     or non-finite ``gamma`` or ``T`` are refused.
     """
     if not (0 <= p_measured <= 1 and 0 <= gamma < math.inf and 0 <= operation_time < math.inf):
-        raise ValueError(f"need p in [0, 1], finite gamma, T >= 0: "
-                         f"{p_measured}, {gamma}, {operation_time}")
+        raise OutOfRangeError(f"need p in [0, 1], finite gamma, T >= 0: "
+                              f"{p_measured}, {gamma}, {operation_time}")
     c_hat, saturated = _invert(np.array([p_measured], dtype=float), gamma, operation_time)
     return float(c_hat[0]), bool(saturated[0])
 
@@ -291,8 +290,8 @@ def chi_time_domain(seq_or_set, spectrum: SpectralDensity,
             "time-domain oracle supports analytic (Lorentzian mixture) spectra only")
     acf = _StepAutocorrelation(seq_or_set)
     if operation_time is not None and not math.isclose(operation_time, acf.duration):
-        raise ValueError(f"operation_time {operation_time} != sequence duration "
-                         f"{acf.duration}")
+        raise GridRangeError(f"operation_time {operation_time} != sequence duration "
+                             f"{acf.duration}")
     rate_scale = max(
         max(c.center + 1.0 / math.sqrt(c.width_scale) for c in spectrum.components),
         1.0 / acf.duration)

@@ -37,7 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (CalibrationError, DegenerateBasisError, GridRangeError,
-                     IllConditionedInversionError, UndefinedFidelityError, require_finite)
+                     IllConditionedInversionError, OutOfRangeError, UndefinedFidelityError,
+                     require_finite, require_integer)
 from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
                        signal_overlaps)
 from .modulation import as_sequence, staircase_split
@@ -167,7 +168,7 @@ def _kept_estimates(filters, c_estimates):
     filters = list(filters)
     c = np.asarray(c_estimates, dtype=float)
     if len(filters) != c.size:
-        raise ValueError("filters and coefficient estimates differ in length")
+        raise OutOfRangeError("filters and coefficient estimates differ in length")
     kept = np.flatnonzero(np.isfinite(c))
     if kept.size == 0:
         raise DegenerateBasisError("every measurement is saturated; nothing to invert")
@@ -199,12 +200,12 @@ def _retained_solve(A: np.ndarray, rule, X: np.ndarray) -> tuple[np.ndarray, int
 
 def _check_rule(eig_keep):
     """``eig_keep`` if it is a retention rule (``"cv"``, a count >= 0 or a
-    threshold >= 0); ``ValueError`` otherwise."""
+    threshold >= 0); :class:`OutOfRangeError` otherwise."""
     if isinstance(eig_keep, str):
         if eig_keep != "cv":
-            raise ValueError(f"unknown retention rule {eig_keep!r}")
+            raise OutOfRangeError(f"unknown retention rule {eig_keep!r}")
     elif not eig_keep >= 0:  # also refuses NaN
-        raise ValueError(f"retention rule must be >= 0, got {eig_keep!r}")
+        raise OutOfRangeError(f"retention rule must be >= 0, got {eig_keep!r}")
     return eig_keep
 
 
@@ -393,9 +394,11 @@ class ProtocolContext:
                  n_qubits: int = 1, grid: FrequencyGrid | None = None,
                  eig_keep=DEFAULT_TAU, as_delta: bool = False):
         if protocol not in ("fo", "as"):
-            raise ValueError(f"unknown protocol {protocol!r}")
+            raise OutOfRangeError(f"unknown protocol {protocol!r}")
+        require_integer("K", K)
+        require_integer("n_qubits", n_qubits, 1)
         if protocol == "as" and n_qubits != 1:
-            raise ValueError("the pointwise protocol is defined for one qubit")
+            raise OutOfRangeError("the pointwise protocol is defined for one qubit")
         if omega_max is None:
             omega_max = FO_BAND_MARGIN * omega_c if protocol == "fo" else omega_c
         require_finite(operation_time=operation_time, omega_c=omega_c, omega_max=omega_max)
@@ -652,7 +655,7 @@ def scan_optimal_time(scans, repetitions: int, workers: int = 1) -> list[ScanRes
     """
     scans = [(list(contexts), noise) for contexts, noise in scans]
     if any(not contexts for contexts, _ in scans):
-        raise ValueError("need at least one candidate operation time")
+        raise OutOfRangeError("need at least one candidate operation time")
     cells = [(ctx, replace(noise, seed=derive_seed(noise.seed, ti)))
              for contexts, noise in scans for ti, ctx in enumerate(contexts)]
     stats = iter(map(mean_se, run_repetitions(cells, repetitions, workers)))

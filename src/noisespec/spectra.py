@@ -13,7 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CalibrationError, GridRangeError, require_finite
+from .errors import (CalibrationError, GridRangeError, NonFiniteInputError, OutOfRangeError,
+                     require_finite)
 
 
 @dataclass(frozen=True)
@@ -39,11 +40,11 @@ class LorentzianComponent:
         require_finite(amplitude=self.amplitude, center=self.center,
                        width_scale=self.width_scale)
         if self.amplitude < 0:
-            raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
+            raise OutOfRangeError(f"amplitude must be >= 0, got {self.amplitude}")
         if self.center < 0:
-            raise ValueError(f"center must be >= 0, got {self.center}")
+            raise GridRangeError(f"center must be >= 0, got {self.center}")
         if self.width_scale <= 0:
-            raise ValueError(f"width_scale must be > 0, got {self.width_scale}")
+            raise OutOfRangeError(f"width_scale must be > 0, got {self.width_scale}")
 
     def evaluate(self, omega):
         omega = np.asarray(omega, dtype=float)
@@ -66,20 +67,20 @@ class SpectralDensity:
 
     def __post_init__(self):
         if (self.components is None) == (self.grid_omegas is None):
-            raise ValueError("exactly one of components / grid form must be given")
+            raise OutOfRangeError("exactly one of components / grid form must be given")
         if self.grid_omegas is not None:
             om = np.asarray(self.grid_omegas, dtype=float)
             val = np.asarray(self.grid_values, dtype=float)
             if om.ndim != 1 or om.shape != val.shape or om.size < 2:
-                raise ValueError("grid form needs matching 1-d arrays of length >= 2")
+                raise OutOfRangeError("grid form needs matching 1-d arrays of length >= 2")
             if not np.all(np.diff(om) > 0):
-                raise ValueError("grid frequencies must be strictly increasing")
+                raise GridRangeError("grid frequencies must be strictly increasing")
             if not (np.all(np.isfinite(om)) and np.all(np.isfinite(val))):
-                raise ValueError("grid samples must be finite")
+                raise NonFiniteInputError("grid samples must be finite")
             object.__setattr__(self, "grid_omegas", om)
             object.__setattr__(self, "grid_values", val)
         if not math.isfinite(self.scale) or self.scale < 0:
-            raise ValueError(f"scale must be finite and >= 0, got {self.scale}")
+            raise OutOfRangeError(f"scale must be finite and >= 0, got {self.scale}")
 
     # -- constructors -------------------------------------------------------
 
@@ -92,7 +93,7 @@ class SpectralDensity:
             for c in components
         )
         if not comps:
-            raise ValueError("mixture needs at least one component")
+            raise OutOfRangeError("mixture needs at least one component")
         return cls(components=comps, scale=scale)
 
     @classmethod
@@ -106,9 +107,9 @@ class SpectralDensity:
         A negative power is refused: the file is a spectrum, not an estimate."""
         data = np.loadtxt(path, delimiter=",", comments="#", ndmin=2)
         if data.shape[1] != 2:
-            raise ValueError(f"{path}: expected two columns, got {data.shape[1]}")
+            raise OutOfRangeError(f"{path}: expected two columns, got {data.shape[1]}")
         if np.any(data[:, 1] < 0):
-            raise ValueError(f"{path}: spectral power must be >= 0, got {data[:, 1].min()}")
+            raise OutOfRangeError(f"{path}: spectral power must be >= 0, got {data[:, 1].min()}")
         return cls.from_grid(data[:, 0], data[:, 1], scale=scale)
 
     # -- queries -------------------------------------------------------------
@@ -168,7 +169,7 @@ class CompositeSignal:
     def evaluate(self, omega, t):
         """Spectral power at frequency ``omega`` and time ``t >= 0``."""
         if np.any(np.asarray(t, dtype=float) < 0):
-            raise ValueError("t must be >= 0")
+            raise GridRangeError("t must be >= 0")
         s1, s2 = self.weights(t)
         return s1 * self.component_one.evaluate(omega) + s2 * self.component_two.evaluate(omega)
 

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBasisError, DegenerateComponentsError
+from .errors import (DegenerateBasisError, DegenerateComponentsError, GridRangeError,
+                     OutOfRangeError)
 from .filterfn import overlap_matrix, signal_overlaps
 from .probe import NoiseModel, measure_batch
 from .reconstruct import DEFAULT_TAU, _checked_condition, _resolve_rule, _retained_solve
@@ -70,7 +71,7 @@ def _component_overlaps(signal: CompositeSignal, filters) -> tuple[np.ndarray, f
     the filters' common operation time."""
     times = {f.operation_time for f in filters}
     if len(times) != 1:
-        raise ValueError(f"filters must share one operation time, got {sorted(times)}")
+        raise GridRangeError(f"filters must share one operation time, got {sorted(times)}")
     comps = (signal.component_one, signal.component_two)
     return np.column_stack([signal_overlaps(s, filters) for s in comps]), times.pop()
 
@@ -88,7 +89,7 @@ def _track(method: str, signal: CompositeSignal, G: np.ndarray, T: float,
     block = k * T
     n_samples = int(math.floor(horizon / block))
     if n_samples == 0:
-        raise ValueError(f"horizon shorter than one sample of {k} filters")
+        raise GridRangeError(f"horizon shorter than one sample of {k} filters")
 
     s1_m, s2_m = signal.weights(np.arange(n_samples)[:, None] * block
                                 + (np.arange(k) + 0.5) * T)
@@ -156,7 +157,7 @@ def track_ocf(signal: CompositeSignal, filter_pair, horizon: float,
     of the filters' absolute magnitudes.
     """
     if len(filter_pair) != 2:
-        raise ValueError("filter_pair must hold exactly two filters")
+        raise OutOfRangeError("filter_pair must hold exactly two filters")
     G, T = _component_overlaps(signal, filter_pair)
     # per-filter probe coupling putting each measurement near unit overlap
     # (the maximum-sensitivity working point)

@@ -11,9 +11,9 @@ from noisespec import filterfn, ocf
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
                                 filter_function, filter_values, transform_continuous)
 from noisespec.modulation import ContinuousModulation, PulseSequence, repair_trains
-from noisespec.ocf import (OcfProblem, _continuous_search, _inner_search, _Objective, _solve,
-                           _Trains, OcfSolution, ocf_grid, optimize_continuous,
-                           optimize_discrete)
+from noisespec.ocf import (OcfProblem, _continuous_search, _discrete_search, _inner_search,
+                           _Objective, _solve, _warper, OcfSolution, ocf_grid,
+                           optimize_continuous, optimize_discrete)
 from noisespec.seeding import derive_seed
 
 LORENTZIAN = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
@@ -169,6 +169,24 @@ class TestOptimizers:
         assert filt.operation_time == fresh.operation_time == 5.0
         assert not filt.values.flags.writeable
 
+    @pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuous"])
+    def test_states_are_modulations_scored_once_each(self, monkeypatch, continuous):
+        """A design scores its initial state and each superiteration's best
+        candidate through ``filter_values`` and nothing else; a discrete
+        design builds one ModulationSet for its spare-extended initial state
+        and one per superiteration, however many candidates it scores."""
+        scored, built = [], []
+        monkeypatch.setattr(ocf, "filter_values",
+                            lambda state, grid: scored.append(state) or filter_values(state, grid))
+        monkeypatch.setattr(ocf, "ModulationSet",
+                            lambda seqs: built.append(seqs) or ModulationSet(seqs))
+        prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=3,
+                          superiterations=5, inner_evals=25, seed=11)
+        sol = (optimize_continuous if continuous else optimize_discrete)(prob)
+        assert sol.evaluations == 1 + 5 * 26 and len(set(sol.trace)) > 1
+        assert len(scored) == 5 + 1 and any(state is sol.modulation for state in scored)
+        assert len(built) == (0 if continuous else 5 + 1)
+
     def test_solution_fields(self):
         assert [f.name for f in dataclasses.fields(OcfSolution)] == [
             "modulation", "normalized_fidelity", "evaluations", "trace", "filter"]
@@ -208,8 +226,9 @@ class TestOptimizers:
             scored.append(state)
             return filter_values(initial, grid) if state is initial else np.zeros(grid.size)
 
+        monkeypatch.setattr(ocf, "filter_values", values)
         sol = _solve(prob, initial, lambda state, s, freqs: (
-            lambda x: values(("vanishing", s), prob.grid), lambda x: ("vanishing", s)), values)
+            lambda x: values(("vanishing", s), prob.grid), lambda x: ("vanishing", s)))
         assert searched == [math.inf] * 3 * 12
         assert sol.modulation is initial
         assert math.isfinite(sol.trace[0]) and sol.trace == (sol.trace[0],) * 4
@@ -281,11 +300,9 @@ def _same_candidate(mset, target, freqs, x, grid):
     """Assert the array candidate equals the train-by-train one, bit for bit,
     in its filter values and in the switch times of its modulation; the
     train-by-train candidate."""
-    trains = _Trains(mset)
-    state = trains.search(trains.initial, target, freqs, grid)[1](np.asarray(x, dtype=float))
+    done = _discrete_search(mset, target, freqs, grid)[1](np.asarray(x, dtype=float))
     ref = _object_candidate(mset, target, freqs, np.asarray(x, dtype=float))
-    assert trains.values(state, grid).tobytes() == filter_values(ref, grid).tobytes()
-    done = trains.modulation(state)
+    assert filter_values(done, grid).tobytes() == filter_values(ref, grid).tobytes()
     assert done.n_qubits == ref.n_qubits and done.duration == ref.duration
     for ours, theirs in zip(done.sequences, ref.sequences):
         assert ours.switch_times.tobytes() == theirs.switch_times.tobytes()
@@ -310,8 +327,8 @@ def _random_trains(rng, n_q, T):
 
 
 class TestArrayCandidates:
-    """The search's array candidates against candidates built train by
-    train through PulseSequence and ModulationSet."""
+    """The search's candidates, repaired as flat arrays, against candidates
+    built train by train through PulseSequence and ModulationSet."""
 
     GRID = ocf_grid(10.0)
 
@@ -350,23 +367,23 @@ class TestArrayCandidates:
         for target in (None, 0, 1):
             _same_candidate(mset, target, [2.0, 5.0], [0.4, -0.2, 0.1, 0.3], self.GRID)
 
-    def test_non_finite_warp_refused_before_scoring(self):
+    def test_non_finite_warp_refused_before_scoring(self, monkeypatch):
         prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=2,
                           superiterations=1, inner_evals=5)
-        trains = _Trains(staircase_split(2.0, 2, 5.0))
         scored = []
 
         def values(state, grid):
             scored.append(state)
-            return trains.values(state, grid)
+            return filter_values(state, grid)
 
         def nan_search(state, s, freqs):
-            values, candidate = trains.search(state, None, freqs, prob.grid)
+            values, candidate = _discrete_search(state, None, freqs, prob.grid)
             return (lambda x: values(np.where(np.arange(x.size) == 0, np.nan, x)),
                     lambda x: candidate(np.where(np.arange(x.size) == 0, np.nan, x)))
 
+        monkeypatch.setattr(ocf, "filter_values", values)
         with pytest.raises(NonFiniteInputError, match="^switch_times must be finite"):
-            _solve(prob, trains.initial, nan_search, values, trains.modulation)
+            _solve(prob, staircase_split(2.0, 2, 5.0), nan_search)
         assert len(scored) == 1  # the initial state alone
 
 
@@ -384,22 +401,22 @@ class TestWarp:
 
     def test_same_bits_as_loop(self):
         rng = np.random.default_rng(21)
-        trains = _Trains(staircase_split(2.0, 2, 7.0))
+        amp = 7.0 / 12.0
         for _ in range(400):
             times = rng.uniform(0.0, 7.0, rng.integers(0, 22))
             freqs = rng.uniform(0.0, 12.0, rng.integers(1, 5))
             x = rng.normal(0.0, rng.choice([0.3, 3.0, 30.0]), 2 * freqs.size)
-            ref = _loop_warp(trains.amp, times, freqs, x)
+            ref = _loop_warp(amp, times, freqs, x)
             for f in (freqs, freqs.tolist()):
-                got = trains.warper(times, f)(x)
+                got = _warper(times, f, amp)(x)
                 assert got.shape == times.shape and got.tobytes() == ref.tobytes()
 
     def test_empty_qubit_slice(self):
-        trains = _Trains(ModulationSet((PulseSequence([], 3.0), PulseSequence([1.0], 3.0))))
-        times, qubits = trains.initial
+        mset = ModulationSet((PulseSequence([], 3.0), PulseSequence([1.0], 3.0)))
+        times, qubits, _ = mset.trains()
         lo, hi = np.searchsorted(qubits, (0, 1))
         assert hi == lo
-        warp = trains.warper(times[lo:hi], [2.0, 5.0])
+        warp = _warper(times[lo:hi], [2.0, 5.0], 3.0 / 12.0)
         assert warp(np.array([0.4, -0.2, 0.1, 0.3])).shape == (0,)
 
 
@@ -412,12 +429,11 @@ def _kernel_gap(mset, target, freqs, xs, grid):
     one time), max F falls to 1e-21 while the gap stays near 1e-25.  So max
     F is floored at 1e-4 of ``(4/pi) (N T)**2``, the most F any N trains of
     length T reach."""
-    trains = _Trains(mset)
-    values, candidate = trains.search(trains.initial, target, freqs, grid)
+    values, candidate = _discrete_search(mset, target, freqs, grid)
     floor = 1e-4 * 4.0 / np.pi * (mset.n_qubits * mset.duration) ** 2
     gap = 0.0
     for x in xs:
-        ref = trains.values(candidate(x), grid)
+        ref = filter_values(candidate(x), grid)
         gap = max(gap, float(np.max(np.abs(values(x) - ref)) / max(np.max(ref), floor)))
     return gap
 
@@ -505,11 +521,11 @@ class TestSearchScorer:
         and the design of one that scores every candidate by the kernel."""
         solve = ocf._solve
 
-        def by_kernel(problem, initial, search, values_of=filter_values, *rest):
+        def by_kernel(problem, initial, search):
             def kernel_search(state, s, freqs):
                 candidate = search(state, s, freqs)[1]
-                return (lambda x: values_of(candidate(x), problem.grid)), candidate
-            return solve(problem, initial, kernel_search, values_of, *rest)
+                return (lambda x: filter_values(candidate(x), problem.grid)), candidate
+            return solve(problem, initial, kernel_search)
 
         optimize = optimize_continuous if continuous else optimize_discrete
         prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=3,

@@ -9,7 +9,7 @@ from scipy.integrate import trapezoid
 
 from noisespec import (ContinuousModulation, FrequencyGrid, LorentzianComponent,
                        MeasurementRecord, NoiseModel, NoiseSpecError, NonFiniteInputError,
-                       SpectralDensity, UnsupportedOracleError, as_sequence,
+                       OutOfRangeError, SpectralDensity, UnsupportedOracleError, as_sequence,
                        autocorrelation, chi_time_domain, default_grid, filter_function,
                        fo_sequence, invert_probability, measure, measure_batch,
                        signal_overlap, signal_overlaps, staircase_split,
@@ -71,7 +71,8 @@ class TestNonFiniteInput:
 
     @pytest.mark.parametrize("shots, error", [
         (2.5, ValueError), (100.0, ValueError), (0, ValueError), (-3, ValueError),
-        ("10", TypeError), (math.nan, NonFiniteInputError), (math.inf, NonFiniteInputError)])
+        ("10", TypeError), (math.nan, NonFiniteInputError), (math.inf, NonFiniteInputError),
+        (True, OutOfRangeError)])
     def test_shots_must_be_a_positive_integer(self, shots, error):
         with pytest.raises(error):
             NoiseModel(shots=shots)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from noisespec import (CalibrationError, DegenerateBasisError, GridRangeError,
-                       IllConditionedInversionError, NoiseModel,
+                       IllConditionedInversionError, NoiseModel, OutOfRangeError,
                        NonFiniteInputError, SpectralDensity, UndefinedFidelityError,
                        as_reconstruct, default_grid,
                        fidelity, filter_function, fo_reconstruct, fo_sequence,
@@ -329,6 +329,23 @@ class TestContextInput:
         spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
         with pytest.raises(CalibrationError, match=f"^K must be >= 1, got {K}"):
             ProtocolContext("fo", spec, 2.0, K=K)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"K": 2.5}, "K must be an integer, got 2.5"),
+        ({"K": True}, "K must be an integer, got True"),
+        ({"n_qubits": 1.5}, "n_qubits must be an integer >= 1, got 1.5"),
+        ({"n_qubits": 0}, "n_qubits must be an integer >= 1, got 0")])
+    def test_bad_count_refused(self, kwargs, message):
+        # before, 2.5 filters or 1.5 qubits ended in numpy's TypeError, and
+        # K = True built one filter
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+        with pytest.raises(OutOfRangeError, match=f"^{message}$"):
+            ProtocolContext("fo", spec, 2.0, **kwargs)
+
+    def test_counts_of_any_integer_type(self):
+        spec = SpectralDensity.lorentzian_mixture([(1.0, 2.0, 1.0)])
+        ctx = ProtocolContext("fo", spec, 2.0, K=np.int64(4), n_qubits=np.int32(2))
+        assert len(ctx.filters) == 4
 
 
 # (10, 5.0) and (6, 5.0) are the fo blocks of the tracking presets at

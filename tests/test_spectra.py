@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisespec import (CalibrationError, CompositeSignal, GridMismatchError, GridRangeError,
-                       LorentzianComponent, SpectralDensity,
-                       calibrate_amplitude)
-from noisespec.filterfn import FrequencyGrid, FilterFunction, default_grid, filter_function, signal_overlap
+                       LorentzianComponent, NoiseModel, NoiseSpecError, OutOfRangeError,
+                       ProtocolContext, SpectralDensity, build_fio, calibrate_amplitude,
+                       track_ocf)
+from noisespec.filterfn import (FrequencyGrid, FilterFunction, continuous_norm, default_grid,
+                                filter_function, filter_values, signal_overlap)
 from noisespec.modulation import fo_sequence
 from noisespec import spectra
 
@@ -171,3 +173,36 @@ class TestCalibration:
         scaled = spec.with_scale(scale)
         overlaps = [signal_overlap(scaled, f) for f in filters]
         assert 0.99 <= float(np.median(overlaps)) <= 1.01
+
+
+def _square_filter():
+    return filter_function(fo_sequence(3, 20, 11.5, 5.0), default_grid(11.5))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: SpectralDensity.lorentzian_mixture([(-1.0, 2.0, 1.0)]), OutOfRangeError,
+     "amplitude must be >= 0, got -1.0"),
+    (lambda: SpectralDensity.lorentzian_mixture([]), OutOfRangeError,
+     "mixture needs at least one component"),
+    (lambda: LorentzianComponent(1.0, -2.0, 1.0), GridRangeError,
+     "center must be >= 0, got -2.0"),
+    (lambda: NoiseModel(gamma=-1.0), OutOfRangeError, "gamma must be >= 0, got -1.0"),
+    (lambda: filter_values(fo_sequence(3, 20, 11.5, 5.0), -1.0), GridRangeError,
+     "omega must be >= 0"),
+    (lambda: _square_filter().tail_integral(0.0), GridRangeError, "omega_from must be > 0"),
+    (lambda: continuous_norm(np.ones(5), 10.0), OutOfRangeError,
+     "a grid is required for raw sample arrays"),
+    (lambda: ProtocolContext("xx", double_lorentzian(), 2.0), OutOfRangeError,
+     "unknown protocol 'xx'"),
+    (lambda: track_ocf(None, [_square_filter()], 10.0, NoiseModel()), OutOfRangeError,
+     "filter_pair must hold exactly two filters"),
+    (lambda: build_fio([_square_filter()], [0.1, 0.2]), OutOfRangeError,
+     "filters and probabilities differ in length")],
+    ids=["spectra-amplitude", "spectra-empty", "spectra-center", "probe-gamma",
+         "filterfn-omega", "filterfn-tail", "filterfn-norm-grid", "reconstruct-protocol",
+         "tracking-pair", "fisher-lengths"])
+def test_public_input_refused_as_noisespec_error(call, error, message):
+    # before, each of these raised a bare ValueError, not a NoiseSpecError
+    with pytest.raises(error, match=f"^{message}$") as info:
+        call()
+    assert isinstance(info.value, NoiseSpecError) and isinstance(info.value, ValueError)

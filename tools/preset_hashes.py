@@ -10,9 +10,10 @@ The package is imported from ``src/`` next to this script, so the same
 script run in two checkouts compares their outputs:
 ``diff parent/hashes.txt change/hashes.txt`` lists every file whose bytes
 differ.  The matrix is all presets at ``--quick`` with one and two
-workers, every preset but ``fig8-ocf-lorentzian`` (the slowest by far)
-at its full budget, and quick runs from written configs: fig8 with two
-operation times and two swept qubit numbers, the one run that writes
+workers, every preset at its full budget (``fig8-ocf-lorentzian``, with
+its 75 discrete designs and one continuous one, takes most of the time),
+and quick runs from written configs: fig8 with two operation times and
+two swept qubit numbers, the one run that writes
 ``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``), with one
 and with two workers; quick fig8 at ``T_candidates = 10`` with 4 and 6
 swept qubits, whose long multi-qubit trains carry many switch times
@@ -68,9 +69,6 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from noisespec import cli  # noqa: E402
 
-FULL_SKIP = {"fig8-ocf-lorentzian"}
-
-
 def quick_config(path, preset, **sections) -> str:
     """Write the quick budget of ``preset``, with each of ``sections``
     updated by its dict of values, to ``path`` as an INI config; the
@@ -91,8 +89,7 @@ def matrix(config_dir):
         for name in names:
             yield f"quick-w{workers}", [name, "--quick", "--workers", str(workers)]
     for name in names:
-        if name not in FULL_SKIP:
-            yield "full", [name]
+        yield "full", [name]
     time_scan = quick_config(
         os.path.join(config_dir, "time-scan.ini"), "fig8-ocf-lorentzian",
         ocf={"T_candidates": [2.0, 5.0], "sweep_nqubits": [1, 2]})
