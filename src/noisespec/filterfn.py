@@ -10,13 +10,14 @@ interpolant of the samples.
 
 On a :class:`FrequencyGrid` (spacing d) both transforms factor every phase
 over blocks of B = 64 nodes, ``e^{i (jB + m) d t} = e^{i jBd t} e^{i md t}``:
-two exponentials per time point (``e^{i Bd t}`` and ``e^{i d t}``), their
-running products over the size/B blocks and the B nodes of a block, and
-one matrix product, in place of size exponentials.  Continuous transforms
-integrate in time on 16-point Gauss panels of at most 12 radians each (see
-:func:`transform_continuous`); their nodes, weights and block factors are
-cached by value for the last 8 (duration, panels, grid) plans, as many as
-one continuous design builds (the fig10 preset's, at full budget).  The grid path agrees with the
+two exponentials per time point (``e^{i Bd t}`` and ``e^{i d t}``, taken
+in one exponential call), their running products over the size/B blocks
+and the B nodes of a block, and one matrix product, in place of size
+exponentials.  Continuous transforms integrate in time on 16-point Gauss
+panels of at most 12 radians each (see :func:`transform_continuous`);
+their nodes, weights and block factors are cached by value for the last 8
+(duration, panels, grid) plans, as many as one continuous design builds
+(the fig10 preset's, at full budget).  The grid path agrees with the
 direct ``e^{i omega t}`` form, which serves arbitrary frequencies, within
 1e-12 of max F.
 
@@ -26,10 +27,11 @@ phase sums ``S = sum_b C_b e^{i omega P_b}`` (``i omega Y = S``): ``F =
 from a read-only table cached by grid value.  Below phase ``|omega| T <
 1e-6``, where that quotient cancels catastrophically, Y comes from its
 3-term moment series and ``F = (4/pi) |Y|**2``; on a grid those nodes are
-a prefix.  :func:`filter_values` feeds it the sums of one merged step
-function (``_pulse_filter``); the discrete OCF search feeds it unmerged
-sums, held for the trains it leaves fixed.  ``Y`` itself is built only by
-the public :func:`fourier_piecewise`, under the same small-phase rule.
+a prefix, its length cached by grid value and duration.
+:func:`filter_values` feeds it the sums of one merged step function
+(``_pulse_filter``); the discrete OCF search feeds it unmerged sums, held
+for the trains it leaves fixed.  ``Y`` itself is built only by the public
+:func:`fourier_piecewise`, under the same small-phase rule.
 
 Conventions:
 
@@ -163,18 +165,20 @@ def _block_factors(spacing: float, size: int, points: np.ndarray):
     e^{i j B d p}`` for every block and ``fine[m] = e^{i m d p}`` within one.
 
     Each table is the running product of one step exponential per point
-    (``e^{i B d p}``, ``e^{i d p}``) from a row of ones, so a column
-    depends only on its own point.  Row k carries k rounded products, so a
+    (``e^{i B d p}``, ``e^{i d p}``, both taken by one exponential call
+    over the stacked step phases) from a row of ones, so a column depends
+    only on its own point.  Row k carries k rounded products, so a
     grid phase's factors are off by about ``(blocks + 64) * 3u`` relative
     (u = 2^-53) at most, besides the rounding of the phase itself, which
     the direct ``e^{i omega p}`` shares.
     """
     coarse = np.empty((-(-size // _BLOCK), points.size), dtype=complex)
     fine = np.empty((_BLOCK, points.size), dtype=complex)
-    for table, step in ((coarse, _BLOCK * spacing), (fine, spacing)):
+    steps = np.exp(1j * np.multiply.outer((_BLOCK * spacing, spacing), points))
+    for table, step in ((coarse, steps[0]), (fine, steps[1])):
         table[0] = 1.0
-        table[1:] = np.exp(1j * (step * points))
-        np.cumprod(table, axis=0, out=table)
+        table[1:] = step
+        table.cumprod(axis=0, out=table)
     return coarse, fine
 
 
@@ -232,11 +236,17 @@ def _small_phase(omega, duration: float):
     ``omega * duration = 1e-6``.  A grid's nodes ascend, so its small-phase
     nodes are a prefix and both selectors are slices; an array's are masks."""
     if isinstance(omega, FrequencyGrid):
-        omega = omega.omegas
-        n = int(np.searchsorted(omega * duration, _SMALL_PHASE))
-        return omega, slice(0, n), slice(n, None)
+        n = _small_prefix(omega, duration)
+        return omega.omegas, slice(0, n), slice(n, None)
     small = omega * duration < _SMALL_PHASE
     return omega, small, ~small
+
+
+@lru_cache(maxsize=32)
+def _small_prefix(grid: FrequencyGrid, duration: float) -> int:
+    """How many nodes of ``grid`` lie below phase ``omega * duration =
+    1e-6``, cached by grid value and duration."""
+    return int(np.searchsorted(grid.omegas * duration, _SMALL_PHASE))
 
 
 def _filter_scale(omegas: np.ndarray) -> np.ndarray:

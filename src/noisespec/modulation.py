@@ -11,6 +11,7 @@ Continuous drives are described by a phase ``phi(t)`` with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -23,6 +24,7 @@ class PulseSequence:
 
     Switch times must be strictly increasing and lie strictly inside
     ``(0, duration)``; the induced ``y(t)`` is right-continuous at switches.
+    They are held as a read-only copy, so the caller's array stays its own.
     """
 
     switch_times: np.ndarray
@@ -31,7 +33,9 @@ class PulseSequence:
 
     def __post_init__(self):
         require_finite(duration=self.duration)
-        times = _finite_times(self.switch_times)
+        times = np.array(self.switch_times, dtype=float, ndmin=1)
+        _require_finite_times(times)
+        times.setflags(write=False)
         if self.duration <= 0:
             raise OutOfRangeError(f"duration must be > 0, got {self.duration}")
         if self.initial_sign not in (-1, 1):
@@ -73,11 +77,19 @@ class ModulationSet:
 
     def trains(self):
         """``(times, qubits, signs)``: every switch time with its qubit
-        label, sorted by (qubit, time), and each qubit's initial sign."""
+        label, sorted by (qubit, time), and each qubit's initial sign; read-only
+        arrays, built once per set."""
+        return self._trains
+
+    @cached_property
+    def _trains(self):
         seqs = self.sequences
         times = np.concatenate([s.switch_times for s in seqs])
         qubits = np.repeat(np.arange(len(seqs)), [s.n_switches for s in seqs])
-        return times, qubits, np.array([s.initial_sign for s in seqs])
+        signs = np.array([s.initial_sign for s in seqs])
+        for arr in (times, qubits, signs):
+            arr.setflags(write=False)
+        return times, qubits, signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,27 +266,34 @@ def merge_trains(times, qubits, signs, duration: float):
     return bounds, float(np.sum(signs)) + np.cumsum(jumps[:-1])
 
 
-def _finite_times(times) -> np.ndarray:
-    """``times`` as a 1-d float array; a NaN or infinite entry raises
-    :class:`NonFiniteInputError`."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+def _require_finite_times(times: np.ndarray) -> None:
+    """Raise :class:`NonFiniteInputError` at the first NaN or infinite entry."""
     if not np.isfinite(times).all():
         require_finite(switch_times=float(times[~np.isfinite(times)][0]))
-    return times
 
 
 def repair_trains(times, qubits, duration: float):
     """Repair the switch lists of several trains at once: clip into (0, T),
     sort by (qubit, time) and cancel each qubit's coincident pairs (two
-    flips at one instant are a no-op).  Returns ``(times, qubits)``; a NaN
-    or infinite time raises :class:`NonFiniteInputError`."""
+    flips at one instant are a no-op).  ``times`` is a 1-d float array and
+    ``qubits`` an integer array of its length.  Returns ``(times, qubits)``;
+    a NaN or infinite time raises :class:`NonFiniteInputError`.
+
+    The clip is ``minimum(maximum(t, eps), T - eps)``, the bits of
+    ``np.clip`` on finite times, and the cancellation runs only where two
+    adjacent times are equal."""
     eps = 1e-12 * duration
-    t = np.clip(_finite_times(times), eps, duration - eps)
+    t = np.asarray(times, dtype=float)
+    _require_finite_times(t)
+    t = np.minimum(np.maximum(t, eps), duration - eps)
     order = np.lexsort((t, qubits))
     t, q = t[order], qubits[order]
     # runs of equal (qubit, time): an odd run leaves one flip, an even none
+    same = t[1:] == t[:-1]
+    if not same.any():
+        return t, q
     edge = np.ones(t.size + 1, dtype=bool)
-    edge[1:-1] = (t[1:] != t[:-1]) | (q[1:] != q[:-1])
-    starts = np.flatnonzero(edge)
-    keep = starts[:-1][np.diff(starts) % 2 == 1]
+    edge[1:-1] = ~same | (q[1:] != q[:-1])
+    starts = edge.nonzero()[0]
+    keep = starts[:-1][(starts[1:] - starts[:-1]) % 2 == 1]
     return t[keep], q[keep]

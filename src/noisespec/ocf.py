@@ -159,8 +159,8 @@ class _BudgetSpent(Exception):
 
 
 def _by_value(sim: np.ndarray, fsim: np.ndarray):
-    ind = np.argsort(fsim)
-    return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    ind = fsim.argsort()
+    return sim.take(ind, 0), fsim.take(ind, 0)
 
 
 def _inner_search(fun, dim: int, step: float, max_evals: int) -> np.ndarray:
@@ -185,7 +185,7 @@ def _inner_search(fun, dim: int, step: float, max_evals: int) -> np.ndarray:
         if evals >= max_evals:
             raise _BudgetSpent
         evals += 1
-        return fun(np.copy(x))
+        return fun(x.copy())
 
     try:
         for k in range(dim + 1):
@@ -195,8 +195,8 @@ def _inner_search(fun, dim: int, step: float, max_evals: int) -> np.ndarray:
     sim, fsim = _by_value(*_by_value(sim, fsim))
     while evals < max_evals:
         try:
-            if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                    np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.abs(sim[1:] - sim[0]).max() <= xatol and
+                    np.abs(fsim[0] - fsim[1:]).max() <= fatol):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / dim
             xr = (1 + rho) * xbar - rho * sim[-1]
@@ -325,11 +325,12 @@ def _discrete_search(state: ModulationSet, target, freqs, grid):
     def values(x):
         t, q = repair_trains(warp(x), qubits[lo:hi], T)
         c = coefficients(q)
-        points = np.append(t, T)
-        weights = np.append(c, end - np.sum(c))
-        sums = _phase_sums(weights[None, :], points, grid)[0]
+        points, weights = np.empty(t.size + 1), np.empty((1, t.size + 1))
+        points[:-1], points[-1] = t, T
+        weights[0, :-1], weights[0, -1] = c, end - c.sum()
+        sums = _phase_sums(weights, points, grid)[0]
         sums += held_sums
-        return _filter_from(sums, held_moments + _point_moments(points, weights), grid, T)
+        return _filter_from(sums, held_moments + _point_moments(points, weights[0]), grid, T)
     return values, candidate
 
 

@@ -73,10 +73,10 @@ class SpectralDensity:
             val = np.asarray(self.grid_values, dtype=float)
             if om.ndim != 1 or om.shape != val.shape or om.size < 2:
                 raise OutOfRangeError("grid form needs matching 1-d arrays of length >= 2")
-            if not np.all(np.diff(om) > 0):
-                raise GridRangeError("grid frequencies must be strictly increasing")
             if not (np.all(np.isfinite(om)) and np.all(np.isfinite(val))):
                 raise NonFiniteInputError("grid samples must be finite")
+            if not np.all(np.diff(om) > 0):
+                raise GridRangeError("grid frequencies must be strictly increasing")
             object.__setattr__(self, "grid_omegas", om)
             object.__setattr__(self, "grid_values", val)
         if not math.isfinite(self.scale) or self.scale < 0:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisespec import (ContinuousModulation, FrequencyGrid, GridMismatchError, GridRangeError,
-                       NonFiniteInputError, PulseSequence, SpectralDensity, as_sequence,
-                       continuous_norm, default_grid, filter_function,
+                       ModulationSet, NonFiniteInputError, PulseSequence, SpectralDensity,
+                       as_sequence, continuous_norm, default_grid, filter_function,
                        fo_sequence, fourier_piecewise, overlap_matrix,
                        signal_overlap, signal_overlaps, staircase_split,
                        transform_continuous)
@@ -17,6 +17,13 @@ from noisespec import filterfn
 from noisespec.filterfn import MAX_GRID_NODES, FilterFunction, _gauss_plan, filter_values
 from noisespec.modulation import to_step_function
 from noisespec.ocf import ocf_grid
+
+
+def _stretched(gen, factor):
+    """``gen`` with its duration and every switch time scaled by ``factor``."""
+    seqs = gen.sequences if isinstance(gen, ModulationSet) else (gen,)
+    return ModulationSet(tuple(PulseSequence(s.switch_times * factor, s.duration * factor,
+                                             s.initial_sign) for s in seqs))
 
 
 def box_filter(grid, lo, hi, height=1.0):
@@ -69,6 +76,13 @@ class TestTransform:
             weights, points, omega.omegas if isinstance(omega, FrequencyGrid) else omega))
         assert (fourier_piecewise(gen, grid).tobytes()
                 == fourier_piecewise(gen, grid.omegas.copy()).tobytes())
+        # the grid's prefix is cached per duration: at twice the duration two
+        # nodes are small, and both durations keep every node's bits
+        longer = _stretched(gen, 2.0)
+        assert np.count_nonzero(grid.omegas * longer.duration < 1e-6) == 2
+        for g in (longer, gen, longer):
+            assert (fourier_piecewise(g, grid).tobytes()
+                    == fourier_piecewise(g, grid.omegas.copy()).tobytes())
 
     def test_modulation_set_is_sum_of_transforms(self):
         mset = staircase_split(2.0, 3, 5.0)
@@ -253,6 +267,13 @@ class TestPulseFilter:
             weights, points, omega.omegas if isinstance(omega, FrequencyGrid) else omega))
         assert (filter_values(gen, grid).tobytes()
                 == filter_values(gen, grid.omegas.copy()).tobytes())
+        # the grid's prefix is cached per duration: at twice the duration two
+        # nodes are small, and both durations keep every node's bits
+        longer = _stretched(gen, 2.0)
+        assert np.count_nonzero(grid.omegas * longer.duration < 1e-6) == 2
+        for g in (longer, gen, longer):
+            assert (filter_values(g, grid).tobytes()
+                    == filter_values(g, grid.omegas.copy()).tobytes())
 
     def test_scalar_is_the_array_value(self):
         gen = staircase_split(3.0, 2, 5.0)

@@ -43,6 +43,26 @@ class TestSequences:
         with pytest.raises(ValueError):
             PulseSequence(np.array([0.0]), 2.0)
 
+    def test_switch_times_are_a_read_only_copy(self):
+        # the caller's array stays its own: writing into it afterwards
+        # leaves the validated train as it was
+        times = np.array([1.0, 2.0, 3.0])
+        seq = PulseSequence(times, 5.0)
+        times[:] = [4.0, 2.0, 9.0]
+        assert seq.switch_times.tolist() == [1.0, 2.0, 3.0]
+        assert not seq.switch_times.flags.writeable
+        with pytest.raises(ValueError):
+            seq.switch_times[0] = 4.0
+
+    def test_trains_built_once_read_only(self):
+        mset = ModulationSet((PulseSequence([1.0, 3.0], 4.0), PulseSequence([2.0], 4.0, -1)))
+        first, again = mset.trains(), mset.trains()
+        assert all(a is b for a, b in zip(first, again, strict=True))
+        assert all(not arr.flags.writeable for arr in first)
+        times, qubits, signs = first
+        assert times.tolist() == [1.0, 3.0, 2.0]
+        assert qubits.tolist() == [0, 0, 1] and signs.tolist() == [1, -1]
+
     @pytest.mark.parametrize("times, duration, field", [
         (np.array([]), math.nan, "duration"),
         ([1.0], math.inf, "duration"),

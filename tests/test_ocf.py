@@ -543,6 +543,145 @@ class TestSearchScorer:
                 assert a.switch_times.tobytes() == b.switch_times.tobytes()
 
 
+def _reference_repair(times, qubits, duration):
+    """:func:`repair_trains` in its reference form: ``np.clip``, and the
+    run-parity cancellation run on every call."""
+    eps = 1e-12 * duration
+    t = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.isfinite(t).all():
+        raise NonFiniteInputError("switch_times must be finite")
+    t = np.clip(t, eps, duration - eps)
+    order = np.lexsort((t, qubits))
+    t, q = t[order], qubits[order]
+    edge = np.ones(t.size + 1, dtype=bool)
+    edge[1:-1] = (t[1:] != t[:-1]) | (q[1:] != q[:-1])
+    starts = np.flatnonzero(edge)
+    keep = starts[:-1][np.diff(starts) % 2 == 1]
+    return t[keep], q[keep]
+
+
+def _reference_sums(weights, points, grid):
+    """The grid path of ``filterfn._phase_sums`` in its reference form: one
+    exponential call per factor table."""
+    coarse = np.empty((-(-grid.size // 64), points.size), dtype=complex)
+    fine = np.empty((64, points.size), dtype=complex)
+    for table, step in ((coarse, 64 * grid.spacing), (fine, grid.spacing)):
+        table[0] = 1.0
+        table[1:] = np.exp(1j * (step * points))
+        np.cumprod(table, axis=0, out=table)
+    lhs = (coarse[:, None, :] * weights[None, :, :]).reshape(-1, points.size)
+    prod = (lhs @ fine.T).reshape(coarse.shape[0], weights.shape[0], 64)
+    return prod.transpose(1, 0, 2).reshape(weights.shape[0], -1)[:, :grid.size]
+
+
+def _reference_filter(sums, moments, grid, T):
+    """``filterfn._filter_from`` on a grid in its reference form: the
+    small-phase prefix found from the whole grid on every call."""
+    out = sums.real ** 2
+    out += sums.imag ** 2
+    out *= filterfn._grid_scale(grid)
+    n = int(np.searchsorted(grid.omegas * T, 1e-6))
+    om = grid.omegas[:n]
+    if om.size:
+        m0, m1, m2 = moments
+        out[:n] = (4.0 / np.pi) * ((m0 - om ** 2 * m2) ** 2 + (om * m1) ** 2)
+    return out
+
+
+def _reference_values(state, target, freqs, grid):
+    """``values(x)`` of :func:`_discrete_search` in its reference form:
+    :func:`_reference_repair`, ``np.append`` and the reference kernel."""
+    times, qubits, signs = state.trains()
+    T = state.duration
+    lo, hi = ((0, times.size) if target is None
+              else np.searchsorted(qubits, (target, target + 1)))
+    warp = _warper(times[lo:hi], freqs, T / 12.0)
+
+    def coefficients(q):
+        rank = np.arange(q.size) - np.searchsorted(q, q)
+        return np.where(rank % 2 == 1, -2.0, 2.0) * signs[q]
+
+    held_t, held_q = _reference_repair(np.delete(times, np.s_[lo:hi]),
+                                       np.delete(qubits, np.s_[lo:hi]), T)
+    held_c = coefficients(held_q)
+    points = np.append(0.0, held_t)
+    weights = np.append(-float(np.sum(signs)), held_c)
+    held_sums = _reference_sums(weights[None, :], points, grid)[0]
+    held_moments = filterfn._point_moments(points, weights)
+    end = float(np.sum(signs)) - float(np.sum(held_c))
+
+    def values(x):
+        t, q = _reference_repair(warp(x), qubits[lo:hi], T)
+        c = coefficients(q)
+        points = np.append(t, T)
+        weights = np.append(c, end - np.sum(c))
+        sums = _reference_sums(weights[None, :], points, grid)[0]
+        sums += held_sums
+        return _reference_filter(sums, held_moments + filterfn._point_moments(points, weights),
+                                 grid, T)
+    return values, warp, qubits[lo:hi]
+
+
+class TestScorerReference:
+    """The discrete scorer and :func:`repair_trains` keep the bits of their
+    reference forms: the cancellation skipped where no two times are equal,
+    both step exponentials from one call, the small-phase prefix cached and
+    the points and weights written into one pair of arrays change no output."""
+
+    GRID = ocf_grid(10.0)
+
+    def _same(self, mset, target, freqs, xs):
+        values = _discrete_search(mset, target, freqs, self.GRID)[0]
+        ref, warp, qubits = _reference_values(mset, target, freqs, self.GRID)
+        for x in xs:
+            got = repair_trains(warp(x), qubits, mset.duration)
+            want = _reference_repair(warp(x), qubits, mset.duration)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            assert values(x).tobytes() == ref(x).tobytes()
+
+    @pytest.mark.parametrize("warp_all", [True, False], ids=["all", "one"])
+    @pytest.mark.parametrize("n_q", range(1, 7))
+    def test_random_candidates(self, n_q, warp_all):
+        rng = np.random.default_rng(500 * n_q + warp_all)
+        for _ in range(6):
+            T = float(rng.uniform(1.0, 10.0))
+            mset = _random_trains(rng, n_q, T)
+            target = None if warp_all else int(rng.integers(n_q))
+            freqs = rng.uniform(0.0, 12.0, 3)
+            # large coefficients fold times past 0 and past T
+            xs = [rng.normal(0.0, scale, 6) for scale in (0.3, 3.0, 30.0) for _ in range(2)]
+            self._same(mset, target, freqs, xs)
+
+    @pytest.mark.parametrize("target", [None, 0, 1, 2])
+    def test_clipped_reordered_and_coincident(self, target):
+        T = 5.0
+        mset = ModulationSet((
+            PulseSequence([0.05, 0.1, 2.0, 4.6, 4.8], T),
+            PulseSequence([2.0, 3.0], T, -1),
+            PulseSequence([], T)))
+        # a pulls three switches below 0 (a run of 3 at eps), b pushes two
+        # past T (a run of 2 at T - eps); the middle pair reorders switches;
+        # qubit 2 is an empty moved train
+        xs = [np.array([-100.0, 10.0]), np.array([40.0, -3.0]), np.zeros(2),
+              np.array([0.3, -0.2])]
+        self._same(mset, target, [1.0], xs)
+
+    @pytest.mark.parametrize("times, qubits, kept", [
+        ([-1.0, 2.0, 9.0], [0, 0, 0], [1e-12 * 5.0, 2.0, 5.0 - 1e-12 * 5.0]),
+        ([3.0, 1.0, 2.0, 0.5], [1, 0, 1, 0], [0.5, 1.0, 2.0, 3.0]),
+        ([2.0, 1.0, 1.0, 3.0], [0, 0, 0, 0], [2.0, 3.0]),
+        ([1.0, 1.0, 2.0, 1.0], [0, 0, 0, 0], [1.0, 2.0]),
+        ([1.0, 1.0, 1.0, 1.0, 2.0], [0, 1, 0, 0, 1], [1.0, 1.0, 2.0]),
+        ([], [], [])],
+        ids=["clipped", "reordered", "run-of-2", "run-of-3", "runs-across-qubits", "empty"])
+    def test_repair_cases(self, times, qubits, kept):
+        times, qubits = np.array(times, dtype=float), np.array(qubits, dtype=int)
+        got, want = repair_trains(times, qubits, 5.0), _reference_repair(times, qubits, 5.0)
+        assert got[0].tolist() == kept
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
 def _bowl(x):
     """Tilted quadratic with its minimum off the initial simplex."""
     c = np.linspace(0.35, -0.2, x.size)

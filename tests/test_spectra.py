@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisespec import (CalibrationError, CompositeSignal, GridMismatchError, GridRangeError,
-                       LorentzianComponent, NoiseModel, NoiseSpecError, OutOfRangeError,
+                       LorentzianComponent, NoiseModel, NoiseSpecError, NonFiniteInputError,
+                       OutOfRangeError,
                        ProtocolContext, SpectralDensity, build_fio, calibrate_amplitude,
                        track_ocf)
 from noisespec.filterfn import (FrequencyGrid, FilterFunction, continuous_norm, default_grid,
@@ -197,10 +198,16 @@ def _square_filter():
     (lambda: track_ocf(None, [_square_filter()], 10.0, NoiseModel()), OutOfRangeError,
      "filter_pair must hold exactly two filters"),
     (lambda: build_fio([_square_filter()], [0.1, 0.2]), OutOfRangeError,
-     "filters and probabilities differ in length")],
+     "filters and probabilities differ in length"),
+    # a NaN frequency is named as a NaN, not as a grid out of order
+    (lambda: SpectralDensity.from_grid([0.0, math.nan, 2.0], [1.0, 1.0, 1.0]),
+     NonFiniteInputError, "grid samples must be finite"),
+    (lambda: SpectralDensity.from_grid([math.nan, 1.0, 2.0], [1.0, 1.0, 1.0]),
+     NonFiniteInputError, "grid samples must be finite")],
     ids=["spectra-amplitude", "spectra-empty", "spectra-center", "probe-gamma",
          "filterfn-omega", "filterfn-tail", "filterfn-norm-grid", "reconstruct-protocol",
-         "tracking-pair", "fisher-lengths"])
+         "tracking-pair", "fisher-lengths", "spectra-nan-inner-frequency",
+         "spectra-nan-first-frequency"])
 def test_public_input_refused_as_noisespec_error(call, error, message):
     # before, each of these raised a bare ValueError, not a NoiseSpecError
     with pytest.raises(error, match=f"^{message}$") as info:
