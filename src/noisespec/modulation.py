@@ -16,15 +16,17 @@ from functools import cached_property
 import numpy as np
 
 from .errors import GridRangeError, OutOfRangeError, require_finite
+from .readonly import ReadOnlyArrays
 
 
 @dataclass(frozen=True, eq=False)
-class PulseSequence:
+class PulseSequence(ReadOnlyArrays):
     """Switch times of one pulse train on ``[0, duration]``.
 
     Switch times must be strictly increasing and lie strictly inside
     ``(0, duration)``; the induced ``y(t)`` is right-continuous at switches.
-    They are held as a read-only copy, so the caller's array stays its own.
+    They are held as a read-only copy, so the caller's array stays its own,
+    and stay read-only through pickle (:class:`ReadOnlyArrays`).
     """
 
     switch_times: np.ndarray
@@ -53,7 +55,7 @@ class PulseSequence:
 
 
 @dataclass(frozen=True, eq=False)
-class ModulationSet:
+class ModulationSet(ReadOnlyArrays):
     """Per-qubit pulse trains sharing one duration; y(t) is their sum."""
 
     sequences: tuple[PulseSequence, ...]
@@ -78,7 +80,7 @@ class ModulationSet:
     def trains(self):
         """``(times, qubits, signs)``: every switch time with its qubit
         label, sorted by (qubit, time), and each qubit's initial sign; read-only
-        arrays, built once per set."""
+        arrays, built once per set and read-only through pickle."""
         return self._trains
 
     @cached_property

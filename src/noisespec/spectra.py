@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (CalibrationError, GridRangeError, NonFiniteInputError, OutOfRangeError,
                      require_finite)
+from .readonly import ReadOnlyArrays
 
 
 @dataclass(frozen=True)
@@ -52,12 +53,14 @@ class LorentzianComponent:
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralDensity:
+class SpectralDensity(ReadOnlyArrays):
     """One-sided power spectral density, analytic or grid-sampled.
 
     Exactly one of ``components`` (Lorentzian mixture) or
     ``grid_omegas``/``grid_values`` must be set.  ``scale`` is the global
-    multiplier applied on evaluation; it is never mutated in place.
+    multiplier applied on evaluation; it is never mutated in place.  The
+    grid form holds read-only copies of its arrays, so the caller's arrays
+    stay their own, and they stay read-only through pickle.
     """
 
     components: tuple[LorentzianComponent, ...] | None = None
@@ -69,14 +72,16 @@ class SpectralDensity:
         if (self.components is None) == (self.grid_omegas is None):
             raise OutOfRangeError("exactly one of components / grid form must be given")
         if self.grid_omegas is not None:
-            om = np.asarray(self.grid_omegas, dtype=float)
-            val = np.asarray(self.grid_values, dtype=float)
+            om = np.array(self.grid_omegas, dtype=float)
+            val = np.array(self.grid_values, dtype=float)
             if om.ndim != 1 or om.shape != val.shape or om.size < 2:
                 raise OutOfRangeError("grid form needs matching 1-d arrays of length >= 2")
             if not (np.all(np.isfinite(om)) and np.all(np.isfinite(val))):
                 raise NonFiniteInputError("grid samples must be finite")
             if not np.all(np.diff(om) > 0):
                 raise GridRangeError("grid frequencies must be strictly increasing")
+            om.setflags(write=False)
+            val.setflags(write=False)
             object.__setattr__(self, "grid_omegas", om)
             object.__setattr__(self, "grid_values", val)
         if not math.isfinite(self.scale) or self.scale < 0:
@@ -98,8 +103,7 @@ class SpectralDensity:
 
     @classmethod
     def from_grid(cls, omegas, values, scale: float = 1.0) -> "SpectralDensity":
-        return cls(grid_omegas=np.asarray(omegas, dtype=float),
-                   grid_values=np.asarray(values, dtype=float), scale=scale)
+        return cls(grid_omegas=omegas, grid_values=values, scale=scale)
 
     @classmethod
     def from_csv(cls, path, scale: float = 1.0) -> "SpectralDensity":

@@ -1,4 +1,5 @@
 import math
+import pickle
 import sys
 import warnings
 
@@ -93,6 +94,18 @@ class TestTransform:
 
 
 class TestFilterFunction:
+    @pytest.mark.parametrize("gen", [staircase_split(3.0, 2, 5.0),
+                                     ContinuousModulation(5.0, 2.0, ((1.7, 0.4, -0.3),))],
+                             ids=["staircase", "continuous"])
+    def test_read_only_through_pickle(self, gen):
+        filt = filter_function(gen, ocf_grid(10.0))
+        back = pickle.loads(pickle.dumps(filt))
+        assert back.values.tobytes() == filt.values.tobytes()
+        for arr in (filt.values, back.values, back.grid.omegas):
+            assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            back.values[0] = 1.0
+
     def test_free_evolution_peak(self):
         # F(0) = (4 / pi) T^2 for the pulse-free filter
         grid = default_grid(11.5)
@@ -275,6 +288,26 @@ class TestPulseFilter:
             assert (filter_values(g, grid).tobytes()
                     == filter_values(g, grid.omegas.copy()).tobytes())
 
+    @pytest.mark.parametrize("grid, T, prefix", [(ocf_grid(10.0), 5.0, 1),
+                                                 (FrequencyGrid(1e-5, 11), 0.35, 3)],
+                             ids=["zero-node-alone", "several-nodes"])
+    def test_zero_node_alone_keeps_series_bits(self, grid, T, prefix):
+        # the same sums and moments through the grid's prefix rule and the
+        # array's mask, which takes the series at every small node
+        assert filterfn._small_prefix(grid, T) == prefix
+        rng = np.random.default_rng(prefix)
+        gens = [PulseSequence([], T), PulseSequence([0.5 * T], T)]  # m0 = T, 0
+        gens += [PulseSequence(np.sort(rng.uniform(0.0, T, n)), T, sign)
+                 for n in rng.integers(1, 40, 30) for sign in (1, -1)]
+        for gen in gens:
+            bounds, values = to_step_function(gen)
+            sums = filterfn._phase_sums(
+                filterfn._boundary_coefficients(bounds, values)[None, :], bounds, grid)[0]
+            moments = filterfn._moments(bounds, values)
+            on_grid = filterfn._filter_from(sums, moments, grid, T)
+            series = filterfn._filter_from(sums, moments, grid.omegas.copy(), T)
+            assert on_grid.tobytes() == series.tobytes()
+
     def test_scalar_is_the_array_value(self):
         gen = staircase_split(3.0, 2, 5.0)
         for omega in (0.0, 1e-9, 2.5):
@@ -409,6 +442,101 @@ class TestContinuousPanels:
         info = _gauss_plan.cache_info()
         # no plan was built twice, so none was evicted
         assert info.hits > 0 and info.misses == info.currsize <= info.maxsize
+
+
+def _complex_reference(mod, omegas):
+    """``(Y, Z)`` at ``omegas`` by the direct complex sums ``sum_t w
+    cos(phi(t)) e^{i omega t}`` (and ``sin``) over the whole composite
+    16-point Gauss rule on [0, T], built here without mirroring, with the
+    panel count of :func:`transform_continuous`."""
+    T = mod.duration
+    top_rate = float(np.max(omegas, initial=0.0)) + mod.phase_rate_bound()
+    n_panels = 4 * math.ceil((math.ceil(top_rate * T / 12.0) + 1) / 4)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(0.0, T, n_panels + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])
+    t = (mid[:, None] + half[:, None] * nodes).ravel()
+    w = (half[:, None] * weights).ravel()
+    phi = mod.phase(t)
+    phases = np.exp(1j * np.outer(omegas, t))
+    return phases @ (w * np.cos(phi)), phases @ (w * np.sin(phi))
+
+
+def _reference_filter(mod, omegas):
+    Y, Z = _complex_reference(mod, omegas)
+    return (4.0 / np.pi) * (np.abs(Y) ** 2 + np.abs(Z) ** 2)
+
+
+class TestMirrorKernel:
+    """The mirror-rule continuous kernel against the complex reference:
+    within 1e-13 of max F (2.2e-14 measured over these phases)."""
+
+    MODS = [mod for T in (1.0, 5.0, 25.0) for mod in _random_phases(T, np.random.default_rng(
+        int(T) + 40))] + [KERNEL_GENERATORS["continuous"]]
+
+    @pytest.mark.parametrize("grid", [ocf_grid(10.0), FrequencyGrid(7.0, 1000)],
+                             ids=["ocf", "n1000"])
+    def test_filter_on_grid_and_array(self, grid):
+        assert grid.size % 64 != 0
+        for mod in self.MODS:
+            ref = _reference_filter(mod, grid.omegas)
+            for omega in (grid, grid.omegas):
+                got = filter_values(mod, omega)
+                assert got.shape == (grid.size,)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(ref)
+
+    def test_scalar_omega(self):
+        # a scalar is the one-node array; the bound is 1e-13 of the largest
+        # F that a duration allows, (4/pi) T^2 at omega = 0 for a zero phase
+        for mod in self.MODS:
+            peak = (4.0 / np.pi) * mod.duration ** 2
+            for omega in (0.0, 1.3, 29.5):
+                value = filter_values(mod, omega)
+                assert np.ndim(value) == 0
+                assert value == filter_values(mod, np.array([omega]))[0]
+                assert abs(value - _reference_filter(mod, np.array([omega]))[0]) <= 1e-13 * peak
+                Y, Z = transform_continuous(mod, omega)
+                Y_ref, Z_ref = _complex_reference(mod, np.array([omega]))
+                assert isinstance(Y, complex) and isinstance(Z, complex)
+                assert max(abs(Y - Y_ref[0]), abs(Z - Z_ref[0])) <= 1e-13 * mod.duration
+
+    @pytest.mark.parametrize("on_grid", [True, False], ids=["grid", "array"])
+    def test_public_transform(self, on_grid):
+        # the phase factor e^{i omega T/2} restores Y and Z themselves
+        grid = FrequencyGrid(7.0, 1000)
+        for mod in self.MODS:
+            Y_ref, Z_ref = _complex_reference(mod, grid.omegas)
+            scale = math.sqrt(np.max(np.abs(Y_ref) ** 2 + np.abs(Z_ref) ** 2))
+            Y, Z = transform_continuous(mod, grid if on_grid else grid.omegas)
+            assert Y.shape == Z.shape == (grid.size,) and Y.dtype == complex
+            for got, ref in ((Y, Y_ref), (Z, Z_ref)):
+                assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("drop", [1, 3, [1, 3], [0, 2]],
+                             ids=["odd-Y", "odd-Z", "odd-both", "even-both"])
+    def test_mutant_fails(self, drop, monkeypatch):
+        # the check catches a kernel that drops a part of the sums
+        grid = ocf_grid(10.0)
+        mod = KERNEL_GENERATORS["continuous"]
+        ref = _reference_filter(mod, grid.omegas)
+        kernel = filterfn._mirror_sums
+
+        def mutant(*args):
+            parts, nodes, scalar = kernel(*args)
+            parts[:, drop] = 0.0
+            return parts, nodes, scalar
+
+        monkeypatch.setattr(filterfn, "_mirror_sums", mutant)
+        for omega in (grid, grid.omegas):
+            assert np.max(np.abs(filter_values(mod, omega) - ref)) > 1e-3 * np.max(ref)
+
+    def test_rule_is_mirrored(self):
+        tau, t, w = filterfn._gauss_panels(5.0, 12)
+        assert tau.size == w.size == 6 * 16 and t.size == 2 * tau.size
+        assert np.all((tau > 0) & (tau < 2.5))
+        assert t[:tau.size].tobytes() == (2.5 - tau).tobytes()
+        assert t[tau.size:].tobytes() == (2.5 + tau).tobytes()
+        assert 2 * math.fsum(w) == pytest.approx(5.0, rel=1e-15)
 
 
 class TestFrequencyInput:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -62,6 +63,21 @@ class TestSequences:
         times, qubits, signs = first
         assert times.tolist() == [1.0, 3.0, 2.0]
         assert qubits.tolist() == [0, 0, 1] and signs.tolist() == [1, -1]
+
+    def test_read_only_through_pickle(self):
+        # pickle rebuilds arrays writeable; a set pickled after its trains
+        # were built carries them, and both come back read-only
+        mset = ModulationSet((PulseSequence([1.0, 3.0], 4.0), PulseSequence([2.0], 4.0, -1)))
+        built = mset.trains()
+        back = pickle.loads(pickle.dumps(mset))
+        assert "_trains" in vars(back)
+        for arr, orig in zip(back.trains(), built, strict=True):
+            assert not arr.flags.writeable and arr.tobytes() == orig.tobytes()
+        for seq, orig in zip(back.sequences, mset.sequences, strict=True):
+            assert not seq.switch_times.flags.writeable
+            assert seq.switch_times.tobytes() == orig.switch_times.tobytes()
+        with pytest.raises(ValueError):
+            back.sequences[0].switch_times[0] = 0.5
 
     @pytest.mark.parametrize("times, duration, field", [
         (np.array([]), math.nan, "duration"),

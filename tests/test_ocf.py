@@ -9,7 +9,7 @@ from noisespec import (CalibrationError, GridRangeError, ModulationSet, NoiseSpe
                        staircase_split, xi_normalized)
 from noisespec import filterfn, ocf
 from noisespec.filterfn import (FilterFunction, FrequencyGrid, continuous_norm,
-                                filter_function, filter_values, transform_continuous)
+                                filter_function, filter_values)
 from noisespec.modulation import ContinuousModulation, PulseSequence, repair_trains
 from noisespec.ocf import (OcfProblem, _continuous_search, _discrete_search, _inner_search,
                            _Objective, _solve, _warper, OcfSolution, ocf_grid,
@@ -194,12 +194,13 @@ class TestOptimizers:
     def test_zero_budget_transforms_once(self, monkeypatch):
         # the initial state's evaluation is the accepted one: no re-transform
         calls = []
+        kernel = filterfn._mirror_sums
 
         def counted(*args):
             calls.append(args)
-            return transform_continuous(*args)
+            return kernel(*args)
 
-        monkeypatch.setattr(filterfn, "transform_continuous", counted)
+        monkeypatch.setattr(filterfn, "_mirror_sums", counted)
         sol = optimize_continuous(OcfProblem(spectrum=LORENTZIAN, duration=5.0,
                                              superiterations=0, seed=4))
         assert len(calls) == 1 and sol.evaluations == 1
@@ -268,6 +269,32 @@ class TestOptimizers:
         with pytest.raises(GridRangeError, match="^grid ends at") as info:
             OcfProblem(spectrum=LORENTZIAN, duration=5.0, grid=grid)
         assert isinstance(info.value, NoiseSpecError) and isinstance(info.value, ValueError)
+
+    def test_two_worker_designs_read_only_like_serial(self):
+        # a fork pool returns its designs pickled: their arrays come back
+        # read-only and equal, as the serial twins hold them
+        from noisespec.reconstruct import run_jobs
+
+        def design(i):
+            prob = OcfProblem(spectrum=LORENTZIAN, duration=5.0, n_qubits=2,
+                              superiterations=2, inner_evals=8, seed=3)
+            return (optimize_continuous if i == 0 else optimize_discrete)(prob)
+
+        def arrays(sol):
+            if isinstance(sol.modulation, ModulationSet):
+                yield from sol.modulation.trains()
+                yield from (seq.switch_times for seq in sol.modulation.sequences)
+            yield sol.filter.values
+            yield sol.filter.grid.omegas
+
+        serial, pooled = run_jobs(design, 2, 1), run_jobs(design, 2, 2)
+        for ours, twin in zip(pooled, serial, strict=True):
+            assert ours.modulation is not twin.modulation
+            pairs = list(zip(arrays(ours), arrays(twin), strict=True))
+            assert len(pairs) == (2 if ours is pooled[0] else 3 + 2 + 2)
+            for arr, ref in pairs:
+                assert not arr.flags.writeable and not ref.flags.writeable
+                assert arr.tobytes() == ref.tobytes()
 
     def test_grid_ending_at_band_edge_accepted(self):
         grid = FrequencyGrid(10.0, 1001)
@@ -478,16 +505,17 @@ class TestSearchScorer:
         assert _kernel_gap(mset, target, [1.0], xs, self.GRID) <= 1e-13
 
     def _continuous(self, monkeypatch):
-        """A state with terms, its search, and the modulations that
-        ``transform_continuous`` receives."""
+        """A state with terms, its search, and the modulations that the
+        continuous kernel ``_mirror_sums`` receives."""
         state = ContinuousModulation(5.0, 2.0, ((3.0, 0.2, -0.1), (7.5, -0.05, 0.3)))
         seen = []
+        kernel = filterfn._mirror_sums
 
         def recording(mod, omega):
             seen.append(mod)
-            return transform_continuous(mod, omega)
+            return kernel(mod, omega)
 
-        monkeypatch.setattr(filterfn, "transform_continuous", recording)
+        monkeypatch.setattr(filterfn, "_mirror_sums", recording)
         return state, _continuous_search(state, np.array([1.5, 4.0, 11.0]), self.GRID), seen
 
     def test_continuous_same_bits(self, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -69,6 +70,20 @@ class TestGridForm:
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError):
             SpectralDensity.from_grid([0.0, 2.0, 1.0], [1.0, 1.0, 1.0])
+
+    def test_grid_arrays_are_read_only_copies(self):
+        # the caller's arrays stay their own, before and after pickle
+        omegas, values = np.array([0.0, 1.0, 2.0]), np.array([0.0, 2.0, 0.0])
+        spec = SpectralDensity(grid_omegas=omegas, grid_values=values)
+        omegas[1], values[1] = 1.5, 7.0
+        assert spec.grid_omegas.tolist() == [0.0, 1.0, 2.0]
+        assert spec.grid_values.tolist() == [0.0, 2.0, 0.0]
+        assert spec.evaluate(0.5) == pytest.approx(1.0)
+        for density in (spec, pickle.loads(pickle.dumps(spec))):
+            for arr in (density.grid_omegas, density.grid_values):
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                density.grid_values[1] = 3.0
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "spec.csv"
