@@ -16,17 +16,18 @@ and the B nodes of a block, and one matrix product, in place of size
 exponentials.
 
 Continuous transforms integrate in time on 16-point Gauss panels of at
-most 12 radians each (see :func:`transform_continuous`).  The rule is
+most 15 radians each; F agreed with 4x the panels within 2.3e-14 of max F
+over 300 random OCF phases (see :func:`transform_continuous`).  The rule is
 mirror-symmetric about T/2, its nodes ``T/2 -+ tau`` built as exact pairs,
 so ``|Y|^2 + |Z|^2`` is the sum of four squared real sums over ``tau > 0``
 (``cos`` and ``sin`` of ``omega tau``): one real product, half the
 multiply-adds of the complex one.  F agrees with the direct complex
 ``e^{i omega t}`` sum over the whole rule within 1e-13 of max F (at most
-2.2e-14 measured over random OCF phases at T = 1 to 25).  Nodes, weights
-and the real block tables are cached by value for the last 8 (duration,
-panels, grid) plans, as many as one continuous design builds (the fig10
-preset's, at full budget).  The grid path agrees with the direct form,
-which serves arbitrary frequencies, within 1e-12 of max F.
+3.2e-14 measured over 180 random OCF phases at T = 1 to 25).  Nodes,
+weights and the real block tables are cached by value for the last 16
+(duration, panels, grid) plans, more than one continuous design builds
+(9 for the fig10 preset at full budget).  The grid path agrees with the
+direct form, which serves arbitrary frequencies, within 1e-12 of max F.
 
 One rule, ``_filter_from``, gives the filter of every pulse train from its
 phase sums ``S = sum_b C_b e^{i omega P_b}`` (``i omega Y = S``): ``F =
@@ -34,10 +35,13 @@ phase sums ``S = sum_b C_b e^{i omega P_b}`` (``i omega Y = S``): ``F =
 from a read-only table cached by grid value.  Below phase ``|omega| T <
 1e-6``, where that quotient cancels catastrophically, Y comes from its
 3-term moment series and ``F = (4/pi) |Y|**2``; on a grid those nodes are
-a prefix, its length cached by grid value and duration.
-:func:`filter_values` feeds it the sums of one merged step function
-(``_pulse_filter``); the discrete OCF search feeds it unmerged sums, held
-for the trains it leaves fixed.  ``Y`` itself is built only by the public
+a prefix, its length cached by grid value and duration.  A
+``_TrainPlan`` of a grid and a duration holds the block count, the step
+phases, the scale table and the prefix, and gives the sums and the rule
+on that grid.  :func:`filter_values` feeds it the sums of one merged
+step function (``_pulse_filter``); the discrete OCF search builds one plan
+per search and feeds it unmerged sums, held for the trains it leaves
+fixed.  ``Y`` itself is built only by the public
 :func:`fourier_piecewise`, under the same small-phase rule.
 
 Conventions:
@@ -168,6 +172,12 @@ def _boundary_coefficients(bounds, values):
     return coeffs
 
 
+def _step_phases(spacing: float) -> np.ndarray:
+    """``1j * (B d, d)`` as a (2, 1) column: a point's step phases are this
+    times the point."""
+    return 1j * np.array([[_BLOCK * spacing], [spacing]])
+
+
 def _block_factors(spacing: float, size: int, points: np.ndarray):
     """Factors of the grid phases ``e^{i (j B + m) d p}``: ``coarse[j] =
     e^{i j B d p}`` for every block and ``fine[m] = e^{i m d p}`` within one.
@@ -180,9 +190,14 @@ def _block_factors(spacing: float, size: int, points: np.ndarray):
     (u = 2^-53) at most, besides the rounding of the phase itself, which
     the direct ``e^{i omega p}`` shares.
     """
-    coarse = np.empty((-(-size // _BLOCK), points.size), dtype=complex)
+    return _factor_tables(_step_phases(spacing), -(-size // _BLOCK), points)
+
+
+def _factor_tables(phases: np.ndarray, blocks: int, points: np.ndarray):
+    """:func:`_block_factors` from the step phases and the block count."""
+    coarse = np.empty((blocks, points.size), dtype=complex)
     fine = np.empty((_BLOCK, points.size), dtype=complex)
-    steps = np.exp(1j * np.multiply.outer((_BLOCK * spacing, spacing), points))
+    steps = np.exp(phases * points)
     for table, step in ((coarse, steps[0]), (fine, steps[1])):
         table[0] = 1.0
         table[1:] = step
@@ -190,16 +205,23 @@ def _block_factors(spacing: float, size: int, points: np.ndarray):
     return coarse, fine
 
 
+def _grid_sums(weights, points, phases, blocks: int, size: int) -> np.ndarray:
+    """``S_i = sum_b weights_b e^{i omega_i points_b}`` at the ``size``
+    nodes of a grid from one row of weights: the coarse factors of block j,
+    weighted, against the fine ones give nodes ``j B`` to ``j B + B - 1``."""
+    coarse, fine = _factor_tables(phases, blocks, points)
+    coarse *= weights
+    return (coarse @ fine.T).reshape(-1)[:size]
+
+
 def _phase_sums(weights: np.ndarray, points: np.ndarray, omega):
-    """``S[r, i] = sum_b weights[r, b] e^{i omega_i points_b}``: on a grid one
-    product of the block factors, else the direct exponentials, in chunks."""
+    """``S[0, i] = sum_b weights[0, b] e^{i omega_i points_b}`` of one row of
+    weights, shape ``(1, n)``: on a grid one product of the block factors
+    (:func:`_grid_sums`), else the direct exponentials, in chunks."""
     if isinstance(omega, FrequencyGrid):
-        coarse, fine = _block_factors(omega.spacing, omega.size, points)
-        rows = weights.shape[0]
-        # (block j, row r) pairs against the fine factors -> S[r, j B + m]
-        lhs = (coarse[:, None, :] * weights[None, :, :]).reshape(-1, points.size)
-        prod = (lhs @ fine.T).reshape(coarse.shape[0], rows, _BLOCK)
-        return prod.transpose(1, 0, 2).reshape(rows, -1)[:, :omega.size]
+        (row,) = weights
+        return _grid_sums(row, points, _step_phases(omega.spacing),
+                          -(-omega.size // _BLOCK), omega.size)[None]
     omega = np.atleast_1d(np.asarray(omega, dtype=float))
     out = np.empty((weights.shape[0], omega.size), dtype=complex)
     step = max(1, _CHUNK // points.size)
@@ -273,25 +295,64 @@ def _grid_scale(grid: FrequencyGrid) -> np.ndarray:
     return scale
 
 
+def _series_filter(om, moments) -> np.ndarray:
+    """``(4/pi) |Y|^2`` of the 3-term moment series at the small-phase
+    frequencies ``om``, its real and imaginary parts apart."""
+    m0, m1, m2 = moments
+    return (4.0 / np.pi) * ((m0 - om ** 2 * m2) ** 2 + (om * m1) ** 2)
+
+
+class _TrainPlan:
+    """What the filter of every pulse train of one duration on one grid
+    shares: the block count and the stacked step phases of the factored
+    sums (:func:`_step_phases`), the scale table (:func:`_grid_scale`) and
+    the small-phase prefix (:func:`_small_prefix`).  A search that scores
+    many trains builds one and looks nothing up per candidate; every value
+    keeps the bits of :func:`_phase_sums` and :func:`_filter_from`."""
+
+    __slots__ = ("size", "blocks", "phases", "scale", "prefix")
+
+    def __init__(self, grid: FrequencyGrid, duration: float):
+        self.size = grid.size
+        self.blocks = -(-grid.size // _BLOCK)
+        self.phases = _step_phases(grid.spacing)
+        self.scale = _grid_scale(grid)
+        self.prefix = grid.omegas[:_small_prefix(grid, duration)]
+
+    def sums(self, weights: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """``S_i = sum_b weights_b e^{i omega_i points_b}`` at every node,
+        from one row of weights."""
+        return _grid_sums(weights, points, self.phases, self.blocks, self.size)
+
+    def filter(self, sums: np.ndarray, moments) -> np.ndarray:
+        """``F`` at every node from the phase sums and moments.  A prefix
+        that is the node ``omega = 0`` alone takes the series there in
+        scalar math, ``(4/pi) m0**2``, the same bits."""
+        out = sums.real ** 2
+        out += sums.imag ** 2
+        out *= self.scale
+        if self.prefix.size == 1:
+            m0 = float(moments[0])
+            out[0] = (4.0 / np.pi) * (m0 * m0)
+        elif self.prefix.size:
+            out[:self.prefix.size] = _series_filter(self.prefix, moments)
+        return out
+
+
 def _filter_from(sums, moments, omega, duration: float) -> np.ndarray:
     """``F`` of a pulse train of length ``duration`` from its phase sums and
-    moments, on a :class:`FrequencyGrid` or at a 1-d array of frequencies
-    ``>= 0``; a node's value is the same from a grid or an array.  A grid
-    whose small-phase prefix is the node ``omega = 0`` alone takes the
-    series there in scalar math, ``(4/pi) m0**2``, the same bits."""
-    grid = isinstance(omega, FrequencyGrid)
+    moments, on a :class:`FrequencyGrid` (through its :class:`_TrainPlan`)
+    or at a 1-d array of frequencies ``>= 0``; a node's value is the same
+    from a grid or an array."""
+    if isinstance(omega, FrequencyGrid):
+        return _TrainPlan(omega, duration).filter(sums, moments)
     out = sums.real ** 2
     out += sums.imag ** 2
-    out *= _grid_scale(omega) if grid else _filter_scale(omega)
-    if grid and _small_prefix(omega, duration) == 1:
-        m0 = float(moments[0])
-        out[0] = (4.0 / np.pi) * (m0 * m0)
-        return out
-    omega, small, _ = _small_phase(omega, duration)
+    out *= _filter_scale(omega)
+    small = omega * duration < _SMALL_PHASE
     om = omega[small]
-    if om.size:  # |Y|^2 of the series, its real and imaginary parts apart
-        m0, m1, m2 = moments
-        out[small] = (4.0 / np.pi) * ((m0 - om ** 2 * m2) ** 2 + (om * m1) ** 2)
+    if om.size:
+        out[small] = _series_filter(om, moments)
     return out
 
 
@@ -339,7 +400,15 @@ def _gauss_panels(duration: float, n_panels: int):
     return tau, np.concatenate((centre - tau, centre + tau)), w
 
 
-@lru_cache(maxsize=8)
+def _panel_count(top_rate: float, duration: float) -> int:
+    """Gauss panels of the mirror rule for oscillations up to ``top_rate``
+    over ``duration``, by the rule of :func:`transform_continuous`; an even
+    count gives the rule its two halves."""
+    n_panels = math.ceil(top_rate * duration / 15.0) + 1
+    return n_panels + n_panels % 2
+
+
+@lru_cache(maxsize=16)
 def _gauss_plan(duration: float, n_panels: int, spacing: float, size: int):
     """The mirror rule of one grid (keyed by value) and its real tables.
 
@@ -373,10 +442,7 @@ def _mirror_sums(mod, omega):
     real product of the plan's tables, or an array's nodes, ``M = 1``."""
     nodes, scalar = _nodes(omega)
     T = mod.duration
-    top_rate = float(np.max(nodes, initial=0.0)) + mod.phase_rate_bound()
-    n_panels = int(math.ceil(top_rate * T / 12.0)) + 1
-    # quantized so that repeated evaluations on one grid share a cached plan
-    n_panels = 4 * int(math.ceil(n_panels / 4))
+    n_panels = _panel_count(float(np.max(nodes, initial=0.0)) + mod.phase_rate_bound(), T)
     if isinstance(omega, FrequencyGrid):
         tau, t, w, rows, table = _gauss_plan(T, n_panels, omega.spacing, omega.size)
     else:
@@ -406,20 +472,22 @@ def transform_continuous(mod: ContinuousModulation, omega):
     """Transforms ``(Y, Z)`` of ``y = cos(phi)``, ``z = sin(phi)``.
 
     ``omega`` is a :class:`FrequencyGrid`, an array or a scalar.  Composite
-    16-point Gauss-Legendre panels, each spanning at most 12 radians of the
+    16-point Gauss-Legendre panels, each spanning at most 15 radians of the
     fastest oscillation ``top_rate = max(omega) + phase_rate_bound()``,
-    plus one spare panel, their count rounded up to a multiple of 4.
+    plus one spare panel, their count rounded up to an even number, so
+    that the evaluations of one search share few cached plans.
     Gauss-Legendre resolves an oscillation with about pi nodes per
-    wavelength: one panel integrates ``e^{i theta t}`` over a span of up
-    to 18 radians within 2.4e-15 of its length, and on ``ocf_grid`` the
-    values agree with 4x the panels within 1e-13 of max F.
+    wavelength (Trefethen, SIAM Rev. 50, 67 (2008)): on ``ocf_grid`` the
+    values agree with 4x the panels within 1e-13 of max F, at most 2.3e-14
+    measured over 300 random OCF phases at T = 1 to 25, where panels of
+    at most 18 radians reach 3.7e-13.
 
     The rule is mirror-symmetric about ``T/2`` (nodes ``T/2 -+ tau``), so
     the transform is ``e^{i omega T/2}`` times the real cos and sin sums
     of :func:`_mirror_sums`; the filter path squares those and never forms
     Y or Z.  Y, Z and F agree with the direct ``e^{i omega t}`` sums over
-    the whole rule within 1e-13 of their largest values (at most 2.5e-14
-    measured over random OCF phases at T = 1 to 25).
+    the whole rule within 1e-13 of their largest values (at most 3.4e-14
+    measured over 180 random OCF phases at T = 1 to 25).
     """
     parts, nodes, scalar = _mirror_sums(mod, omega)
     centre = np.exp(0.5j * mod.duration * nodes)
@@ -461,6 +529,7 @@ class FilterFunction(ReadOnlyArrays):
         """
         if isinstance(self.generator, ContinuousModulation):
             raise OutOfRangeError("analytic tail requires a pulse-train generator")
+        require_finite(omega_from=omega_from)
         if omega_from <= 0:
             raise GridRangeError("omega_from must be > 0")
         bounds, values = to_step_function(self.generator)

@@ -136,6 +136,7 @@ def _zero_train(k: int, K: int, omega_max: float, duration: float, shift: int,
                 offset: float) -> PulseSequence:
     """Pulses at ``(n + offset) pi / rate`` inside ``(0, duration)``, with
     ``rate = omega_max (k - shift) / K``; none at rate 0."""
+    require_finite(omega_max=omega_max, duration=duration)
     if not 1 <= k <= K:
         raise OutOfRangeError(f"k must be in 1..{K}, got {k}")
     if omega_max <= 0 or duration <= 0:
@@ -176,6 +177,7 @@ def staircase_split(target_frequency: float, n_qubits: int, duration: float) -> 
     ``-N + 2j - 1``.  For ``N = 1`` this is exactly the square wave of
     :func:`fo_sequence` at the same frequency.
     """
+    require_finite(target_frequency=target_frequency, duration=duration)
     if n_qubits < 1:
         raise OutOfRangeError(f"n_qubits must be >= 1, got {n_qubits}")
     if duration <= 0:

@@ -9,8 +9,12 @@ best objective so far.  Out-of-band filter weight is discouraged by a
 penalty on the normalized filter (see ``_Objective``).  Every state is a
 modulation.  Each search ranks its candidates by a scorer built from what
 it holds fixed (``_discrete_search``, ``_continuous_search``); acceptance
-scores the best candidate by :func:`filter_values`.  A design owns one
-read-only :class:`FilterFunction`, that scoring of its accepted state.
+scores the best candidate by :func:`filter_values`.  The discrete scorer
+reads its grid constants (block count, step phases, scale table and
+small-phase prefix) from one ``filterfn._TrainPlan`` of the grid and the
+duration, built per search; the continuous scorer reads its Gauss nodes
+and tables from ``filterfn``'s plan cache.  A design owns one read-only
+:class:`FilterFunction`, that scoring of its accepted state.
 
 The Nelder-Mead search (Nelder & Mead, Comput. J. 7, 308 (1965)) is written
 here rather than taken from ``scipy.optimize``, whose import costs more than
@@ -31,9 +35,8 @@ import numpy as np
 
 from .errors import (CalibrationError, GridRangeError, OutOfRangeError,
                      UndefinedObjectiveError, require_finite, require_integer)
-from .filterfn import (FilterFunction, FrequencyGrid, _continuous_filter, _filter_from,
-                       _phase_sums, _point_moments, continuous_norm, default_grid,
-                       filter_values)
+from .filterfn import (FilterFunction, FrequencyGrid, _continuous_filter, _point_moments,
+                       _TrainPlan, continuous_norm, default_grid, filter_values)
 from .modulation import (ContinuousModulation, ModulationSet, PulseSequence, repair_trains,
                          staircase_split)
 from .seeding import derive_seed, make_rng
@@ -294,12 +297,16 @@ def _discrete_search(state: ModulationSet, target, freqs, grid):
     one :class:`ModulationSet`.  ``values`` builds none: phase sums and
     moments are linear in the trains, so the search holds those of t = 0
     and of the unmoved switches, repaired as ``candidate`` repairs them,
-    and ``values`` adds those of the moved trains and of T (final level)."""
+    and ``values`` adds those of the moved trains and of T (final level),
+    all through one :class:`~noisespec.filterfn._TrainPlan` of the grid
+    and T."""
     times, qubits, signs = state.trains()
     T = state.duration
     lo, hi = ((0, times.size) if target is None
               else np.searchsorted(qubits, (target, target + 1)))
     warp = _warper(times[lo:hi], freqs, T / 12.0)
+    moved = qubits[lo:hi]
+    plan = _TrainPlan(grid, T)
 
     def coefficients(q):
         """Phase-sum weight of each switch: minus its step, ``-2 sign (-1)**rank``."""
@@ -311,9 +318,21 @@ def _discrete_search(state: ModulationSet, target, freqs, grid):
     held_c = coefficients(held_q)
     points = np.append(0.0, held_t)
     weights = np.append(-float(np.sum(signs)), held_c)
-    held_sums = _phase_sums(weights[None, :], points, grid)[0]
+    held_sums = plan.sums(weights, points)
     held_moments = _point_moments(points, weights)
     end = float(np.sum(signs)) - float(np.sum(held_c))
+
+    def weights_of(q):
+        """The weights of the moved switches with labels ``q``, then of T."""
+        c = coefficients(q)
+        w = np.empty(q.size + 1)
+        w[:-1], w[-1] = c, end - c.sum()
+        return w
+
+    # a repair that cancels no pair keeps every label, sorted as ``moved``
+    # is, so the weights stay these until a pair cancels
+    uncancelled = weights_of(moved)
+    t_end = np.array([T])
 
     def candidate(x):
         warped = times.copy()
@@ -323,14 +342,12 @@ def _discrete_search(state: ModulationSet, target, freqs, grid):
                                    for k in range(signs.size)))
 
     def values(x):
-        t, q = repair_trains(warp(x), qubits[lo:hi], T)
-        c = coefficients(q)
-        points, weights = np.empty(t.size + 1), np.empty((1, t.size + 1))
-        points[:-1], points[-1] = t, T
-        weights[0, :-1], weights[0, -1] = c, end - c.sum()
-        sums = _phase_sums(weights, points, grid)[0]
+        t, q = repair_trains(warp(x), moved, T)
+        w = uncancelled if q.size == moved.size else weights_of(q)
+        points = np.concatenate((t, t_end))
+        sums = plan.sums(w, points)
         sums += held_sums
-        return _filter_from(sums, held_moments + _point_moments(points, weights[0]), grid, T)
+        return plan.filter(sums, held_moments + _point_moments(points, w))
     return values, candidate
 
 

@@ -37,8 +37,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (CalibrationError, DegenerateBasisError, GridRangeError,
-                     IllConditionedInversionError, OutOfRangeError, UndefinedFidelityError,
-                     require_finite, require_integer)
+                     IllConditionedInversionError, NonFiniteInputError, OutOfRangeError,
+                     UndefinedFidelityError, require_finite, require_integer)
 from .filterfn import (FrequencyGrid, default_grid, filter_function, overlap_matrix,
                        signal_overlaps)
 from .modulation import as_sequence, staircase_split
@@ -306,17 +306,28 @@ def _pointwise_omegas(omega_max: float, K: int) -> np.ndarray:
     return omega_max * np.arange(1, K + 1) / K
 
 
+def _require_finite_values(name: str, values: np.ndarray) -> None:
+    """Raise :class:`NonFiniteInputError` naming ``name`` unless every
+    entry of ``values`` is finite."""
+    if not np.isfinite(values).all():
+        raise NonFiniteInputError(f"{name} must be finite")
+
+
 def fidelity(spectrum_true, estimate, omega_points) -> float:
     """Cosine-similarity fidelity between truth and estimate on a point set.
 
     Both arguments are reduced to the K-vector of their values at
     ``omega_points``; the fidelity is their normalized inner product, equal
     to 1 exactly when the estimate is a positive multiple of the truth.
+    A NaN or infinite point or estimate value raises
+    :class:`NonFiniteInputError`.
     """
     pts = np.asarray(omega_points, dtype=float)
+    _require_finite_values("omega_points", pts)
     s_true = np.asarray(spectrum_true.evaluate(pts), dtype=float)
     s_est = np.asarray(estimate.evaluate(pts) if hasattr(estimate, "evaluate")
                        else estimate, dtype=float)
+    _require_finite_values("estimate", s_est)
     n_true = float(np.linalg.norm(s_true))
     n_est = float(np.linalg.norm(s_est))
     if n_true == 0.0 or n_est == 0.0:
@@ -609,7 +620,9 @@ def run_repetitions(cells, repetitions: int, workers: int = 1) -> np.ndarray:
     batch (each term of the score gathers its own maps, so a block holds no
     (K, P, R) stack), and :func:`run_jobs` runs them on ``workers``
     processes; the output is the same for any worker count and block size.
+    ``repetitions`` is an integer >= 0 (:class:`OutOfRangeError` otherwise).
     """
+    require_integer("repetitions", repetitions, 0)
     cells = list(cells)
     fids = np.zeros((len(cells), repetitions))
     jobs = [(ci, start, min(start + _BLOCK, repetitions))
@@ -651,8 +664,10 @@ def scan_optimal_time(scans, repetitions: int, workers: int = 1) -> list[ScanRes
     ``(context, noise at seed derive_seed(noise.seed, t))`` and runs
     ``repetitions`` repetitions.  Every cell of every scan runs in
     one :func:`run_repetitions` call on ``workers`` processes, which does
-    not change the result; a scan without candidates raises ``ValueError``.
+    not change the result.  A scan without candidates, or ``repetitions``
+    that is not an integer >= 1, raises :class:`OutOfRangeError`.
     """
+    require_integer("repetitions", repetitions, 1)
     scans = [(list(contexts), noise) for contexts, noise in scans]
     if any(not contexts for contexts, _ in scans):
         raise OutOfRangeError("need at least one candidate operation time")

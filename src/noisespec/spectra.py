@@ -149,7 +149,9 @@ class SpectralDensity(ReadOnlyArrays):
 
     def peak_frequency(self, omega_max: float) -> float:
         """Frequency of the dominant peak in ``[0, omega_max]`` (a
-        20001-point scan for the analytic form, the samples otherwise)."""
+        20001-point scan for the analytic form, the samples otherwise).
+        A NaN or infinite ``omega_max`` raises :class:`NonFiniteInputError`."""
+        require_finite(omega_max=omega_max)
         om = (np.linspace(0.0, omega_max, 20001) if self.components is not None
               else self.grid_omegas[self.grid_omegas <= omega_max])
         return float(om[int(np.argmax(self.evaluate(om)))])

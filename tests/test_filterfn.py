@@ -384,7 +384,7 @@ class TestBlockFactors:
 
 class TestContinuousPanels:
     """The Gauss panel rule of continuous transforms: each panel spans at
-    most 12 radians of the fastest oscillation, and more panels change
+    most 15 radians of the fastest oscillation, and more panels change
     nothing."""
 
     @pytest.mark.parametrize("T", [1.0, 5.0, 25.0])
@@ -400,13 +400,29 @@ class TestContinuousPanels:
             refined = filter_values(mod, grid)
             assert np.max(np.abs(on_plan - refined)) <= 1e-13 * np.max(refined)
 
+    def test_long_phases_equal_four_times_the_panels(self, monkeypatch):
+        # at T = 25 the panels come closest to their 15-radian bound: over
+        # these 48 phases the gap to 4x the panels reached 1.9e-14 of max F,
+        # and 2.0e-13 with panels of at most 18 radians
+        grid = ocf_grid(10.0)
+        mods = [mod for seed in range(12)
+                for mod in _random_phases(25.0, np.random.default_rng(seed))]
+        values = [filter_values(mod, grid) for mod in mods]
+        plan = _gauss_plan.__wrapped__
+        monkeypatch.setattr(filterfn, "_gauss_plan",
+                            lambda duration, n_panels, spacing, size:
+                            plan(duration, 4 * n_panels, spacing, size))
+        for mod, on_plan in zip(mods, values):
+            refined = filter_values(mod, grid)
+            assert np.max(np.abs(on_plan - refined)) <= 1e-13 * np.max(refined)
+
     @settings(max_examples=60, deadline=None)
     @given(T=st.floats(0.1, 30.0), linear_rate=st.floats(-10.0, 10.0),
            terms=st.lists(st.tuples(st.floats(0.0, 12.0), st.floats(-3.0, 3.0),
                                     st.floats(-3.0, 3.0)), max_size=3),
            omega_max=st.floats(0.5, 40.0), size=st.integers(2, 400),
            on_grid=st.booleans())
-    def test_panel_spans_at_most_12_radians(self, T, linear_rate, terms, omega_max, size,
+    def test_panel_spans_at_most_15_radians(self, T, linear_rate, terms, omega_max, size,
                                             on_grid):
         mod = ContinuousModulation(duration=T, linear_rate=linear_rate, terms=tuple(terms))
         grid = FrequencyGrid(omega_max, size)
@@ -421,9 +437,9 @@ class TestContinuousPanels:
             transform_continuous(mod, grid if on_grid else grid.omegas)
         assert len(panels) == 1
         (n_panels,) = panels
-        assert T / n_panels * top_rate <= 12.0
-        # one spare panel, rounded up to a multiple of 4
-        assert n_panels % 4 == 0 and n_panels < top_rate * T / 12.0 + 5
+        assert T / n_panels * top_rate <= 15.0
+        # one spare panel, rounded up to an even count
+        assert n_panels % 2 == 0 and n_panels < top_rate * T / 15.0 + 3
 
     @pytest.mark.parametrize("preset", ["fig8-ocf-lorentzian", "fig10-ocf-double"])
     def test_design_builds_each_plan_once(self, preset):
@@ -450,8 +466,8 @@ def _complex_reference(mod, omegas):
     16-point Gauss rule on [0, T], built here without mirroring, with the
     panel count of :func:`transform_continuous`."""
     T = mod.duration
-    top_rate = float(np.max(omegas, initial=0.0)) + mod.phase_rate_bound()
-    n_panels = 4 * math.ceil((math.ceil(top_rate * T / 12.0) + 1) / 4)
+    n_panels = filterfn._panel_count(
+        float(np.max(omegas, initial=0.0)) + mod.phase_rate_bound(), T)
     nodes, weights = np.polynomial.legendre.leggauss(16)
     edges = np.linspace(0.0, T, n_panels + 1)
     half, mid = 0.5 * np.diff(edges), 0.5 * (edges[:-1] + edges[1:])

@@ -695,6 +695,23 @@ class TestScorerReference:
               np.array([0.3, -0.2])]
         self._same(mset, target, [1.0], xs)
 
+    def test_weights_follow_the_repaired_labels(self):
+        # consecutive candidates whose repaired labels change: qubit 0's
+        # pair folds onto eps and cancels, then no pair cancels, then qubit
+        # 1's pair folds onto T - eps and cancels (as many labels as the
+        # first, other qubits), then qubit 0's again.  The switchless qubit 2
+        # makes the initial signs sum to 1, so that F tells the weights of
+        # the two pairs apart (they are opposite)
+        T = 5.0
+        mset = ModulationSet((PulseSequence([0.05, 0.1], T), PulseSequence([2.5, 3.0], T, -1),
+                              PulseSequence([], T)))
+        xs = [np.array([-5.0, 0.0]), np.array([0.3, -0.2]), np.array([0.0, 5.0]),
+              np.array([-5.0, 0.0])]
+        _, warp, qubits = _reference_values(mset, None, [1.0], self.GRID)
+        labels = [repair_trains(warp(x), qubits, T)[1].tolist() for x in xs]
+        assert labels == [[1, 1], [0, 0, 1, 1], [0, 0], [1, 1]]
+        self._same(mset, None, [1.0], xs)
+
     @pytest.mark.parametrize("times, qubits, kept", [
         ([-1.0, 2.0, 9.0], [0, 0, 0], [1e-12 * 5.0, 2.0, 5.0 - 1e-12 * 5.0]),
         ([3.0, 1.0, 2.0, 0.5], [1, 0, 1, 0], [0.5, 1.0, 2.0, 3.0]),

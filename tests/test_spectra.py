@@ -13,7 +13,8 @@ from noisespec import (CalibrationError, CompositeSignal, GridMismatchError, Gri
                        track_ocf)
 from noisespec.filterfn import (FrequencyGrid, FilterFunction, continuous_norm, default_grid,
                                 filter_function, filter_values, signal_overlap)
-from noisespec.modulation import fo_sequence
+from noisespec.modulation import as_sequence, fo_sequence, staircase_split
+from noisespec.reconstruct import fidelity, run_repetitions, scan_optimal_time
 from noisespec import spectra
 
 
@@ -218,11 +219,44 @@ def _square_filter():
     (lambda: SpectralDensity.from_grid([0.0, math.nan, 2.0], [1.0, 1.0, 1.0]),
      NonFiniteInputError, "grid samples must be finite"),
     (lambda: SpectralDensity.from_grid([math.nan, 1.0, 2.0], [1.0, 1.0, 1.0]),
-     NonFiniteInputError, "grid samples must be finite")],
+     NonFiniteInputError, "grid samples must be finite"),
+    # each of these raised a bare ValueError or OverflowError, or returned NaN
+    (lambda: staircase_split(math.nan, 1, 1.0), NonFiniteInputError,
+     "target_frequency must be finite, got nan"),
+    (lambda: staircase_split(2.0, 2, math.inf), NonFiniteInputError,
+     "duration must be finite, got inf"),
+    (lambda: fo_sequence(3, 20, math.nan, 5.0), NonFiniteInputError,
+     "omega_max must be finite, got nan"),
+    (lambda: as_sequence(1, 5, math.nan, 1.0), NonFiniteInputError,
+     "omega_max must be finite, got nan"),
+    (lambda: as_sequence(1, 5, 10.0, math.inf), NonFiniteInputError,
+     "duration must be finite, got inf"),
+    (lambda: fidelity(double_lorentzian(), np.array([1.0, math.nan]), [1.0, 2.0]),
+     NonFiniteInputError, "estimate must be finite"),
+    (lambda: fidelity(double_lorentzian(), double_lorentzian(), [1.0, math.nan]),
+     NonFiniteInputError, "omega_points must be finite"),
+    (lambda: _square_filter().tail_integral(math.nan), NonFiniteInputError,
+     "omega_from must be finite, got nan"),
+    (lambda: double_lorentzian().peak_frequency(omega_max=math.nan), NonFiniteInputError,
+     "omega_max must be finite, got nan"),
+    (lambda: run_repetitions([], -1), OutOfRangeError,
+     "repetitions must be an integer >= 0, got -1"),
+    (lambda: run_repetitions([], 2.5), OutOfRangeError,
+     "repetitions must be an integer >= 0, got 2.5"),
+    (lambda: scan_optimal_time([], -1), OutOfRangeError,
+     "repetitions must be an integer >= 1, got -1"),
+    (lambda: scan_optimal_time([], 2.5), OutOfRangeError,
+     "repetitions must be an integer >= 1, got 2.5")],
     ids=["spectra-amplitude", "spectra-empty", "spectra-center", "probe-gamma",
          "filterfn-omega", "filterfn-tail", "filterfn-norm-grid", "reconstruct-protocol",
          "tracking-pair", "fisher-lengths", "spectra-nan-inner-frequency",
-         "spectra-nan-first-frequency"])
+         "spectra-nan-first-frequency", "modulation-staircase-nan-frequency",
+         "modulation-staircase-inf-duration", "modulation-fo-nan-omega-max",
+         "modulation-as-nan-omega-max", "modulation-as-inf-duration",
+         "reconstruct-fidelity-nan-estimate", "reconstruct-fidelity-nan-point",
+         "filterfn-tail-nan", "spectra-peak-nan", "reconstruct-repetitions-negative",
+         "reconstruct-repetitions-fraction", "reconstruct-scan-repetitions-negative",
+         "reconstruct-scan-repetitions-fraction"])
 def test_public_input_refused_as_noisespec_error(call, error, message):
     # before, each of these raised a bare ValueError, not a NoiseSpecError
     with pytest.raises(error, match=f"^{message}$") as info:

@@ -12,7 +12,9 @@ script run in two checkouts compares their outputs:
 differ.  The matrix is all presets at ``--quick`` with one and two
 workers, every preset at its full budget (``fig8-ocf-lorentzian``, with
 its 75 discrete designs and one continuous one, takes most of the time),
-and quick runs from written configs: fig8 with two operation times and
+``fig10-ocf-double`` at its full budget with two workers, whose designs
+build their quadrature and pulse-train plans in the pool's processes, and
+quick runs from written configs: fig8 with two operation times and
 two swept qubit numbers, the one run that writes
 ``ocf_time_scan.csv`` (quick budgets empty ``T_candidates``), with one
 and with two workers; quick fig8 at ``T_candidates = 10`` with 4 and 6
@@ -90,6 +92,7 @@ def matrix(config_dir):
             yield f"quick-w{workers}", [name, "--quick", "--workers", str(workers)]
     for name in names:
         yield "full", [name]
+    yield "full-w2", ["fig10-ocf-double", "--workers", "2"]
     time_scan = quick_config(
         os.path.join(config_dir, "time-scan.ini"), "fig8-ocf-lorentzian",
         ocf={"T_candidates": [2.0, 5.0], "sweep_nqubits": [1, 2]})
